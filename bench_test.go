@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/bo"
+	"repro/internal/core"
 	"repro/internal/dbsim"
 	"repro/internal/experiments"
 	"repro/internal/gp"
@@ -86,7 +87,7 @@ func BenchmarkGPFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tri := bo.NewTriGP(14, 1)
-		if err := tri.Fit(h); err != nil {
+		if err := tri.FitWithBudget(h, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +259,7 @@ func BenchmarkGPPredictNoAlloc(b *testing.B) {
 // both phases fanned out across GOMAXPROCS workers.
 func BenchmarkOptimizeAcqParallel(b *testing.B) {
 	tri := bo.NewTriGP(14, 1)
-	if err := tri.Fit(syntheticHistory(50, 14, 3)); err != nil {
+	if err := tri.FitWithBudget(syntheticHistory(50, 14, 3), 0); err != nil {
 		b.Fatal(err)
 	}
 	cons := bo.Constraints{LambdaTps: 0, LambdaLat: 0}
@@ -267,7 +268,7 @@ func BenchmarkOptimizeAcqParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(int64(i)))
-		_ = bo.OptimizeAcq(f, 14, cfg, nil, r)
+		_ = bo.OptimizeAcqBatch(f, nil, 14, cfg, nil, r)
 	}
 }
 
@@ -300,7 +301,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 func acqBenchSetup(b *testing.B) (*bo.TriGP, bo.Constraints, float64, bo.OptimizerConfig) {
 	b.Helper()
 	tri := bo.NewTriGP(12, 1)
-	if err := tri.Fit(syntheticHistory(100, 12, 3)); err != nil {
+	if err := tri.FitWithBudget(syntheticHistory(100, 12, 3), 0); err != nil {
 		b.Fatal(err)
 	}
 	cons := tri.RawConstraints(bo.SLA{LambdaTps: 9800, LambdaLat: 5.5})
@@ -318,7 +319,7 @@ func BenchmarkOptimizeAcqPointwise(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(int64(i)))
-		_ = bo.OptimizeAcq(f, 12, cfg, nil, r)
+		_ = bo.OptimizeAcqBatch(f, nil, 12, cfg, nil, r)
 	}
 }
 
@@ -340,7 +341,7 @@ func BenchmarkOptimizeAcqBatched(b *testing.B) {
 // BenchmarkCEI measures one constrained-acquisition evaluation.
 func BenchmarkCEI(b *testing.B) {
 	tri := bo.NewTriGP(14, 1)
-	if err := tri.Fit(syntheticHistory(50, 14, 3)); err != nil {
+	if err := tri.FitWithBudget(syntheticHistory(50, 14, 3), 0); err != nil {
 		b.Fatal(err)
 	}
 	cons := bo.Constraints{LambdaTps: 0, LambdaLat: 0}
@@ -356,22 +357,22 @@ func BenchmarkCEI(b *testing.B) {
 func BenchmarkDynamicWeights(b *testing.B) {
 	var base []*meta.BaseLearner
 	for i := 0; i < 10; i++ {
-		bl, err := meta.NewBaseLearner(fmt.Sprintf("t%d", i), "w", "A", nil,
-			syntheticHistory(30, 3, int64(i)), 3, int64(i))
+		bl, err := meta.NewBaseLearnerSparse(fmt.Sprintf("t%d", i), "w", "A", nil,
+			syntheticHistory(30, 3, int64(i)), 3, int64(i), gp.SparseConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		base = append(base, bl)
 	}
-	target, err := meta.NewBaseLearner("target", "w", "A", nil,
-		syntheticHistory(20, 3, 99), 3, 99)
+	target, err := meta.NewBaseLearnerSparse("target", "w", "A", nil,
+		syntheticHistory(20, 3, 99), 3, 99, gp.SparseConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = meta.DynamicWeights(base, target, 100, r)
+		_ = meta.DynamicWeightsOpts(base, target, meta.DynamicOptions{Samples: 100}, r)
 	}
 }
 
@@ -436,15 +437,19 @@ func driftDayParams() experiments.Params {
 // stationary.
 func BenchmarkDriftSimulatedDay(b *testing.B) {
 	for _, profile := range []string{"diurnal", "ramp"} {
+		tl, err := workload.TimelineProfile(profile)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, mode := range []struct {
 			name  string
-			aware bool
-		}{{"aware", true}, {"stationary", false}} {
+			drift *core.DriftConfig
+		}{{"aware", &core.DriftConfig{}}, {"stationary", nil}} {
 			b.Run(profile+"/"+mode.name, func(b *testing.B) {
 				var st *experiments.DayStats
 				for i := 0; i < b.N; i++ {
 					var err error
-					st, err = experiments.SimulatedDay(profile, driftDayParams(), mode.aware)
+					st, err = experiments.SimulatedDay(profile, tl, driftDayParams(), mode.drift)
 					if err != nil {
 						b.Fatal(err)
 					}

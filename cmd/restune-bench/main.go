@@ -228,42 +228,35 @@ func main() {
 func runTimeline(arg string, p restune.ExperimentParams) error {
 	type day struct {
 		name string
-		run  func(aware bool) (*restune.DayStats, error)
+		tl   *restune.Timeline
+	}
+	names := []string{arg}
+	if arg == "all" {
+		names = []string{"diurnal", "spike", "ramp", "flat"}
 	}
 	var days []day
-	switch arg {
-	case "all":
-		for _, profile := range []string{"diurnal", "spike", "ramp", "flat"} {
-			profile := profile
-			days = append(days, day{profile, func(aware bool) (*restune.DayStats, error) {
-				return restune.SimulatedDay(profile, p, aware)
-			}})
-		}
-	case "diurnal", "spike", "ramp", "flat":
-		days = append(days, day{arg, func(aware bool) (*restune.DayStats, error) {
-			return restune.SimulatedDay(arg, p, aware)
-		}})
-	default:
-		f, err := os.Open(arg)
+	for _, name := range names {
+		tl, err := restune.TimelineProfile(name)
 		if err != nil {
-			return fmt.Errorf("not a built-in profile (diurnal, spike, ramp, flat, all) and unreadable as a CSV load file: %v", err)
+			f, err := os.Open(name)
+			if err != nil {
+				return fmt.Errorf("not a built-in profile (diurnal, spike, ramp, flat, all) and unreadable as a CSV load file: %v", err)
+			}
+			tl, err = restune.TimelineFromCSV(f)
+			f.Close()
+			if err != nil {
+				return err
+			}
+			name = filepath.Base(name)
 		}
-		tl, err := restune.TimelineFromCSV(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		name := filepath.Base(arg)
-		days = append(days, day{name, func(aware bool) (*restune.DayStats, error) {
-			return restune.SimulatedDayTimeline(name, tl, p, aware)
-		}})
+		days = append(days, day{name, tl})
 	}
 	fmt.Printf("Simulated 24h day compressed into %d measurements (Twitter, 3 knobs, instance A):\n", p.Iters)
 	fmt.Printf("%-12s %-20s %12s %12s %10s %10s %10s\n",
 		"Timeline", "Method", "Violations", "DriftEvents", "AdaptMax", "AdaptMean", "Improve%")
 	for _, d := range days {
-		for _, aware := range []bool{true, false} {
-			st, err := d.run(aware)
+		for _, drift := range []*restune.DriftConfig{{}, nil} {
+			st, err := restune.SimulatedDay(d.name, d.tl, p, drift)
 			if err != nil {
 				return err
 			}

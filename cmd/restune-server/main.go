@@ -39,7 +39,7 @@ func main() {
 		iters     = flag.Int("iters", 30, "tuning iterations per session")
 		seed      = flag.Int64("seed", 1, "base seed; session i runs at seed+i")
 		repoPath  = flag.String("repo", "", "repository JSON backing the shared meta-corpus (opened lazily)")
-		shortlist = flag.Int("shortlist", 0, "shortlist the top-K base tasks per session (0 = exact path over the whole corpus)")
+		shortlist = flag.Int("shortlist", 0, "on a corpus too large to weight every base task, shortlist the top-K per session (0 = default K)")
 		synthetic = flag.Int("synthetic-corpus", 0, "instead of -repo: share a synthetic corpus of this many base tasks")
 		traceDir  = flag.String("trace-dir", "", "write one JSONL trace per session plus fleet.jsonl into this directory")
 		debugAddr = flag.String("debug-addr", "", "serve expvar/metrics/pprof on this address (e.g. localhost:6060) for the duration of the run")

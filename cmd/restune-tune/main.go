@@ -32,7 +32,7 @@ func main() {
 		iters        = flag.Int("iters", 50, "tuning iterations")
 		seed         = flag.Int64("seed", 1, "random seed")
 		repoPath     = flag.String("repo", "", "repository JSON for meta-learning (restune only)")
-		shortlist    = flag.Int("shortlist", 0, "with -repo: open the repository lazily and shortlist the top-K base tasks per iteration (0 = eager all-learners path)")
+		shortlist    = flag.Int("shortlist", 0, "with -repo: on a corpus too large to weight every base task, shortlist the top-K per iteration (0 = default K)")
 		converge     = flag.Bool("converge", false, "stop early under the paper's 0.5%/10-iteration convergence rule")
 		verbose      = flag.Bool("v", false, "print every iteration")
 		engine       = flag.Bool("engine", false, "measure against the real minidb storage engine instead of the simulator (slower, real I/O; engine-relevant knobs only)")
@@ -236,8 +236,8 @@ func pickSpace(name string, res restune.Resource) (*restune.Space, error) {
 }
 
 // pickTuner builds the selected method. The returned cleanup (possibly nil)
-// must be deferred past the session: with -shortlist the lazily-opened
-// repository file backs on-demand history reads for the whole run.
+// must be deferred past the session: the lazily-opened repository file
+// backs on-demand history reads for the whole run.
 func pickTuner(method string, seed int64, shortlist int, repoPath string, space *restune.Space, w restune.Workload, converge, engine bool, rec restune.Recorder) (restune.Tuner, func() error, error) {
 	switch strings.ToLower(method) {
 	case "restune":
@@ -259,33 +259,20 @@ func pickTuner(method string, seed int64, shortlist int, repoPath string, space 
 				return nil, nil, err
 			}
 			cfg.TargetMetaFeature = ch.MetaFeature(w, 3000, rngFor(seed))
-			if shortlist > 0 {
-				lazy, err := restune.OpenLazyRepository(repoPath)
-				if err != nil {
-					return nil, nil, err
-				}
-				corpus, err := lazy.Corpus(space, seed, nil,
-					restune.CorpusOptions{ShortlistK: shortlist, Recorder: rec})
-				if err != nil {
-					lazy.Close()
-					return nil, nil, err
-				}
-				cfg.Corpus = corpus
-				cleanup = lazy.Close
-				fmt.Printf("opened %s lazily: %d tasks, shortlisting top %d per iteration\n",
-					repoPath, lazy.Len(), shortlist)
-			} else {
-				r, err := restune.LoadRepository(repoPath)
-				if err != nil {
-					return nil, nil, err
-				}
-				base, err := r.BaseLearners(space, seed, nil)
-				if err != nil {
-					return nil, nil, err
-				}
-				cfg.Base = base
-				fmt.Printf("loaded %d base-learners from %s\n", len(base), repoPath)
+			lazy, err := restune.OpenLazyRepository(repoPath)
+			if err != nil {
+				return nil, nil, err
 			}
+			corpus, err := lazy.Corpus(space, seed, nil,
+				restune.CorpusOptions{ShortlistK: shortlist, Recorder: rec})
+			if err != nil {
+				lazy.Close()
+				return nil, nil, err
+			}
+			cfg.Corpus = corpus
+			cleanup = lazy.Close
+			fmt.Printf("opened %s: %d of %d tasks match the knob space\n",
+				repoPath, corpus.Len(), lazy.Len())
 		}
 		return restune.New(cfg), cleanup, nil
 	case "ituned":

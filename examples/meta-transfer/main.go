@@ -61,12 +61,12 @@ func main() {
 		return restune.NewEvaluator(sim, space, restune.CPU)
 	}
 
-	base, err := repo.BaseLearners(space, seed, nil)
+	corpus, err := repo.Corpus(space, seed, nil, restune.CorpusOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfgMeta := restune.DefaultConfig(seed)
-	cfgMeta.Base = base
+	cfgMeta.Corpus = corpus
 	cfgMeta.TargetMetaFeature = targetMF
 
 	fmt.Printf("\nphase 2: tuning %s with a budget of %d iterations\n", target.Name, targetIters)

@@ -75,7 +75,7 @@ func NewResTuneWithoutML(seed int64) core.Tuner {
 func NewResTuneWithoutWorkload(seed int64, base []*meta.BaseLearner, targetMeta []float64) core.Tuner {
 	cfg := core.DefaultConfig(seed)
 	cfg.Name = "ResTune-w/o-Workload"
-	cfg.Base = base
+	cfg.Corpus = meta.NewCorpus(meta.TasksOf(base...), meta.CorpusOptions{})
 	cfg.TargetMetaFeature = targetMeta
 	cfg.UseWorkloadChar = false
 	return core.New(cfg)

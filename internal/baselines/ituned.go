@@ -52,7 +52,7 @@ func (t *ITuned) Run(ev core.Evaluator, iters int) (*core.Result, error) {
 		}
 		tModel := time.Now()
 		tri := bo.NewTriGP(dim, t.Seed+int64(iter))
-		if err := tri.Fit(s.hist); err != nil {
+		if err := tri.FitWithBudget(s.hist, 0); err != nil {
 			return nil, err
 		}
 		modelUpdate := time.Since(tModel)
@@ -71,7 +71,7 @@ func (t *ITuned) Run(ev core.Evaluator, iters int) (*core.Result, error) {
 			mu, v := tri.Predict(bo.Res, x)
 			return bo.EI(mu, sqrt(v), bestZ)
 		}
-		theta := bo.OptimizeAcq(acq, dim, t.Acq, [][]float64{s.hist[argminRes(s.hist)].Theta}, r)
+		theta := bo.OptimizeAcqBatch(acq, nil, dim, t.Acq, [][]float64{s.hist[argminRes(s.hist)].Theta}, r)
 		recommend := time.Since(tRec)
 
 		s.evaluate(theta, "ei", modelUpdate, recommend)

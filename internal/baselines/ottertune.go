@@ -72,7 +72,7 @@ func (t *OtterTuneWCon) Run(ev core.Evaluator, iters int) (*core.Result, error) 
 		pooled = append(pooled, mapped...)
 		pooled = append(pooled, s.hist...) // target data last: wins scale/fit emphasis
 		tri := bo.NewTriGP(dim, t.Seed+int64(iter))
-		if err := tri.Fit(pooled); err != nil {
+		if err := tri.FitWithBudget(pooled, 0); err != nil {
 			return nil, err
 		}
 		modelUpdate := time.Since(tModel)
@@ -90,7 +90,7 @@ func (t *OtterTuneWCon) Run(ev core.Evaluator, iters int) (*core.Result, error) 
 		if best, ok := s.hist.BestFeasible(s.res.SLA); ok {
 			incumbents = append(incumbents, best.Theta)
 		}
-		theta := bo.OptimizeAcq(acq, dim, t.Acq, incumbents, r)
+		theta := bo.OptimizeAcqBatch(acq, nil, dim, t.Acq, incumbents, r)
 		recommend := time.Since(tRec)
 
 		m := s.evaluate(theta, "mapped-cei", modelUpdate, recommend)

@@ -94,7 +94,7 @@ func (t *PenaltyBO) Run(ev core.Evaluator, iters int) (*core.Result, error) {
 			mu, v := g.Predict(x)
 			return bo.EI(mu, math.Sqrt(v), best)
 		}
-		theta := bo.OptimizeAcq(acq, dim, t.Acq, [][]float64{s.hist[bestIdx].Theta}, r)
+		theta := bo.OptimizeAcqBatch(acq, nil, dim, t.Acq, [][]float64{s.hist[bestIdx].Theta}, r)
 		recommend := time.Since(tRec)
 
 		s.evaluate(theta, "penalty-ei", modelUpdate, recommend)

@@ -72,7 +72,7 @@ func TestTriGPSharedCrossCovBlock(t *testing.T) {
 	// one solve, copied variances — must be active and bit-identical to
 	// point-wise prediction.
 	fitted := NewTriGP(4, 1)
-	if err := fitted.Fit(h); err != nil {
+	if err := fitted.FitWithBudget(h, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(fitted.gps); i++ {
@@ -116,7 +116,7 @@ func TestTriGPSharedCrossCovBlock(t *testing.T) {
 	// in, must also hold batch/point-wise parity.
 	check(t, func() *TriGP {
 		tri := NewTriGP(4, 9)
-		if err := tri.Fit(batchTestHistory(25, 4, 9)); err != nil {
+		if err := tri.FitWithBudget(batchTestHistory(25, 4, 9), 0); err != nil {
 			t.Fatal(err)
 		}
 		return tri
@@ -127,7 +127,7 @@ func TestTriGPSharedCrossCovBlock(t *testing.T) {
 // without an incumbent best (the NaN bootstrap branch).
 func TestCEIBatchMatchesPointwise(t *testing.T) {
 	tri := NewTriGP(6, 3)
-	if err := tri.Fit(batchTestHistory(35, 6, 3)); err != nil {
+	if err := tri.FitWithBudget(batchTestHistory(35, 6, 3), 0); err != nil {
 		t.Fatal(err)
 	}
 	cons := tri.RawConstraints(SLA{LambdaTps: 9800, LambdaLat: 5.4})
@@ -148,7 +148,7 @@ func TestCEIBatchMatchesPointwise(t *testing.T) {
 // GOMAXPROCS settings, consuming the seeded stream identically.
 func TestOptimizeAcqBatchBitIdentical(t *testing.T) {
 	tri := NewTriGP(5, 7)
-	if err := tri.Fit(batchTestHistory(40, 5, 7)); err != nil {
+	if err := tri.FitWithBudget(batchTestHistory(40, 5, 7), 0); err != nil {
 		t.Fatal(err)
 	}
 	cons := tri.RawConstraints(SLA{LambdaTps: 9800, LambdaLat: 5.4})
@@ -197,7 +197,7 @@ func TestBatchPosteriorResize(t *testing.T) {
 	}
 	// Empty batch through CEIBatch must be a no-op.
 	tri := NewTriGP(2, 1)
-	if err := tri.Fit(batchTestHistory(10, 2, 9)); err != nil {
+	if err := tri.FitWithBudget(batchTestHistory(10, 2, 9), 0); err != nil {
 		t.Fatal(err)
 	}
 	CEIBatch(tri, nil, math.NaN(), Constraints{}, nil)

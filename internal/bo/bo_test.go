@@ -191,7 +191,7 @@ func TestTriGPFitPredict(t *testing.T) {
 		})
 	}
 	s := NewTriGP(2, 1)
-	if err := s.Fit(h); err != nil {
+	if err := s.FitWithBudget(h, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.N() != 25 || s.Dim() != 2 {
@@ -221,7 +221,7 @@ func TestTriGPFitPredict(t *testing.T) {
 	if c.LambdaTps != s.Standardizer(Tps).Apply(5000) {
 		t.Fatal("RawConstraints mismatch")
 	}
-	if err := (&TriGP{}).Fit(nil); err == nil {
+	if err := (&TriGP{}).FitWithBudget(nil, 0); err == nil {
 		t.Fatal("expected error on empty history")
 	}
 }
@@ -237,7 +237,7 @@ func TestOptimizeAcqFindsMaximum(t *testing.T) {
 		}
 		return s
 	}
-	got := OptimizeAcq(f, 3, DefaultOptimizerConfig(), nil, rng)
+	got := OptimizeAcqBatch(f, nil, 3, DefaultOptimizerConfig(), nil, rng)
 	for i := range target {
 		if math.Abs(got[i]-target[i]) > 0.08 {
 			t.Fatalf("dim %d: got %v want %v", i, got[i], target[i])
@@ -261,12 +261,12 @@ func TestOptimizeAcqIncumbents(t *testing.T) {
 		return -d
 	}
 	cfg := OptimizerConfig{RandomCandidates: 4, LocalStarts: 2, LocalSteps: 0, StepScale: 0.1}
-	got := OptimizeAcq(f, 2, cfg, [][]float64{needle}, rng)
+	got := OptimizeAcqBatch(f, nil, 2, cfg, [][]float64{needle}, rng)
 	if f(got) < 99 {
 		t.Fatalf("incumbent start not used: %v", got)
 	}
 	// Zero probes still yields a valid point.
-	x := OptimizeAcq(f, 2, OptimizerConfig{}, nil, rng)
+	x := OptimizeAcqBatch(f, nil, 2, OptimizerConfig{}, nil, rng)
 	if len(x) != 2 {
 		t.Fatal("empty config must still return a point")
 	}
@@ -279,7 +279,7 @@ func TestQuickOptimizeBounds(t *testing.T) {
 		dim := 1 + rng.Intn(6)
 		acq := func(x []float64) float64 { return rng.NormFloat64() }
 		cfg := OptimizerConfig{RandomCandidates: 16, LocalStarts: 2, LocalSteps: 8, StepScale: 0.5}
-		x := OptimizeAcq(acq, dim, cfg, nil, rng)
+		x := OptimizeAcqBatch(acq, nil, dim, cfg, nil, rng)
 		for _, v := range x {
 			if v < 0 || v > 1 {
 				return false
@@ -308,10 +308,10 @@ func TestOptimizeAcqBox(t *testing.T) {
 	cfg := OptimizerConfig{RandomCandidates: 32, LocalStarts: 2, LocalSteps: 10, StepScale: 0.3}
 
 	full := &Box{Lo: []float64{0, 0, 0}, Hi: []float64{1, 1, 1}}
-	plain := OptimizeAcq(acq, dim, cfg, nil, rand.New(rand.NewSource(9)))
+	plain := OptimizeAcqBatch(acq, nil, dim, cfg, nil, rand.New(rand.NewSource(9)))
 	cfgFull := cfg
 	cfgFull.Bounds = full
-	boxed := OptimizeAcq(acq, dim, cfgFull, nil, rand.New(rand.NewSource(9)))
+	boxed := OptimizeAcqBatch(acq, nil, dim, cfgFull, nil, rand.New(rand.NewSource(9)))
 	for d := range plain {
 		if plain[d] != boxed[d] {
 			t.Fatalf("full-cube bounds changed the recommendation: %x vs %x", plain, boxed)
@@ -323,7 +323,7 @@ func TestOptimizeAcqBox(t *testing.T) {
 	cfgBox.Bounds = box
 	incumbent := []float64{0.95, 0.05, 0.99} // outside: must be clamped in
 	for seed := int64(0); seed < 20; seed++ {
-		x := OptimizeAcq(acq, dim, cfgBox, [][]float64{incumbent}, rand.New(rand.NewSource(seed)))
+		x := OptimizeAcqBatch(acq, nil, dim, cfgBox, [][]float64{incumbent}, rand.New(rand.NewSource(seed)))
 		if !box.Contains(x, 1e-12) {
 			t.Fatalf("seed %d: recommendation %v escaped box [%v, %v]", seed, x, box.Lo, box.Hi)
 		}
@@ -336,7 +336,7 @@ func TestOptimizeAcqBox(t *testing.T) {
 	}()
 	bad := cfg
 	bad.Bounds = &Box{Lo: []float64{0}, Hi: []float64{1}}
-	OptimizeAcq(acq, dim, bad, nil, rand.New(rand.NewSource(1)))
+	OptimizeAcqBatch(acq, nil, dim, bad, nil, rand.New(rand.NewSource(1)))
 }
 
 // TestBoxClampContains pins the Box primitives.

@@ -10,9 +10,9 @@ import (
 )
 
 // AcqFunc is an acquisition function over the normalized space [0,1]^m,
-// to be maximized. OptimizeAcq scores candidates concurrently, so an AcqFunc
-// must be safe for concurrent calls (every surrogate in this repository is:
-// prediction paths are read-only with pooled scratch).
+// to be maximized. OptimizeAcqBatch scores candidates concurrently, so an
+// AcqFunc must be safe for concurrent calls (every surrogate in this
+// repository is: prediction paths are read-only with pooled scratch).
 type AcqFunc func(x []float64) float64
 
 // BatchAcqFunc scores a block of candidates at once, writing out[j] = f(X[j])
@@ -89,11 +89,11 @@ func DefaultOptimizerConfig() OptimizerConfig {
 	return OptimizerConfig{RandomCandidates: 512, LocalStarts: 5, LocalSteps: 40, StepScale: 0.1}
 }
 
-// OptimizeAcq maximizes f over [0,1]^dim with random sampling followed by a
-// shrinking random local search from the best candidates. incumbents, if
-// non-nil, are extra start points (e.g. previously evaluated configurations)
-// included among the probes, which helps exploitation near known-good
-// regions.
+// OptimizeAcqBatch maximizes f over [0,1]^dim with random sampling followed
+// by a shrinking random local search from the best candidates. incumbents,
+// if non-nil, are extra start points (e.g. previously evaluated
+// configurations) included among the probes, which helps exploitation near
+// known-good regions.
 //
 // Both hot phases fan out deterministically: all probe coordinates are
 // pre-drawn from the seeded stream in index order before concurrent scoring,
@@ -101,14 +101,11 @@ func DefaultOptimizerConfig() OptimizerConfig {
 // the seeded stream in start order), with index-ordered reductions and
 // first-index tie-breaks. The recommendation is therefore bit-identical at
 // any GOMAXPROCS.
-func OptimizeAcq(f AcqFunc, dim int, cfg OptimizerConfig, incumbents [][]float64, r *rand.Rand) []float64 {
-	return OptimizeAcqBatch(f, nil, dim, cfg, incumbents, r)
-}
-
-// OptimizeAcqBatch is OptimizeAcq with an optional batch-scoring hook: when
-// batch is non-nil, the random-probe phase block-partitions the candidates
-// (cfg.BatchBlock per block) and scores each block with one batch call,
-// fanning blocks across par workers instead of single points. Because a
+//
+// batch is an optional batch-scoring hook: when non-nil, the random-probe
+// phase block-partitions the candidates (cfg.BatchBlock per block) and
+// scores each block with one batch call, fanning blocks across par workers
+// instead of single points; nil scores every probe through f. Because a
 // conforming BatchAcqFunc is bit-identical to f and blocks write disjoint
 // result ranges, the probe scores — and therefore the recommendation — match
 // the point-wise path bit for bit at any GOMAXPROCS and any block width.

@@ -42,19 +42,13 @@ func NewTriGP(dim int, seed int64) *TriGP {
 	return t
 }
 
-// Fit conditions the three GPs on the history, standardizing each metric
-// separately (scale unification), and refits hyperparameters with the
-// default search budget.
-func (t *TriGP) Fit(h History) error {
-	return t.FitWithBudget(h, 0)
-}
-
-// FitWithBudget is Fit with an explicit hyperparameter-search candidate
-// count (0 selects the default). Because the search always keeps the
-// incumbent hyperparameters as a candidate, re-fitting the same TriGP
-// across tuning iterations warm-starts from the previous solution — a
-// small budget then suffices on most iterations, with an occasional full
-// search to escape stale length scales.
+// FitWithBudget conditions the three GPs on the history, standardizing each
+// metric separately (scale unification), and refits hyperparameters with
+// the given search candidate count (0 selects the default). Because the
+// search always keeps the incumbent hyperparameters as a candidate,
+// re-fitting the same TriGP across tuning iterations warm-starts from the
+// previous solution — a small budget then suffices on most iterations, with
+// an occasional full search to escape stale length scales.
 func (t *TriGP) FitWithBudget(h History, candidates int) error {
 	if len(h) == 0 {
 		return fmt.Errorf("bo: empty history")

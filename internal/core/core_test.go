@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bo"
 	"repro/internal/dbsim"
+	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 	"repro/internal/rng"
@@ -102,7 +103,7 @@ func buildBaseLearners(t *testing.T, sources []workload.Workload, space *knobs.S
 			t.Fatal(err)
 		}
 		mf := ch.MetaFeature(w, 2000, rng.Derive(seed, "mf:"+w.Name))
-		bl, err := meta.NewBaseLearner(w.Name, w.Name, "A", mf, res.History(), space.Dim(), seed+int64(i))
+		bl, err := meta.NewBaseLearnerSparse(w.Name, w.Name, "A", mf, res.History(), space.Dim(), seed+int64(i), gp.SparseConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestResTuneMetaBeatsScratch(t *testing.T) {
 	budget := 14
 	cfgMeta := DefaultConfig(5)
 	cfgMeta.Acq = fastAcq()
-	cfgMeta.Base = base
+	cfgMeta.Corpus = meta.NewCorpus(meta.TasksOf(base...), meta.CorpusOptions{})
 	cfgMeta.TargetMetaFeature = targetMF
 	metaRes, err := New(cfgMeta).Run(twitterEvaluator(5), budget)
 	if err != nil {
@@ -184,7 +185,7 @@ func TestResTuneWithoutWorkloadCharUsesLHS(t *testing.T) {
 	base := buildBaseLearners(t, []workload.Workload{workload.TwitterVariant(1)}, space, 21)
 	cfg := DefaultConfig(7)
 	cfg.Acq = fastAcq()
-	cfg.Base = base
+	cfg.Corpus = meta.NewCorpus(meta.TasksOf(base...), meta.CorpusOptions{})
 	cfg.UseWorkloadChar = false
 	cfg.Name = "ResTune-w/o-Workload"
 	res, err := New(cfg).Run(twitterEvaluator(7), 12)
@@ -261,7 +262,7 @@ func TestWeightSchemas(t *testing.T) {
 	run := func(schema WeightSchema, guard bool) *Result {
 		cfg := DefaultConfig(13)
 		cfg.Acq = fastAcq()
-		cfg.Base = base
+		cfg.Corpus = meta.NewCorpus(meta.TasksOf(base...), meta.CorpusOptions{})
 		cfg.TargetMetaFeature = mf
 		cfg.Schema = schema
 		cfg.DilutionGuard = guard
@@ -301,7 +302,7 @@ func TestWeightedVarianceConfig(t *testing.T) {
 	base := buildBaseLearners(t, []workload.Workload{workload.TwitterVariant(1)}, space, 61)
 	cfg := DefaultConfig(17)
 	cfg.Acq = fastAcq()
-	cfg.Base = base
+	cfg.Corpus = meta.NewCorpus(meta.TasksOf(base...), meta.CorpusOptions{})
 	cfg.TargetMetaFeature = []float64{0.2, 0.2, 0.2, 0.2, 0.2}
 	cfg.WeightedVariance = true
 	res, err := New(cfg).Run(twitterEvaluator(17), 8)

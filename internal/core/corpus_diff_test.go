@@ -1,11 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/bo"
+	"repro/internal/gp"
 	"repro/internal/meta"
 )
 
@@ -35,43 +37,46 @@ func corpusTestConfig() Config {
 	return cfg
 }
 
-// TestCorpusSessionBitIdenticalToEager is the ISSUE's differential gate: on
-// the paper-scale 34-task corpus, routing base learners through the lazy
-// Corpus — exact fallback or forced shortlisting with K covering the whole
-// corpus — must reproduce the eager all-learners session bit for bit:
-// identical θ traces, identical fig6-style RGPE weight dynamics.
+// eagerTraceSHA256 is the sha256 of sessionTrace for the eager all-learners
+// arm of TestCorpusSessionBitIdenticalToEager, recorded on amd64 at the last
+// commit that had one (bcb729b, where a Base field on Config handed every
+// fitted learner to the session). Floating-point contraction differs across
+// architectures, so the literal is only asserted on amd64.
+const eagerTraceSHA256 = "bef986142986cbae0c6d8cc3da448ff947ee931f6597bd8bd2d9d6fffb3efd2c"
+
+// TestCorpusSessionBitIdenticalToEager is the differential gate that
+// licensed deleting the eager all-learners path: on the paper-scale 34-task
+// corpus, routing base learners through the Corpus — exact fallback, forced
+// shortlisting with K covering the whole corpus, or already-fitted learners
+// wrapped by meta.TasksOf — must reproduce the eager session bit for bit:
+// identical θ traces, identical fig6-style RGPE weight dynamics. The eager
+// arm survives as its recorded trace digest.
 func TestCorpusSessionBitIdenticalToEager(t *testing.T) {
 	const n = 34
 	hists, metas := corpusTestTasks(t, n)
 
-	base := make([]*meta.BaseLearner, n)
+	fit := func(i int) (*meta.BaseLearner, error) {
+		return meta.NewBaseLearnerSparse(fmt.Sprintf("task%02d", i), "w", "A",
+			metas[i], hists[i], 3, int64(200+i), gp.SparseConfig{})
+	}
+	lazyTasks := make([]meta.CorpusTask, n)
+	fitted := make([]*meta.BaseLearner, n)
 	for i := 0; i < n; i++ {
-		bl, err := meta.NewBaseLearner(fmt.Sprintf("task%02d", i), "w", "A",
-			metas[i], hists[i], 3, int64(200+i))
+		lazyTasks[i] = meta.CorpusTask{
+			ID:          fmt.Sprintf("task%02d", i),
+			MetaFeature: metas[i],
+			Fit:         func() (*meta.BaseLearner, error) { return fit(i) },
+		}
+		bl, err := fit(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base[i] = bl
-	}
-	newCorpus := func(opts meta.CorpusOptions) *meta.Corpus {
-		tasks := make([]meta.CorpusTask, n)
-		for i := 0; i < n; i++ {
-			i := i
-			tasks[i] = meta.CorpusTask{
-				ID:          fmt.Sprintf("task%02d", i),
-				MetaFeature: metas[i],
-				Fit: func() (*meta.BaseLearner, error) {
-					return meta.NewBaseLearner(fmt.Sprintf("task%02d", i), "w", "A",
-						metas[i], hists[i], 3, int64(200+i))
-				},
-			}
-		}
-		return meta.NewCorpus(tasks, opts)
+		fitted[i] = bl
 	}
 
-	run := func(mutate func(*Config)) string {
+	run := func(corpus *meta.Corpus) string {
 		cfg := corpusTestConfig()
-		mutate(&cfg)
+		cfg.Corpus = corpus
 		res, err := New(cfg).Run(twitterEvaluator(7), 8)
 		if err != nil {
 			t.Fatal(err)
@@ -79,19 +84,24 @@ func TestCorpusSessionBitIdenticalToEager(t *testing.T) {
 		return sessionTrace(res)
 	}
 
-	eager := run(func(c *Config) { c.Base = base })
-	exact := run(func(c *Config) { c.Corpus = newCorpus(meta.CorpusOptions{}) })
-	if exact != eager {
-		t.Fatalf("corpus exact-fallback session diverges from eager:\n%s\nvs\n%s", exact, eager)
-	}
+	exact := run(meta.NewCorpus(lazyTasks, meta.CorpusOptions{}))
 	// Forced shortlisting with K = n: every task still participates, the
 	// scatter/active-id bookkeeping runs for real, and the trace must not
 	// move.
-	full := run(func(c *Config) {
-		c.Corpus = newCorpus(meta.CorpusOptions{ExactThreshold: -1, ShortlistK: n})
-	})
-	if full != eager {
-		t.Fatalf("corpus full-K shortlist session diverges from eager:\n%s\nvs\n%s", full, eager)
+	full := run(meta.NewCorpus(lazyTasks, meta.CorpusOptions{ExactThreshold: -1, ShortlistK: n}))
+	if full != exact {
+		t.Fatalf("corpus full-K shortlist session diverges from exact fallback:\n%s\nvs\n%s", full, exact)
+	}
+	resident := run(meta.NewCorpus(meta.TasksOf(fitted...), meta.CorpusOptions{}))
+	if resident != exact {
+		t.Fatalf("session over already-fitted learners diverges from lazily fitted ones:\n%s\nvs\n%s", resident, exact)
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(exact))); got != eagerTraceSHA256 {
+		t.Fatalf("corpus session diverges from the recorded eager all-learners session: trace sha256 %s, want %s\n%s",
+			got, eagerTraceSHA256, exact)
 	}
 }
 
@@ -112,8 +122,8 @@ func TestCorpusShortlistSessionDeterministicAcrossGOMAXPROCS(t *testing.T) {
 				ID:          fmt.Sprintf("task%02d", i),
 				MetaFeature: metas[i],
 				Fit: func() (*meta.BaseLearner, error) {
-					return meta.NewBaseLearner(fmt.Sprintf("task%02d", i), "w", "A",
-						metas[i], hists[i], 3, int64(200+i))
+					return meta.NewBaseLearnerSparse(fmt.Sprintf("task%02d", i), "w", "A",
+						metas[i], hists[i], 3, int64(200+i), gp.SparseConfig{})
 				},
 			}
 		}
@@ -147,20 +157,5 @@ func TestCorpusShortlistSessionDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if parallel := run(procs); parallel != serial {
 		t.Fatalf("corpus session trace differs between GOMAXPROCS=1 and %d:\n%s\nvs\n%s",
 			procs, serial, parallel)
-	}
-}
-
-// TestCorpusAndBaseMutuallyExclusive pins the config validation.
-func TestCorpusAndBaseMutuallyExclusive(t *testing.T) {
-	hists, metas := corpusTestTasks(t, 1)
-	bl, err := meta.NewBaseLearner("task0", "w", "A", metas[0], hists[0], 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := corpusTestConfig()
-	cfg.Base = []*meta.BaseLearner{bl}
-	cfg.Corpus = meta.NewCorpus(nil, meta.CorpusOptions{})
-	if _, err := New(cfg).Run(twitterEvaluator(7), 2); err == nil {
-		t.Fatal("expected an error when both Base and Corpus are set")
 	}
 }

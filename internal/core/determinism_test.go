@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bo"
+	"repro/internal/gp"
 	"repro/internal/meta"
 	"repro/internal/obs"
 )
@@ -52,8 +53,8 @@ func TestSessionDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		var base []*meta.BaseLearner
 		for i, off := range []float64{0.2, 0.6} {
 			h := sampleHistory(twitterEvaluator(int64(10+i)), 12, off)
-			bl, err := meta.NewBaseLearner(fmt.Sprintf("task%d", i), "w", "A",
-				[]float64{off, 1 - off}, h, 3, int64(20+i))
+			bl, err := meta.NewBaseLearnerSparse(fmt.Sprintf("task%d", i), "w", "A",
+				[]float64{off, 1 - off}, h, 3, int64(20+i), gp.SparseConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func TestSessionDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		cfg := DefaultConfig(7)
 		cfg.InitIters = 3
 		cfg.Acq = fastAcq()
-		cfg.Base = base
+		cfg.Corpus = meta.NewCorpus(meta.TasksOf(base...), meta.CorpusOptions{})
 		cfg.TargetMetaFeature = []float64{0.25, 0.75}
 		cfg.DynamicSamples = 40
 		cfg.DilutionGuard = true
@@ -102,10 +103,10 @@ func TestSessionUsesBatchedAcquisition(t *testing.T) {
 	ev := twitterEvaluator(3)
 	h := sampleHistory(ev, 14, 0.1)
 	tri := bo.NewTriGP(ev.Space().Dim(), 3)
-	if err := tri.Fit(h); err != nil {
+	if err := tri.FitWithBudget(h, 0); err != nil {
 		t.Fatal(err)
 	}
-	bl, err := meta.NewBaseLearner("b", "w", "A", []float64{0.5, 0.5}, h, ev.Space().Dim(), 4)
+	bl, err := meta.NewBaseLearnerSparse("b", "w", "A", []float64{0.5, 0.5}, h, ev.Space().Dim(), 4, gp.SparseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestSessionUsesBatchedAcquisition(t *testing.T) {
 		for _, procs := range []int{1, 8} {
 			old := runtime.GOMAXPROCS(procs)
 			got := bo.OptimizeAcqBatch(f, fb, ev.Space().Dim(), cfg, nil, rand.New(rand.NewSource(11)))
-			point := bo.OptimizeAcq(f, ev.Space().Dim(), cfg, nil, rand.New(rand.NewSource(11)))
+			point := bo.OptimizeAcqBatch(f, nil, ev.Space().Dim(), cfg, nil, rand.New(rand.NewSource(11)))
 			runtime.GOMAXPROCS(old)
 			if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", point) {
 				t.Fatalf("%s at GOMAXPROCS=%d: batched %x != point-wise %x", name, procs, got, point)
@@ -211,8 +212,8 @@ func TestFleetSessionTracesBitIdenticalSoloVsConcurrent(t *testing.T) {
 				ID:          fmt.Sprintf("task%02d", i),
 				MetaFeature: metas[i],
 				Fit: func() (*meta.BaseLearner, error) {
-					return meta.NewBaseLearner(fmt.Sprintf("task%02d", i), "w", "A",
-						metas[i], hists[i], 3, int64(200+i))
+					return meta.NewBaseLearnerSparse(fmt.Sprintf("task%02d", i), "w", "A",
+						metas[i], hists[i], 3, int64(200+i), gp.SparseConfig{})
 				},
 			}
 		}

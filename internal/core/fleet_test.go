@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/gp"
 	"repro/internal/meta"
 	"repro/internal/obs"
 )
@@ -21,8 +23,8 @@ func fleetTestCorpusTasks(t *testing.T, n int) []meta.CorpusTask {
 			ID:          fmt.Sprintf("task%02d", i),
 			MetaFeature: metas[i],
 			Fit: func() (*meta.BaseLearner, error) {
-				return meta.NewBaseLearner(fmt.Sprintf("task%02d", i), "w", "A",
-					metas[i], hists[i], 3, int64(200+i))
+				return meta.NewBaseLearnerSparse(fmt.Sprintf("task%02d", i), "w", "A",
+					metas[i], hists[i], 3, int64(200+i), gp.SparseConfig{})
 			},
 		}
 	}
@@ -101,12 +103,14 @@ func TestFleetIsolatesFailures(t *testing.T) {
 
 	good := fleetTestSpec(sc, 3, 3)
 	bad := fleetTestSpec(sc, 4, 3)
-	// Invalid config: Base and Corpus are mutually exclusive.
-	bl, err := tasks[0].Fit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Config.Base = []*meta.BaseLearner{bl}
+	// A private corpus whose one task cannot be materialized: the session
+	// fails at its first model update. (Private on purpose — the shared
+	// corpus memoizes a fit error for every session.)
+	bad.Config.Corpus = meta.NewCorpus([]meta.CorpusTask{{
+		ID:          "broken",
+		MetaFeature: tasks[0].MetaFeature,
+		Fit:         func() (*meta.BaseLearner, error) { return nil, errors.New("history unreadable") },
+	}}, meta.CorpusOptions{})
 	bad.Name = ""
 
 	rec := obs.NewRegistry(nil)
@@ -116,7 +120,7 @@ func TestFleetIsolatesFailures(t *testing.T) {
 		t.Fatalf("good session: err=%v result=%v", results[0].Err, results[0].Result)
 	}
 	if results[1].Err == nil {
-		t.Fatal("bad session: expected a config error")
+		t.Fatal("bad session: expected its corpus fit error")
 	}
 	if results[1].Name != "session-1" {
 		t.Fatalf("unnamed spec got %q, want default session-1", results[1].Name)

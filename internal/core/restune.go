@@ -22,18 +22,17 @@ type Config struct {
 	// meta-learning is active, or the LHS design otherwise (10 in the
 	// paper).
 	InitIters int
-	// Base holds the historical base-learners from the data repository.
-	// Empty disables meta-learning (the ResTune-w/o-ML ablation).
-	Base []*meta.BaseLearner
-	// Corpus supplies base-learners lazily with nearest-neighbor
-	// shortlisting — the corpus-scale alternative to Base: only shortlisted
-	// tasks are fitted and weighted each iteration, and learners pinned at
-	// zero weight long enough are pruned. On a small corpus (at or below
-	// the exact threshold) sessions are bit-identical to the same learners
-	// passed via Base. Mutually exclusive with Base.
+	// Corpus supplies the historical base-learners from the data repository;
+	// nil disables meta-learning (the ResTune-w/o-ML ablation). Learners are
+	// fitted lazily: on a small corpus (at or below the corpus's exact
+	// threshold) every task is fitted and weighted each iteration, above it
+	// only the nearest-neighbor shortlist is, and learners pinned at zero
+	// weight long enough are pruned. A Corpus is single-session state —
+	// sessions sharing fitted learners each take their own (meta.TasksOf,
+	// meta.SharedCorpus.NewSession).
 	Corpus *meta.Corpus
 	// TargetMetaFeature is the target workload's characterization embedding
-	// (required for static weights when Base is non-empty).
+	// (required for static weights when Corpus is set).
 	TargetMetaFeature []float64
 	// UseWorkloadChar enables the meta-feature-driven static phase. When
 	// false with meta-learning active, initialization falls back to LHS —
@@ -175,7 +174,7 @@ func (t *ResTune) Name() string {
 	if t.cfg.Name != "" {
 		return t.cfg.Name
 	}
-	if len(t.cfg.Base) == 0 && t.cfg.Corpus == nil {
+	if t.cfg.Corpus == nil {
 		return "ResTune-w/o-ML"
 	}
 	return "ResTune"

@@ -87,9 +87,6 @@ type Session struct {
 // the worker pool.
 func (t *ResTune) NewSession(ev Evaluator, iters int) (*Session, error) {
 	cfg := t.cfg
-	if len(cfg.Base) > 0 && cfg.Corpus != nil {
-		return nil, fmt.Errorf("core: Config.Base and Config.Corpus are mutually exclusive")
-	}
 	space := ev.Space()
 	rec := obs.OrNop(cfg.Recorder)
 	cfg.Acq.Recorder = rec
@@ -99,7 +96,7 @@ func (t *ResTune) NewSession(ev Evaluator, iters int) (*Session, error) {
 		ev:        ev,
 		space:     space,
 		dim:       space.Dim(),
-		useMeta:   len(cfg.Base) > 0 || cfg.Corpus != nil,
+		useMeta:   cfg.Corpus != nil,
 		r:         rng.Derive(cfg.Seed, "restune:"+t.Name()),
 		rec:       rec,
 		iterGauge: rec.Gauge("core.iterations"),
@@ -292,7 +289,7 @@ func (s *Session) runIteration(iter int) error {
 	// --- Model update: fit the target base-learner and ensemble weights.
 	tModel := time.Now()
 	var target *meta.BaseLearner
-	var surrogate bo.Surrogate
+	var surrogate bo.BatchSurrogate
 	var cons bo.Constraints
 	var bestVal = math.NaN()
 
@@ -333,14 +330,9 @@ func (s *Session) runIteration(iter int) error {
 	}
 
 	if s.useMeta && !lhsPhase {
-		base := cfg.Base
-		var activeIDs []int
-		if cfg.Corpus != nil {
-			var err error
-			base, activeIDs, err = cfg.Corpus.ActiveLearners()
-			if err != nil {
-				return fmt.Errorf("core: corpus learners at iter %d: %w", iter, err)
-			}
+		base, activeIDs, err := cfg.Corpus.ActiveLearners()
+		if err != nil {
+			return fmt.Errorf("core: corpus learners at iter %d: %w", iter, err)
 		}
 		var w []float64
 		useStatic := staticPhase
@@ -358,25 +350,19 @@ func (s *Session) runIteration(iter int) error {
 				meta.DynamicOptions{Samples: cfg.DynamicSamples, DilutionGuard: cfg.DilutionGuard, Recorder: rec},
 				rng.Derive(cfg.Seed, fmt.Sprintf("dyn:%d", iter)))
 			it.Phase = "dynamic"
-			if cfg.Corpus != nil {
-				// Pruning bookkeeping: takes effect from the next
-				// iteration's shortlist, never this ensemble.
-				cfg.Corpus.ObserveDynamicWeights(activeIDs, w)
-			}
+			// Pruning bookkeeping: takes effect from the next iteration's
+			// shortlist, never this ensemble.
+			cfg.Corpus.ObserveDynamicWeights(activeIDs, w)
 		}
 		ens := meta.NewEnsemble(base, target, w)
 		if cfg.WeightedVariance {
 			ens = ens.WithWeightedVariance()
 		}
-		if cfg.Corpus != nil {
-			// Fixed-shape weight vector over the whole corpus (zeros off
-			// the shortlist) so fig6-style weight traces keep one column
-			// per base task. On the exact path this is the identity.
-			it.Weights = cfg.Corpus.ScatterWeights(activeIDs, ens.Weights())
-			it.Shortlist = len(base)
-		} else {
-			it.Weights = ens.Weights()
-		}
+		// Fixed-shape weight vector over the whole corpus (zeros off the
+		// shortlist) so fig6-style weight traces keep one column per base
+		// task. On the exact path this is the identity.
+		it.Weights = cfg.Corpus.ScatterWeights(activeIDs, ens.Weights())
+		it.Shortlist = len(base)
 		surrogate = ens
 		cons = ens.RescaledConstraints(s.defaultTheta)
 		if best, ok := s.h.BestFeasible(s.res.SLA); ok {
@@ -416,14 +402,11 @@ func (s *Session) runIteration(iter int) error {
 			return bo.CEI(surrogate, x, bestVal, cons)
 		}
 		acqFn = acq
-		// Every surrogate in this repository (TriGP and the meta
-		// ensemble) batches, so probes are scored block-at-a-time; the
-		// batch path is bit-identical to acq, keeping traces unchanged.
-		var acqBatch bo.BatchAcqFunc
-		if bs, ok := surrogate.(bo.BatchSurrogate); ok {
-			acqBatch = func(X [][]float64, out []float64) {
-				bo.CEIBatch(bs, X, bestVal, cons, out)
-			}
+		// Both surrogates (TriGP and the meta ensemble) batch, so probes
+		// are scored block-at-a-time; the batch path is bit-identical to
+		// acq, keeping traces unchanged.
+		acqBatch := func(X [][]float64, out []float64) {
+			bo.CEIBatch(surrogate, X, bestVal, cons, out)
 		}
 		incumbents := s.incumbents()
 		theta = bo.OptimizeAcqBatch(acq, acqBatch, s.dim, acqCfg, incumbents, s.r)

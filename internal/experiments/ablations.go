@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/meta"
 	"repro/internal/workload"
 )
 
@@ -83,7 +84,7 @@ func runAblationWeights(p Params) (*Report, error) {
 	build := func(schema core.WeightSchema, guard bool, name string) core.Tuner {
 		cfg := core.DefaultConfig(p.Seed)
 		cfg.Acq = p.Acq
-		cfg.Base = learners
+		cfg.Corpus = meta.NewCorpus(meta.TasksOf(learners...), meta.CorpusOptions{})
 		cfg.TargetMetaFeature = mf
 		cfg.Schema = schema
 		cfg.DilutionGuard = guard
@@ -128,7 +129,7 @@ func runAblationVariance(p Params) (*Report, error) {
 	build := func(weighted bool, name string) core.Tuner {
 		cfg := core.DefaultConfig(p.Seed)
 		cfg.Acq = p.Acq
-		cfg.Base = learners
+		cfg.Corpus = meta.NewCorpus(meta.TasksOf(learners...), meta.CorpusOptions{})
 		cfg.TargetMetaFeature = mf
 		cfg.WeightedVariance = weighted
 		cfg.Name = name

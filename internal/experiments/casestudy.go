@@ -8,6 +8,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dbsim"
+	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 	"repro/internal/repo"
@@ -56,8 +57,8 @@ func caseStudyRepo(p Params) ([]repo.TaskRecord, []*meta.BaseLearner, error) {
 				Internal: m.Internal,
 			})
 		}
-		bl, err := meta.NewBaseLearner(task.TaskID, task.Workload, task.Hardware,
-			task.MetaFeature, task.History(), space.Dim(), seed)
+		bl, err := meta.NewBaseLearnerSparse(task.TaskID, task.Workload, task.Hardware,
+			task.MetaFeature, task.History(), space.Dim(), seed, gp.SparseConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -82,7 +83,7 @@ func caseStudyResTune(p Params, learners []*meta.BaseLearner, seed int64) (core.
 	}
 	cfg := core.DefaultConfig(seed)
 	cfg.Acq = p.Acq
-	cfg.Base = learners
+	cfg.Corpus = meta.NewCorpus(meta.TasksOf(learners...), meta.CorpusOptions{})
 	cfg.TargetMetaFeature = mf
 	return core.New(cfg), nil
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dbsim"
+	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 	"repro/internal/workload"
@@ -72,55 +73,25 @@ func driftTimelineCorpus(p Params) *meta.Corpus {
 						Theta: theta, Res: m.CPUUtilPct, Tps: m.TPS, Lat: m.LatencyP99Ms,
 					})
 				}
-				return meta.NewBaseLearner(w.Name, w.Name, "A", sig, h, space.Dim(), seed)
+				return meta.NewBaseLearnerSparse(w.Name, w.Name, "A", sig, h, space.Dim(), seed, gp.SparseConfig{})
 			},
 		})
 	}
 	return meta.NewCorpus(tasks, meta.CorpusOptions{Recorder: p.Recorder})
 }
 
-// SimulatedDay runs one tuning session — drift-aware when aware is set, the
-// stationary tuner otherwise — over the named timeline profile compressed
-// into p.Iters measurements (the whole 24h day is traversed exactly once per
-// session). Both variants share the evaluator construction, the meta-learning
-// corpus and the load-scaled SLA judgment; the only difference is
-// Config.Drift, so the comparison isolates the drift detector and trust
-// region.
-func SimulatedDay(profile string, p Params, aware bool) (*DayStats, error) {
-	tl, err := workload.TimelineProfile(profile)
-	if err != nil {
-		return nil, err
-	}
-	return SimulatedDayTimeline(profile, tl, p, aware)
-}
-
-// SimulatedDayTimeline is SimulatedDay over an explicit timeline — the path
-// behind restune-bench -timeline with a CSV load file. name labels the
-// timeline in the returned stats.
-func SimulatedDayTimeline(name string, tl *workload.Timeline, p Params, aware bool) (*DayStats, error) {
-	var drift *core.DriftConfig
-	if aware {
-		drift = &core.DriftConfig{}
-	}
-	return SimulatedDayTimelineDrift(name, tl, p, drift)
-}
-
-// SimulatedDayDrift is SimulatedDay under an explicit drift configuration
-// (nil runs the stationary tuner) — the path for comparing graduated
-// defaults against ablations like the ResetThreshold==Threshold hard-reset
-// mode.
-func SimulatedDayDrift(profile string, p Params, drift *core.DriftConfig) (*DayStats, error) {
-	tl, err := workload.TimelineProfile(profile)
-	if err != nil {
-		return nil, err
-	}
-	return SimulatedDayTimelineDrift(profile, tl, p, drift)
-}
-
-// SimulatedDayTimelineDrift runs one session over an explicit timeline and
-// drift configuration and summarizes it; simulatedDayResult exposes the raw
-// session result for tests.
-func SimulatedDayTimelineDrift(name string, tl *workload.Timeline, p Params, drift *core.DriftConfig) (*DayStats, error) {
+// SimulatedDay runs one tuning session over the timeline tl compressed into
+// p.Iters measurements (the whole 24h day is traversed exactly once per
+// session) and summarizes it; name labels the timeline in the returned
+// stats. drift selects the arm: nil runs the stationary tuner,
+// &core.DriftConfig{} the drift-aware one with its graduated defaults, and
+// an explicit configuration an ablation such as the ResetThreshold ==
+// Threshold hard-reset mode. Every arm shares the evaluator construction,
+// the meta-learning corpus and the load-scaled SLA judgment; the only
+// difference is Config.Drift, so a comparison isolates the drift detector
+// and trust region. simulatedDayResult exposes the raw session result for
+// tests.
+func SimulatedDay(name string, tl *workload.Timeline, p Params, drift *core.DriftConfig) (*DayStats, error) {
 	res, cfg, err := simulatedDayResult(name, tl, p, drift)
 	if err != nil {
 		return nil, err
@@ -203,8 +174,12 @@ func runDrift(p Params) (*Report, error) {
 	r.Addf("Simulated 24h day compressed into %d measurements (Twitter, 3 knobs, instance A):", p.Iters)
 	r.Addf("%-10s %-20s %12s %12s %10s %10s %10s", "Timeline", "Method", "Violations", "DriftEvents", "AdaptMax", "AdaptMean", "Improve%")
 	for _, profile := range []string{"diurnal", "spike", "ramp", "flat"} {
-		for _, aware := range []bool{true, false} {
-			st, err := SimulatedDay(profile, p, aware)
+		tl, err := workload.TimelineProfile(profile)
+		if err != nil {
+			return nil, err
+		}
+		for _, drift := range []*core.DriftConfig{{}, nil} {
+			st, err := SimulatedDay(profile, tl, p, drift)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // TestRampGraduatedResponse is the acceptance test for the graduated drift
@@ -25,15 +26,19 @@ func TestRampGraduatedResponse(t *testing.T) {
 	p := Quick()
 	p.Iters = 48
 
-	stationary, err := SimulatedDayDrift("ramp", p, nil)
+	ramp, err := workload.TimelineProfile("ramp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	graduated, err := SimulatedDayDrift("ramp", p, &core.DriftConfig{})
+	stationary, err := SimulatedDay("ramp", ramp, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardReset, err := SimulatedDayDrift("ramp", p, &core.DriftConfig{ResetThreshold: 0.04})
+	graduated, err := SimulatedDay("ramp", ramp, p, &core.DriftConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hardReset, err := SimulatedDay("ramp", ramp, p, &core.DriftConfig{ResetThreshold: 0.04})
 	if err != nil {
 		t.Fatal(err)
 	}

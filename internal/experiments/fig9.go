@@ -7,6 +7,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dbsim"
+	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 	"repro/internal/repo"
@@ -84,7 +85,7 @@ func runFig9(p Params) (*Report, error) {
 		}
 		cfg := core.DefaultConfig(seed)
 		cfg.Acq = p.Acq
-		cfg.Base = []*meta.BaseLearner{donorLearner}
+		cfg.Corpus = meta.NewCorpus(meta.TasksOf(donorLearner), meta.CorpusOptions{})
 		cfg.TargetMetaFeature = mf
 		restune := core.New(cfg)
 
@@ -150,8 +151,8 @@ func fig9Donor(p Params, c fig9Case, seed int64) (*meta.BaseLearner, bo.History,
 	if err != nil {
 		return nil, nil, err
 	}
-	bl, err := meta.NewBaseLearner(c.source.Name+"@E", c.source.Name, "E", mf,
-		h, c.space.Dim(), seed+1)
+	bl, err := meta.NewBaseLearnerSparse(c.source.Name+"@E", c.source.Name, "E", mf,
+		h, c.space.Dim(), seed+1, gp.SparseConfig{})
 	if err != nil {
 		return nil, nil, err
 	}

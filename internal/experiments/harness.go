@@ -15,6 +15,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dbsim"
+	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 	"repro/internal/obs"
@@ -356,7 +357,7 @@ func halfRAM(hw dbsim.Hardware) int64 { return hw.RAMBytes / 2 }
 // restuneFor builds the meta-boosted ResTune tuner for a target workload
 // from a repository subset.
 func restuneFor(p Params, r *repo.Repository, space *knobs.Space, target workload.Workload, seed int64, pred func(repo.TaskRecord) bool) (core.Tuner, error) {
-	base, err := r.BaseLearners(space, seed, pred)
+	corpus, err := r.Corpus(space, seed, pred, meta.CorpusOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +367,7 @@ func restuneFor(p Params, r *repo.Repository, space *knobs.Space, target workloa
 	}
 	cfg := core.DefaultConfig(seed)
 	cfg.Acq = p.Acq
-	cfg.Base = base
+	cfg.Corpus = corpus
 	cfg.TargetMetaFeature = mf
 	cfg.Recorder = p.Recorder
 	return core.New(cfg), nil
@@ -430,7 +431,7 @@ func baseLearnerFromLHS(w workload.Workload, hwName string, space *knobs.Space, 
 	if err != nil {
 		return nil, nil, err
 	}
-	bl, err := meta.NewBaseLearner(w.Name+"@"+hwName, w.Name, hwName, mf, h, space.Dim(), seed)
+	bl, err := meta.NewBaseLearnerSparse(w.Name+"@"+hwName, w.Name, hwName, mf, h, space.Dim(), seed, gp.SparseConfig{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -82,7 +82,7 @@ func (sc *historyBenchScenario) runHistoryArm(n, iters int, seed int64, sparse b
 	// Initial conditioning on the accumulated history is not timed: the
 	// measured quantity is the steady per-iteration model update a session
 	// pays once its history is already long.
-	if err = tri.Fit(sc.h[:n]); err != nil {
+	if err = tri.FitWithBudget(sc.h[:n], 0); err != nil {
 		return 0, 0, st, err
 	}
 	t0 := time.Now()

@@ -33,18 +33,13 @@ type BaseLearner struct {
 	History bo.History
 }
 
-// NewBaseLearner fits a base-learner on a task history. dim is the
+// NewBaseLearnerSparse fits a base-learner on a task history. dim is the
 // configuration-space dimensionality; seed drives GP hyperparameter search.
-func NewBaseLearner(taskID, workloadName, hardwareName string, metaFeature []float64, h bo.History, dim int, seed int64) (*BaseLearner, error) {
-	return NewBaseLearnerSparse(taskID, workloadName, hardwareName, metaFeature, h, dim, seed, gp.SparseConfig{})
-}
-
-// NewBaseLearnerSparse is NewBaseLearner with a sparse-inference
-// configuration for the surrogate (bo.TriGP.SetSparse): historical tasks
-// with long observation tracks fit on an anchor subset instead of paying
-// the full cubic factorization per hyperparameter candidate. The zero
-// config keeps exact inference; histories at or below the threshold are
-// bit-identical either way.
+// sparse is the surrogate's sparse-inference configuration
+// (bo.TriGP.SetSparse): historical tasks with long observation tracks fit
+// on an anchor subset instead of paying the full cubic factorization per
+// hyperparameter candidate. The zero config keeps exact inference;
+// histories at or below the threshold are bit-identical either way.
 func NewBaseLearnerSparse(taskID, workloadName, hardwareName string, metaFeature []float64, h bo.History, dim int, seed int64, sparse gp.SparseConfig) (*BaseLearner, error) {
 	if len(h) == 0 {
 		return nil, fmt.Errorf("meta: base-learner %s has no observations", taskID)
@@ -56,7 +51,7 @@ func NewBaseLearnerSparse(taskID, workloadName, hardwareName string, metaFeature
 	}
 	s := bo.NewTriGP(dim, seed)
 	s.SetSparse(sparse)
-	if err := s.Fit(h); err != nil {
+	if err := s.FitWithBudget(h, 0); err != nil {
 		return nil, fmt.Errorf("meta: fitting base-learner %s: %w", taskID, err)
 	}
 	return &BaseLearner{

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bo"
+	"repro/internal/gp"
 )
 
 func metaBatchHistory(n, dim int, seed int64) bo.History {
@@ -36,14 +37,14 @@ func metaBatchHistory(n, dim int, seed int64) bo.History {
 func TestEnsemblePredictBatchBitIdentical(t *testing.T) {
 	var base []*BaseLearner
 	for i := 0; i < 4; i++ {
-		bl, err := NewBaseLearner(fmt.Sprintf("t%d", i), "w", "A", nil,
-			metaBatchHistory(20, 3, int64(i+1)), 3, int64(i+1))
+		bl, err := NewBaseLearnerSparse(fmt.Sprintf("t%d", i), "w", "A", nil,
+			metaBatchHistory(20, 3, int64(i+1)), 3, int64(i+1), gp.SparseConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		base = append(base, bl)
 	}
-	target, err := NewBaseLearner("target", "w", "A", nil, metaBatchHistory(15, 3, 99), 3, 99)
+	target, err := NewBaseLearnerSparse("target", "w", "A", nil, metaBatchHistory(15, 3, 99), 3, 99, gp.SparseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestEnsemblePredictBatchBitIdentical(t *testing.T) {
 
 // TestBaseLearnerPredictBatch checks the delegation path.
 func TestBaseLearnerPredictBatch(t *testing.T) {
-	bl, err := NewBaseLearner("t", "w", "A", nil, metaBatchHistory(12, 2, 3), 2, 3)
+	bl, err := NewBaseLearnerSparse("t", "w", "A", nil, metaBatchHistory(12, 2, 3), 2, 3, gp.SparseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,6 +113,22 @@ func NewCorpus(tasks []CorpusTask, opts CorpusOptions) *Corpus {
 	}
 }
 
+// TasksOf wraps already-fitted learners as corpus tasks whose Fit returns
+// the resident learner. A Corpus is single-session state, so a caller that
+// fits once and reuses the learners across several tuners gives each tuner
+// its own NewCorpus(TasksOf(learners...), opts).
+func TasksOf(learners ...*BaseLearner) []CorpusTask {
+	tasks := make([]CorpusTask, len(learners))
+	for i, bl := range learners {
+		tasks[i] = CorpusTask{
+			ID:          bl.TaskID,
+			MetaFeature: bl.MetaFeature,
+			Fit:         func() (*BaseLearner, error) { return bl, nil },
+		}
+	}
+	return tasks
+}
+
 // Len returns the corpus size.
 func (c *Corpus) Len() int { return len(c.tasks) }
 
@@ -165,6 +181,7 @@ func (c *Corpus) Activate(targetMeta []float64) error {
 	var sp obs.Span
 	if c.rec.Enabled() {
 		sp = c.rec.Span("meta.corpus_activate", obs.Int("n", n))
+		defer sp.End()
 	}
 	if thr := c.exactThreshold(); thr < 0 || n > thr {
 		c.shortlisting = true
@@ -181,7 +198,6 @@ func (c *Corpus) Activate(targetMeta []float64) error {
 	c.gShortlist.Set(float64(len(c.active)))
 	if sp != nil {
 		sp.SetAttrs(obs.Int("active", len(c.active)), obs.Bool("shortlisting", c.shortlisting))
-		sp.End()
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/bo"
+	"repro/internal/gp"
+	"repro/internal/obs"
 )
 
 // testCorpus builds n tasks with 2-D meta-features spread along a line, and
@@ -25,8 +27,8 @@ func testCorpus(t *testing.T, n int, fits *[]int) []CorpusTask {
 			Fit: func() (*BaseLearner, error) {
 				(*fits)[i]++
 				h := synthHistory(8, 0.3+0.01*float64(i), 10, 0, int64(i)+1)
-				return NewBaseLearner(fmt.Sprintf("task-%03d", i), "w", "A",
-					[]float64{float64(i) / float64(n), 1 - float64(i)/float64(n)}, h, 1, int64(i)+1)
+				return NewBaseLearnerSparse(fmt.Sprintf("task-%03d", i), "w", "A",
+					[]float64{float64(i) / float64(n), 1 - float64(i)/float64(n)}, h, 1, int64(i)+1, gp.SparseConfig{})
 			},
 		}
 	}
@@ -126,6 +128,68 @@ func TestCorpusNoComparableTargetFallsBackToFirstK(t *testing.T) {
 	}
 	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("nil target should fall back to the first K tasks, got %v", got)
+	}
+}
+
+// spanLedger counts span opens and closes per name on top of a live
+// recorder.
+type spanLedger struct {
+	obs.Recorder
+	opened, closed map[string]int
+}
+
+type ledgerSpan struct {
+	obs.Span
+	l    *spanLedger
+	name string
+}
+
+func (l *spanLedger) Span(name string, attrs ...obs.Attr) obs.Span {
+	l.opened[name]++
+	return ledgerSpan{l.Recorder.Span(name, attrs...), l, name}
+}
+
+func (s ledgerSpan) End() {
+	s.l.closed[s.name]++
+	s.Span.End()
+}
+
+// TestCorpusActivateClosesItsSpan pins that every path out of Activate ends
+// the meta.corpus_activate span it opened: the exact fallback, the indexed
+// shortlist, and the fewer-comparable-than-K, nothing-comparable and
+// non-finite-target fallbacks. The remaining path — shortlist returning an
+// index error, where the span used to leak — is not reachable through
+// Activate's arguments (the comparable filter rejects everything the index
+// validates), so it is covered by construction: the span now ends in a
+// defer, which this test would catch being undone on any path it can drive.
+func TestCorpusActivateClosesItsSpan(t *testing.T) {
+	var fits []int
+	big := testCorpus(t, 70, &fits) // above the index's brute-force threshold
+	mixed := testCorpus(t, 6, &fits)
+	mixed[0].MetaFeature = []float64{0.5}
+	cases := []struct {
+		name   string
+		tasks  []CorpusTask
+		opts   CorpusOptions
+		target []float64
+	}{
+		{"exact fallback", mixed, CorpusOptions{}, []float64{0.1, 0.9}},
+		{"indexed shortlist", big, CorpusOptions{ShortlistK: 4}, []float64{0.1, 0.9}},
+		{"fewer comparable than K", mixed, CorpusOptions{ShortlistK: 8, ExactThreshold: -1}, []float64{0.1, 0.9}},
+		{"nothing comparable", mixed, CorpusOptions{ShortlistK: 2, ExactThreshold: -1}, []float64{1, 2, 3}},
+		{"non-finite target", mixed, CorpusOptions{ShortlistK: 2, ExactThreshold: -1}, []float64{math.NaN(), 0}},
+	}
+	for _, tc := range cases {
+		led := &spanLedger{Recorder: obs.NewRegistry(nil), opened: map[string]int{}, closed: map[string]int{}}
+		tc.opts.Recorder = led
+		c := NewCorpus(tc.tasks, tc.opts)
+		if err := c.Activate(tc.target); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if led.opened["meta.corpus_activate"] != 1 || led.closed["meta.corpus_activate"] != 1 {
+			t.Fatalf("%s: corpus_activate spans opened %d, closed %d, want 1 and 1", tc.name,
+				led.opened["meta.corpus_activate"], led.closed["meta.corpus_activate"])
+		}
 	}
 }
 

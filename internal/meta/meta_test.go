@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bo"
+	"repro/internal/gp"
 )
 
 // synthHistory samples a 1-D task whose res surface is scale*(x-opt)² + off,
@@ -29,7 +30,7 @@ func synthHistory(n int, opt, scale, off float64, seed int64) bo.History {
 
 func mustLearner(t *testing.T, id string, mf []float64, h bo.History, seed int64) *BaseLearner {
 	t.Helper()
-	b, err := NewBaseLearner(id, id, "A", mf, h, 1, seed)
+	b, err := NewBaseLearnerSparse(id, id, "A", mf, h, 1, seed, gp.SparseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestEpanechnikov(t *testing.T) {
 }
 
 func TestNewBaseLearnerErrors(t *testing.T) {
-	if _, err := NewBaseLearner("x", "w", "h", nil, nil, 1, 1); err == nil {
+	if _, err := NewBaseLearnerSparse("x", "w", "h", nil, nil, 1, 1, gp.SparseConfig{}); err == nil {
 		t.Fatal("expected error for empty history")
 	}
 	h := synthHistory(5, 0.5, 10, 0, 1)
-	if _, err := NewBaseLearner("x", "w", "h", nil, h, 3, 1); err == nil {
+	if _, err := NewBaseLearnerSparse("x", "w", "h", nil, h, 3, 1, gp.SparseConfig{}); err == nil {
 		t.Fatal("expected error for dim mismatch")
 	}
 }
@@ -136,7 +137,7 @@ func TestDynamicWeightsPreferSimilarTask(t *testing.T) {
 	dissimilar := mustLearner(t, "dissimilar", nil, synthHistory(30, 0.9, 10, 5, 3), 3)
 	target := mustLearner(t, "target", nil, targetHist, 4)
 
-	w := DynamicWeights([]*BaseLearner{similar, dissimilar}, target, 200, r)
+	w := DynamicWeightsOpts([]*BaseLearner{similar, dissimilar}, target, DynamicOptions{Samples: 200}, r)
 	sum := 0.0
 	for _, wi := range w {
 		sum += wi
@@ -153,7 +154,7 @@ func TestDynamicWeightsFewObservations(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	b := mustLearner(t, "b", nil, synthHistory(10, 0.5, 10, 0, 1), 1)
 	target := mustLearner(t, "t", nil, synthHistory(4, 0.5, 10, 0, 2)[:1], 2)
-	w := DynamicWeights([]*BaseLearner{b}, target, 50, r)
+	w := DynamicWeightsOpts([]*BaseLearner{b}, target, DynamicOptions{Samples: 50}, r)
 	if w[1] != 1 {
 		t.Fatalf("with <2 target obs all trust goes to target: %v", w)
 	}
@@ -167,7 +168,7 @@ func TestDynamicWeightsNegativeTransferGuard(t *testing.T) {
 	target := mustLearner(t, "t", nil, synthHistory(25, 0.3, 10, 0, 5), 5)
 	bad1 := mustLearner(t, "b1", nil, synthHistory(30, 0.95, 10, 0, 6), 6)
 	bad2 := mustLearner(t, "b2", nil, synthHistory(30, 0.05, 10, 0, 7), 7)
-	w := DynamicWeights([]*BaseLearner{bad1, bad2}, target, 200, r)
+	w := DynamicWeightsOpts([]*BaseLearner{bad1, bad2}, target, DynamicOptions{Samples: 200}, r)
 	if w[2] < 0.5 {
 		t.Fatalf("target should dominate misleading histories: %v", w)
 	}

@@ -43,7 +43,19 @@ func TestSparseCorpusAccuracyWithinTolerance(t *testing.T) {
 		return out
 	}
 	exact := fitAll(SyntheticCorpus(nTasks, metaDim, dim, histLen, seed))
-	sparsed := fitAll(SyntheticCorpusSparse(nTasks, metaDim, dim, histLen, seed, sparse))
+	// The sparse arm refits the same tasks — same histories, same search
+	// seeds — under the sparse configuration, so inference mode is the only
+	// difference between the arms.
+	sparsed := make([]*BaseLearner, nTasks)
+	for i := range sparsed {
+		mf, opt, scale, off, hseed := syntheticTaskParams(i, metaDim, dim, seed)
+		h := syntheticQuadHistory(histLen, dim, opt, scale, off, hseed)
+		bl, err := NewBaseLearnerSparse(exact[i].TaskID, exact[i].TaskID, "synth", mf, h, dim, hseed, sparse)
+		if err != nil {
+			t.Fatalf("task %s: %v", exact[i].TaskID, err)
+		}
+		sparsed[i] = bl
+	}
 	for i := range sparsed {
 		st := sparsed[i].Surrogate.SparseStats()
 		if !st.Active {

@@ -20,51 +20,47 @@ import (
 // The same (n, metaDim, dim, histLen, seed) always yields the same corpus,
 // independent of GOMAXPROCS or call order.
 func SyntheticCorpus(n, metaDim, dim, histLen int, seed int64) []CorpusTask {
-	return SyntheticCorpusSparse(n, metaDim, dim, histLen, seed, gp.SparseConfig{})
-}
-
-// SyntheticCorpusSparse is SyntheticCorpus with a sparse-inference
-// configuration applied to every deferred base-learner fit
-// (NewBaseLearnerSparse) — the generator for long-history corpora where the
-// exact cubic fit would dominate the benchmark being measured. The corpus
-// contents (meta-features, histories, seeds) are identical to
-// SyntheticCorpus; only the surrogate inference mode differs, and not at
-// all when histLen is at or below the sparse threshold.
-func SyntheticCorpusSparse(n, metaDim, dim, histLen int, seed int64, sparse gp.SparseConfig) []CorpusTask {
 	tasks := make([]CorpusTask, n)
 	for i := 0; i < n; i++ {
-		r := rng.Derive(seed, fmt.Sprintf("synth-task:%d", i))
-		mf := make([]float64, metaDim)
-		norm := 0.0
-		for d := range mf {
-			mf[d] = r.Float64()
-			norm += mf[d] * mf[d]
-		}
-		if norm > 0 {
-			norm = math.Sqrt(norm)
-			for d := range mf {
-				mf[d] /= norm
-			}
-		}
-		opt := make([]float64, dim)
-		for d := range opt {
-			opt[d] = r.Float64()
-		}
-		scale := 5 + 10*r.Float64()
-		off := 20 * r.Float64()
-		hseed := r.Int63()
+		mf, opt, scale, off, hseed := syntheticTaskParams(i, metaDim, dim, seed)
 		id := fmt.Sprintf("synth-%04d", i)
-		mfCopy := mf
 		tasks[i] = CorpusTask{
 			ID:          id,
 			MetaFeature: mf,
 			Fit: func() (*BaseLearner, error) {
 				h := syntheticQuadHistory(histLen, dim, opt, scale, off, hseed)
-				return NewBaseLearnerSparse(id, id, "synth", mfCopy, h, dim, hseed, sparse)
+				return NewBaseLearnerSparse(id, id, "synth", mf, h, dim, hseed, gp.SparseConfig{})
 			},
 		}
 	}
 	return tasks
+}
+
+// syntheticTaskParams draws synthetic task i's L2-normalized meta-feature
+// and the parameters of its response surface (optimum, curvature, offset)
+// from the task's own derived stream; hseed seeds both its history and its
+// surrogate's hyperparameter search.
+func syntheticTaskParams(i, metaDim, dim int, seed int64) (mf, opt []float64, scale, off float64, hseed int64) {
+	r := rng.Derive(seed, fmt.Sprintf("synth-task:%d", i))
+	mf = make([]float64, metaDim)
+	norm := 0.0
+	for d := range mf {
+		mf[d] = r.Float64()
+		norm += mf[d] * mf[d]
+	}
+	if norm > 0 {
+		norm = math.Sqrt(norm)
+		for d := range mf {
+			mf[d] /= norm
+		}
+	}
+	opt = make([]float64, dim)
+	for d := range opt {
+		opt[d] = r.Float64()
+	}
+	scale = 5 + 10*r.Float64()
+	off = 20 * r.Float64()
+	return mf, opt, scale, off, r.Int63()
 }
 
 // syntheticQuadHistory samples histLen observations of a noisy quadratic

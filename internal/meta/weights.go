@@ -76,12 +76,6 @@ type DynamicOptions struct {
 	Recorder obs.Recorder
 }
 
-// DynamicWeights implements the RGPE-style weight assignment of Section
-// 6.4.2 with default options; see DynamicWeightsOpts.
-func DynamicWeights(base []*BaseLearner, target *BaseLearner, samples int, r *rand.Rand) []float64 {
-	return DynamicWeightsOpts(base, target, DynamicOptions{Samples: samples}, r)
-}
-
 // DynamicWeightsOpts implements the RGPE-style weight assignment of Section
 // 6.4.2: each learner's ranking loss against the target observations is a
 // random variable (predictions are sampled from the learner's posterior);

@@ -8,7 +8,6 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 )
@@ -24,6 +23,19 @@ type TaskMeta struct {
 	MetaFeature []float64
 	KnobSetHash uint64
 	ObsCount    int
+}
+
+// meta is the resident view of an in-memory record.
+func (t TaskRecord) meta() TaskMeta {
+	return TaskMeta{
+		TaskID:      t.TaskID,
+		Workload:    t.Workload,
+		Hardware:    t.Hardware,
+		KnobNames:   t.KnobNames,
+		MetaFeature: t.MetaFeature,
+		KnobSetHash: KnobSetHash(t.KnobNames),
+		ObsCount:    len(t.Observations),
+	}
 }
 
 // LazyRepository is a repository opened without decoding task histories:
@@ -56,19 +68,7 @@ type LazyRepository struct {
 	// is never released mid-read.
 	mu     sync.RWMutex
 	closed bool
-
-	// sparse configures subset-of-data inference on base-learner fits
-	// (SetSparse); the zero value keeps every fit exact.
-	sparse gp.SparseConfig
 }
-
-// SetSparse installs a sparse-inference configuration for base-learner
-// surrogates (meta.NewBaseLearnerSparse): corpus tasks whose histories
-// exceed the threshold fit on an anchor subset, capping the per-candidate
-// cubic cost of the hyperparameter search. Call before BaseLearners /
-// Corpus / CorpusTasks — the Fit closures capture the configuration
-// installed at build time. The zero config restores exact fits.
-func (l *LazyRepository) SetSparse(cfg gp.SparseConfig) { l.sparse = cfg }
 
 // OpenLazy opens a repository file, reading only its index. For v1 files
 // there is no index segment, so the whole file is decoded eagerly and
@@ -94,15 +94,7 @@ func OpenLazy(path string) (*LazyRepository, error) {
 		l := &LazyRepository{eager: r.Tasks}
 		l.metas = make([]TaskMeta, len(r.Tasks))
 		for i, t := range r.Tasks {
-			l.metas[i] = TaskMeta{
-				TaskID:      t.TaskID,
-				Workload:    t.Workload,
-				Hardware:    t.Hardware,
-				KnobNames:   t.KnobNames,
-				MetaFeature: t.MetaFeature,
-				KnobSetHash: KnobSetHash(t.KnobNames),
-				ObsCount:    len(t.Observations),
-			}
+			l.metas[i] = t.meta()
 		}
 		return l, nil
 	}
@@ -200,9 +192,7 @@ func (l *LazyRepository) Close() error {
 // Corpus builds a lazily-fitting meta.Corpus over the repository's tasks
 // matching the predicate (nil selects all) whose knob set matches the
 // space. Fit closures decode the task's history segment and fit its TriGP
-// on first shortlist hit, with the same per-task seed (base seed + task
-// file index) the eager BaseLearners assigns — so the exact-fallback path
-// reproduces eager sessions bit for bit.
+// on first shortlist hit.
 func (l *LazyRepository) Corpus(space *knobs.Space, seed int64, pred func(TaskMeta) bool, opts meta.CorpusOptions) (*meta.Corpus, error) {
 	tasks, err := l.CorpusTasks(space, seed, pred)
 	if err != nil {
@@ -217,99 +207,5 @@ func (l *LazyRepository) Corpus(space *knobs.Space, seed int64, pred func(TaskMe
 // hundreds of sessions share one open repository behind a single-flight fit
 // cache.
 func (l *LazyRepository) CorpusTasks(space *knobs.Space, seed int64, pred func(TaskMeta) bool) ([]meta.CorpusTask, error) {
-	perms := make(map[string][]int) // keyed by joined stored-name order
-	tasks := make([]meta.CorpusTask, 0, len(l.metas))
-	for i, m := range l.metas {
-		if pred != nil && !pred(m) {
-			continue
-		}
-		key := joinNames(m.KnobNames)
-		perm, hit := perms[key]
-		if !hit {
-			p, ok := knobPermutation(m.KnobNames, space)
-			if !ok {
-				perms[key] = nil
-				continue
-			}
-			if p == nil {
-				p = []int{} // memoized identity marker, distinct from "no match"
-			}
-			perms[key] = p
-			perm = p
-		} else if perm == nil {
-			continue
-		}
-		i, m, perm := i, m, perm
-		tasks = append(tasks, meta.CorpusTask{
-			ID:          m.TaskID,
-			MetaFeature: m.MetaFeature,
-			Fit: func() (*meta.BaseLearner, error) {
-				rec, err := l.Task(i)
-				if err != nil {
-					return nil, err
-				}
-				var p []int
-				if len(perm) > 0 {
-					p = perm
-				}
-				h, err := rec.historyInOrder(p)
-				if err != nil {
-					return nil, fmt.Errorf("repo: task %s: %w", m.TaskID, err)
-				}
-				return meta.NewBaseLearnerSparse(m.TaskID, m.Workload, m.Hardware,
-					m.MetaFeature, h, space.Dim(), seed+int64(i), l.sparse)
-			},
-		})
-	}
-	return tasks, nil
-}
-
-// Corpus is the eager Repository's counterpart of LazyRepository.Corpus:
-// histories are already in memory, but surrogate fits are still deferred to
-// first shortlist hit and seeded identically to BaseLearners.
-func (r *Repository) Corpus(space *knobs.Space, seed int64, pred func(TaskRecord) bool, opts meta.CorpusOptions) (*meta.Corpus, error) {
-	tasks, err := r.CorpusTasks(space, seed, pred)
-	if err != nil {
-		return nil, err
-	}
-	return meta.NewCorpus(tasks, opts), nil
-}
-
-// CorpusTasks is the eager counterpart of LazyRepository.CorpusTasks.
-// Note the eager path's knob-permutation cache is not synchronized; build
-// the task list once and share the resulting SharedCorpus rather than
-// calling this concurrently.
-func (r *Repository) CorpusTasks(space *knobs.Space, seed int64, pred func(TaskRecord) bool) ([]meta.CorpusTask, error) {
-	tasks := make([]meta.CorpusTask, 0, len(r.Tasks))
-	for i, t := range r.Tasks {
-		if pred != nil && !pred(t) {
-			continue
-		}
-		perm, ok := r.cachedPermutation(t.KnobNames, space)
-		if !ok {
-			continue
-		}
-		i, t, perm := i, t, perm
-		tasks = append(tasks, meta.CorpusTask{
-			ID:          t.TaskID,
-			MetaFeature: t.MetaFeature,
-			Fit: func() (*meta.BaseLearner, error) {
-				h, err := t.historyInOrder(perm)
-				if err != nil {
-					return nil, fmt.Errorf("repo: task %s: %w", t.TaskID, err)
-				}
-				return meta.NewBaseLearnerSparse(t.TaskID, t.Workload, t.Hardware,
-					t.MetaFeature, h, space.Dim(), seed+int64(i), r.sparse)
-			},
-		})
-	}
-	return tasks, nil
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for _, n := range names {
-		out += n + "\x1f"
-	}
-	return out
+	return corpusTasks(l, space, seed, func(i int) bool { return pred == nil || pred(l.metas[i]) }), nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bo"
+	"repro/internal/gp"
 	"repro/internal/meta"
 )
 
@@ -257,12 +258,17 @@ func TestLazyCorpusMatchesEagerBaseLearners(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eager, err := r.BaseLearners(space, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eager) != 2 {
-		t.Fatalf("eager learners: %d", len(eager))
+	// The reference learners are fitted by hand, seeded base seed + file
+	// index (0 and 2 — the mismatched task in between still counts).
+	var eager []*meta.BaseLearner
+	for _, i := range []int{0, 2} {
+		rec := r.Tasks[i]
+		bl, err := meta.NewBaseLearnerSparse(rec.TaskID, rec.Workload, rec.Hardware,
+			rec.MetaFeature, rec.History(), space.Dim(), 7+int64(i), gp.SparseConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager = append(eager, bl)
 	}
 
 	l, err := OpenLazy(path)

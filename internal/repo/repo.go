@@ -12,7 +12,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/bo"
 	"repro/internal/core"
@@ -54,57 +53,6 @@ func (t TaskRecord) History() bo.History {
 // Repository is a collection of task records.
 type Repository struct {
 	Tasks []TaskRecord `json:"tasks"`
-
-	// permCache memoizes knob-set matching per (stored names, space) pair:
-	// in a corpus the same knob set recurs across most tasks and across
-	// repeated BaseLearners/Corpus calls, so each distinct pairing is
-	// matched once instead of per task per call.
-	permMu    sync.Mutex
-	permCache map[string]permResult
-
-	// sparse configures subset-of-data inference on base-learner fits
-	// (SetSparse); the zero value keeps every fit exact.
-	sparse gp.SparseConfig
-}
-
-// SetSparse installs a sparse-inference configuration for base-learner
-// surrogates (meta.NewBaseLearnerSparse); see LazyRepository.SetSparse.
-// Call before BaseLearners / Corpus / CorpusTasks; the zero config
-// restores exact fits.
-func (r *Repository) SetSparse(cfg gp.SparseConfig) { r.sparse = cfg }
-
-type permResult struct {
-	perm []int
-	ok   bool
-}
-
-// cachedPermutation is knobPermutation with memoization on the repository.
-// The key includes the stored name order (the permutation depends on it) and
-// the space's knob names, not just a set hash — hash collisions must never
-// alias two different matches.
-func (r *Repository) cachedPermutation(names []string, space *knobs.Space) ([]int, bool) {
-	var sb strings.Builder
-	for _, n := range names {
-		sb.WriteString(n)
-		sb.WriteByte(0x1f)
-	}
-	sb.WriteByte(0)
-	for _, k := range space.Knobs() {
-		sb.WriteString(k.Name)
-		sb.WriteByte(0x1f)
-	}
-	key := sb.String()
-	r.permMu.Lock()
-	defer r.permMu.Unlock()
-	if res, hit := r.permCache[key]; hit {
-		return res.perm, res.ok
-	}
-	perm, ok := knobPermutation(names, space)
-	if r.permCache == nil {
-		r.permCache = make(map[string]permResult)
-	}
-	r.permCache[key] = permResult{perm: perm, ok: ok}
-	return perm, ok
 }
 
 // KnobSetHash is an order-insensitive FNV-1a hash of a knob-name set, stored
@@ -145,33 +93,87 @@ func (r *Repository) Filter(pred func(TaskRecord) bool) []TaskRecord {
 	return out
 }
 
-// BaseLearners fits a base-learner per task matching the predicate (nil
-// selects all). Tasks whose knob *set* does not match the given space are
-// skipped: histories are only transferable within the same configuration
-// space. Knob order is immaterial — a task stored under a different knob
-// ordering has its Theta vectors permuted into the space's order.
-func (r *Repository) BaseLearners(space *knobs.Space, seed int64, pred func(TaskRecord) bool) ([]*meta.BaseLearner, error) {
-	out := make([]*meta.BaseLearner, 0, len(r.Tasks))
-	for i, t := range r.Tasks {
-		if pred != nil && !pred(t) {
-			continue
-		}
-		perm, ok := r.cachedPermutation(t.KnobNames, space)
-		if !ok {
-			continue
-		}
-		h, err := t.historyInOrder(perm)
-		if err != nil {
-			return nil, fmt.Errorf("repo: task %s: %w", t.TaskID, err)
-		}
-		bl, err := meta.NewBaseLearnerSparse(t.TaskID, t.Workload, t.Hardware,
-			t.MetaFeature, h, space.Dim(), seed+int64(i), r.sparse)
-		if err != nil {
-			return nil, fmt.Errorf("repo: task %s: %w", t.TaskID, err)
-		}
-		out = append(out, bl)
+// taskSource is what the corpus builder needs from a task store: resident
+// metadata per task and the full record on demand. *LazyRepository is one;
+// eagerTasks adapts a Repository's in-memory records.
+type taskSource interface {
+	Len() int
+	Meta(i int) TaskMeta
+	Task(i int) (TaskRecord, error)
+}
+
+type eagerTasks []TaskRecord
+
+func (e eagerTasks) Len() int                       { return len(e) }
+func (e eagerTasks) Meta(i int) TaskMeta            { return e[i].meta() }
+func (e eagerTasks) Task(i int) (TaskRecord, error) { return e[i], nil }
+
+// corpusTasks builds one lazily-fitting meta.CorpusTask per task of src that
+// keep selects and whose knob *set* matches the space: histories are only
+// transferable within the same configuration space. Knob order is
+// immaterial — a task stored under a different knob ordering has its Theta
+// vectors permuted into the space's order. The same knob set recurs across
+// most tasks of a corpus, so each distinct stored order is matched once.
+// Fit closures read the task's record and fit its TriGP on first shortlist
+// hit, seeded with the base seed plus the task's index in the store —
+// whichever repository type serves the file, a task gets the same surrogate.
+func corpusTasks(src taskSource, space *knobs.Space, seed int64, keep func(i int) bool) []meta.CorpusTask {
+	type match struct {
+		perm []int
+		ok   bool
 	}
-	return out, nil
+	matches := make(map[string]match)
+	tasks := make([]meta.CorpusTask, 0, src.Len())
+	for i := 0; i < src.Len(); i++ {
+		if !keep(i) {
+			continue
+		}
+		m := src.Meta(i)
+		key := strings.Join(m.KnobNames, "\x1f")
+		mt, hit := matches[key]
+		if !hit {
+			mt.perm, mt.ok = knobPermutation(m.KnobNames, space)
+			matches[key] = mt
+		}
+		if !mt.ok {
+			continue
+		}
+		tasks = append(tasks, meta.CorpusTask{
+			ID:          m.TaskID,
+			MetaFeature: m.MetaFeature,
+			Fit: func() (*meta.BaseLearner, error) {
+				rec, err := src.Task(i)
+				if err != nil {
+					return nil, err
+				}
+				h, err := rec.historyInOrder(mt.perm)
+				if err != nil {
+					return nil, fmt.Errorf("repo: task %s: %w", m.TaskID, err)
+				}
+				return meta.NewBaseLearnerSparse(m.TaskID, m.Workload, m.Hardware,
+					m.MetaFeature, h, space.Dim(), seed+int64(i), gp.SparseConfig{})
+			},
+		})
+	}
+	return tasks
+}
+
+// Corpus builds a lazily-fitting meta.Corpus over the tasks matching the
+// predicate (nil selects all) whose knob set matches the space. Histories
+// are already in memory; surrogate fits are still deferred to first
+// shortlist hit.
+func (r *Repository) Corpus(space *knobs.Space, seed int64, pred func(TaskRecord) bool, opts meta.CorpusOptions) (*meta.Corpus, error) {
+	tasks, err := r.CorpusTasks(space, seed, pred)
+	if err != nil {
+		return nil, err
+	}
+	return meta.NewCorpus(tasks, opts), nil
+}
+
+// CorpusTasks builds the task list Corpus wraps, exposed separately so a
+// fleet can feed one repository into a meta.SharedCorpus.
+func (r *Repository) CorpusTasks(space *knobs.Space, seed int64, pred func(TaskRecord) bool) ([]meta.CorpusTask, error) {
+	return corpusTasks(eagerTasks(r.Tasks), space, seed, func(i int) bool { return pred == nil || pred(r.Tasks[i]) }), nil
 }
 
 // knobPermutation matches stored knob names against a space by name set,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
+	"repro/internal/meta"
 	"repro/internal/workload"
 )
 
@@ -66,6 +67,22 @@ func TestFromResultAndRoundTrip(t *testing.T) {
 	}
 }
 
+// fitCorpusTasks materializes every corpus task of r for the space — the
+// learners a session on the exact path weights.
+func fitCorpusTasks(r *Repository, space *knobs.Space, seed int64, pred func(TaskRecord) bool) ([]*meta.BaseLearner, error) {
+	tasks, err := r.CorpusTasks(space, seed, pred)
+	if err != nil {
+		return nil, err
+	}
+	bls := make([]*meta.BaseLearner, len(tasks))
+	for i, task := range tasks {
+		if bls[i], err = task.Fit(); err != nil {
+			return nil, err
+		}
+	}
+	return bls, nil
+}
+
 func TestBaseLearnersFilterAndSpaceCheck(t *testing.T) {
 	res, space := sampleResult(t, 2)
 	var r Repository
@@ -73,7 +90,7 @@ func TestBaseLearnersFilterAndSpaceCheck(t *testing.T) {
 	r.Add(FromResult("b", "twitter", "B", []float64{0, 1, 0, 0, 0}, space, res))
 
 	// All tasks.
-	bls, err := r.BaseLearners(space, 1, nil)
+	bls, err := fitCorpusTasks(&r, space, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +102,7 @@ func TestBaseLearnersFilterAndSpaceCheck(t *testing.T) {
 	}
 
 	// Varying-hardware setting: hold out instance A.
-	bls, err = r.BaseLearners(space, 1, func(t TaskRecord) bool { return t.Hardware != "A" })
+	bls, err = fitCorpusTasks(&r, space, 1, func(t TaskRecord) bool { return t.Hardware != "A" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +112,7 @@ func TestBaseLearnersFilterAndSpaceCheck(t *testing.T) {
 
 	// Mismatched knob space is skipped, not an error.
 	other := knobs.Fig1Space()
-	bls, err = r.BaseLearners(other, 1, nil)
+	bls, err = fitCorpusTasks(&r, other, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +215,11 @@ func TestBaseLearnersShuffledKnobOrder(t *testing.T) {
 	var orig, shuf Repository
 	orig.Add(rec)
 	shuf.Add(shuffled)
-	blsOrig, err := orig.BaseLearners(space, 1, nil)
+	blsOrig, err := fitCorpusTasks(&orig, space, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blsShuf, err := shuf.BaseLearners(space, 1, nil)
+	blsShuf, err := fitCorpusTasks(&shuf, space, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +252,7 @@ func TestBaseLearnersThetaLengthMismatch(t *testing.T) {
 	rec.Observations[0].Theta = rec.Observations[0].Theta[:n-1]
 	var r Repository
 	r.Add(rec)
-	if _, err := r.BaseLearners(space, 1, nil); err == nil {
+	if _, err := fitCorpusTasks(&r, space, 1, nil); err == nil {
 		t.Fatal("expected an error for a theta/knob-set length mismatch")
 	}
 }

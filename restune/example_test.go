@@ -43,7 +43,7 @@ func ExampleNew_metaBoosted() {
 		log.Fatal(err)
 	}
 
-	// ...stored in the repository and loaded as base-learners.
+	// ...stored in the repository and served as a corpus of base tasks.
 	repo := restune.NewRepository()
 	ch, err := restune.NewCharacterizer(restune.Workloads(), 1)
 	if err != nil {
@@ -51,14 +51,14 @@ func ExampleNew_metaBoosted() {
 	}
 	mf := ch.MetaFeature(past, 2000, rand.New(rand.NewSource(1)))
 	repo.Add(restune.TaskFromResult(past.Name, past.Name, "A", mf, space, history))
-	base, err := repo.BaseLearners(space, 1, nil)
+	corpus, err := repo.Corpus(space, 1, nil, restune.CorpusOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The new session starts from the transferred knowledge.
 	cfg := restune.DefaultConfig(2)
-	cfg.Base = base
+	cfg.Corpus = corpus
 	cfg.TargetMetaFeature = ch.MetaFeature(restune.Twitter(), 2000, rand.New(rand.NewSource(2)))
 	tuner := restune.New(cfg)
 	fmt.Println(tuner.Name())

@@ -288,17 +288,13 @@ func NewTimelineEvaluator(sim *Simulator, space *Space, res Resource, w Workload
 	return core.NewTimelineEvaluator(sim, space, res, w, tl, stepsPerDay)
 }
 
-// SimulatedDay runs one tuning session over a named timeline profile
-// compressed into p.Iters measurements — drift-aware when aware is set, the
-// stationary tuner otherwise (restune-bench -timeline).
-func SimulatedDay(profile string, p ExperimentParams, aware bool) (*DayStats, error) {
-	return experiments.SimulatedDay(profile, p, aware)
-}
-
-// SimulatedDayTimeline is SimulatedDay over an explicit (e.g. CSV-loaded)
-// timeline; name labels the timeline in the returned stats.
-func SimulatedDayTimeline(name string, tl *Timeline, p ExperimentParams, aware bool) (*DayStats, error) {
-	return experiments.SimulatedDayTimeline(name, tl, p, aware)
+// SimulatedDay runs one tuning session over a timeline (a TimelineProfile
+// or a CSV-loaded one) compressed into p.Iters measurements — drift-aware
+// under a non-nil drift configuration (&DriftConfig{} for the defaults), the
+// stationary tuner under nil (restune-bench -timeline). name labels the
+// timeline in the returned stats.
+func SimulatedDay(name string, tl *Timeline, p ExperimentParams, drift *DriftConfig) (*DayStats, error) {
+	return experiments.SimulatedDay(name, tl, p, drift)
 }
 
 // ---------------------------------------------------------------------------
@@ -326,9 +322,9 @@ func NewReplayer(sim *Simulator, w Workload, sampleQueries int, window time.Dura
 // DefaultConfig returns the paper's ResTune settings.
 func DefaultConfig(seed int64) Config { return core.DefaultConfig(seed) }
 
-// New builds a ResTune tuner. With Config.Base empty it is the
-// ResTune-w/o-ML ablation; with base-learners it is full meta-boosted
-// ResTune.
+// New builds a ResTune tuner. With Config.Corpus nil it is the
+// ResTune-w/o-ML ablation; with a corpus of base tasks it is full
+// meta-boosted ResTune.
 func New(cfg Config) Tuner { return core.New(cfg) }
 
 // Default returns the Default baseline (DBA configuration re-measured).
@@ -399,11 +395,6 @@ func SyntheticCorpus(n, metaDim, dim, histLen int, seed int64) []CorpusTask {
 // TaskFromResult converts a finished session into a repository record.
 func TaskFromResult(taskID, workloadName, hardwareName string, metaFeature []float64, space *Space, res *Result) TaskRecord {
 	return repo.FromResult(taskID, workloadName, hardwareName, metaFeature, space, res)
-}
-
-// NewBaseLearner fits a base-learner directly from an observation history.
-func NewBaseLearner(taskID, workloadName, hardwareName string, metaFeature []float64, h []Observation, dim int, seed int64) (*BaseLearner, error) {
-	return meta.NewBaseLearner(taskID, workloadName, hardwareName, metaFeature, h, dim, seed)
 }
 
 // ---------------------------------------------------------------------------

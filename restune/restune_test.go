@@ -78,17 +78,17 @@ func TestPublicRepositoryFlow(t *testing.T) {
 
 	r := restune.NewRepository()
 	r.Add(restune.TaskFromResult("t1", w.Name, "A", []float64{1, 0, 0, 0, 0}, space, res))
-	base, err := r.BaseLearners(space, 1, nil)
+	corpus, err := r.Corpus(space, 1, nil, restune.CorpusOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base) != 1 {
-		t.Fatal("base learner count")
+	if corpus.Len() != 1 {
+		t.Fatal("base task count")
 	}
 
 	// Meta-boosted run through the public API.
 	cfg := restune.DefaultConfig(3)
-	cfg.Base = base
+	cfg.Corpus = corpus
 	cfg.TargetMetaFeature = []float64{1, 0, 0, 0, 0}
 	target := restune.NewSimulator(restune.Instance("A"), restune.Twitter().Profile, 3, restune.WithHalfRAMBufferPool())
 	res2, err := restune.New(cfg).Run(restune.NewEvaluator(target, space, restune.CPU), 12)
