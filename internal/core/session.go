@@ -296,12 +296,10 @@ func (s *Session) runIteration(iter int) error {
 	if !lhsPhase {
 		if s.tri == nil {
 			s.tri = bo.NewTriGP(s.dim, cfg.Seed)
-			if cfg.Sparse.Enabled() {
-				// Long-history sessions cap the cubic surrogate fit on an
-				// anchor subset; below the threshold this is bit-identical
-				// to the exact tuner (gp.SparseConfig).
-				s.tri.SetSparse(cfg.Sparse)
-			}
+			// Long-history sessions cap the cubic surrogate fit on an anchor
+			// subset; below the threshold — and under the zero config — this
+			// is bit-identical to the exact tuner (gp.SparseConfig).
+			s.tri.SetSparse(cfg.Sparse)
 			s.tri.SetRecorder(rec)
 		}
 		// Warm-started hyperparameter search: full budget every

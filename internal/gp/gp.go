@@ -43,23 +43,24 @@ type GP struct {
 	// repeated factorizations of hyperparameter search allocate nothing
 	// after the first candidate.
 	kmat *mat.Dense
-	// factorParams/factorNoise/factorW record the hyperparameters and
-	// observation weights the current factorization was built with; Fit
-	// takes the O(n²) incremental path only when they still match.
+	// factorParams/factorNoise/factorW record the hyperparameters and the
+	// per-view-entry observation weights the current factorization was built
+	// with; Fit takes the O(n²) incremental path only when they still match.
 	factorParams []float64
 	factorNoise  float64
 	factorW      []float64
 
-	// sparse configures subset-of-data inference (SetSparse); the zero
-	// value keeps every fit exact. anchorIdx/anchorX are the active anchor
-	// subset — ascending indices into x and views of the corresponding rows
-	// — nil whenever the last fit was exact, so `anchorIdx != nil` is the
-	// single activation test every effective-training-set accessor keys on.
-	// appendsSinceSelect counts incremental appends against the amortized
-	// re-selection budget; reselects counts selection passes (telemetry).
+	// view is the effective training set every factorization, solve and
+	// prediction runs over: ascending indices into x, nil meaning the
+	// identity (the whole history — exact inference). tx holds the viewed
+	// inputs; under the identity it aliases x, so exact mode gathers and
+	// allocates nothing. sparse configures when Fit conditions on a proper
+	// subset (SetSparse; the zero value never does). appendsSinceSelect
+	// counts incremental appends against the amortized re-selection budget;
+	// reselects counts selection passes (telemetry).
+	view               []int
+	tx                 [][]float64
 	sparse             SparseConfig
-	anchorIdx          []int
-	anchorX            [][]float64
 	appendsSinceSelect int
 	reselects          int
 
@@ -118,7 +119,7 @@ func (g *GP) N() int { return len(g.x) }
 // on — the anchor count under sparse inference (SetSparse), N() otherwise.
 // Callers building cross-covariance blocks for CrossCovTo size them by
 // TrainN.
-func (g *GP) TrainN() int { return len(g.trainX()) }
+func (g *GP) TrainN() int { return len(g.tx) }
 
 // X returns the training inputs (shared storage).
 func (g *GP) X() [][]float64 { return g.x }
@@ -136,36 +137,52 @@ func (g *GP) Y() []float64 { return g.y }
 // bit-identical to an unweighted fit.
 func (g *GP) SetObservationWeights(w []float64) { g.obsW = w }
 
-// ObservationWeights returns the installed per-observation weights (nil
-// when uniform).
-func (g *GP) ObservationWeights() []float64 { return g.obsW }
+// at maps view entry k to its position in the history — the one place the
+// effective training set is translated back to x, y and obsW.
+func (g *GP) at(k int) int {
+	if g.view == nil {
+		return k
+	}
+	return g.view[k]
+}
 
-// obsNoise returns effective training observation i's noise variance: the
-// homoscedastic NoiseVariance inflated by the inverse observation weight.
-// Under sparse conditioning i indexes the anchor subset and maps back to
-// its history position, so an anchor keeps the exact noise it would have
-// carried in a full fit.
-func (g *GP) obsNoise(i int) float64 {
+// obsNoise returns view entry k's noise variance: the homoscedastic
+// NoiseVariance inflated by the inverse observation weight of the history
+// point behind it, so an anchor keeps the exact noise it would have carried
+// in a full fit.
+func (g *GP) obsNoise(k int) float64 {
 	if g.obsW == nil {
 		return g.NoiseVariance
 	}
-	return g.NoiseVariance / g.effWeight(i)
+	return g.NoiseVariance / g.obsW[g.at(k)]
 }
 
 // Fit conditions the GP on observations (x, y). It copies neither slice, so
 // callers must not mutate them afterwards.
 //
-// When x extends the previously fitted inputs by exactly one point and the
-// hyperparameters are unchanged since the last factorization, Fit appends a
-// single row to the Cholesky factor in O(n²) instead of refactoring in
-// O(n³). The appended factor is bit-identical to a full refactor (see
-// mat.Cholesky.Append), so the fast path is invisible to callers. Targets
-// may change wholesale between fits (e.g. re-standardized histories): they
-// only enter the O(n²) weight solve, not the factorization. Observation
-// weights (SetObservationWeights) do enter the factorization's noise
-// diagonal, so the incremental path additionally requires the prefix
-// weights to be unchanged since the last factorization — a forgetting
-// decay pays one full refactor, after which appends are O(n²) again.
+// Fit owns the one factor-maintenance rule. The effective training set is a
+// view of the history: the identity at or below SparseConfig.Threshold (or
+// with sparse inference disabled), an anchor subset above it. The factor is
+// *extended* by one row in O(m²), m the view size, iff
+//
+//   - a factor exists, and the history extends the previous one by exactly
+//     one point (a suffix);
+//   - the next view is the previous view plus that point — always under the
+//     identity; under anchors while the append budget (ReselectEvery) lasts,
+//     so the most recent evidence is always conditioned on;
+//   - the factor's recorded kernel hyperparameters, noise variance and
+//     per-view-entry observation weights equal the current ones.
+//
+// Otherwise it is *rebuilt* in O(m³) over a freshly chosen view: the
+// identity, or one farthest-point re-selection (SelectAnchors) — so
+// activation, the budget expiring, a hyperparameter change that was not
+// adopted from the factor's own search, a forgetting decay and a
+// non-extending history each pay one rebuild, after which appends are open
+// again. The appended factor is bit-identical to a full refactor of the same
+// view (see mat.Cholesky.Append), so which path ran is invisible to
+// callers. Targets may change wholesale between fits (e.g. re-standardized
+// histories): they only enter the O(m²) weight solve, not the
+// factorization.
 func (g *GP) Fit(x [][]float64, y []float64) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("gp: %d inputs but %d targets", len(x), len(y))
@@ -183,26 +200,36 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 			}
 		}
 	}
-	if g.sparse.Threshold > 0 && len(x) > g.sparse.Threshold {
-		return g.fitSparse(x, y)
-	}
-	// At or below the threshold (or with sparse disabled) the fit is exact.
-	// If the previous fit was sparse, its factor covers only the anchors —
-	// drop it so the gate below cannot mistake it for an exact factor.
-	if g.anchorIdx != nil {
-		g.dropAnchors()
-	}
-	incremental := g.chol != nil && len(x) == len(g.x)+1 &&
-		g.factorMatchesKernel() && g.factorMatchesWeights(len(g.x)) &&
+	n := len(x)
+	anchored := g.sparse.Threshold > 0 && n > g.sparse.Threshold
+	extend := g.chol != nil && n == len(g.x)+1 &&
+		anchored == (g.view != nil) &&
+		(!anchored || g.appendsSinceSelect < g.sparse.ReselectEvery) &&
+		g.factorMatchesKernel() && g.factorMatchesWeights() &&
 		extendsPrefix(x, g.x)
 	g.x, g.y = x, y
 	g.meanY = mean(y)
-	if incremental {
+	if extend {
+		if anchored {
+			g.view = append(g.view, n-1)
+			g.tx = append(g.tx, x[n-1])
+		} else {
+			g.tx = x
+		}
 		if err := g.appendPoint(); err == nil {
+			if anchored {
+				g.appendsSinceSelect++
+			}
 			return nil
 		}
-		// Numerically borderline border: fall back to the full refactor,
-		// whose jittered diagonal recomputation decides for real.
+		// Numerically borderline border: fall back to the rebuild (which
+		// drops the speculative anchor), whose jittered diagonal
+		// recomputation decides for real.
+	}
+	if anchored {
+		g.selectAnchors()
+	} else {
+		g.view, g.tx = nil, x
 	}
 	return g.refactor()
 }
@@ -226,18 +253,18 @@ func (g *GP) factorMatchesKernel() bool {
 }
 
 // factorMatchesWeights reports whether the current factorization's noise
-// diagonal was built with the first n of the presently installed
-// observation weights. A weights change (forgetting decayed the history)
-// forces a full refactor; between changes the incremental path stays open.
-func (g *GP) factorMatchesWeights(n int) bool {
+// diagonal was built with the presently installed observation weights at
+// every view entry. A weights change (forgetting decayed the history)
+// forces a rebuild; between changes the incremental path stays open.
+func (g *GP) factorMatchesWeights() bool {
 	if g.factorW == nil {
 		return g.obsW == nil
 	}
-	if g.obsW == nil || len(g.factorW) != n || len(g.obsW) < n {
+	if g.obsW == nil || len(g.factorW) != len(g.tx) {
 		return false
 	}
-	for i, w := range g.factorW {
-		if g.obsW[i] != w {
+	for k, w := range g.factorW {
+		if i := g.at(k); i >= len(g.obsW) || g.obsW[i] != w {
 			return false
 		}
 	}
@@ -265,13 +292,12 @@ func extendsPrefix(x, old [][]float64) bool {
 	return true
 }
 
-// appendPoint extends the factorization by the last effective training
-// point in O(n²), n the effective (anchor-subset or full) set size. The
-// bordered row lives in a persistent scratch buffer — mat.Cholesky.Append
-// copies it into the packed factor — so steady-state appends allocate
-// nothing beyond the factor's own amortized growth.
+// appendPoint extends the factorization by the last view entry in O(n²), n
+// the view size. The bordered row lives in a persistent scratch buffer —
+// mat.Cholesky.Append copies it into the packed factor — so steady-state
+// appends allocate nothing beyond the factor's own amortized growth.
 func (g *GP) appendPoint() error {
-	tx := g.trainX()
+	tx := g.tx
 	n := len(tx)
 	xn := tx[n-1]
 	if cap(g.rowBuf) < n {
@@ -286,20 +312,19 @@ func (g *GP) appendPoint() error {
 		return err
 	}
 	if g.obsW != nil {
-		g.factorW = append(g.factorW, g.effWeight(n-1))
+		g.factorW = append(g.factorW, g.obsW[g.at(n-1)])
 	}
 	g.solveAlpha()
 	return nil
 }
 
-// refactor rebuilds the Cholesky factorization for the current effective
-// training set and hyperparameters, reusing the kernel-matrix and factor
-// storage. Under sparse conditioning the effective set is the anchor
-// subset; it never re-selects anchors (Fit owns that decision), so
-// hyperparameter-search clones and AdoptHyperparamsFrom refactor the same
-// subset they were handed.
+// refactor rebuilds the Cholesky factorization for the current view and
+// hyperparameters, reusing the kernel-matrix and factor storage. It never
+// changes the view (Fit owns that decision), so hyperparameter-search
+// clones and AdoptHyperparamsFrom refactor the same subset they were
+// handed.
 func (g *GP) refactor() error {
-	tx := g.trainX()
+	tx := g.tx
 	n := len(tx)
 	if g.kmat == nil {
 		g.kmat = mat.NewDense(n, n)
@@ -330,8 +355,8 @@ func (g *GP) refactor() error {
 		g.factorW = nil
 	} else {
 		g.factorW = g.factorW[:0]
-		for i := 0; i < n; i++ {
-			g.factorW = append(g.factorW, g.effWeight(i))
+		for k := 0; k < n; k++ {
+			g.factorW = append(g.factorW, g.obsW[g.at(k)])
 		}
 	}
 	g.solveAlpha()
@@ -339,18 +364,17 @@ func (g *GP) refactor() error {
 }
 
 // solveAlpha recomputes the weight vector α = (K + σ²I)⁻¹ (y − mean) for the
-// current factorization, reusing the α buffer. The targets are the effective
-// training targets (anchor-mapped under sparse conditioning), but the mean
-// is always the full-history mean — the constant-mean estimate uses every
-// observation even when the covariance conditions on a subset.
+// current factorization, reusing the α buffer. The targets are the view's,
+// but the mean is always the full-history mean — the constant-mean estimate
+// uses every observation even when the covariance conditions on a subset.
 func (g *GP) solveAlpha() {
-	n := len(g.trainX())
+	n := len(g.tx)
 	if cap(g.alpha) < n {
 		g.alpha = make([]float64, n)
 	}
 	g.alpha = g.alpha[:n]
 	for i := 0; i < n; i++ {
-		g.alpha[i] = g.trainYAt(i) - g.meanY
+		g.alpha[i] = g.y[g.at(i)] - g.meanY
 	}
 	g.chol.SolveVecTo(g.alpha, g.alpha)
 	g.kinv = nil
@@ -365,7 +389,7 @@ func (g *GP) Predict(x []float64) (mu, variance float64) {
 	if g.chol == nil {
 		return 0, prior
 	}
-	tx := g.trainX()
+	tx := g.tx
 	n := len(tx)
 	pb, _ := g.scratch.Get().(*predictBuf)
 	if pb == nil {
@@ -397,7 +421,7 @@ func (g *GP) Predict(x []float64) (mu, variance float64) {
 // Kernel.EvalRow with batch-invariant terms hoisted per training point.
 // Either way every entry matches the point-wise Eval bit for bit.
 func (g *GP) CrossCovTo(dst *mat.Dense, X [][]float64) {
-	tx := g.trainX()
+	tx := g.tx
 	if r, c := dst.Dims(); r != len(tx) || c != len(X) {
 		panic("gp: cross-covariance dimension mismatch")
 	}
@@ -436,17 +460,12 @@ func (g *GP) SharesCrossCov(o *GP) bool {
 	if len(g.x) > 0 && &g.x[0] != &o.x[0] {
 		return false
 	}
-	if (g.anchorIdx == nil) != (o.anchorIdx == nil) {
+	if (g.view == nil) != (o.view == nil) || len(g.view) != len(o.view) {
 		return false
 	}
-	if g.anchorIdx != nil {
-		if len(g.anchorIdx) != len(o.anchorIdx) {
+	for k, i := range g.view {
+		if o.view[k] != i {
 			return false
-		}
-		for i, idx := range g.anchorIdx {
-			if o.anchorIdx[i] != idx {
-				return false
-			}
 		}
 	}
 	return KernelsEqual(g.kernel, o.kernel)
@@ -515,7 +534,7 @@ func (g *GP) PredictBatch(X [][]float64, mu, variance []float64) {
 		g.priorBatch(X, mu, variance)
 		return
 	}
-	bb := g.getBatchBuf(len(g.trainX()), m)
+	bb := g.getBatchBuf(len(g.tx), m)
 	g.CrossCovTo(&bb.kstar, X)
 	g.predictBatchCov(bb, &bb.kstar, X, mu, variance)
 	g.batch.Put(bb)
@@ -539,7 +558,7 @@ func (g *GP) PredictBatchCov(kstar *mat.Dense, X [][]float64, mu, variance []flo
 		g.priorBatch(X, mu, variance)
 		return
 	}
-	bb := g.getBatchBuf(len(g.trainX()), m)
+	bb := g.getBatchBuf(len(g.tx), m)
 	g.predictBatchCov(bb, kstar, X, mu, variance)
 	g.batch.Put(bb)
 }
@@ -607,7 +626,7 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	m := len(g.alpha)
 	quad := 0.0
 	for i := 0; i < m; i++ {
-		quad += (g.trainYAt(i) - g.meanY) * g.alpha[i]
+		quad += (g.y[g.at(i)] - g.meanY) * g.alpha[i]
 	}
 	return -0.5*quad - 0.5*g.chol.LogDet() - 0.5*float64(m)*math.Log(2*math.Pi)
 }
@@ -634,42 +653,33 @@ func (g *GP) LOO() (mu, variance []float64) {
 	n := len(g.y)
 	mu = make([]float64, n)
 	variance = make([]float64, n)
-	if g.anchorIdx == nil {
-		for i := 0; i < n; i++ {
-			kii := g.kinv.At(i, i)
-			mu[i] = g.y[i] - g.alpha[i]/kii
-			variance[i] = 1 / kii
-			if variance[i] < 1e-12 {
-				variance[i] = 1e-12
-			}
-		}
-		return mu, variance
-	}
-	isAnchor := make([]bool, n)
-	for k, idx := range g.anchorIdx {
-		kii := g.kinv.At(k, k)
-		mu[idx] = g.y[idx] - g.alpha[k]/kii
-		v := 1 / kii
-		if v < 1e-12 {
-			v = 1e-12
-		}
-		variance[idx] = v
-		isAnchor[idx] = true
-	}
+	// The view is ascending, so one pass over the history with a cursor into
+	// it finds each point's role: a view entry takes the LOO identity on the
+	// factor, any other point is held out of the fit already and takes the
+	// model's posterior. Under the identity every point is a view entry.
+	k := 0
 	for i := 0; i < n; i++ {
-		if !isAnchor[i] {
+		if k == len(g.tx) || g.at(k) != i {
 			mu[i], variance[i] = g.Predict(g.x[i])
+			continue
 		}
+		kii := g.kinv.At(k, k)
+		mu[i] = g.y[i] - g.alpha[k]/kii
+		variance[i] = 1 / kii
+		if variance[i] < 1e-12 {
+			variance[i] = 1e-12
+		}
+		k++
 	}
 	return mu, variance
 }
 
 // cloneForSearch returns a GP sharing the (read-only) training data with an
 // independent kernel and factorization state, for concurrent hyperparameter
-// candidate evaluation. Anchor state is shared too: every candidate of a
-// search refactors the same subset the incumbent conditions on (selection
-// is input-only, so candidates could never disagree on it anyway), and the
-// winning clone's factor is adopted without touching the anchors.
+// candidate evaluation. The view is shared too: every candidate of a search
+// refactors the same subset the incumbent conditions on (selection is
+// input-only, so candidates could never disagree on it anyway), and the
+// winning clone's factor is adopted without touching the view.
 func (g *GP) cloneForSearch() *GP {
 	return &GP{
 		kernel:        g.kernel.Clone(),
@@ -679,8 +689,8 @@ func (g *GP) cloneForSearch() *GP {
 		obsW:          g.obsW,
 		meanY:         g.meanY,
 		sparse:        g.sparse,
-		anchorIdx:     g.anchorIdx,
-		anchorX:       g.anchorX,
+		view:          g.view,
+		tx:            g.tx,
 	}
 }
 

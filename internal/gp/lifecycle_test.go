@@ -36,7 +36,8 @@ func TestFitLifecycleOneHistory(t *testing.T) {
 	}
 	steps := []struct {
 		name      string
-		before    func(g *GP, w *[]float64, n int) // state change ahead of the fit at size n
+		before    func(w *[]float64, n int) // weight change ahead of the fit at size n
+		sparse    *SparseConfig             // reconfiguration ahead of the fit
 		appended  bool
 		active    bool
 		reselects int
@@ -46,7 +47,7 @@ func TestFitLifecycleOneHistory(t *testing.T) {
 		{name: "exact append", appended: true, factorN: 4},
 		{name: "exact append", appended: true, factorN: 5},
 		{name: "weight decay rebuilds", factorN: 6,
-			before: func(_ *GP, w *[]float64, n int) {
+			before: func(w *[]float64, n int) {
 				*w = make([]float64, n-1, len(x))
 				for i := range *w {
 					(*w)[i] = 1
@@ -62,10 +63,9 @@ func TestFitLifecycleOneHistory(t *testing.T) {
 		{name: "append budget spent re-selects", active: true, reselects: 2, factorN: 6},
 		{name: "sparse append", appended: true, active: true, reselects: 2, factorN: 7},
 		{name: "sparse weight decay re-selects", active: true, reselects: 3, factorN: 6,
-			before: func(_ *GP, w *[]float64, _ int) { decay(*w) }},
+			before: func(w *[]float64, _ int) { decay(*w) }},
 		{name: "sparse append", appended: true, active: true, reselects: 3, factorN: 7},
-		{name: "SetSparse zero returns to exact", reselects: 3, factorN: 17,
-			before: func(g *GP, _ *[]float64, _ int) { g.SetSparse(SparseConfig{}) }},
+		{name: "SetSparse zero returns to exact", reselects: 3, factorN: 17, sparse: &SparseConfig{}},
 		{name: "exact append", appended: true, reselects: 3, factorN: 18},
 	}
 
@@ -76,7 +76,11 @@ func TestFitLifecycleOneHistory(t *testing.T) {
 	for i, st := range steps {
 		n := i + 3
 		if st.before != nil {
-			st.before(g, &w, n)
+			st.before(&w, n)
+		}
+		if st.sparse != nil {
+			cfg = *st.sparse
+			g.SetSparse(cfg)
 		}
 		if w != nil {
 			w = append(w, 1) // the new observation enters at full weight
@@ -105,7 +109,7 @@ func TestFitLifecycleOneHistory(t *testing.T) {
 		}
 
 		fresh := New(NewMatern52(1, 0.5), 0.01)
-		fresh.SetSparse(g.Sparse())
+		fresh.SetSparse(cfg)
 		from := n
 		if st.appended && st.active {
 			from = lastSelect

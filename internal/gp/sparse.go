@@ -21,8 +21,8 @@ import (
 // O(n·m) scan plus one O(m³) refactor) is amortized to every ReselectEvery
 // appends, and forced early whenever the incremental invariants break —
 // a kernel/noise change that was not adopted from the factor's own search,
-// an observation-weight decay (forgetting), or a non-extending history —
-// mirroring the exact path's factorParams/factorW gating.
+// an observation-weight decay (forgetting), or a non-extending history: the
+// same rule that gates exact appends (GP.Fit).
 type SparseConfig struct {
 	// Threshold activates sparse inference once the fitted history has more
 	// than this many observations; <= 0 disables sparse inference entirely.
@@ -41,10 +41,6 @@ type SparseConfig struct {
 func DefaultSparseConfig() SparseConfig {
 	return SparseConfig{Threshold: 256, MaxAnchors: 256, ReselectEvery: 64}
 }
-
-// Enabled reports whether the configuration activates sparse inference for
-// any history length.
-func (c SparseConfig) Enabled() bool { return c.Threshold > 0 }
 
 // withDefaults normalizes a sparse configuration: a disabled config is the
 // zero value, an enabled one has its optional fields defaulted.
@@ -168,36 +164,17 @@ type SparseStats struct {
 }
 
 // SetSparse configures subset-of-data sparse inference for subsequent Fit
-// calls; the zero SparseConfig disables it. Any existing anchor state and
-// factorization are dropped, so the next Fit either re-selects under the
-// new configuration or refactors exactly — call SetSparse before fitting
-// (or between fits), not between a Fit and its Predicts.
+// calls; the zero SparseConfig disables it. An anchor view selected under
+// the old configuration is dropped, and its factor with it — a changed view
+// has no factor — so the next Fit either re-selects under the new
+// configuration or refactors exactly. Call SetSparse before fitting (or
+// between fits), not between a Fit and its Predicts.
 func (g *GP) SetSparse(cfg SparseConfig) {
 	g.sparse = cfg.withDefaults()
-	g.dropAnchors()
-}
-
-// Sparse returns the installed sparse configuration (zero when disabled).
-func (g *GP) Sparse() SparseConfig { return g.sparse }
-
-// SparseStats returns the sparse-inference state of the last Fit.
-func (g *GP) SparseStats() SparseStats {
-	return SparseStats{
-		Active:    g.anchorIdx != nil,
-		Anchors:   len(g.anchorIdx),
-		Reselects: g.reselects,
-	}
-}
-
-// dropAnchors deactivates sparse conditioning and invalidates the factor
-// (which, if present, belongs to the anchor subset): the next Fit rebuilds
-// from scratch on whichever training set its gate selects.
-func (g *GP) dropAnchors() {
-	if g.anchorIdx == nil {
+	if g.view == nil {
 		return
 	}
-	g.anchorIdx = nil
-	g.anchorX = g.anchorX[:0]
+	g.view, g.tx = nil, g.x
 	g.appendsSinceSelect = 0
 	g.chol = nil
 	g.factorParams = nil
@@ -205,92 +182,29 @@ func (g *GP) dropAnchors() {
 	g.kinv = nil
 }
 
-// fitSparse is Fit's subset-of-data path, entered once the history exceeds
-// SparseConfig.Threshold. The state machine mirrors the exact path's: an
-// extending history with an unchanged factor appends the new observation to
-// the anchor set through the exact rank-1 Cholesky in O(m²); anything else
-// — activation, the amortized re-selection budget expiring, a kernel or
-// noise change, an observation-weight decay, a non-extending history — pays
-// one farthest-point re-selection and an O(m³) refactor.
-func (g *GP) fitSparse(x [][]float64, y []float64) error {
-	incremental := g.anchorIdx != nil && g.chol != nil &&
-		len(x) == len(g.x)+1 &&
-		g.appendsSinceSelect < g.sparse.ReselectEvery &&
-		g.factorMatchesKernel() && g.anchorWeightsMatch() &&
-		extendsPrefix(x, g.x)
-	g.x, g.y = x, y
-	g.meanY = mean(y)
-	if incremental {
-		n := len(x)
-		g.anchorIdx = append(g.anchorIdx, n-1)
-		g.anchorX = append(g.anchorX, x[n-1])
-		if err := g.appendPoint(); err == nil {
-			g.appendsSinceSelect++
-			return nil
-		}
-		// Numerically borderline append: drop the speculative anchor and
-		// let the full re-selection + refactor below decide for real.
-		g.anchorIdx = g.anchorIdx[:len(g.anchorIdx)-1]
-		g.anchorX = g.anchorX[:len(g.anchorX)-1]
+// SparseStats returns the sparse-inference state of the last Fit.
+func (g *GP) SparseStats() SparseStats {
+	return SparseStats{
+		Active:    g.view != nil,
+		Anchors:   len(g.view),
+		Reselects: g.reselects,
 	}
-	g.selectAnchors()
-	return g.refactor()
 }
 
-// selectAnchors runs one full farthest-point selection pass over the
-// current inputs, resetting the append budget.
+// selectAnchors replaces the view with one full farthest-point selection
+// pass over the current inputs, resetting the append budget. The gathered
+// rows reuse the previous anchor view's backing array; an identity view's
+// tx is the caller's x and is never written through.
 func (g *GP) selectAnchors() {
-	g.anchorIdx = SelectAnchors(g.x, g.sparse.MaxAnchors)
-	g.anchorX = g.anchorX[:0]
-	for _, idx := range g.anchorIdx {
-		g.anchorX = append(g.anchorX, g.x[idx])
+	tx := g.tx[:0]
+	if g.view == nil {
+		tx = nil
 	}
+	g.view = SelectAnchors(g.x, g.sparse.MaxAnchors)
+	for _, i := range g.view {
+		tx = append(tx, g.x[i])
+	}
+	g.tx = tx
 	g.appendsSinceSelect = 0
 	g.reselects++
-}
-
-// anchorWeightsMatch reports whether the current factorization's noise
-// diagonal was built with the presently installed observation weights at
-// every anchor — the sparse counterpart of factorMatchesWeights. A decay
-// anywhere in the anchor set forces a full re-selection and refactor.
-func (g *GP) anchorWeightsMatch() bool {
-	if g.factorW == nil {
-		return g.obsW == nil
-	}
-	if g.obsW == nil || len(g.factorW) != len(g.anchorIdx) {
-		return false
-	}
-	for k, idx := range g.anchorIdx {
-		if idx >= len(g.obsW) || g.obsW[idx] != g.factorW[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// trainX returns the effective training inputs: the anchor subset when
-// sparse conditioning is active, the full history otherwise. Every
-// factorization, solve and prediction runs over this set.
-func (g *GP) trainX() [][]float64 {
-	if g.anchorIdx != nil {
-		return g.anchorX
-	}
-	return g.x
-}
-
-// trainYAt returns effective training target i (anchor-mapped when sparse).
-func (g *GP) trainYAt(i int) float64 {
-	if g.anchorIdx != nil {
-		return g.y[g.anchorIdx[i]]
-	}
-	return g.y[i]
-}
-
-// effWeight returns the observation weight of effective training point i
-// (anchor-mapped when sparse); the caller has checked g.obsW != nil.
-func (g *GP) effWeight(i int) float64 {
-	if g.anchorIdx != nil {
-		return g.obsW[g.anchorIdx[i]]
-	}
-	return g.obsW[i]
 }
