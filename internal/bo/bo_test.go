@@ -3,6 +3,7 @@ package bo
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -277,7 +278,15 @@ func TestQuickOptimizeBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 1 + rng.Intn(6)
-		acq := func(x []float64) float64 { return rng.NormFloat64() }
+		// Random scores from a stream of their own, serialized: the optimizer
+		// calls an AcqFunc from several goroutines at once.
+		var mu sync.Mutex
+		noise := rand.New(rand.NewSource(seed + 1))
+		acq := func(x []float64) float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			return noise.NormFloat64()
+		}
 		cfg := OptimizerConfig{RandomCandidates: 16, LocalStarts: 2, LocalSteps: 8, StepScale: 0.5}
 		x := OptimizeAcqBatch(acq, nil, dim, cfg, nil, rng)
 		for _, v := range x {

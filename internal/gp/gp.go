@@ -205,7 +205,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	extend := g.chol != nil && n == len(g.x)+1 &&
 		anchored == (g.view != nil) &&
 		(!anchored || g.appendsSinceSelect < g.sparse.ReselectEvery) &&
-		g.factorMatchesKernel() && g.factorMatchesWeights() &&
+		g.factorMatchesKernel() && g.viewWeightsMatch() &&
 		extendsPrefix(x, g.x)
 	g.x, g.y = x, y
 	g.meanY = mean(y)
@@ -252,11 +252,11 @@ func (g *GP) factorMatchesKernel() bool {
 	return true
 }
 
-// factorMatchesWeights reports whether the current factorization's noise
+// viewWeightsMatch reports whether the current factorization's noise
 // diagonal was built with the presently installed observation weights at
 // every view entry. A weights change (forgetting decayed the history)
 // forces a rebuild; between changes the incremental path stays open.
-func (g *GP) factorMatchesWeights() bool {
+func (g *GP) viewWeightsMatch() bool {
 	if g.factorW == nil {
 		return g.obsW == nil
 	}
@@ -344,9 +344,7 @@ func (g *GP) refactor() error {
 		g.chol = &mat.Cholesky{}
 	}
 	if err := g.chol.Factor(k); err != nil {
-		g.chol = nil
-		g.factorParams = nil
-		g.factorW = nil
+		g.dropFactor()
 		return fmt.Errorf("gp: factorization failed: %w", err)
 	}
 	g.factorParams = append(g.factorParams[:0], g.kernel.Params()...)
@@ -361,6 +359,15 @@ func (g *GP) refactor() error {
 	}
 	g.solveAlpha()
 	return nil
+}
+
+// dropFactor leaves the GP without a factorization (Predict returns the
+// prior, the next Fit rebuilds).
+func (g *GP) dropFactor() {
+	g.chol = nil
+	g.factorParams = nil
+	g.factorW = nil
+	g.kinv = nil
 }
 
 // solveAlpha recomputes the weight vector α = (K + σ²I)⁻¹ (y − mean) for the

@@ -176,10 +176,7 @@ func (g *GP) SetSparse(cfg SparseConfig) {
 	}
 	g.view, g.tx = nil, g.x
 	g.appendsSinceSelect = 0
-	g.chol = nil
-	g.factorParams = nil
-	g.factorW = nil
-	g.kinv = nil
+	g.dropFactor()
 }
 
 // SparseStats returns the sparse-inference state of the last Fit.

@@ -154,14 +154,14 @@ func (s ledgerSpan) End() {
 	s.Span.End()
 }
 
-// TestCorpusActivateClosesItsSpan pins that every path out of Activate ends
-// the meta.corpus_activate span it opened: the exact fallback, the indexed
-// shortlist, and the fewer-comparable-than-K, nothing-comparable and
-// non-finite-target fallbacks. The remaining path — shortlist returning an
-// index error, where the span used to leak — is not reachable through
-// Activate's arguments (the comparable filter rejects everything the index
-// validates), so it is covered by construction: the span now ends in a
-// defer, which this test would catch being undone on any path it can drive.
+// TestCorpusActivateClosesItsSpan pins that Activate ends the
+// meta.corpus_activate span it opened on every path its arguments can
+// reach: the exact fallback, the indexed shortlist, and the
+// fewer-comparable-than-K, nothing-comparable and non-finite-target
+// fallbacks. The span used to leak when shortlist returned an index error;
+// that path cannot be provoked from here (the comparable filter rejects
+// everything the index validates), so the defer that now ends the span is
+// its only cover.
 func TestCorpusActivateClosesItsSpan(t *testing.T) {
 	var fits []int
 	big := testCorpus(t, 70, &fits) // above the index's brute-force threshold

@@ -8,6 +8,9 @@
 #   4. go test ./...                 (includes the exhaustive crash-point
 #                                     harness, golden-trace and error-path
 #                                     regression suites)
+#      then go vet + go test -C benchmark: the benchmark is a nested module
+#      that `./...` at the root never compiles, so a change that breaks the
+#      surface benchmark/adapter.go pins fails here, not in the pipeline
 #   5. go test -race ./...           (short mode: the crash harness strides
 #                                     its boundary enumeration under -short)
 #   6. a benchmark smoke pass: the batched math-core benchmarks, the
@@ -58,6 +61,9 @@ go vet ./...
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> go vet + go test -C benchmark ./... (nested module)"
+go vet -C benchmark ./... && go test -C benchmark ./...
 
 echo "==> go test -race -short ./..."
 go test -race -short ./...
