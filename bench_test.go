@@ -656,3 +656,51 @@ func BenchmarkReplayWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMeasureDeterministic is one deterministic minidb.Evaluator.Measure
+// of the default configuration — open, load, replay, close — in the two
+// shapes of the repository benchmark's engine sweeps.
+func BenchmarkMeasureDeterministic(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		w    workload.Workload
+		txn  bool
+	}{
+		{"read", workload.Sysbench(10), false},
+		{"write", workload.TPCC(200), true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			space := knobs.RealEngineSpace()
+			ev := minidb.NewEvaluator(b.TempDir(), space, dbsim.IOPS, tc.w, 1)
+			ev.Deterministic = true
+			ev.TxnMode = tc.txn
+			native := space.Defaults()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m := ev.Measure(native); m.TPS <= 1 {
+					b.Fatalf("replay failed: %+v", m)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpenClose opens and closes an empty database at the top of the
+// knob ranges (4 GB pool, 64 MB log buffer): the fixed cost every Measure
+// pays before touching a page.
+func BenchmarkOpenClose(b *testing.B) {
+	cfg := minidb.DefaultTestConfig(b.TempDir())
+	cfg.BufferPoolBytes = 4 << 30
+	cfg.WAL.BufferBytes = 64 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db, err := minidb.Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

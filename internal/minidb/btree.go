@@ -173,6 +173,180 @@ func writeLeaf(data *[PageSize]byte, entries []leafEntry) {
 	}
 }
 
+// --- in-place leaf kernels ---------------------------------------------------
+//
+// The non-splitting paths edit a leaf's bytes where they lie instead of
+// decoding the page into []leafEntry and re-encoding it. The leaf format is
+// unchanged and the resulting page bytes are exactly what the decoded path
+// (readLeaf → modify → writeLeaf) would have written, including the stale
+// bytes past the last entry that writeLeaf never clears. A kernel only acts
+// on a well-formed leaf — every entry inside the page, keys strictly
+// ascending; on anything else it reports ok=false with the page untouched
+// and the caller takes the decoded path, whose bounds-checked readLeaf
+// defines the behaviour on garbage.
+
+// leafCount is the entry count a leaf's header claims.
+func leafCount(data *[PageSize]byte) int {
+	return int(binary.LittleEndian.Uint16(data[1:3]))
+}
+
+// leafSpan walks a leaf once. start is the offset of the first entry with
+// key >= lo, stop the offset of the first entry at or after start with
+// key > hi (so [start, stop) holds exactly the entries in [lo, hi]), and end
+// the offset past the last entry. ok is false on a malformed leaf.
+func leafSpan(data *[PageSize]byte, lo, hi int64) (start, stop, end int, ok bool) {
+	n := leafCount(data)
+	start, stop = -1, -1
+	off := headerSize
+	var prev int64
+	for i := 0; i < n; i++ {
+		if off+10 > PageSize {
+			return 0, 0, 0, false
+		}
+		k := int64(binary.LittleEndian.Uint64(data[off:]))
+		next := off + 10 + int(binary.LittleEndian.Uint16(data[off+8:]))
+		if next > PageSize || (i > 0 && k <= prev) {
+			return 0, 0, 0, false
+		}
+		if start < 0 && k >= lo {
+			start = off
+		}
+		if start >= 0 && stop < 0 && k > hi {
+			stop = off
+		}
+		prev = k
+		off = next
+	}
+	if start < 0 {
+		start = off
+	}
+	if stop < 0 {
+		stop = off
+	}
+	return start, stop, off, true
+}
+
+// leafPut inserts or overwrites key in place. fit=false means the result
+// would overflow the page; nothing was written.
+func leafPut(data *[PageSize]byte, key int64, val []byte) (fit, ok bool) {
+	start, stop, end, ok := leafSpan(data, key, key)
+	if !ok {
+		return false, false
+	}
+	next := start + 10 + len(val)
+	if end+next-stop > PageSize {
+		return false, true
+	}
+	copy(data[next:], data[stop:end])
+	binary.LittleEndian.PutUint64(data[start:], uint64(key))
+	binary.LittleEndian.PutUint16(data[start+8:], uint16(len(val)))
+	copy(data[start+10:], val)
+	if start == stop {
+		binary.LittleEndian.PutUint16(data[1:3], uint16(leafCount(data)+1))
+	}
+	return true, true
+}
+
+// leafDelete removes key in place, reporting whether it was present.
+func leafDelete(data *[PageSize]byte, key int64) (found, ok bool) {
+	start, stop, end, ok := leafSpan(data, key, key)
+	if !ok || start == stop {
+		return false, ok
+	}
+	copy(data[start:], data[stop:end])
+	binary.LittleEndian.PutUint16(data[1:3], uint16(leafCount(data)-1))
+	return true, true
+}
+
+// upsertEntry is the decoded path's insert-or-overwrite, shared by the
+// split path and the malformed-page fallback.
+func upsertEntry(entries []leafEntry, key int64, val []byte) []leafEntry {
+	idx := 0
+	for idx < len(entries) && entries[idx].key < key {
+		idx++
+	}
+	if idx < len(entries) && entries[idx].key == key {
+		entries[idx].val = append([]byte(nil), val...)
+		return entries
+	}
+	entries = append(entries, leafEntry{})
+	copy(entries[idx+1:], entries[idx:])
+	entries[idx] = leafEntry{key, append([]byte(nil), val...)}
+	return entries
+}
+
+// leafPutDecoded is leafPut through the decoded path.
+func leafPutDecoded(data *[PageSize]byte, key int64, val []byte) (fit bool) {
+	entries := upsertEntry(readLeaf(data), key, val)
+	if leafSize(entries) > PageSize {
+		return false
+	}
+	writeLeaf(data, entries)
+	return true
+}
+
+// leafDeleteDecoded is leafDelete through the decoded path.
+func leafDeleteDecoded(data *[PageSize]byte, key int64) (found bool) {
+	entries := readLeaf(data)
+	for i, e := range entries {
+		if e.key == key {
+			writeLeaf(data, append(entries[:i], entries[i+1:]...))
+			return true
+		}
+	}
+	return false
+}
+
+// leafRange is one leaf's answer to a range scan: taken under the page
+// latch, visited after the latch and the pin are released.
+type leafRange struct {
+	// snap holds the bytes of the entries in [lo, hi] of a well-formed leaf,
+	// copied once; entries holds them decoded for a malformed one.
+	snap    []byte
+	entries []leafEntry
+	// more is false when a key above hi was met: the scan ends at this leaf.
+	more bool
+}
+
+func snapshotLeaf(data *[PageSize]byte, lo, hi int64) leafRange {
+	if start, stop, end, ok := leafSpan(data, lo, hi); ok {
+		return leafRange{snap: append([]byte(nil), data[start:stop]...), more: stop == end}
+	}
+	r := leafRange{more: true}
+	for _, e := range readLeaf(data) {
+		if e.key < lo {
+			continue
+		}
+		if e.key > hi {
+			r.more = false
+			break
+		}
+		r.entries = append(r.entries, e)
+	}
+	return r
+}
+
+// visit calls fn on each entry in key order and reports whether the scan
+// continues past this leaf.
+func (r leafRange) visit(fn func(int64, []byte) bool) bool {
+	for _, e := range r.entries {
+		if !fn(e.key, e.val) {
+			return false
+		}
+	}
+	for off := 0; off < len(r.snap); {
+		k := int64(binary.LittleEndian.Uint64(r.snap[off:]))
+		next := off + 10 + int(binary.LittleEndian.Uint16(r.snap[off+8:]))
+		// Capacity-capped: a callback that appends to val must not reach
+		// into the next entry of the shared snapshot.
+		if !fn(k, r.snap[off+10:next:next]) {
+			return false
+		}
+		off = next
+	}
+	return r.more
+}
+
 type internalNode struct {
 	keys     []int64  // n separators
 	children []PageID // n+1 children; child[i] holds keys < keys[i]
@@ -369,27 +543,13 @@ func (t *BTree) putInPlace(key int64, val []byte) (done bool, err error) {
 		// our shared hold. Another in-place writer may slip in, which is
 		// fine — the size check below sees the latest contents.
 		p.latch.Lock()
-		entries := readLeaf(&p.data)
-		idx := 0
-		for idx < len(entries) && entries[idx].key < key {
-			idx++
+		fit, ok := leafPut(&p.data, key, val)
+		if !ok {
+			fit = leafPutDecoded(&p.data, key, val)
 		}
-		if idx < len(entries) && entries[idx].key == key {
-			entries[idx].val = append([]byte(nil), val...)
-		} else {
-			entries = append(entries, leafEntry{})
-			copy(entries[idx+1:], entries[idx:])
-			entries[idx] = leafEntry{key, append([]byte(nil), val...)}
-		}
-		if leafSize(entries) > PageSize {
-			p.latch.Unlock()
-			t.pool.Unpin(p, false)
-			return false, nil
-		}
-		writeLeaf(&p.data, entries)
 		p.latch.Unlock()
-		t.pool.Unpin(p, true)
-		return true, nil
+		t.pool.Unpin(p, fit)
+		return fit, nil
 	}
 }
 
@@ -408,18 +568,7 @@ func (t *BTree) insert(id PageID, key int64, val []byte, depth int) (*splitResul
 		return nil, err
 	}
 	if p.data[0] == nodeLeaf {
-		entries := readLeaf(&p.data)
-		idx := 0
-		for idx < len(entries) && entries[idx].key < key {
-			idx++
-		}
-		if idx < len(entries) && entries[idx].key == key {
-			entries[idx].val = append([]byte(nil), val...)
-		} else {
-			entries = append(entries, leafEntry{})
-			copy(entries[idx+1:], entries[idx:])
-			entries[idx] = leafEntry{key, append([]byte(nil), val...)}
-		}
+		entries := upsertEntry(readLeaf(&p.data), key, val)
 		if leafSize(entries) <= PageSize {
 			p.latch.Lock()
 			writeLeaf(&p.data, entries)
@@ -524,23 +673,19 @@ func (t *BTree) Delete(key int64) (bool, error) {
 		}
 		p.latch.RUnlock()
 		p.latch.Lock()
-		entries := readLeaf(&p.data)
-		for i, e := range entries {
-			if e.key == key {
-				entries = append(entries[:i], entries[i+1:]...)
-				writeLeaf(&p.data, entries)
-				p.latch.Unlock()
-				t.pool.Unpin(p, true)
-				return true, nil
-			}
+		found, ok := leafDelete(&p.data, key)
+		if !ok {
+			found = leafDeleteDecoded(&p.data, key)
 		}
 		p.latch.Unlock()
-		t.pool.Unpin(p, false)
-		return false, nil
+		t.pool.Unpin(p, found)
+		return found, nil
 	}
 }
 
-// Scan visits keys in [lo, hi] in order until fn returns false.
+// Scan visits keys in [lo, hi] in order until fn returns false. val is a
+// slice of a private per-leaf snapshot: fn may keep it, and runs with no
+// latch or pin held.
 func (t *BTree) Scan(lo, hi int64, fn func(key int64, val []byte) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -558,21 +703,10 @@ func (t *BTree) scan(id PageID, lo, hi int64, fn func(int64, []byte) bool, depth
 	}
 	p.latch.RLock()
 	if p.data[0] == nodeLeaf {
-		entries := readLeaf(&p.data)
+		r := snapshotLeaf(&p.data, lo, hi)
 		p.latch.RUnlock()
 		t.pool.Unpin(p, false)
-		for _, e := range entries {
-			if e.key < lo {
-				continue
-			}
-			if e.key > hi {
-				return false, nil
-			}
-			if !fn(e.key, e.val) {
-				return false, nil
-			}
-		}
-		return true, nil
+		return r.visit(fn), nil
 	}
 	node := readInternal(&p.data)
 	p.latch.RUnlock()

@@ -2,6 +2,7 @@ package minidb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,15 @@ type BufferPool struct {
 
 // poolInstance is one independently latched slice of the pool.
 type poolInstance struct {
-	mu       sync.Mutex
-	pager    *pager
+	mu    sync.Mutex
+	pager *pager
+	// frames grows with the pages actually resident; capacity (the knob)
+	// only decides when admitting one more page must evict.
 	frames   map[PageID]*page
 	capacity int
+	// dirty indexes the frames whose dirty flag is set, so a checkpoint
+	// costs O(dirty) instead of a walk over every resident page.
+	dirty map[PageID]*page
 	// ioErr is the first flush failure seen by a path with no caller to
 	// report to (the background cleaner). It is sticky: every later fetch
 	// or checkpoint on this instance surfaces it instead of letting a
@@ -119,7 +125,8 @@ func newBufferPool(pg *pager, cfg BufferPoolConfig) *BufferPool {
 	for i := range bp.instances {
 		inst := &poolInstance{
 			pager:    pg,
-			frames:   make(map[PageID]*page, per),
+			frames:   make(map[PageID]*page),
+			dirty:    make(map[PageID]*page),
 			capacity: per,
 			oldPct:   cfg.OldBlocksPct,
 		}
@@ -216,8 +223,7 @@ func (b *poolInstance) evictOne() error {
 			if err := b.pager.write(p.id, &p.data); err != nil {
 				return err
 			}
-			b.flushes.Add(1)
-			p.dirty = false
+			b.markClean(p)
 		}
 		b.unlink(p)
 		delete(b.frames, p.id)
@@ -235,10 +241,18 @@ func (b *BufferPool) Unpin(p *page, dirty bool) {
 	inst := b.instance(p.id)
 	inst.mu.Lock()
 	p.pins--
-	if dirty {
+	if dirty && !p.dirty {
 		p.dirty = true
+		inst.dirty[p.id] = p
 	}
 	inst.mu.Unlock()
+}
+
+// markClean records a completed flush of p. Caller holds b.mu.
+func (b *poolInstance) markClean(p *page) {
+	p.dirty = false
+	delete(b.dirty, p.id)
+	b.flushes.Add(1)
 }
 
 // touch implements the young/old promotion policy. Caller holds b.mu.
@@ -388,17 +402,19 @@ func (b *poolInstance) cleanPass(scanDepth, writeBudget int) int {
 				}
 				return flushed
 			}
-			p.dirty = false
-			b.flushes.Add(1)
+			b.markClean(p)
 			flushed++
 		}
 	}
 	return flushed
 }
 
-// FlushAll writes every dirty page (checkpoint). Pinned pages are written
-// under their shared page latch so an in-flight leaf write cannot tear the
-// checkpoint image.
+// FlushAll writes every dirty page (checkpoint): instance by instance, and
+// within an instance in ascending page-id order, so the sequence of writes
+// is a function of the workload, not of Go's map iteration — a recorded
+// crash point names the same durable state on every run. Pinned pages are
+// written under their shared page latch so an in-flight leaf write cannot
+// tear the checkpoint image.
 func (b *BufferPool) FlushAll() error {
 	for _, inst := range b.instances {
 		if err := inst.flushAll(); err != nil {
@@ -414,21 +430,24 @@ func (b *poolInstance) flushAll() error {
 	if b.ioErr != nil {
 		return b.ioErr
 	}
-	for _, p := range b.frames {
-		if p.dirty {
-			if p.pins > 0 {
-				p.latch.RLock()
-			}
-			err := b.pager.write(p.id, &p.data)
-			if p.pins > 0 {
-				p.latch.RUnlock()
-			}
-			if err != nil {
-				return err
-			}
-			p.dirty = false
-			b.flushes.Add(1)
+	ids := make([]PageID, 0, len(b.dirty))
+	for id := range b.dirty {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		p := b.dirty[id]
+		if p.pins > 0 {
+			p.latch.RLock()
 		}
+		err := b.pager.write(p.id, &p.data)
+		if p.pins > 0 {
+			p.latch.RUnlock()
+		}
+		if err != nil {
+			return err
+		}
+		b.markClean(p)
 	}
 	return nil
 }

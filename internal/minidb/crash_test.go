@@ -478,3 +478,37 @@ func TestCrashDuringRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashTraceDeterministic: the harness's promise that a failure
+// reproduces from MINIDB_CRASH_SEED / MINIDB_CRASH_POINT holds only if the
+// recorded trace is a function of the seed. Two recordings must agree on
+// the durable image at every boundary under both crash modes — which they
+// did not while checkpoints flushed dirty pages in Go's map order.
+func TestCrashTraceDeterministic(t *testing.T) {
+	seed := crashSeed(t)
+	a := vfs.NewFaultFS(vfs.FaultConfig{})
+	b := vfs.NewFaultFS(vfs.FaultConfig{})
+	crashWorkload(t, a, seed)
+	crashWorkload(t, b, seed)
+	total := a.Ops()
+	if b.Ops() != total {
+		t.Fatalf("two recordings of seed %d: %d vs %d syscall boundaries", seed, total, b.Ops())
+	}
+	stride := int64(1)
+	if testing.Short() {
+		stride = 7
+	}
+	for k := int64(0); k <= total; k += stride {
+		for _, mode := range []vfs.CrashMode{vfs.DropUnsynced, vfs.TornWrites} {
+			ia, ib := a.CrashImage(k, mode, seed+k), b.CrashImage(k, mode, seed+k)
+			if len(ia) != len(ib) {
+				t.Fatalf("boundary %d mode %d: %d vs %d files", k, mode, len(ia), len(ib))
+			}
+			for name, da := range ia {
+				if db, ok := ib[name]; !ok || !bytes.Equal(da, db) {
+					t.Fatalf("boundary %d/%d mode %d: durable image of %s differs between two recordings of seed %d", k, total, mode, name, seed)
+				}
+			}
+		}
+	}
+}

@@ -2,9 +2,12 @@ package minidb
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/dbsim"
 	"repro/internal/vfs"
+	"repro/internal/workload"
 )
 
 // Regression tests for the I/O error-path audit: a failed write, sync,
@@ -218,5 +221,33 @@ func TestWALTruncateErrorSurfaces(t *testing.T) {
 	fs.SetErr(vfs.OpTruncate, -1)
 	if err := w.Reset(); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("reset during truncate failure = %v, want ErrInjected", err)
+	}
+}
+
+// TestMeasureSurfacesCloseError: a measurement whose engine fails its final
+// checkpoint describes a database that did not survive shutdown. measure
+// must return the Close error (it used to drop it behind a defer), and
+// Measure must map it to the failure sentinel like any other replay error.
+func TestMeasureSurfacesCloseError(t *testing.T) {
+	fs := vfs.NewFaultFS(vfs.FaultConfig{})
+	ev := NewEvaluator("eval", realSpace(), dbsim.IOPS, workload.Sysbench(10).WithRequestRate(800), 1)
+	ev.Rows = 100
+	ev.Deterministic = true
+	ev.fs = fs
+	if _, err := ev.measure("eval/clean", ev.DefaultNative()); err != nil {
+		t.Fatalf("measure without faults: %v", err)
+	}
+
+	// A one-table measurement renames the catalog into place three times:
+	// CreateTable, Load's checkpoint, Close. Fail the third.
+	fs.SetErr(vfs.OpRename, 3)
+	_, err := ev.measure("eval/faulted", ev.DefaultNative())
+	if !errors.Is(err, vfs.ErrInjected) || !strings.Contains(err.Error(), "closing after replay") {
+		t.Fatalf("measure over a failing Close = %v, want the injected error from the close path", err)
+	}
+
+	fs.SetErr(vfs.OpRename, 3)
+	if m := ev.Measure(ev.DefaultNative()); m.TPS != 1 || m.LatencyP99Ms != 1e6 || m.CPUUtilPct != 100 {
+		t.Fatalf("Measure over a failing Close = %+v, want the failure sentinel", m)
 	}
 }

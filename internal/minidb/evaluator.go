@@ -15,6 +15,7 @@ import (
 	"repro/internal/knobs"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
@@ -75,6 +76,10 @@ type Evaluator struct {
 	// (0 defaults to 96 — 15-minute steps over a 24h day).
 	TimelineSteps int
 
+	// fs overrides the engine's filesystem (nil keeps the real one); the
+	// error-path tests put a vfs.FaultFS here.
+	fs vfs.FS
+
 	runs int
 	lp   workload.LoadPoint
 	sig  []float64
@@ -134,6 +139,7 @@ func (e *Evaluator) Measure(native []float64) dbsim.Measurement {
 func (e *Evaluator) measure(dir string, native []float64) (dbsim.Measurement, error) {
 	cfg := ConfigFromKnobs(dir, e.Knobs, native)
 	cfg.Recorder = e.Recorder
+	cfg.FS = e.fs
 	cfg.CleanerInterval = 20 * time.Millisecond
 	cfg.WAL.TimerInterval = 100 * time.Millisecond
 	if e.Deterministic {
@@ -144,8 +150,18 @@ func (e *Evaluator) measure(dir string, native []float64) (dbsim.Measurement, er
 	if err != nil {
 		return dbsim.Measurement{}, err
 	}
-	defer db.Close()
+	m, err := e.replay(db, cfg)
+	// A failed final checkpoint means the counters describe a database that
+	// did not survive its own shutdown: report it, not the measurement.
+	if cerr := db.Close(); err == nil && cerr != nil {
+		return dbsim.Measurement{}, fmt.Errorf("minidb: closing after replay: %w", cerr)
+	}
+	return m, err
+}
 
+// replay loads the dataset into the open engine and replays the workload
+// against it.
+func (e *Evaluator) replay(db *DB, cfg Config) (dbsim.Measurement, error) {
 	rows := e.Rows
 	if rows <= 0 {
 		rows = 2000

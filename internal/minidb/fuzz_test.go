@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/vfs"
 )
 
@@ -190,5 +191,172 @@ func FuzzWALReplay(f *testing.F) {
 		if err := db.Close(); err != nil {
 			t.Fatalf("close after recovery: %v", err)
 		}
+	})
+}
+
+// leafWellFormed is the reference definition of the page shape the in-place
+// kernels accept, phrased over the decoded path: every entry the header
+// claims fits the page, and keys ascend strictly.
+func leafWellFormed(data *[PageSize]byte) bool {
+	entries := readLeaf(data)
+	if len(entries) != leafCount(data) {
+		return false
+	}
+	for i := 1; i < len(entries); i++ {
+		if entries[i].key <= entries[i-1].key {
+			return false
+		}
+	}
+	return true
+}
+
+// checkLeafKernels interprets prog as put/update/delete/scan operations
+// (three bytes each: opcode, key, value length or range width) and runs them
+// over two copies of one page: the in-place kernels, falling back the way
+// BTree does, and the readLeaf/writeLeaf reference. After every operation
+// the two pages must hold identical bytes and have reported identical
+// fit/found/visit results. garbage, when non-empty, is the initial page
+// image (type byte forced to leaf, as the kernels' callers guarantee).
+func checkLeafKernels(t *testing.T, prog, garbage []byte) {
+	var kern, ref [PageSize]byte
+	copy(kern[:], garbage)
+	kern[0] = nodeLeaf
+	ref = kern
+	for i := 0; i+3 <= len(prog); i += 3 {
+		op, kb, lb := prog[i]%4, prog[i+1], prog[i+2]
+		key := int64(kb) - 128
+		if prog[i]&0x80 != 0 {
+			key <<= 55 // reach the extremes of the key space too
+		}
+		before := kern
+		wellFormed := leafWellFormed(&before)
+		switch op {
+		case 0, 1: // put / update
+			val := make([]byte, int(lb)*(MaxValueLen+1)/256)
+			for j := range val {
+				val[j] = byte(i + j)
+			}
+			fit, ok := leafPut(&kern, key, val)
+			if ok != wellFormed {
+				t.Fatalf("op %d: leafPut ok=%v on a page with wellFormed=%v", i/3, ok, wellFormed)
+			}
+			if !ok {
+				if kern != before {
+					t.Fatalf("op %d: leafPut modified a malformed page", i/3)
+				}
+				fit = leafPutDecoded(&kern, key, val)
+			}
+			if want := leafPutDecoded(&ref, key, val); fit != want {
+				t.Fatalf("op %d: put(%d, %d bytes) fit=%v, reference %v", i/3, key, len(val), fit, want)
+			}
+			if !fit && kern != before {
+				t.Fatalf("op %d: overflowing put modified the page", i/3)
+			}
+		case 2: // delete
+			found, ok := leafDelete(&kern, key)
+			if ok != wellFormed {
+				t.Fatalf("op %d: leafDelete ok=%v on a page with wellFormed=%v", i/3, ok, wellFormed)
+			}
+			if !ok {
+				if kern != before {
+					t.Fatalf("op %d: leafDelete modified a malformed page", i/3)
+				}
+				found = leafDeleteDecoded(&kern, key)
+			}
+			if want := leafDeleteDecoded(&ref, key); found != want {
+				t.Fatalf("op %d: delete(%d) found=%v, reference %v", i/3, key, found, want)
+			}
+		case 3: // scan [key, key+lb), stopping early after lb%7 visits
+			lo, hi := key, key+int64(lb)-1
+			limit := int(lb % 7)
+			type kv struct {
+				k int64
+				v string
+			}
+			var got, want []kv
+			r := snapshotLeaf(&kern, lo, hi)
+			if wellFormed && r.entries != nil || !wellFormed && r.snap != nil {
+				t.Fatalf("op %d: snapshotLeaf took the wrong path (wellFormed=%v)", i/3, wellFormed)
+			}
+			gotMore := r.visit(func(k int64, v []byte) bool {
+				got = append(got, kv{k, string(v)})
+				_ = append(v, 0xEE) // must not reach the next entry
+				return len(got) != limit
+			})
+			wantMore := true
+			for _, e := range readLeaf(&ref) {
+				if e.key < lo {
+					continue
+				}
+				if e.key > hi {
+					wantMore = false
+					break
+				}
+				want = append(want, kv{e.key, string(e.val)})
+				if len(want) == limit {
+					wantMore = false
+					break
+				}
+			}
+			if gotMore != wantMore || len(got) != len(want) {
+				t.Fatalf("op %d: scan[%d,%d] visited %d more=%v, reference %d more=%v", i/3, lo, hi, len(got), gotMore, len(want), wantMore)
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("op %d: scan[%d,%d] entry %d = %v, reference %v", i/3, lo, hi, j, got[j], want[j])
+				}
+			}
+		}
+		if kern != ref {
+			t.Fatalf("op %d (opcode %d, key %d): page bytes diverge from the reference", i/3, op, key)
+		}
+	}
+}
+
+// FuzzLeafKernels is the differential test for the in-place leaf kernels:
+// random operation sequences with values of 0..MaxValueLen bytes, pages
+// filled until puts overflow, and arbitrary garbage as the starting page.
+func FuzzLeafKernels(f *testing.F) {
+	f.Add([]byte{0, 128, 10, 0, 129, 255, 1, 128, 200, 2, 129, 0, 3, 100, 60}, []byte(nil))
+	// Fill to overflow with maximal values, then churn.
+	var fill []byte
+	for k := 0; k < 40; k++ {
+		fill = append(fill, 0, byte(100+3*k), 255)
+	}
+	for k := 0; k < 40; k++ {
+		fill = append(fill, byte(k%4), byte(100+k), byte(17*k))
+	}
+	f.Add(fill, []byte(nil))
+	// Seeded random programs, so plain `go test` walks deep states too.
+	r := rng.Derive(1, "leaf-kernels")
+	for s := 0; s < 24; s++ {
+		prog := make([]byte, 240)
+		for i := range prog {
+			prog[i] = byte(r.Intn(256))
+		}
+		f.Add(prog, []byte(nil))
+	}
+	// Garbage pages: a count no page can hold, a value running off the end,
+	// keys out of order, duplicate keys, and noise.
+	churn := []byte{0, 130, 40, 2, 131, 0, 3, 120, 30, 1, 129, 255, 2, 129, 0, 3, 0, 255}
+	f.Add(churn, []byte{nodeLeaf, 0xff, 0xff})
+	f.Add(churn, []byte{nodeLeaf, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff})
+	unsorted := []byte{nodeLeaf, 2, 0}
+	unsorted = binary.LittleEndian.AppendUint64(unsorted, 5)
+	unsorted = append(unsorted, 1, 0, 'x')
+	unsorted = binary.LittleEndian.AppendUint64(unsorted, 3)
+	unsorted = append(unsorted, 1, 0, 'y')
+	f.Add(churn, unsorted)
+	dup := append([]byte(nil), unsorted...)
+	binary.LittleEndian.PutUint64(dup[14:], 5)
+	f.Add(churn, dup)
+	noise := make([]byte, 48)
+	for i := range noise {
+		noise[i] = byte(r.Intn(256))
+	}
+	f.Add(churn, noise)
+
+	f.Fuzz(func(t *testing.T, prog, garbage []byte) {
+		checkLeafKernels(t, prog, garbage)
 	})
 }

@@ -82,6 +82,9 @@ type dblwrSlot struct {
 	// the previous page's home write after its doublewrite copy was
 	// already overwritten.
 	homeDirty bool
+	// rec is the slot's record image (header + page), allocated on the
+	// slot's first use and reused by every later write through it.
+	rec []byte
 }
 
 // pager performs page-granular file I/O and allocation through the vfs
@@ -227,7 +230,10 @@ func (p *pager) write(id PageID, buf *[PageSize]byte) error {
 		}
 		s.homeDirty = false
 	}
-	rec := make([]byte, dblwrRecSize)
+	if s.rec == nil {
+		s.rec = make([]byte, dblwrRecSize)
+	}
+	rec := s.rec
 	putBeU32(rec[0:], dblwrMagic)
 	putBeU32(rec[4:], uint32(id))
 	putBeU32(rec[8:], crc32.ChecksumIEEE(buf[:]))

@@ -70,10 +70,14 @@ const maxWALBody = 1 << 20
 // failed batch reached disk, so every later append or commit fails with the
 // original error rather than silently logging past a hole.
 type WAL struct {
-	mu     sync.Mutex
-	cond   *sync.Cond // signals advances of durableLSN / flushing handoff
-	file   vfs.File
-	buf    []byte // log buffer (innodb_log_buffer_size)
+	mu   sync.Mutex
+	cond *sync.Cond // signals advances of durableLSN / flushing handoff
+	file vfs.File
+	// buf is the log buffer. cap is its logical capacity
+	// (innodb_log_buffer_size) and alone decides when an append forces a
+	// write; the backing array grows on demand towards cap, so opening a log
+	// costs nothing per configured byte.
+	buf    []byte
 	cap    int
 	policy FlushPolicy
 	err    error // first write/sync failure; poisons all later operations
@@ -129,7 +133,6 @@ func openWAL(fsys vfs.FS, path string, cfg WALConfig) (*WAL, error) {
 	}
 	w := &WAL{
 		file:   f,
-		buf:    make([]byte, 0, cfg.BufferBytes),
 		cap:    cfg.BufferBytes,
 		policy: cfg.Policy,
 	}
@@ -187,13 +190,9 @@ func (w *WAL) Append(kind byte, txn, table uint32, key int64, val []byte) error 
 // was absent). Recovery uses it to roll back transactions whose commit
 // record never became durable but whose eagerly-applied pages did.
 func (w *WAL) AppendUndo(kind byte, txn, table uint32, key int64, val []byte, prevExisted bool, prev []byte) error {
-	rec := encodeRecord(kind, txn, table, key, val, prevExisted, prev)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	_, err := w.appendLocked(rec)
+	_, err := w.appendLocked(kind, txn, table, key, val, prevExisted, prev)
 	return err
 }
 
@@ -202,53 +201,85 @@ func (w *WAL) AppendUndo(kind byte, txn, table uint32, key int64, val []byte, pr
 // of images is applied at recovery only if the set's commit marker made it
 // to disk, so a torn tail can never apply half a split).
 func (w *WAL) AppendPageImage(txn uint32, id PageID, img *[PageSize]byte) error {
-	rec := encodeRecord(recPageImage, txn, 0, int64(id), img[:], false, nil)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	_, err := w.appendLocked(rec)
-	return err
+	return w.AppendUndo(recPageImage, txn, 0, int64(id), img[:], false, nil)
 }
 
 // AppendRoot logs a table's root page id under txn (see AppendPageImage).
 func (w *WAL) AppendRoot(txn, table uint32, root PageID) error {
-	rec := encodeRecord(recRoot, txn, table, int64(root), nil, false, nil)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	_, err := w.appendLocked(rec)
-	return err
+	return w.AppendUndo(recRoot, txn, table, int64(root), nil, false, nil)
 }
 
-// appendLocked adds an encoded record to the log buffer and returns the LSN
-// of its end. Caller holds w.mu.
-func (w *WAL) appendLocked(rec []byte) (uint64, error) {
-	if len(w.buf)+len(rec) > w.cap {
+// walRecordOverhead is a record's size beyond its value and before-image
+// (see appendLocked for the layout): header, fixed body prefix, prev header.
+const walRecordOverhead = 8 + 19 + 3
+
+// appendLocked encodes one record straight into the tail of the log buffer
+// and returns the LSN of its end. Layout: len uint32 | crc uint32 | body,
+// where body is kind byte | txn uint32 | table uint32 | key int64 |
+// vlen uint16 | value | prevExisted byte | plen uint16 | prev. Caller holds
+// w.mu.
+func (w *WAL) appendLocked(kind byte, txn, table uint32, key int64, val []byte, prevExisted bool, prev []byte) (uint64, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	n := walRecordOverhead + len(val) + len(prev)
+	if len(w.buf)+n > w.cap {
 		// Log buffer full: forced write (the stall larger
 		// innodb_log_buffer_size avoids).
 		if err := w.writeLocked(); err != nil {
 			return 0, err
 		}
 	}
-	w.buf = append(w.buf, rec...)
-	w.appendLSN += uint64(len(rec))
+	at := len(w.buf)
+	w.growBuf(n)
+	w.buf = w.buf[:at+n]
+	body := w.buf[at+8:]
+	body[0] = kind
+	binary.LittleEndian.PutUint32(body[1:], txn)
+	binary.LittleEndian.PutUint32(body[5:], table)
+	binary.LittleEndian.PutUint64(body[9:], uint64(key))
+	binary.LittleEndian.PutUint16(body[17:], uint16(len(val)))
+	copy(body[19:], val)
+	p := 19 + len(val)
+	body[p] = 0 // the buffer is reused: every byte of the record is written
+	if prevExisted {
+		body[p] = 1
+	}
+	binary.LittleEndian.PutUint16(body[p+1:], uint16(len(prev)))
+	copy(body[p+3:], prev)
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(w.buf[at+4:], crc32.ChecksumIEEE(body))
+	w.appendLSN += uint64(n)
 	return w.appendLSN, nil
+}
+
+// growBuf makes room for n more bytes, doubling the backing array but not
+// past the logical capacity (a single record larger than cap still fits:
+// it is appended to a just-drained buffer).
+func (w *WAL) growBuf(n int) {
+	need := len(w.buf) + n
+	if need <= cap(w.buf) {
+		return
+	}
+	c := 2 * cap(w.buf)
+	if c < 4096 {
+		c = 4096
+	}
+	if c > w.cap {
+		c = w.cap
+	}
+	if c < need {
+		c = need
+	}
+	w.buf = append(make([]byte, 0, c), w.buf...)
 }
 
 // Commit appends the transaction's commit record and applies the
 // durability policy.
 func (w *WAL) Commit(txn uint32) error {
-	rec := encodeRecord(recCommit, txn, 0, 0, nil, false, nil)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	lsn, err := w.appendLocked(rec)
+	lsn, err := w.appendLocked(recCommit, txn, 0, 0, nil, false, nil)
 	if err != nil {
 		return err
 	}
@@ -267,14 +298,7 @@ func (w *WAL) Commit(txn uint32) error {
 // the next barrier or commit fsync, and recovery safely drops an unsynced
 // set along with the pages it described (none of which can have flushed).
 func (w *WAL) AppendCommit(txn uint32) error {
-	rec := encodeRecord(recCommit, txn, 0, 0, nil, false, nil)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	_, err := w.appendLocked(rec)
-	return err
+	return w.AppendUndo(recCommit, txn, 0, 0, nil, false, nil)
 }
 
 // Sync makes every record appended so far durable. The pager calls this as
@@ -469,30 +493,6 @@ func (w *WAL) Stats() (writes, syncs uint64) {
 // commit's fsync (the group-commit win: with N concurrent committers this
 // approaches (N-1)/N of all commits).
 func (w *WAL) GroupedCommits() uint64 { return w.grouped.Load() }
-
-// encodeRecord layout: len uint32 | crc uint32 | body, where body is
-// kind byte | txn uint32 | table uint32 | key int64 | vlen uint16 | value |
-// prevExisted byte | plen uint16 | prev.
-func encodeRecord(kind byte, txn, table uint32, key int64, val []byte, prevExisted bool, prev []byte) []byte {
-	body := make([]byte, 1+4+4+8+2+len(val)+1+2+len(prev))
-	body[0] = kind
-	binary.LittleEndian.PutUint32(body[1:], txn)
-	binary.LittleEndian.PutUint32(body[5:], table)
-	binary.LittleEndian.PutUint64(body[9:], uint64(key))
-	binary.LittleEndian.PutUint16(body[17:], uint16(len(val)))
-	copy(body[19:], val)
-	p := 19 + len(val)
-	if prevExisted {
-		body[p] = 1
-	}
-	binary.LittleEndian.PutUint16(body[p+1:], uint16(len(prev)))
-	copy(body[p+3:], prev)
-	rec := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(body))
-	copy(rec[8:], body)
-	return rec
-}
 
 // WALEntry is a decoded log record.
 type WALEntry struct {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"sync"
 
 	"repro/internal/rng"
@@ -403,9 +404,17 @@ func (fs *FaultFS) CrashImage(n int64, mode CrashMode, seed int64) map[string][]
 		}
 	}
 
+	// Files draw their torn-write coins from one stream, so they are torn
+	// in name order: the image must not depend on map iteration.
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	r := rng.Derive(seed, "vfs-crash-image")
 	out := make(map[string][]byte, len(files))
-	for name, f := range files {
+	for _, name := range names {
+		f := files[name]
 		img := append([]byte(nil), f.durable...)
 		if mode == TornWrites {
 			for _, p := range f.pending {

@@ -17,7 +17,9 @@
 #      corpus-scale meta-iteration benchmark, the fleet-scaling benchmark,
 #      the simulated-day drift benchmark and the long-history sparse-GP
 #      benchmark run once (-benchtime=1x) so a broken benchmark cannot land
-#      silently
+#      silently; so does the minidb engine family (point select, insert,
+#      range scan, group commit, sharded pool, replay workers, one
+#      deterministic Measure per sweep shape, open/close)
 #   7. snapshot guards: the committed BENCH_corpus.json must satisfy the
 #      <= 25% sublinear-meta gate, the committed BENCH_fleet.json must
 #      satisfy the >= 3x fleet-scaling / > 50% hit-rate gates, the
@@ -71,6 +73,9 @@ go test -race -short ./...
 echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' \
     -bench 'PredictBatch$|OptimizeAcqPointwise$|OptimizeAcqBatched$|^BenchmarkMetaIteration$|^BenchmarkFleetSessions$|^BenchmarkDriftSimulatedDay$|^BenchmarkGPFitLongHistory$' \
+    -benchtime 1x .
+go test -run '^$' \
+    -bench '^BenchmarkEngine(PointSelect|Insert|RangeScan)$|^BenchmarkCommitGroup$|^BenchmarkBufferPoolSharded$|^BenchmarkReplayWorkers$|^BenchmarkMeasureDeterministic$|^BenchmarkOpenClose$' \
     -benchtime 1x .
 
 echo "==> corpus snapshot guard (scripts/benchcheck)"
@@ -129,12 +134,16 @@ fi
 fuzz() {
     pkg="$1"
     target="$2"
+    shift 2
     echo "==> fuzz $target ($pkg, $FUZZTIME)"
-    go test "$pkg" -run '^$' -fuzz "^$target\$" -fuzztime "$FUZZTIME"
+    go test "$pkg" -run '^$' -fuzz "^$target\$" -fuzztime "$FUZZTIME" "$@"
 }
 
 fuzz ./internal/minidb FuzzExecutorStatements
 fuzz ./internal/minidb FuzzBTreeOperations
+# Each input is a whole operation sequence; the default minute of
+# minimisation per new corpus entry would use up the smoke budget.
+fuzz ./internal/minidb FuzzLeafKernels -fuzzminimizetime 20x
 fuzz ./internal/minidb FuzzWALReplay
 fuzz ./internal/replay FuzzExtractTemplate
 fuzz ./internal/gp FuzzPredictBatch
