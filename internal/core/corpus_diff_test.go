@@ -9,6 +9,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/gp"
 	"repro/internal/meta"
+	"repro/internal/workload"
 )
 
 // corpusTestTasks builds n deterministic base tasks over the case-study
@@ -102,6 +103,87 @@ func TestCorpusSessionBitIdenticalToEager(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(exact))); got != eagerTraceSHA256 {
 		t.Fatalf("corpus session diverges from the recorded eager all-learners session: trace sha256 %s, want %s\n%s",
 			got, eagerTraceSHA256, exact)
+	}
+}
+
+// Trace digests recorded on amd64 at 2352159, the commit before the tuner's
+// unset options became constants. The drift, shortlist and sparse paths are
+// otherwise only compared with themselves across GOMAXPROCS, so a constant
+// folded to the wrong value would move every arm of those tests together;
+// these literals are what notices.
+const (
+	driftShortlistSparseTraceSHA256 = "039a7185a921ca0c8710666dbe96f2578613497f6d4723d525950a9771605d1a"
+	scratchTraceSHA256              = "7e576efd1d5352d78fc97452b31dcd8bd914880657dbe9f10ee9db89107ebb1d"
+)
+
+// TestDriftShortlistSparseAndScratchTracesPinned holds two sessions to
+// recorded digests: (i) a drift-aware session over a diurnal timeline whose
+// corpus shortlists 4 of 12 signature-space tasks and whose surrogate goes
+// sparse mid-session — translations fire and the trust region shrinks and
+// grows, so the drift defaults (thresholds, forgetting, ageing, radii,
+// warm-up), the shortlist and the anchor path all feed the trace — and (ii)
+// a session without meta-learning (LHS design, warm-started hyperparameter
+// search, batched acquisition).
+func TestDriftShortlistSparseAndScratchTracesPinned(t *testing.T) {
+	const n, iters = 12, 30
+	hists, _ := corpusTestTasks(t, n)
+	tasks := make([]meta.CorpusTask, n)
+	for i := 0; i < n; i++ {
+		w := workload.Twitter()
+		w.Profile = w.Profile.AtLoad(0.4+0.15*float64(i), 0)
+		sig := w.Signature()
+		tasks[i] = meta.CorpusTask{
+			ID:          fmt.Sprintf("task%02d", i),
+			MetaFeature: sig,
+			Fit: func() (*meta.BaseLearner, error) {
+				return meta.NewBaseLearnerSparse(fmt.Sprintf("task%02d", i), "w", "A",
+					sig, hists[i], 3, int64(200+i), gp.SparseConfig{})
+			},
+		}
+	}
+	cfg := driftConfig(7)
+	cfg.DynamicSamples = 30
+	cfg.Corpus = meta.NewCorpus(tasks, meta.CorpusOptions{ExactThreshold: -1, ShortlistK: 4})
+	cfg.TargetMetaFeature = workload.Twitter().Signature()
+	cfg.Sparse = gp.SparseConfig{Threshold: 8, MaxAnchors: 6, ReselectEvery: 3}
+	res, err := New(cfg).Run(timelineEvaluator(t, "diurnal", 7, iters), iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	translations := 0
+	for _, it := range res.Iterations {
+		if it.DriftTier == DriftTranslate {
+			translations++
+		}
+		if it.Shortlist > 4 {
+			t.Fatalf("iteration %d: shortlist %d exceeds K=4", it.Index, it.Shortlist)
+		}
+	}
+	if !cfg.Corpus.Shortlisting() || translations == 0 {
+		t.Fatalf("pinned drift session no longer covers its paths: shortlisting=%v, %d translations",
+			cfg.Corpus.Shortlisting(), translations)
+	}
+	drift := driftTrace(res)
+
+	scfg := corpusTestConfig()
+	scfg.TargetMetaFeature = nil
+	sres, err := New(scfg).Run(twitterEvaluator(7), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := sessionTrace(sres)
+
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	for _, c := range []struct{ name, trace, want string }{
+		{"drift+shortlist+sparse", drift, driftShortlistSparseTraceSHA256},
+		{"w/o-ML", scratch, scratchTraceSHA256},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(c.trace))); got != c.want {
+			t.Errorf("%s session diverges from its recorded trace: sha256 %s, want %s\n%s",
+				c.name, got, c.want, c.trace)
+		}
 	}
 }
 
