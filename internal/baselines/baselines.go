@@ -24,8 +24,16 @@ type session struct {
 	defHat []float64 // normalized default configuration
 }
 
+// The paper's settings every baseline shares with ResTune: the LHS design
+// size and the relative measurement deviation accepted when judging
+// feasibility.
+const (
+	initIters    = 10
+	slaTolerance = 0.05
+)
+
 // newSession measures the default configuration and initializes the result.
-func newSession(ev core.Evaluator, method string, slaTolerance float64) *session {
+func newSession(ev core.Evaluator, method string) *session {
 	defaultNative := ev.DefaultNative()
 	theta := ev.Space().Normalize(defaultNative)
 	m0 := ev.Measure(defaultNative)
@@ -90,7 +98,7 @@ func (DefaultOnly) Name() string { return "Default" }
 
 // Run implements core.Tuner.
 func (DefaultOnly) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, "Default", 0.05)
+	s := newSession(ev, "Default")
 	for i := 0; i < iters; i++ {
 		s.evaluate(s.defHat, "default", 0, 0)
 	}

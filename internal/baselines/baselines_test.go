@@ -126,7 +126,7 @@ func TestMapWorkloadPrefersSimilarTask(t *testing.T) {
 
 	// A short target trace on the true Twitter workload.
 	ev := twitterEv(5)
-	s := newSession(ev, "probe", 0.05)
+	s := newSession(ev, "probe")
 	var internals [][]float64
 	internals = append(internals, s.res.DefaultMeasurement.Internal)
 	for _, u := range [][]float64{{0.2, 0.2, 0.2}, {0.7, 0.1, 0.4}, {0.4, 0.9, 0.6}} {

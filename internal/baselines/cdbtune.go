@@ -40,7 +40,7 @@ func (t *CDBTuneWCon) Name() string { return "CDBTune-w-Con" }
 
 // Run implements core.Tuner.
 func (t *CDBTuneWCon) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, t.Name(), 0.05)
+	s := newSession(ev, t.Name())
 	dim := ev.Space().Dim()
 	r := rng.Derive(t.Seed, "cdbtune")
 

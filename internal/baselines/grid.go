@@ -35,7 +35,7 @@ func (g *GridSearch) Size(dim int) int {
 
 // Run implements core.Tuner, evaluating every grid point.
 func (g *GridSearch) Run(ev core.Evaluator, _ int) (*core.Result, error) {
-	s := newSession(ev, g.Name(), 0.05)
+	s := newSession(ev, g.Name())
 	dim := ev.Space().Dim()
 	idx := make([]int, dim)
 	for {

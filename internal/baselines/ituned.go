@@ -20,15 +20,13 @@ import (
 type ITuned struct {
 	// Seed drives the session's randomness.
 	Seed int64
-	// InitIters is the LHS design size (10 in the paper).
-	InitIters int
 	// Acq configures acquisition optimization.
 	Acq bo.OptimizerConfig
 }
 
 // NewITuned returns the baseline with paper settings.
 func NewITuned(seed int64) *ITuned {
-	return &ITuned{Seed: seed, InitIters: 10, Acq: bo.DefaultOptimizerConfig()}
+	return &ITuned{Seed: seed, Acq: bo.DefaultOptimizerConfig()}
 }
 
 // Name implements core.Tuner.
@@ -36,13 +34,9 @@ func (t *ITuned) Name() string { return "iTuned" }
 
 // Run implements core.Tuner.
 func (t *ITuned) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, t.Name(), 0.05)
+	s := newSession(ev, t.Name())
 	dim := ev.Space().Dim()
 	r := rng.Derive(t.Seed, "ituned")
-	initIters := t.InitIters
-	if initIters <= 0 {
-		initIters = 10
-	}
 	design := lhs.Maximin(initIters, dim, 10, rng.Derive(t.Seed, "ituned-lhs"))
 
 	for iter := 1; iter <= iters; iter++ {

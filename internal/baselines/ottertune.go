@@ -26,8 +26,6 @@ import (
 type OtterTuneWCon struct {
 	// Seed drives the session's randomness.
 	Seed int64
-	// InitIters is the LHS design size.
-	InitIters int
 	// Acq configures acquisition optimization.
 	Acq bo.OptimizerConfig
 	// Tasks is the historical repository (with internal metrics).
@@ -36,7 +34,7 @@ type OtterTuneWCon struct {
 
 // NewOtterTuneWCon returns the baseline with paper settings.
 func NewOtterTuneWCon(seed int64, tasks []repo.TaskRecord) *OtterTuneWCon {
-	return &OtterTuneWCon{Seed: seed, InitIters: 10, Acq: bo.DefaultOptimizerConfig(), Tasks: tasks}
+	return &OtterTuneWCon{Seed: seed, Acq: bo.DefaultOptimizerConfig(), Tasks: tasks}
 }
 
 // Name implements core.Tuner.
@@ -44,13 +42,9 @@ func (t *OtterTuneWCon) Name() string { return "OtterTune-w-Con" }
 
 // Run implements core.Tuner.
 func (t *OtterTuneWCon) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, t.Name(), 0.05)
+	s := newSession(ev, t.Name())
 	dim := ev.Space().Dim()
 	r := rng.Derive(t.Seed, "ottertune")
-	initIters := t.InitIters
-	if initIters <= 0 {
-		initIters = 10
-	}
 	design := lhs.Maximin(initIters, dim, 10, rng.Derive(t.Seed, "ottertune-lhs"))
 
 	// Internal metrics of the target's own evaluations, aligned with s.hist.

@@ -22,18 +22,17 @@ import (
 type PenaltyBO struct {
 	// Seed drives the session's randomness.
 	Seed int64
-	// InitIters is the LHS design size.
-	InitIters int
-	// Penalty is the penalized objective's violation coefficient, in units
-	// of the standardized resource scale.
-	Penalty float64
 	// Acq configures acquisition optimization.
 	Acq bo.OptimizerConfig
 }
 
+// penalty is the penalized objective's violation coefficient, in units of
+// the standardized resource scale.
+const penalty = 10
+
 // NewPenaltyBO returns the penalty-method tuner.
 func NewPenaltyBO(seed int64) *PenaltyBO {
-	return &PenaltyBO{Seed: seed, InitIters: 10, Penalty: 10, Acq: bo.DefaultOptimizerConfig()}
+	return &PenaltyBO{Seed: seed, Acq: bo.DefaultOptimizerConfig()}
 }
 
 // Name implements core.Tuner.
@@ -41,17 +40,9 @@ func (t *PenaltyBO) Name() string { return "Penalty-BO" }
 
 // Run implements core.Tuner.
 func (t *PenaltyBO) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, t.Name(), 0.05)
+	s := newSession(ev, t.Name())
 	dim := ev.Space().Dim()
 	r := rng.Derive(t.Seed, "penalty")
-	initIters := t.InitIters
-	if initIters <= 0 {
-		initIters = 10
-	}
-	penalty := t.Penalty
-	if penalty <= 0 {
-		penalty = 10
-	}
 	design := lhs.Maximin(initIters, dim, 10, rng.Derive(t.Seed, "penalty-lhs"))
 
 	for iter := 1; iter <= iters; iter++ {

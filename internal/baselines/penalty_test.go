@@ -26,14 +26,3 @@ func TestPenaltyBORuns(t *testing.T) {
 		t.Fatalf("penalty BO found no improvement: %v%%", res.ImprovementPct())
 	}
 }
-
-func TestPenaltyBODefaults(t *testing.T) {
-	tuner := &PenaltyBO{Seed: 1, Acq: fastAcq()} // zero InitIters/Penalty
-	res, err := tuner.Run(twitterEv(4), 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Iterations) != 13 {
-		t.Fatal("defaults not applied")
-	}
-}

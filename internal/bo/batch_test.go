@@ -144,8 +144,9 @@ func TestCEIBatchMatchesPointwise(t *testing.T) {
 }
 
 // TestOptimizeAcqBatchBitIdentical asserts that the batched probe phase
-// yields exactly the point-wise recommendation, across block widths and
-// GOMAXPROCS settings, consuming the seeded stream identically.
+// yields exactly the point-wise recommendation across GOMAXPROCS settings,
+// consuming the seeded stream identically (202 candidates: three full
+// blocks and a ragged tail).
 func TestOptimizeAcqBatchBitIdentical(t *testing.T) {
 	tri := NewTriGP(5, 7)
 	if err := tri.FitWithBudget(batchTestHistory(40, 5, 7), 0); err != nil {
@@ -158,25 +159,21 @@ func TestOptimizeAcqBatchBitIdentical(t *testing.T) {
 	incumbents := [][]float64{{0.4, 0.4, 0.4, 0.4, 0.4}, {0.9, 0.1, 0.5, 0.2, 0.8}}
 
 	cfg := OptimizerConfig{RandomCandidates: 200, LocalStarts: 3, LocalSteps: 10, StepScale: 0.1}
-	run := func(procs int, batch BatchAcqFunc, block int) []float64 {
+	run := func(procs int, batch BatchAcqFunc) []float64 {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		c := cfg
-		c.BatchBlock = block
-		return OptimizeAcqBatch(f, batch, 5, c, incumbents, rand.New(rand.NewSource(42)))
+		return OptimizeAcqBatch(f, batch, 5, cfg, incumbents, rand.New(rand.NewSource(42)))
 	}
 
-	want := run(1, nil, 0)
+	want := run(1, nil)
 	for _, procs := range []int{1, 8} {
-		for _, block := range []int{0, 1, 17, 64, 1024} {
-			got := run(procs, fb, block)
-			for d := range want {
-				if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-					t.Fatalf("procs=%d block=%d: dim %d %x != %x", procs, block, d, got[d], want[d])
-				}
+		got := run(procs, fb)
+		for d := range want {
+			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+				t.Fatalf("procs=%d: dim %d %x != %x", procs, d, got[d], want[d])
 			}
 		}
-		if got := run(procs, nil, 0); math.Float64bits(got[0]) != math.Float64bits(want[0]) {
+		if got := run(procs, nil); math.Float64bits(got[0]) != math.Float64bits(want[0]) {
 			t.Fatalf("point-wise path changed across GOMAXPROCS")
 		}
 	}

@@ -21,11 +21,13 @@ type AcqFunc func(x []float64) float64
 // CEIBatch over any BatchSurrogate satisfies both.
 type BatchAcqFunc func(X [][]float64, out []float64)
 
-// DefaultBatchBlock is the candidate-block width of the batched probe phase:
-// large enough to amortize cross-covariance and solve setup per block, small
+// batchBlock is the candidate-block width of the batched probe phase: large
+// enough to amortize cross-covariance and solve setup per block, small
 // enough that per-block workspaces (a few n x block matrices) stay
-// cache-resident at mid-session history sizes.
-const DefaultBatchBlock = 64
+// cache-resident at mid-session history sizes. Block partitioning is purely
+// mechanical — candidates never interact — so the width never shows in the
+// recommendation.
+const batchBlock = 64
 
 // Box is an axis-aligned search region inside the normalized [0,1]^m space —
 // the trust region a drift-aware session clamps exploration to. Lo and Hi
@@ -66,11 +68,6 @@ type OptimizerConfig struct {
 	LocalSteps int
 	// StepScale is the initial perturbation magnitude (fraction of range).
 	StepScale float64
-	// BatchBlock is the candidate-block width used when a BatchAcqFunc is
-	// supplied (0 selects DefaultBatchBlock). Block partitioning is purely
-	// mechanical: candidates never interact, so any width yields the same
-	// recommendation.
-	BatchBlock int
 	// Bounds restricts the whole search — random probes, incumbent start
 	// points and local refinement — to an axis-aligned box within [0,1]^m
 	// (the trust region of a drift-aware session). Nil searches the full
@@ -103,12 +100,12 @@ func DefaultOptimizerConfig() OptimizerConfig {
 // any GOMAXPROCS.
 //
 // batch is an optional batch-scoring hook: when non-nil, the random-probe
-// phase block-partitions the candidates (cfg.BatchBlock per block) and
+// phase block-partitions the candidates (batchBlock per block) and
 // scores each block with one batch call, fanning blocks across par workers
 // instead of single points; nil scores every probe through f. Because a
 // conforming BatchAcqFunc is bit-identical to f and blocks write disjoint
 // result ranges, the probe scores — and therefore the recommendation — match
-// the point-wise path bit for bit at any GOMAXPROCS and any block width.
+// the point-wise path bit for bit at any GOMAXPROCS.
 // Local search stays point-wise: each step depends on the previous accept.
 func OptimizeAcqBatch(f AcqFunc, batch BatchAcqFunc, dim int, cfg OptimizerConfig, incumbents [][]float64, r *rand.Rand) []float64 {
 	rec := obs.OrNop(cfg.Recorder)
@@ -174,21 +171,17 @@ func OptimizeAcqBatch(f AcqFunc, batch BatchAcqFunc, dim int, cfg OptimizerConfi
 	vals := make([]float64, len(xs))
 	tScore := time.Now()
 	if batch != nil {
-		block := cfg.BatchBlock
-		if block <= 0 {
-			block = DefaultBatchBlock
-		}
-		nb := (len(xs) + block - 1) / block
+		nb := (len(xs) + batchBlock - 1) / batchBlock
 		par.ForEach(nb, func(b int) {
-			lo := b * block
-			hi := lo + block
+			lo := b * batchBlock
+			hi := lo + batchBlock
 			if hi > len(xs) {
 				hi = len(xs)
 			}
 			batch(xs[lo:hi], vals[lo:hi])
 		})
 		if sp != nil {
-			sp.SetAttrs(obs.Int("batch_block", block), obs.Int("batch_blocks", nb))
+			sp.SetAttrs(obs.Int("batch_block", batchBlock), obs.Int("batch_blocks", nb))
 		}
 	} else {
 		par.ForEach(len(xs), func(i int) { vals[i] = f(xs[i]) })

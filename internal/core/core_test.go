@@ -358,24 +358,6 @@ func TestRobustToDegenerateMeasurements(t *testing.T) {
 	}
 }
 
-// TestRefitEveryThrottling checks that warm-started sessions produce valid
-// results at various refit periods and that RefitEvery=1 (full search every
-// iteration) remains supported.
-func TestRefitEveryThrottling(t *testing.T) {
-	for _, every := range []int{1, 2, 5} {
-		cfg := DefaultConfig(29)
-		cfg.Acq = fastAcq()
-		cfg.RefitEvery = every
-		res, err := New(cfg).Run(twitterEvaluator(29), 16)
-		if err != nil {
-			t.Fatalf("RefitEvery=%d: %v", every, err)
-		}
-		if _, ok := res.BestFeasible(); !ok {
-			t.Fatalf("RefitEvery=%d: no feasible point", every)
-		}
-	}
-}
-
 func TestTargetImprovementGoal(t *testing.T) {
 	cfg := DefaultConfig(37)
 	cfg.Acq = fastAcq()

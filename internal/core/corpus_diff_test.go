@@ -188,9 +188,9 @@ func TestDriftShortlistSparseAndScratchTracesPinned(t *testing.T) {
 }
 
 // TestCorpusShortlistSessionDeterministicAcrossGOMAXPROCS extends the
-// session determinism contract to the sublinear path: shortlisting, lazy
-// fits, and pruning enabled, the iteration trace must be bit-identical at
-// GOMAXPROCS=1 and oversubscribed.
+// session determinism contract to the sublinear path: with shortlisting
+// and lazy fits, the iteration trace must be bit-identical at GOMAXPROCS=1
+// and oversubscribed.
 func TestCorpusShortlistSessionDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	const n = 20
 	run := func(procs int) string {
@@ -210,9 +210,7 @@ func TestCorpusShortlistSessionDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 		}
 		cfg := corpusTestConfig()
-		cfg.Corpus = meta.NewCorpus(tasks, meta.CorpusOptions{
-			ExactThreshold: -1, ShortlistK: 6, PruneAfter: 2,
-		})
+		cfg.Corpus = meta.NewCorpus(tasks, meta.CorpusOptions{ExactThreshold: -1, ShortlistK: 6})
 		res, err := New(cfg).Run(twitterEvaluator(7), 8)
 		if err != nil {
 			t.Fatal(err)

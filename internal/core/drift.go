@@ -27,113 +27,76 @@ type DriftingEvaluator interface {
 	CurrentMetaFeature() []float64
 }
 
-// DriftConfig parameterizes drift detection and the graduated,
-// magnitude-proportional response (ROADMAP item 1; OnlineTune's
-// contextual-and-safe recipe). The zero value of any field selects its
-// default.
+// DriftConfig enables drift detection and the graduated,
+// magnitude-proportional response (OnlineTune's contextual-and-safe
+// recipe). Like that recipe, the detector and trust-region factors ship as
+// one fixed set (the drift* constants below); the one thing a caller picks
+// is where a translation escalates to a reset.
 //
 // The response has two tiers. A small smoothed-distance excursion
-// (Threshold < dist <= ResetThreshold) fires a tier-1 *translation*: the
-// regime anchor shifts to the smoothed signature, the incumbent is kept
-// but aged (its best-feasible record is inflated by AgeBoost so fresher
+// (driftThreshold < dist <= ResetThreshold) fires a tier-1 *translation*:
+// the regime anchor shifts to the smoothed signature, the incumbent is kept
+// but aged (its best-feasible record is inflated by driftAgeBoost so fresher
 // configurations can displace it), and the session decays its GP
-// observation weights by Forget — exponential forgetting implemented as
-// noise inflation, so stale observations fade toward the prior instead of
-// being dropped. A large jump (dist > ResetThreshold) fires the tier-2
+// observation weights by driftForget — exponential forgetting implemented
+// as noise inflation, so stale observations fade toward the prior instead
+// of being dropped. A large jump (dist > ResetThreshold) fires the tier-2
 // full reset: incumbent dropped, trust region re-centered on the DBA
 // default, meta-learning corpus re-activated against the new signature.
 type DriftConfig struct {
-	// Threshold is the meta-feature distance between the smoothed workload
-	// signature and the current regime anchor above which drift is
-	// suspected.
-	Threshold float64
 	// ResetThreshold is the smoothed distance above which a drift event
 	// escalates to the tier-2 full reset; events at or below it translate
-	// instead. Defaults to 3x Threshold. Setting it equal to Threshold
-	// makes every event a reset (the pre-graduated hard-reset behaviour).
+	// instead. Zero selects 3x the detection threshold (0.12). Setting it
+	// to the detection threshold itself (0.04) makes every event a reset —
+	// the hard-reset reference arm the graduated response is compared with.
 	ResetThreshold float64
-	// Forget is the multiplicative decay applied to every existing GP
-	// observation weight on a tier-1 event (exponential forgetting: after k
-	// translations an observation of that age carries weight Forget^k,
-	// floored at WeightFloor). Must lie in (0, 1].
-	Forget float64
-	// WeightFloor bounds forgetting from below so noise inflation stays
-	// finite: no observation weight decays past it.
-	WeightFloor float64
-	// AgeBoost is the relative inflation of the incumbent's best-feasible
-	// resource record on a tier-1 event: bestRes grows by AgeBoost*|bestRes|,
-	// so the translated regime can replace a stale incumbent without the
-	// tier-2 reset's evidence loss.
-	AgeBoost float64
-	// Hysteresis is how many consecutive suspicious iterations are required
-	// before a drift event fires — one noisy measurement never retriggers
-	// meta-learning.
-	Hysteresis int
-	// EWMAAlpha smooths the streaming signature before it is compared to
-	// the anchor (weight of the newest observation).
-	EWMAAlpha float64
-	// InitRadius is the trust region's half-width (L∞, normalized knob
-	// space) when it activates and after a drift event re-opens it.
-	InitRadius float64
-	// MinRadius and MaxRadius bound the radius.
-	MinRadius, MaxRadius float64
-	// Shrink scales the radius down after an SLA violation; Expand scales
-	// it up after a feasible iteration. The region never expands on an
-	// iteration that violated the SLA — including drift-event resets.
-	Shrink, Expand float64
-	// Warmup is the iteration index after which candidates are clamped to
-	// the trust region (0 defaults to the session's InitIters): the initial
-	// design must still cover the space for the surrogate to learn it.
-	Warmup int
 }
 
-// withDefaults fills zero fields.
-func (d DriftConfig) withDefaults(initIters int) DriftConfig {
-	if d.Threshold == 0 {
-		d.Threshold = 0.04
-	}
-	if d.ResetThreshold == 0 {
-		d.ResetThreshold = 3 * d.Threshold
-	}
-	if d.Forget == 0 {
-		d.Forget = 0.7
-	}
-	if d.WeightFloor == 0 {
-		d.WeightFloor = 0.05
-	}
-	if d.AgeBoost == 0 {
-		d.AgeBoost = 0.1
-	}
-	if d.Hysteresis == 0 {
-		d.Hysteresis = 2
-	}
-	if d.EWMAAlpha == 0 {
-		d.EWMAAlpha = 0.5
-	}
-	if d.InitRadius == 0 {
-		d.InitRadius = 0.25
-	}
-	if d.MinRadius == 0 {
-		d.MinRadius = 0.18
-	}
-	if d.MaxRadius == 0 {
-		d.MaxRadius = 0.5
-	}
-	if d.Shrink == 0 {
-		d.Shrink = 0.6
-	}
-	if d.Expand == 0 {
-		d.Expand = 1.25
-	}
-	if d.Warmup == 0 {
-		d.Warmup = initIters
-	}
-	return d
-}
+// The drift recipe's fixed settings.
+const (
+	// driftThreshold is the meta-feature distance between the smoothed
+	// workload signature and the current regime anchor above which drift is
+	// suspected.
+	driftThreshold float64 = 0.04
+	// driftHysteresis is how many consecutive suspicious iterations are
+	// required before a drift event fires — one noisy measurement never
+	// retriggers meta-learning.
+	driftHysteresis = 2
+	// driftEWMAAlpha smooths the streaming signature before it is compared
+	// to the anchor (weight of the newest observation).
+	driftEWMAAlpha = 0.5
+	// driftForget is the multiplicative decay applied to every existing GP
+	// observation weight on a tier-1 event (after k translations an
+	// observation of that age carries weight driftForget^k), floored at
+	// driftWeightFloor so noise inflation stays finite.
+	driftForget      = 0.7
+	driftWeightFloor = 0.05
+	// driftAgeBoost is the relative inflation of the incumbent's
+	// best-feasible resource record on a tier-1 event, so the translated
+	// regime can replace a stale incumbent without the tier-2 reset's
+	// evidence loss.
+	driftAgeBoost = 0.1
+	// driftInitRadius is the trust region's half-width (L∞, normalized knob
+	// space) when it activates and after a drift event re-opens it;
+	// driftMinRadius and driftMaxRadius bound it.
+	driftInitRadius = 0.25
+	driftMinRadius  = 0.18
+	driftMaxRadius  = 0.5
+	// driftShrink scales the radius down after an SLA violation,
+	// driftExpand up after a feasible iteration. The region never expands
+	// on an iteration that violated the SLA — including drift-event resets.
+	driftShrink = 0.6
+	driftExpand = 1.25
+)
 
 // driftState is a session's online drift detector and trust region.
 type driftState struct {
-	cfg DriftConfig
+	// resetThreshold splits tier-1 from tier-2 events. warmup is the
+	// iteration index after which candidates are clamped to the trust
+	// region — the session's InitIters: the initial design must still
+	// cover the space for the surrogate to learn it.
+	resetThreshold float64
+	warmup         int
 
 	// anchor is the signature of the current regime (re-anchored on every
 	// drift event); smooth is the EWMA of the streaming signature.
@@ -152,13 +115,18 @@ type driftState struct {
 	def     []float64
 }
 
-func newDriftState(cfg DriftConfig, defaultTheta []float64) *driftState {
+func newDriftState(cfg DriftConfig, warmup int, defaultTheta []float64) *driftState {
+	reset := cfg.ResetThreshold
+	if reset == 0 {
+		reset = 3 * driftThreshold
+	}
 	return &driftState{
-		cfg:     cfg,
-		center:  append([]float64(nil), defaultTheta...),
-		bestRes: math.Inf(1),
-		radius:  cfg.InitRadius,
-		def:     append([]float64(nil), defaultTheta...),
+		resetThreshold: reset,
+		warmup:         warmup,
+		center:         append([]float64(nil), defaultTheta...),
+		bestRes:        math.Inf(1),
+		radius:         driftInitRadius,
+		def:            append([]float64(nil), defaultTheta...),
 	}
 }
 
@@ -179,9 +147,9 @@ const (
 // warm reports whether iteration iter is still inside the warm-up window:
 // the radius is frozen and the acquisition box inactive. active is its
 // exact complement — both gates share this single boundary definition, so
-// the iteration whose outcome first moves the radius (Warmup+1) is also
+// the iteration whose outcome first moves the radius (warmup+1) is also
 // the first iteration whose candidate was clamped to the box.
-func (d *driftState) warm(iter int) bool { return iter <= d.cfg.Warmup }
+func (d *driftState) warm(iter int) bool { return iter <= d.warmup }
 
 // active reports whether the trust region clamps iteration iter's
 // candidate.
@@ -216,7 +184,7 @@ func (d *driftState) box(dim int) *bo.Box {
 // the hysteresis count is satisfied. A small excursion (at or below
 // ResetThreshold) is tier-1: the regime moved, but continuously — the
 // detector re-anchors so the translation is absorbed, the incumbent stays
-// the center but its record is aged by AgeBoost (organic growth makes an
+// the center but its record is aged by driftAgeBoost (organic growth makes an
 // old optimum slowly stale, not suddenly unsafe), and the caller decays
 // its GP observation weights so the surrogate forgets the old regime
 // gradually. A large jump (above ResetThreshold) is tier-2, the full
@@ -229,14 +197,14 @@ func (d *driftState) box(dim int) *bo.Box {
 //
 // Safety invariant: the radius never grows on an iteration that violated
 // the SLA. A drift event of either tier re-opens the region to at least
-// InitRadius only when the triggering iteration was itself feasible; after
+// driftInitRadius only when the triggering iteration was itself feasible; after
 // a violating event the region stays shrunk (during warm-up, where the
 // frozen radius skipped the ordinary violation shrink, the event applies
 // it so the box opens shrunk there too) and re-opens through subsequent
 // safe successes.
 //
 // While warm(iter) holds (the initial design is still running) the radius
-// is frozen at InitRadius: those iterations explore the full space by
+// is frozen at driftInitRadius: those iterations explore the full space by
 // design, so growing or shrinking the region on their outcomes would only
 // randomize the half-width the region opens with. Recentering and drift
 // detection still run — the warm-up's best feasible point is the natural
@@ -249,10 +217,10 @@ func (d *driftState) observe(iter int, theta []float64, feasible bool, res float
 			d.center = append(d.center[:0], theta...)
 		}
 		if !warm {
-			d.radius = min64(d.cfg.MaxRadius, d.radius*d.cfg.Expand)
+			d.radius = min64(driftMaxRadius, d.radius*driftExpand)
 		}
 	} else if !warm {
-		d.radius = max64(d.cfg.MinRadius, d.radius*d.cfg.Shrink)
+		d.radius = max64(driftMinRadius, d.radius*driftShrink)
 	}
 
 	if len(sig) == 0 {
@@ -263,41 +231,40 @@ func (d *driftState) observe(iter int, theta []float64, feasible bool, res float
 		d.smooth = append([]float64(nil), sig...)
 		return 0, DriftNone
 	}
-	a := d.cfg.EWMAAlpha
 	for i := range d.smooth {
-		d.smooth[i] = (1-a)*d.smooth[i] + a*sig[i]
+		d.smooth[i] = (1-driftEWMAAlpha)*d.smooth[i] + driftEWMAAlpha*sig[i]
 	}
 	dist = workload.MetaFeatureDistance(d.smooth, d.anchor)
-	if dist > d.cfg.Threshold {
+	if dist > driftThreshold {
 		d.over++
 	} else {
 		d.over = 0
 	}
-	if d.over >= d.cfg.Hysteresis {
+	if d.over >= driftHysteresis {
 		d.events++
 		d.over = 0
 		d.anchor = append(d.anchor[:0], d.smooth...)
-		if dist > d.cfg.ResetThreshold {
+		if dist > d.resetThreshold {
 			tier = DriftReset
 			d.bestRes = math.Inf(1)
 			d.center = append(d.center[:0], d.def...)
 		} else {
 			tier = DriftTranslate
 			if !math.IsInf(d.bestRes, 1) {
-				d.bestRes += math.Abs(d.bestRes) * d.cfg.AgeBoost
+				d.bestRes += math.Abs(d.bestRes) * driftAgeBoost
 			}
 		}
 		switch {
-		case feasible && d.radius < d.cfg.InitRadius:
+		case feasible && d.radius < driftInitRadius:
 			// Regime change on a safe iteration: re-open exploration so
 			// the tuner can follow the moved optimum.
-			d.radius = d.cfg.InitRadius
+			d.radius = driftInitRadius
 		case !feasible && warm:
 			// Warm-up froze the radius, skipping the ordinary violation
 			// shrink above; apply it here so a violating event leaves the
 			// region shrunk exactly as it would post-warm-up, and the box
 			// the event opens with honours the safety invariant.
-			d.radius = max64(d.cfg.MinRadius, d.radius*d.cfg.Shrink)
+			d.radius = max64(driftMinRadius, d.radius*driftShrink)
 		}
 	}
 	return dist, tier

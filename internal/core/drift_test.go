@@ -170,7 +170,7 @@ func firstPostWarmupEvent(res *Result, warmup int) int {
 // TestDriftEventTierResponses asserts the graduated regime-change contract
 // on the session's result, one subtest per tier.
 //
-// Tier 2 (forced by ResetThreshold == Threshold, the hard-reset
+// Tier 2 (forced by ResetThreshold == driftThreshold, the hard-reset
 // configuration): a drift event invalidates the previous regime's
 // best-feasible record — the trust center recorded for the next iteration
 // is the DBA default, not the old regime's optimum.
@@ -185,7 +185,7 @@ func TestDriftEventTierResponses(t *testing.T) {
 
 	t.Run("tier2-resets-to-default", func(t *testing.T) {
 		cfg := driftConfig(5)
-		cfg.Drift = &DriftConfig{ResetThreshold: 0.04} // == default Threshold: every event resets
+		cfg.Drift = &DriftConfig{ResetThreshold: driftThreshold} // every event resets
 		ev := timelineEvaluator(t, "spike", 5, iters)
 		def := ev.Space().Normalize(ev.DefaultNative())
 		res, err := New(cfg).Run(ev, iters)
@@ -198,7 +198,7 @@ func TestDriftEventTierResponses(t *testing.T) {
 		}
 		event := res.Iterations[fired]
 		if event.DriftTier != DriftReset {
-			t.Fatalf("event at iter %d classified tier %d, want DriftReset under ResetThreshold==Threshold",
+			t.Fatalf("event at iter %d classified tier %d, want DriftReset under ResetThreshold==driftThreshold",
 				event.Index, event.DriftTier)
 		}
 		next := res.Iterations[fired+1]
@@ -256,37 +256,34 @@ func TestDriftEventTierResponses(t *testing.T) {
 // boundary can be driven exactly. It pins:
 //
 //  1. warm and active are exact complements, with the boundary at
-//     iter == Warmup (the last frozen iteration) / Warmup+1 (the first
+//     iter == warmup (the last frozen iteration) / warmup+1 (the first
 //     clamped one);
 //  2. a drift event on the LAST warm-up iteration honours the safety
 //     invariant both ways: a feasible event leaves the region at
-//     InitRadius, while a violating event leaves it shrunk — the frozen
+//     driftInitRadius, while a violating event leaves it shrunk — the frozen
 //     radius must not smuggle an unshrunk box past the violation.
 func TestDriftWarmupGateUnification(t *testing.T) {
 	def := []float64{0.5, 0.5}
 	near := []float64{0, 0, 0, 0}
 	far := []float64{1, 1, 1, 1}
 
-	// drive feeds observations so that the hysteresis count is satisfied
-	// exactly on iteration cfg.Warmup, with the event iteration's
+	// drive feeds observations so that the hysteresis count (2) is
+	// satisfied exactly on iteration warmup, with the event iteration's
 	// feasibility chosen by the caller, and returns the state plus the
 	// event's tier.
+	const warmup = 5
 	drive := func(t *testing.T, eventFeasible bool) (*driftState, int) {
 		t.Helper()
-		cfg := DriftConfig{}.withDefaults(5)
-		if cfg.Hysteresis != 2 {
-			t.Fatalf("test assumes default hysteresis 2, got %d", cfg.Hysteresis)
-		}
-		d := newDriftState(cfg, def)
-		for iter := 1; iter <= cfg.Warmup-2; iter++ {
+		d := newDriftState(DriftConfig{}, warmup, def)
+		for iter := 1; iter <= warmup-driftHysteresis; iter++ {
 			if _, tier := d.observe(iter, def, true, 50, near); tier != DriftNone {
 				t.Fatalf("iter %d fired prematurely", iter)
 			}
 		}
-		if _, tier := d.observe(cfg.Warmup-1, def, true, 50, far); tier != DriftNone {
+		if _, tier := d.observe(warmup-1, def, true, 50, far); tier != DriftNone {
 			t.Fatal("event fired one iteration early")
 		}
-		dist, tier := d.observe(cfg.Warmup, def, eventFeasible, 500, far)
+		dist, tier := d.observe(warmup, def, eventFeasible, 500, far)
 		if tier == DriftNone {
 			t.Fatalf("no drift event on the last warm-up iteration (dist=%g)", dist)
 		}
@@ -294,31 +291,30 @@ func TestDriftWarmupGateUnification(t *testing.T) {
 	}
 
 	t.Run("gates-are-complements", func(t *testing.T) {
-		cfg := DriftConfig{}.withDefaults(5)
-		d := newDriftState(cfg, def)
-		for iter := 0; iter <= 2*cfg.Warmup; iter++ {
+		d := newDriftState(DriftConfig{}, warmup, def)
+		for iter := 0; iter <= 2*warmup; iter++ {
 			if d.warm(iter) == d.active(iter) {
 				t.Fatalf("iter %d: warm=%v and active=%v are not complements", iter, d.warm(iter), d.active(iter))
 			}
 		}
-		if !d.warm(cfg.Warmup) {
+		if !d.warm(warmup) {
 			t.Fatal("the last warm-up iteration must still be frozen")
 		}
-		if !d.active(cfg.Warmup + 1) {
+		if !d.active(warmup + 1) {
 			t.Fatal("the first post-warm-up iteration must be clamped")
 		}
 	})
 
 	t.Run("feasible-warmup-event-keeps-init-radius", func(t *testing.T) {
 		d, _ := drive(t, true)
-		if d.radius != d.cfg.InitRadius {
-			t.Fatalf("radius %g after feasible warm-up event, want InitRadius %g", d.radius, d.cfg.InitRadius)
+		if d.radius != driftInitRadius {
+			t.Fatalf("radius %g after feasible warm-up event, want driftInitRadius %g", d.radius, driftInitRadius)
 		}
 	})
 
 	t.Run("violating-warmup-event-shrinks", func(t *testing.T) {
 		d, _ := drive(t, false)
-		want := max64(d.cfg.MinRadius, d.cfg.InitRadius*d.cfg.Shrink)
+		want := max64(driftMinRadius, driftInitRadius*driftShrink)
 		if d.radius != want {
 			t.Fatalf("radius %g after violating warm-up event, want shrunk %g (frozen warm-up radius must not skip the violation shrink)",
 				d.radius, want)

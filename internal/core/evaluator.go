@@ -105,12 +105,11 @@ type Iteration struct {
 	// LoadMult is the offered-load multiplier the evaluator reported for
 	// this iteration's measurement (1 for stationary evaluators).
 	LoadMult float64
-	// MetaProcessing, ModelUpdate, Recommend, Replay are the measured stage
-	// durations of this iteration.
-	MetaProcessing time.Duration
-	ModelUpdate    time.Duration
-	Recommend      time.Duration
-	Replay         time.Duration
+	// ModelUpdate, Recommend, Replay are the measured stage durations of
+	// this iteration.
+	ModelUpdate time.Duration
+	Recommend   time.Duration
+	Replay      time.Duration
 }
 
 // Result is a finished tuning session.

@@ -12,9 +12,8 @@ import (
 // SessionSpec declares one tuning session for a Fleet: its own Config
 // (seed, recorder, per-session corpus view), evaluator and iteration
 // budget. Specs sharing a meta-corpus should each carry their own Corpus
-// view from meta.SharedCorpus.NewSession — views keep shortlist and
-// pruning state private while the expensive surrogate fits are computed
-// once fleet-wide.
+// view from meta.SharedCorpus.NewSession — views keep their shortlist
+// private while the expensive surrogate fits are computed once fleet-wide.
 type SessionSpec struct {
 	// Name labels the session in results and fleet telemetry. Empty names
 	// default to "session-<index>".

@@ -12,7 +12,8 @@ import (
 	"repro/internal/rng"
 )
 
-// Config parameterizes a ResTune session.
+// Config parameterizes a ResTune session. Start from DefaultConfig: New
+// takes the fields as given and fills in nothing.
 type Config struct {
 	// Name overrides the method's display name (e.g. "ResTune-w/o-ML").
 	Name string
@@ -26,10 +27,9 @@ type Config struct {
 	// nil disables meta-learning (the ResTune-w/o-ML ablation). Learners are
 	// fitted lazily: on a small corpus (at or below the corpus's exact
 	// threshold) every task is fitted and weighted each iteration, above it
-	// only the nearest-neighbor shortlist is, and learners pinned at zero
-	// weight long enough are pruned. A Corpus is single-session state —
-	// sessions sharing fitted learners each take their own (meta.TasksOf,
-	// meta.SharedCorpus.NewSession).
+	// only the nearest-neighbor shortlist is. A Corpus is single-session
+	// state — sessions sharing fitted learners each take their own
+	// (meta.TasksOf, meta.SharedCorpus.NewSession).
 	Corpus *meta.Corpus
 	// TargetMetaFeature is the target workload's characterization embedding
 	// (required for static weights when Corpus is set).
@@ -38,15 +38,8 @@ type Config struct {
 	// false with meta-learning active, initialization falls back to LHS —
 	// the ResTune-w/o-Workload ablation of Figure 6(b).
 	UseWorkloadChar bool
-	// StaticBandwidth is the Epanechnikov bandwidth ρ (Eq. 8).
-	StaticBandwidth float64
 	// DynamicSamples is the posterior sample count for ranking-loss weights.
 	DynamicSamples int
-	// RefitEvery throttles full hyperparameter search: every RefitEvery-th
-	// iteration runs the full search, others warm-start from the previous
-	// hyperparameters with a small budget. 1 (or 0) searches fully every
-	// iteration.
-	RefitEvery int
 	// SLATolerance is the accepted relative measurement deviation when
 	// judging feasibility (5% in the paper).
 	SLATolerance float64
@@ -65,13 +58,12 @@ type Config struct {
 	// the paper's "until the decline in resource utilization reaches the
 	// goal" stopping condition. Zero disables it.
 	TargetImprovementPct float64
-	// ConvergenceWindow and ConvergenceEps implement the stopping rule: the
-	// session converges when resource, throughput and latency of the best
-	// feasible configuration all change by less than ConvergenceEps
-	// (relative) across ConvergenceWindow consecutive iterations. A zero
-	// window disables early stopping (experiments run fixed budgets).
+	// ConvergenceWindow implements the stopping rule: the session converges
+	// when resource, throughput and latency of the best feasible
+	// configuration all change by less than 0.5% (relative) across
+	// ConvergenceWindow consecutive iterations. A zero window disables early
+	// stopping (experiments run fixed budgets).
 	ConvergenceWindow int
-	ConvergenceEps    float64
 	// Drift enables drift-aware online tuning: a detector over the
 	// evaluator's streaming workload signature (EWMA-smoothed, compared to
 	// the current regime anchor with hysteresis) that re-triggers
@@ -125,17 +117,25 @@ func (s WeightSchema) String() string {
 	}
 }
 
+// The settings the paper fixes and no caller varies.
+const (
+	// fullSearchEvery throttles hyperparameter search: every third iteration
+	// runs the full search, the others warm-start from the previous
+	// hyperparameters with warmSearchBudget candidates.
+	fullSearchEvery  = 3
+	warmSearchBudget = 6
+	// convergenceEps is the stopping rule's relative-change bound (0.5%).
+	convergenceEps = 0.005
+)
+
 // DefaultConfig returns the paper's settings.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:            seed,
 		InitIters:       10,
 		UseWorkloadChar: true,
-		StaticBandwidth: meta.EpanechnikovBandwidth,
 		DynamicSamples:  100,
-		RefitEvery:      3,
 		SLATolerance:    0.05,
-		ConvergenceEps:  0.005,
 		Acq:             bo.DefaultOptimizerConfig(),
 	}
 }
@@ -148,24 +148,6 @@ type ResTune struct {
 
 // New returns a ResTune tuner.
 func New(cfg Config) *ResTune {
-	if cfg.InitIters <= 0 {
-		cfg.InitIters = 10
-	}
-	if cfg.DynamicSamples <= 0 {
-		cfg.DynamicSamples = 100
-	}
-	if cfg.SLATolerance == 0 {
-		cfg.SLATolerance = 0.05
-	}
-	if cfg.ConvergenceEps == 0 {
-		cfg.ConvergenceEps = 0.005
-	}
-	if cfg.Acq.RandomCandidates == 0 {
-		cfg.Acq = bo.DefaultOptimizerConfig()
-	}
-	if cfg.StaticBandwidth == 0 {
-		cfg.StaticBandwidth = meta.EpanechnikovBandwidth
-	}
 	return &ResTune{cfg: cfg}
 }
 

@@ -71,8 +71,8 @@ type Session struct {
 	// obsW holds the session's per-observation GP forgetting weights,
 	// parallel to h. nil until the first tier-1 drift event — the nil path
 	// is bit-identical to the pre-forgetting tuner — then every existing
-	// weight decays by Drift.Forget per translation (floored at
-	// Drift.WeightFloor) while new observations enter at weight 1.
+	// weight decays by driftForget per translation (floored at
+	// driftWeightFloor) while new observations enter at weight 1.
 	obsW []float64
 
 	// incBuf backs the per-iteration incumbent set so acquisition start
@@ -177,7 +177,7 @@ func (s *Session) start() error {
 		}
 	}
 	if cfg.Drift != nil {
-		s.drift = newDriftState(cfg.Drift.withDefaults(cfg.InitIters), s.defaultTheta)
+		s.drift = newDriftState(*cfg.Drift, cfg.InitIters, s.defaultTheta)
 		if drifting {
 			// The single retaining use of the evaluator's signature: the
 			// returned slice may alias the evaluator's buffer (valid only
@@ -227,7 +227,7 @@ func (s *Session) Step() (bool, error) {
 		s.finish()
 		return true, nil
 	}
-	if sessionConverged(s.res, cfg.ConvergenceWindow, cfg.ConvergenceEps) {
+	if sessionConverged(s.res, cfg.ConvergenceWindow, convergenceEps) {
 		s.res.Converged = true
 		s.finish()
 		return true, nil
@@ -277,14 +277,9 @@ func (s *Session) runIteration(iter int) error {
 	iterSpan := rec.Span("core.iteration")
 	it := Iteration{Index: iter}
 
-	// --- Meta-data processing: scale unification of the target track
-	// happens inside the TriGP fit; here we account the bookkeeping the
-	// paper's client performs per iteration.
-	tMeta := time.Now()
 	staticPhase := s.useMeta && cfg.UseWorkloadChar && iter <= cfg.InitIters
 	lhsPhase := !s.useMeta && iter <= cfg.InitIters ||
 		(s.useMeta && !cfg.UseWorkloadChar && iter <= cfg.InitIters)
-	it.MetaProcessing = time.Since(tMeta)
 
 	// --- Model update: fit the target base-learner and ensemble weights.
 	tModel := time.Now()
@@ -303,11 +298,11 @@ func (s *Session) runIteration(iter int) error {
 			s.tri.SetRecorder(rec)
 		}
 		// Warm-started hyperparameter search: full budget every
-		// RefitEvery-th iteration, a small budget otherwise (the
+		// fullSearchEvery-th iteration, a small budget otherwise (the
 		// incumbent hyperparameters are always retained).
 		budget := 0
-		if cfg.RefitEvery > 1 && iter%cfg.RefitEvery != 0 {
-			budget = 6
+		if iter%fullSearchEvery != 0 {
+			budget = warmSearchBudget
 		}
 		// s.h is preallocated for the whole budget and append-only, so the
 		// snapshot handed to the model layer is just the current slice
@@ -341,16 +336,13 @@ func (s *Session) runIteration(iter int) error {
 			useStatic = false
 		}
 		if useStatic {
-			w = meta.StaticWeights(base, cfg.TargetMetaFeature, true, cfg.StaticBandwidth)
+			w = meta.StaticWeights(base, cfg.TargetMetaFeature, true, meta.EpanechnikovBandwidth)
 			it.Phase = "static"
 		} else {
 			w = meta.DynamicWeightsOpts(base, target,
 				meta.DynamicOptions{Samples: cfg.DynamicSamples, DilutionGuard: cfg.DilutionGuard, Recorder: rec},
 				rng.Derive(cfg.Seed, fmt.Sprintf("dyn:%d", iter)))
 			it.Phase = "dynamic"
-			// Pruning bookkeeping: takes effect from the next iteration's
-			// shortlist, never this ensemble.
-			cfg.Corpus.ObserveDynamicWeights(activeIDs, w)
 		}
 		ens := meta.NewEnsemble(base, target, w)
 		if cfg.WeightedVariance {
@@ -525,7 +517,7 @@ func (s *Session) runIteration(iter int) error {
 				obs.Float("trust_radius", s.drift.radius))
 			if s.obsW != nil {
 				// Forgetting telemetry: the oldest observation's weight is
-				// Forget^k after k translations — how much of the original
+				// driftForget^k after k translations — how much of the original
 				// regime's evidence the surrogate still credits.
 				attrs = append(attrs, obs.Float("oldest_obs_weight", s.obsW[0]))
 			}
@@ -541,8 +533,8 @@ func (s *Session) runIteration(iter int) error {
 }
 
 // decayObservationWeights applies one tier-1 forgetting step: every
-// existing observation's GP weight decays by Drift.Forget (floored at
-// Drift.WeightFloor so noise inflation stays finite). The weight track is
+// existing observation's GP weight decays by driftForget (floored at
+// driftWeightFloor so noise inflation stays finite). The weight track is
 // lazily materialized at the first translation — until then it is nil and
 // the GP fit path is bit-identical to the pre-forgetting tuner.
 func (s *Session) decayObservationWeights() {
@@ -552,9 +544,8 @@ func (s *Session) decayObservationWeights() {
 			s.obsW[i] = 1
 		}
 	}
-	f, floor := s.drift.cfg.Forget, s.drift.cfg.WeightFloor
 	for i, w := range s.obsW {
-		s.obsW[i] = max64(floor, w*f)
+		s.obsW[i] = max64(driftWeightFloor, w*driftForget)
 	}
 	s.weightGauge.Set(s.obsW[0])
 }

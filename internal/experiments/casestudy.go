@@ -8,7 +8,6 @@ import (
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dbsim"
-	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 	"repro/internal/repo"
@@ -27,38 +26,13 @@ func init() {
 // paper collects 200 LHS observations per variant) and returns both task
 // records (with internal metrics, for OtterTune) and base-learners.
 func caseStudyRepo(p Params) ([]repo.TaskRecord, []*meta.BaseLearner, error) {
-	space := knobs.CaseStudySpace()
-	n := p.RepoIters * 2
-	if n < 12 {
-		n = 12
-	}
 	var tasks []repo.TaskRecord
 	var learners []*meta.BaseLearner
 	for i := 1; i <= 5; i++ {
 		w := workload.TwitterVariant(i)
 		seed := p.Seed + int64(77*i)
-		hw := dbsim.Instance("A")
-		sim := dbsim.New(hw, w.Profile, seed, dbsim.WithHalfRAMBufferPool())
-		design := core.LHSInit(n, space.Dim(), seed)
-		task := repo.TaskRecord{TaskID: w.Name, Workload: w.Name, Hardware: "A"}
-		for _, k := range space.Knobs() {
-			task.KnobNames = append(task.KnobNames, k.Name)
-		}
-		mf, err := metaFeatureOf(w, p.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		task.MetaFeature = mf
-		for _, u := range design {
-			theta := space.Quantize(u)
-			m := sim.Eval(space, space.Denormalize(theta))
-			task.Observations = append(task.Observations, repo.ObservationRecord{
-				Theta: theta, Res: m.CPUUtilPct, Tps: m.TPS, Lat: m.LatencyP99Ms,
-				Internal: m.Internal,
-			})
-		}
-		bl, err := meta.NewBaseLearnerSparse(task.TaskID, task.Workload, task.Hardware,
-			task.MetaFeature, task.History(), space.Dim(), seed, gp.SparseConfig{})
+		sim := dbsim.New(dbsim.Instance("A"), w.Profile, seed, dbsim.WithHalfRAMBufferPool())
+		task, bl, err := lhsTask(p, w.Name, w, "A", sim, knobs.CaseStudySpace(), dbsim.CPUPct, seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -104,17 +78,9 @@ func runFig6(p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ot := baselines.NewOtterTuneWCon(p.Seed, tasks)
-	ot.Acq = p.Acq
-	itd := baselines.NewITuned(p.Seed)
-	itd.Acq = p.Acq
+	m := newMethodSet(p, p.Seed, restune, tasks)
 	methods := []core.Tuner{
-		baselines.DefaultOnly{},
-		restune,
-		scratchTuner(p, p.Seed),
-		itd,
-		ot,
-		baselines.NewCDBTuneWCon(p.Seed),
+		m.def, m.restune, m.scratch, m.iTuned, m.otterTune, m.cdbTune,
 		baselines.NewResTuneWithoutWorkload(p.Seed, learners, mf),
 	}
 	r.Addf("(a/b) Tuning evaluation of different methods, Twitter, 3 knobs:")
@@ -249,19 +215,9 @@ func runTable6(p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ot := baselines.NewOtterTuneWCon(p.Seed, tasks)
-	ot.Acq = p.Acq
-	itd := baselines.NewITuned(p.Seed)
-	itd.Acq = p.Acq
-	grid := baselines.NewGridSearch(8)
+	m := newMethodSet(p, p.Seed, restune, tasks)
 	methods := []core.Tuner{
-		baselines.DefaultOnly{},
-		grid,
-		restune,
-		scratchTuner(p, p.Seed),
-		ot,
-		baselines.NewCDBTuneWCon(p.Seed),
-		itd,
+		m.def, baselines.NewGridSearch(8), m.restune, m.scratch, m.otterTune, m.cdbTune, m.iTuned,
 	}
 
 	r.Addf("%-18s %20s %18s %16s %8s", "Method", "thread_concurrency", "spin_wait_delay", "lru_scan_depth", "CPU%")

@@ -13,7 +13,7 @@ import (
 // synthetic N-task corpus behind both the all-learners baseline (every task
 // fitted and weighted every iteration) and the shortlisting Corpus path.
 // The root BenchmarkMetaIteration and the restune-bench -corpus-size flag
-// share it, so CLI numbers and BENCH_corpus.json measure the same bodies.
+// share it, so the CLI and the benchmark measure the same bodies.
 type CorpusBench struct {
 	N          int
 	Target     *meta.BaseLearner
@@ -116,7 +116,6 @@ func (cb *CorpusBench) CorpusIteration(iter int) ([]float64, error) {
 	r := rng.Derive(cb.seed, fmt.Sprintf("dyn:%d", iter))
 	w := meta.DynamicWeightsOpts(base, cb.Target,
 		meta.DynamicOptions{Samples: cb.samples}, r)
-	cb.Corpus.ObserveDynamicWeights(ids, w)
 	ens := meta.NewEnsemble(base, cb.Target, w)
 	var post bo.BatchPosterior
 	ens.PredictBatch(cb.Candidates, &post)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
@@ -83,18 +82,8 @@ func fig3Methods(p Params, rep *repo.Repository, space *knobs.Space, target work
 	if err != nil {
 		return nil, err
 	}
-	ot := baselines.NewOtterTuneWCon(seed, rep.Tasks)
-	ot.Acq = p.Acq
-	it := baselines.NewITuned(seed)
-	it.Acq = p.Acq
-	return []core.Tuner{
-		baselines.DefaultOnly{},
-		restune,
-		scratchTuner(p, seed),
-		ot,
-		baselines.NewCDBTuneWCon(seed),
-		it,
-	}, nil
+	m := newMethodSet(p, seed, restune, rep.Tasks)
+	return []core.Tuner{m.def, m.restune, m.scratch, m.otterTune, m.cdbTune, m.iTuned}, nil
 }
 
 func runFig3(p Params) (*Report, error) {

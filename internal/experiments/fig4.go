@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
@@ -52,14 +51,8 @@ func runFig4(p Params) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			ot := baselines.NewOtterTuneWCon(seed, srcTasks)
-			ot.Acq = p.Acq
-			methods := []core.Tuner{
-				baselines.DefaultOnly{},
-				restune,
-				scratchTuner(p, seed),
-				ot,
-			}
+			m := newMethodSet(p, seed, restune, srcTasks)
+			methods := []core.Tuner{m.def, m.restune, m.scratch, m.otterTune}
 			label := fmt.Sprintf("%s->%s", dir.src, dir.dst)
 			for mi, m := range methods {
 				jobs = append(jobs, job{label, w, dir.dst, m, seed + int64(mi)})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
@@ -40,14 +39,8 @@ func runFig5(p Params) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		ot := baselines.NewOtterTuneWCon(seed, rep.Filter(holdOut))
-		ot.Acq = p.Acq
-		methods := []core.Tuner{
-			baselines.DefaultOnly{},
-			restune,
-			scratchTuner(p, seed),
-			ot,
-		}
+		m := newMethodSet(p, seed, restune, rep.Filter(holdOut))
+		methods := []core.Tuner{m.def, m.restune, m.scratch, m.otterTune}
 		for mi, m := range methods {
 			jobs = append(jobs, job{w, m, seed + int64(mi)})
 		}

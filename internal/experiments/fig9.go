@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baselines"
-	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dbsim"
-	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/meta"
 	"repro/internal/repo"
@@ -62,21 +59,9 @@ func runFig9(p Params) (*Report, error) {
 
 		// Repository: the donor workload only, sampled on instance E with
 		// the same buffer-pool policy.
-		donorLearner, donorHist, err := fig9Donor(p, c, seed)
+		donorTask, donorLearner, err := fig9Donor(p, c, seed)
 		if err != nil {
 			return nil, err
-		}
-		donorTask := repo.TaskRecord{
-			TaskID: c.source.Name + "@E", Workload: c.source.Name, Hardware: "E",
-			MetaFeature: donorLearner.MetaFeature,
-		}
-		for _, k := range c.space.Knobs() {
-			donorTask.KnobNames = append(donorTask.KnobNames, k.Name)
-		}
-		for _, o := range donorHist {
-			donorTask.Observations = append(donorTask.Observations, repo.ObservationRecord{
-				Theta: o.Theta, Res: o.Res, Tps: o.Tps, Lat: o.Lat,
-			})
 		}
 
 		mf, err := metaFeatureOf(c.target, p.Seed)
@@ -87,20 +72,8 @@ func runFig9(p Params) (*Report, error) {
 		cfg.Acq = p.Acq
 		cfg.Corpus = meta.NewCorpus(meta.TasksOf(donorLearner), meta.CorpusOptions{})
 		cfg.TargetMetaFeature = mf
-		restune := core.New(cfg)
-
-		ot := baselines.NewOtterTuneWCon(seed, []repo.TaskRecord{donorTask})
-		ot.Acq = p.Acq
-		itd := baselines.NewITuned(seed)
-		itd.Acq = p.Acq
-		methods := []core.Tuner{
-			baselines.DefaultOnly{},
-			restune,
-			scratchTuner(p, seed),
-			ot,
-			baselines.NewCDBTuneWCon(seed),
-			itd,
-		}
+		m := newMethodSet(p, seed, core.New(cfg), []repo.TaskRecord{donorTask})
+		methods := []core.Tuner{m.def, m.restune, m.scratch, m.otterTune, m.cdbTune, m.iTuned}
 
 		r.Addf("(%s) minimize %s for %s (repository: %s):", c.label, c.resource, c.target.Name, c.source.Name)
 		r.Addf("  %-18s %14s %14s %10s", "Method", "Default", "BestFeasible", "Improve%")
@@ -126,35 +99,20 @@ func runFig9(p Params) (*Report, error) {
 	return r, nil
 }
 
-// fig9Donor LHS-samples the donor workload for a Figure-9 panel.
-func fig9Donor(p Params, c fig9Case, seed int64) (*meta.BaseLearner, bo.History, error) {
-	n := p.RepoIters * 2
-	if n < 12 {
-		n = 12
-	}
+// fig9Donor LHS-samples the donor workload for a Figure-9 panel on
+// instance E with the panel's buffer-pool policy. The record is returned
+// without internal metrics, as these panels have always run: OtterTune-w-Con
+// finds nothing to map against and runs as plain constrained BO here.
+func fig9Donor(p Params, c fig9Case, seed int64) (repo.TaskRecord, *meta.BaseLearner, error) {
 	opts := []dbsim.Option{}
 	if c.fixedBP {
 		opts = append(opts, dbsim.WithFixedBufferPool(16<<30))
 	}
 	source := calibrateRate(c.source, "E", seed+1, opts...)
 	sim := dbsim.New(dbsim.Instance("E"), source.Profile, seed+1, opts...)
-	design := core.LHSInit(n, c.space.Dim(), seed+1)
-	var h bo.History
-	for _, u := range design {
-		theta := c.space.Quantize(u)
-		m := sim.Eval(c.space, c.space.Denormalize(theta))
-		h = append(h, bo.Observation{
-			Theta: theta, Res: m.Resource(c.resource), Tps: m.TPS, Lat: m.LatencyP99Ms,
-		})
+	task, bl, err := lhsTask(p, c.source.Name+"@E", c.source, "E", sim, c.space, c.resource, seed+1)
+	for i := range task.Observations {
+		task.Observations[i].Internal = nil
 	}
-	mf, err := metaFeatureOf(c.source, p.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	bl, err := meta.NewBaseLearnerSparse(c.source.Name+"@E", c.source.Name, "E", mf,
-		h, c.space.Dim(), seed+1, gp.SparseConfig{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return bl, h, nil
+	return task, bl, err
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/baselines"
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dbsim"
@@ -411,29 +412,61 @@ func averageSeries(series [][]float64) []float64 {
 	return out
 }
 
-// meanBaseLearnersFromLHS builds a base-learner whose history is an LHS
-// sample of a workload's response surface (the case study builds its
-// variant repository this way: "for each variation, we conduct LHS sampling
-// to collect 200 observations").
-func baseLearnerFromLHS(w workload.Workload, hwName string, space *knobs.Space, resource dbsim.ResourceKind, n int, seed int64) (*meta.BaseLearner, bo.History, error) {
-	hw := dbsim.Instance(hwName)
-	sim := dbsim.New(hw, w.Profile, seed, dbsim.WithHalfRAMBufferPool())
-	design := core.LHSInit(n, space.Dim(), seed)
-	var h bo.History
-	for _, u := range design {
+// methodSet is the comparison methods of Section 7 built for one target
+// with the experiment's acquisition settings; each experiment lists the
+// ones it reports, in its own figure's order.
+type methodSet struct {
+	def, restune, scratch, otterTune, cdbTune, iTuned core.Tuner
+}
+
+// newMethodSet builds the methods around an already-built ResTune tuner;
+// otTasks is the repository subset OtterTune-w-Con maps workloads from.
+func newMethodSet(p Params, seed int64, restune core.Tuner, otTasks []repo.TaskRecord) methodSet {
+	ot := baselines.NewOtterTuneWCon(seed, otTasks)
+	ot.Acq = p.Acq
+	it := baselines.NewITuned(seed)
+	it.Acq = p.Acq
+	return methodSet{
+		def:       baselines.DefaultOnly{},
+		restune:   restune,
+		scratch:   scratchTuner(p, seed),
+		otterTune: ot,
+		cdbTune:   baselines.NewCDBTuneWCon(seed),
+		iTuned:    it,
+	}
+}
+
+// lhsTask samples a simulated workload's response surface at an LHS design
+// of 2*RepoIters points (the case study builds its variant repository this
+// way: "for each variation, we conduct LHS sampling to collect 200
+// observations") and returns the task record — internal metrics included,
+// for OtterTune's mapping — with the base-learner fitted on it. seed drives
+// the design and the learner's hyperparameter search.
+func lhsTask(p Params, id string, w workload.Workload, hwName string, sim *dbsim.Simulator,
+	space *knobs.Space, resource dbsim.ResourceKind, seed int64) (repo.TaskRecord, *meta.BaseLearner, error) {
+	n := p.RepoIters * 2
+	if n < 12 {
+		n = 12
+	}
+	mf, err := metaFeatureOf(w, p.Seed)
+	if err != nil {
+		return repo.TaskRecord{}, nil, err
+	}
+	task := repo.TaskRecord{TaskID: id, Workload: w.Name, Hardware: hwName, MetaFeature: mf}
+	for _, k := range space.Knobs() {
+		task.KnobNames = append(task.KnobNames, k.Name)
+	}
+	for _, u := range core.LHSInit(n, space.Dim(), seed) {
 		theta := space.Quantize(u)
 		m := sim.Eval(space, space.Denormalize(theta))
-		h = append(h, bo.Observation{
+		task.Observations = append(task.Observations, repo.ObservationRecord{
 			Theta: theta, Res: m.Resource(resource), Tps: m.TPS, Lat: m.LatencyP99Ms,
+			Internal: m.Internal,
 		})
 	}
-	mf, err := metaFeatureOf(w, seed)
+	bl, err := meta.NewBaseLearnerSparse(id, w.Name, hwName, mf, task.History(), space.Dim(), seed, gp.SparseConfig{})
 	if err != nil {
-		return nil, nil, err
+		return repo.TaskRecord{}, nil, err
 	}
-	bl, err := meta.NewBaseLearnerSparse(w.Name+"@"+hwName, w.Name, hwName, mf, h, space.Dim(), seed, gp.SparseConfig{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return bl, h, nil
+	return task, bl, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
@@ -40,28 +39,18 @@ func runTable3(p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ot := baselines.NewOtterTuneWCon(p.Seed, repoAll.Tasks)
-	ot.Acq = p.Acq
-	it := baselines.NewITuned(p.Seed)
-	it.Acq = p.Acq
-	methods := []core.Tuner{
-		restune,
-		scratchTuner(p, p.Seed),
-		it,
-		baselines.NewCDBTuneWCon(p.Seed),
-		ot,
-	}
+	m := newMethodSet(p, p.Seed, restune, repoAll.Tasks)
+	methods := []core.Tuner{m.restune, m.scratch, m.iTuned, m.cdbTune, m.otterTune}
 
-	r.Addf("%-18s %16s %14s %14s %16s %12s", "Method", "Meta-Processing", "Model Update", "Knob Rec.", "Replay(window)", "Total")
+	r.Addf("%-18s %14s %14s %16s %12s", "Method", "Model Update", "Knob Rec.", "Replay(window)", "Total")
 	for mi, m := range methods {
 		res, err := m.Run(newEv(p.Seed+int64(mi)), p.Iters)
 		if err != nil {
 			return nil, err
 		}
-		var metaD, modelD, recD time.Duration
+		var modelD, recD time.Duration
 		n := 0
 		for _, iter := range res.Iterations[1:] {
-			metaD += iter.MetaProcessing
 			modelD += iter.ModelUpdate
 			recD += iter.Recommend
 			n++
@@ -69,12 +58,11 @@ func runTable3(p Params) (*Report, error) {
 		if n == 0 {
 			continue
 		}
-		meta := metaD / time.Duration(n)
 		model := modelD / time.Duration(n)
 		rec := recD / time.Duration(n)
-		total := replayWindow + meta + model + rec
-		r.Addf("%-18s %16s %14s %14s %16s %12s",
-			res.Method, fmtDur(meta), fmtDur(model), fmtDur(rec),
+		total := replayWindow + model + rec
+		r.Addf("%-18s %14s %14s %16s %12s",
+			res.Method, fmtDur(model), fmtDur(rec),
 			fmtDur(replayWindow), fmtDur(total))
 		r.AddSeries("modelupdate:"+res.Method, []float64{model.Seconds()})
 		r.AddSeries("recommend:"+res.Method, []float64{rec.Seconds()})

@@ -12,26 +12,22 @@ import (
 type FitConfig struct {
 	// Candidates is the number of random hyperparameter draws evaluated.
 	Candidates int
-	// LengthScaleMin/Max bound the length-scale search (inputs are in [0,1]).
-	LengthScaleMin, LengthScaleMax float64
-	// VarianceMin/Max bound the signal-variance search (targets standardized).
-	VarianceMin, VarianceMax float64
-	// NoiseMin/Max bound the noise-variance search.
-	NoiseMin, NoiseMax float64
 	// Recorder receives a per-search span (nil records nothing). Telemetry
 	// only — the search result never depends on it.
 	Recorder obs.Recorder
 }
 
-// DefaultFitConfig returns search bounds appropriate for normalized inputs
-// and standardized targets.
+// The search bounds, appropriate for normalized inputs (in [0,1]) and
+// standardized targets.
+const (
+	lengthScaleMin, lengthScaleMax = 0.05, 3.0
+	varianceMin, varianceMax       = 0.05, 5.0
+	noiseMin, noiseMax             = 1e-5, 0.25
+)
+
+// DefaultFitConfig returns the full search budget.
 func DefaultFitConfig() FitConfig {
-	return FitConfig{
-		Candidates:     32,
-		LengthScaleMin: 0.05, LengthScaleMax: 3,
-		VarianceMin: 0.05, VarianceMax: 5,
-		NoiseMin: 1e-5, NoiseMax: 0.25,
-	}
+	return FitConfig{Candidates: 32}
 }
 
 // FitHyperparams maximizes the log marginal likelihood over kernel length
@@ -65,11 +61,11 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	cands := make([]cand, cfg.Candidates)
 	for c := range cands {
 		p := make([]float64, nParams)
-		p[0] = math.Log(logU(cfg.VarianceMin, cfg.VarianceMax))
+		p[0] = math.Log(logU(varianceMin, varianceMax))
 		for i := 1; i < nParams; i++ {
-			p[i] = math.Log(logU(cfg.LengthScaleMin, cfg.LengthScaleMax))
+			p[i] = math.Log(logU(lengthScaleMin, lengthScaleMax))
 		}
-		cands[c] = cand{params: p, noise: logU(cfg.NoiseMin, cfg.NoiseMax)}
+		cands[c] = cand{params: p, noise: logU(noiseMin, noiseMax)}
 	}
 
 	lml := make([]float64, len(cands))

@@ -21,8 +21,8 @@ type CorpusTask struct {
 	// nearest-neighbor shortlisting and static weights.
 	MetaFeature []float64
 	// Fit materializes the fitted base-learner. It must be deterministic:
-	// re-fitting after an LRU eviction has to reproduce the identical
-	// surrogate, or session traces would depend on cache pressure.
+	// sessions sharing a task list each fit it (or share one single-flight
+	// fit), and their traces must not depend on which of them did.
 	Fit func() (*BaseLearner, error)
 }
 
@@ -38,17 +38,6 @@ type CorpusOptions struct {
 	// corpus stays on this path). 0 selects DefaultBruteForceThreshold;
 	// negative forces shortlisting at any size.
 	ExactThreshold int
-	// PruneAfter drops a shortlisted learner — and releases its fitted
-	// surrogate — once dynamic weights pin it at zero for this many
-	// consecutive iterations. 0 disables pruning. Pruning only applies in
-	// shortlist mode, never on the exact path.
-	PruneAfter int
-	// MaxResident caps how many fitted learners stay in memory (LRU,
-	// evicting the least recently used non-active learner). It is always
-	// at least the current active-set size, so one session never thrashes
-	// its own shortlist; the cap matters when a Corpus outlives a session
-	// and serves several targets. 0 means no cap beyond the active set.
-	MaxResident int
 	// Recorder receives shortlist/materialization telemetry (nil records
 	// nothing). Telemetry only — shortlists and weights never depend on it.
 	Recorder obs.Recorder
@@ -69,8 +58,8 @@ const DefaultShortlistK = 16
 // internally locked only around the cache; concurrent sessions must not
 // share one Corpus — instead, build one SharedCorpus over the task list
 // and hand each session its own view via SharedCorpus.NewSession, which
-// keeps shortlist/pruning/LRU state private while routing fits through
-// the shared single-flight cache.
+// keeps the shortlist private while routing fits through the shared
+// single-flight cache.
 type Corpus struct {
 	tasks []CorpusTask
 	opts  CorpusOptions
@@ -82,17 +71,13 @@ type Corpus struct {
 
 	activated    bool
 	shortlisting bool
-	active       []int // ascending task indices, pruned learners removed
-	zeroStreak   map[int]int
+	active       []int // ascending task indices
 
 	mu       sync.Mutex
 	resident map[int]*BaseLearner
-	lastUse  map[int]uint64
-	useSeq   uint64
 
 	gShortlist obs.Gauge
 	gResident  obs.Gauge
-	cPrunes    obs.Counter
 	cFits      obs.Counter
 }
 
@@ -103,12 +88,9 @@ func NewCorpus(tasks []CorpusTask, opts CorpusOptions) *Corpus {
 		tasks:      tasks,
 		opts:       opts,
 		rec:        rec,
-		zeroStreak: make(map[int]int),
 		resident:   make(map[int]*BaseLearner),
-		lastUse:    make(map[int]uint64),
 		gShortlist: rec.Gauge("meta.corpus_shortlist"),
 		gResident:  rec.Gauge("meta.corpus_resident"),
-		cPrunes:    rec.Counter("meta.corpus_prunes"),
 		cFits:      rec.Counter("meta.corpus_fits"),
 	}
 }
@@ -177,7 +159,6 @@ func (c *Corpus) shortlistK() int {
 func (c *Corpus) Activate(targetMeta []float64) error {
 	n := len(c.tasks)
 	c.activated = true
-	c.zeroStreak = make(map[int]int)
 	var sp obs.Span
 	if c.rec.Enabled() {
 		sp = c.rec.Span("meta.corpus_activate", obs.Int("n", n))
@@ -280,27 +261,23 @@ func (c *Corpus) ActiveLearners() ([]*BaseLearner, []int, error) {
 		}
 		learners[j] = bl
 	}
-	c.evictOverCap()
 	ids := append([]int(nil), c.active...)
 	return learners, ids, nil
 }
 
 func (c *Corpus) learner(id int) (*BaseLearner, error) {
 	c.mu.Lock()
-	if bl, ok := c.resident[id]; ok {
-		c.useSeq++
-		c.lastUse[id] = c.useSeq
-		c.mu.Unlock()
+	bl, ok := c.resident[id]
+	c.mu.Unlock()
+	if ok {
 		return bl, nil
 	}
-	c.mu.Unlock()
 	// Fit outside the lock: fits are deterministic per task, so a rare
 	// duplicate fit under future concurrent use would be identical. A view
 	// attached to a SharedCorpus routes the fit through the fleet-wide
 	// single-flight cache instead, so N sessions pay ~1 fit per task; the
-	// session-local resident map above still provides lock-free-ish reuse
-	// and LRU semantics within the session.
-	var bl *BaseLearner
+	// session-local resident map above still gives reuse within the session
+	// without touching the shared lock.
 	var err error
 	if c.shared != nil {
 		bl, err = c.shared.fit(id)
@@ -319,97 +296,10 @@ func (c *Corpus) learner(id int) (*BaseLearner, error) {
 	}
 	c.cFits.Add(1)
 	c.mu.Lock()
-	c.useSeq++
-	c.lastUse[id] = c.useSeq
 	c.resident[id] = bl
 	c.gResident.Set(float64(len(c.resident)))
 	c.mu.Unlock()
 	return bl, nil
-}
-
-// evictOverCap enforces MaxResident, never evicting a currently active
-// learner (the cap is effectively max(MaxResident, len(active))).
-func (c *Corpus) evictOverCap() {
-	cap := c.opts.MaxResident
-	if cap <= 0 {
-		cap = len(c.tasks) // unbounded
-	}
-	if cap < len(c.active) {
-		cap = len(c.active)
-	}
-	isActive := make(map[int]bool, len(c.active))
-	for _, id := range c.active {
-		isActive[id] = true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.resident) > cap {
-		victim, victimSeq := -1, uint64(math.MaxUint64)
-		for id := range c.resident {
-			if isActive[id] {
-				continue
-			}
-			if seq := c.lastUse[id]; seq < victimSeq || (seq == victimSeq && (victim < 0 || id < victim)) {
-				victim, victimSeq = id, seq
-			}
-		}
-		if victim < 0 {
-			return // everything resident is active; nothing evictable
-		}
-		delete(c.resident, victim)
-		delete(c.lastUse, victim)
-	}
-	c.gResident.Set(float64(len(c.resident)))
-}
-
-// ObserveDynamicWeights feeds one iteration's dynamic weights (aligned with
-// ids; any trailing target entry is ignored) into the pruning bookkeeping:
-// a learner at exactly zero weight for PruneAfter consecutive iterations is
-// dropped from the active set and its fitted surrogate released, so later
-// iterations stop paying even its weight computation. No-op on the exact
-// path or with pruning disabled.
-func (c *Corpus) ObserveDynamicWeights(ids []int, w []float64) {
-	if !c.shortlisting || c.opts.PruneAfter <= 0 {
-		return
-	}
-	var pruned []int
-	for j, id := range ids {
-		if j >= len(w) {
-			break
-		}
-		if w[j] != 0 {
-			c.zeroStreak[id] = 0
-			continue
-		}
-		c.zeroStreak[id]++
-		if c.zeroStreak[id] >= c.opts.PruneAfter {
-			pruned = append(pruned, id)
-		}
-	}
-	if len(pruned) == 0 {
-		return
-	}
-	isPruned := make(map[int]bool, len(pruned))
-	for _, id := range pruned {
-		isPruned[id] = true
-		delete(c.zeroStreak, id)
-	}
-	next := c.active[:0]
-	for _, id := range c.active {
-		if !isPruned[id] {
-			next = append(next, id)
-		}
-	}
-	c.active = next
-	c.mu.Lock()
-	for _, id := range pruned {
-		delete(c.resident, id)
-		delete(c.lastUse, id)
-	}
-	c.gResident.Set(float64(len(c.resident)))
-	c.mu.Unlock()
-	c.cPrunes.Add(uint64(len(pruned)))
-	c.gShortlist.Set(float64(len(c.active)))
 }
 
 // ScatterWeights expands weights over the active learners (ids, target

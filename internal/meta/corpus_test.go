@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/bo"
 	"repro/internal/gp"
 	"repro/internal/obs"
 )
@@ -190,107 +189,6 @@ func TestCorpusActivateClosesItsSpan(t *testing.T) {
 			t.Fatalf("%s: corpus_activate spans opened %d, closed %d, want 1 and 1", tc.name,
 				led.opened["meta.corpus_activate"], led.closed["meta.corpus_activate"])
 		}
-	}
-}
-
-func TestCorpusLRUCap(t *testing.T) {
-	var fits []int
-	tasks := testCorpus(t, 30, &fits)
-	c := NewCorpus(tasks, CorpusOptions{ShortlistK: 3, ExactThreshold: -1, MaxResident: 4})
-	for trial, target := range [][]float64{
-		tasks[5].MetaFeature, tasks[20].MetaFeature, tasks[12].MetaFeature, tasks[27].MetaFeature,
-	} {
-		if err := c.Activate(target); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := c.ActiveLearners(); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Resident(); got > 4 {
-			t.Fatalf("trial %d: %d resident learners, cap 4", trial, got)
-		}
-	}
-	// Re-activating an earlier target re-fits evicted learners.
-	if err := c.Activate(tasks[5].MetaFeature); err != nil {
-		t.Fatal(err)
-	}
-	learners, _, err := c.ActiveLearners()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Evict-then-refit must reproduce the identical surrogate: pick a probe
-	// point and compare bit patterns against a fresh fit.
-	fresh, err := tasks[4].Fit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cached *BaseLearner
-	for _, bl := range learners {
-		if bl.TaskID == fresh.TaskID {
-			cached = bl
-		}
-	}
-	if cached == nil {
-		t.Fatal("task 4 should be on the shortlist around task 5")
-	}
-	m1, v1 := cached.Surrogate.Predict(bo.Res, []float64{0.37})
-	m2, v2 := fresh.Surrogate.Predict(bo.Res, []float64{0.37})
-	if math.Float64bits(m1) != math.Float64bits(m2) || math.Float64bits(v1) != math.Float64bits(v2) {
-		t.Fatalf("refit diverged: (%v,%v) vs (%v,%v)", m1, v1, m2, v2)
-	}
-}
-
-func TestCorpusPrune(t *testing.T) {
-	var fits []int
-	tasks := testCorpus(t, 20, &fits)
-	c := NewCorpus(tasks, CorpusOptions{ShortlistK: 4, ExactThreshold: -1, PruneAfter: 2})
-	if err := c.Activate(tasks[10].MetaFeature); err != nil {
-		t.Fatal(err)
-	}
-	_, ids, err := c.ActiveLearners()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []int{8, 9, 10, 11}) {
-		t.Fatalf("ids %v", ids)
-	}
-	// Task 8 at zero once: streak 1, still active.
-	c.ObserveDynamicWeights(ids, []float64{0, 0.5, 0.3, 0.2, 0.1})
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{8, 9, 10, 11}) {
-		t.Fatalf("after one zero: %v", got)
-	}
-	// Task 8 recovers: streak resets.
-	c.ObserveDynamicWeights(ids, []float64{0.1, 0.5, 0.3, 0.1, 0.1})
-	// Two consecutive zeros for tasks 8 and 11: both pruned.
-	c.ObserveDynamicWeights(ids, []float64{0, 0.5, 0.3, 0, 0.1})
-	c.ObserveDynamicWeights(ids, []float64{0, 0.5, 0.3, 0, 0.1})
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{9, 10}) {
-		t.Fatalf("after prune: %v", got)
-	}
-	if got := c.Resident(); got != 2 {
-		t.Fatalf("pruned learners must be released, %d resident", got)
-	}
-	// Next Activate starts fresh.
-	if err := c.Activate(tasks[10].MetaFeature); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{8, 9, 10, 11}) {
-		t.Fatalf("re-activation must reset pruning: %v", got)
-	}
-}
-
-func TestCorpusPruneNoopOnExactPath(t *testing.T) {
-	var fits []int
-	tasks := testCorpus(t, 5, &fits)
-	c := NewCorpus(tasks, CorpusOptions{PruneAfter: 1})
-	if err := c.Activate(tasks[2].MetaFeature); err != nil {
-		t.Fatal(err)
-	}
-	ids := c.ActiveIDs()
-	c.ObserveDynamicWeights(ids, make([]float64, len(ids)+1))
-	c.ObserveDynamicWeights(ids, make([]float64, len(ids)+1))
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("exact path must never prune: %v", got)
 	}
 }
 

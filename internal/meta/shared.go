@@ -11,10 +11,10 @@ import (
 // immutable base-task list plus a shared, read-mostly cache of fitted
 // base-learners, served to many concurrent tuning sessions. The "copy" in
 // copy-on-write is per-session mutable state only — each session gets its
-// own Corpus view (shortlist, zero-weight streaks, LRU residency) via
-// NewSession, while the expensive parts (task metadata, meta-feature
-// vectors, and above all the fitted surrogates) are shared: N sessions
-// tuning similar workloads pay ~1 GP fit per base task instead of N.
+// own Corpus view (its shortlist and resident set) via NewSession, while
+// the expensive parts (task metadata, meta-feature vectors, and above all
+// the fitted surrogates) are shared: N sessions tuning similar workloads
+// pay ~1 GP fit per base task instead of N.
 //
 // Fits are single-flight: the first session to request a task's learner
 // runs the (deterministic) Fit closure while later requesters block on the
@@ -73,8 +73,7 @@ func (s *SharedCorpus) Len() int { return len(s.tasks) }
 func (s *SharedCorpus) Tasks() []CorpusTask { return s.tasks }
 
 // NewSession returns a fresh per-session Corpus view over the shared tasks:
-// its shortlist, pruning bookkeeping and LRU residency are private to the
-// session, while learner materialization goes through the shared
+// its shortlist and resident set are private to the session, while learner materialization goes through the shared
 // single-flight cache. Safe to call concurrently.
 func (s *SharedCorpus) NewSession(opts CorpusOptions) *Corpus {
 	c := NewCorpus(s.tasks, opts)

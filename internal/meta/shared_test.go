@@ -3,6 +3,7 @@ package meta
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,32 +142,40 @@ func TestSharedCorpusMemoizesErrors(t *testing.T) {
 }
 
 func TestSharedCorpusSessionViewsAreIndependent(t *testing.T) {
-	// Pruning in one session's view must not disturb another's active set.
-	const n = 4
+	// Two views over one shared corpus, activated against different
+	// targets: each keeps its own shortlist and resident set, and neither
+	// Activate disturbs the other's.
+	const n, k = 12, 3
 	tasks := SyntheticCorpus(n, 3, 3, 12, 9)
 	sc := NewSharedCorpus(tasks, nil)
 
-	a := sc.NewSession(CorpusOptions{ExactThreshold: -1, ShortlistK: n, PruneAfter: 1})
-	b := sc.NewSession(CorpusOptions{ExactThreshold: -1, ShortlistK: n, PruneAfter: 1})
-	target := tasks[0].MetaFeature
-	if err := a.Activate(target); err != nil {
+	a := sc.NewSession(CorpusOptions{ExactThreshold: -1, ShortlistK: k})
+	b := sc.NewSession(CorpusOptions{ExactThreshold: -1, ShortlistK: k})
+	if err := a.Activate(tasks[0].MetaFeature); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Activate(target); err != nil {
+	aIDs := a.ActiveIDs()
+	if err := b.Activate(tasks[n-1].MetaFeature); err != nil {
 		t.Fatal(err)
 	}
-	ids := a.ActiveIDs()
-	w := make([]float64, len(ids))
-	for i := range w {
-		w[i] = 1
+	bIDs := b.ActiveIDs()
+	if len(aIDs) != k || len(bIDs) != k {
+		t.Fatalf("shortlists %v and %v, want %d tasks each", aIDs, bIDs, k)
 	}
-	w[0] = 0 // pin first task at zero weight in session a only
-	a.ObserveDynamicWeights(ids, w)
-	if got, want := len(a.ActiveIDs()), len(ids)-1; got != want {
-		t.Fatalf("session a active = %d, want %d after prune", got, want)
+	if reflect.DeepEqual(aIDs, bIDs) {
+		t.Fatalf("different targets produced the same shortlist %v", aIDs)
 	}
-	if got := len(b.ActiveIDs()); got != len(ids) {
-		t.Fatalf("session b active = %d, want %d (unaffected by a's prune)", got, len(ids))
+	if got := a.ActiveIDs(); !reflect.DeepEqual(got, aIDs) {
+		t.Fatalf("session a shortlist moved from %v to %v when b activated", aIDs, got)
+	}
+	if _, _, err := a.ActiveLearners(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Resident(); got != k {
+		t.Fatalf("session a resident = %d, want %d", got, k)
+	}
+	if got := b.Resident(); got != 0 {
+		t.Fatalf("session b resident = %d, want 0 (a's fits are not b's)", got)
 	}
 }
 
