@@ -64,12 +64,12 @@ func fleetBenchSpecs(nSessions, nTasks, iters int, delay time.Duration) ([]core.
 	return specs, sc
 }
 
-// BenchmarkFleetSessions is the fleet-scaling acceptance benchmark
-// (BENCH_fleet.json via scripts/bench_snapshot.sh fleet): 8 concurrent
-// sessions over one shared 8-task corpus, at 1, 4 and 8 workers. The gates
-// scripts/benchcheck -fleet enforces on the committed snapshot: >= 3x
-// session throughput at 8 workers vs 1, and a shared-fit cache hit rate
-// above 50% (8 sessions x 8 task requests, only 8 fits run).
+// BenchmarkFleetSessions is the fleet-scaling benchmark: 8 concurrent
+// sessions over one shared 8-task corpus, at 1, 4 and 8 workers, reporting
+// session throughput and the shared-fit cache hit rate (8 sessions x 8 task
+// requests, only 8 fits run). It only reports: the hit rate above 50% is
+// asserted by internal/core's fleet tests, and throughput scaling is the
+// fleet-1k workload of benchmark/.
 func BenchmarkFleetSessions(b *testing.B) {
 	const (
 		nSessions = 8

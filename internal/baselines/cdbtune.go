@@ -24,15 +24,15 @@ import (
 type CDBTuneWCon struct {
 	// Seed drives the session's randomness.
 	Seed int64
-	// RL holds the agent hyperparameters.
-	RL rl.Config
-	// TrainSteps is the number of minibatch updates per iteration.
-	TrainSteps int
 }
 
-// NewCDBTuneWCon returns the baseline with paper-scaled settings.
+// trainSteps is the number of minibatch updates per iteration.
+const trainSteps = 8
+
+// NewCDBTuneWCon returns the baseline with paper-scaled settings (the
+// agent runs at rl.DefaultConfig).
 func NewCDBTuneWCon(seed int64) *CDBTuneWCon {
-	return &CDBTuneWCon{Seed: seed, RL: rl.DefaultConfig(), TrainSteps: 8}
+	return &CDBTuneWCon{Seed: seed}
 }
 
 // Name implements core.Tuner.
@@ -61,15 +61,10 @@ func (t *CDBTuneWCon) Run(ev core.Evaluator, iters int) (*core.Result, error) {
 		return state
 	}
 
-	agent := rl.New(len(defInternal), dim, t.RL, r)
+	agent := rl.New(len(defInternal), dim, rl.DefaultConfig(), r)
 	state := normalize(defInternal)
 	res0 := s.res.Iterations[0].Observation.Res
 	resPrev := res0
-
-	steps := t.TrainSteps
-	if steps <= 0 {
-		steps = 8
-	}
 
 	for iter := 1; iter <= iters; iter++ {
 		tRec := time.Now()
@@ -95,7 +90,7 @@ func (t *CDBTuneWCon) Run(ev core.Evaluator, iters int) (*core.Result, error) {
 		next := normalize(it.Measurement.Internal)
 		tModel := time.Now()
 		agent.Observe(rl.Transition{State: state, Action: action, Reward: reward, NextState: next})
-		agent.Train(steps)
+		agent.Train(trainSteps)
 		s.res.Iterations[len(s.res.Iterations)-1].ModelUpdate = time.Since(tModel)
 		state = next
 	}

@@ -227,7 +227,7 @@ func (s *Session) Step() (bool, error) {
 		s.finish()
 		return true, nil
 	}
-	if sessionConverged(s.res, cfg.ConvergenceWindow, convergenceEps) {
+	if sessionConverged(s.res, cfg.ConvergenceWindow) {
 		s.res.Converged = true
 		s.finish()
 		return true, nil
@@ -568,8 +568,8 @@ func (s *Session) incumbents() [][]float64 {
 }
 
 // sessionConverged applies the stopping rule: best-feasible res/tps/lat all
-// stable within eps for window consecutive iterations.
-func sessionConverged(res *Result, window int, eps float64) bool {
+// stable within convergenceEps for window consecutive iterations.
+func sessionConverged(res *Result, window int) bool {
 	if window <= 0 || len(res.Iterations) < window+1 {
 		return false
 	}
@@ -583,9 +583,9 @@ func sessionConverged(res *Result, window int, eps float64) bool {
 		}
 		cur := triple{best.Res, best.Tps, best.Lat}
 		if prev != nil {
-			if relChange(prev.r, cur.r) > eps ||
-				relChange(prev.tp, cur.tp) > eps ||
-				relChange(prev.l, cur.l) > eps {
+			if relChange(prev.r, cur.r) > convergenceEps ||
+				relChange(prev.tp, cur.tp) > convergenceEps ||
+				relChange(prev.l, cur.l) > convergenceEps {
 				return false
 			}
 		}

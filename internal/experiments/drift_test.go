@@ -3,57 +3,86 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
 // TestRampGraduatedResponse is the acceptance test for the graduated drift
-// response on the profile that motivated it: the gradual ramp, where the
-// PR-8 hard reset *hurt* (throwing away the incumbent on slow continuous
-// growth). All three arms are paired — identical seeds, corpus and method
-// name, differing only in Config.Drift — at the parameters of the
-// EXPERIMENTS.md simulated-day table (`restune-bench -timeline all -iters
-// 48`), so the assertion is about the mechanism, not the seed.
+// response. Every arm of a day is paired — identical seeds, corpus and
+// method name, differing only in Config.Drift — so the assertions are about
+// the mechanism, not the seed.
 //
-// The graduated tuner must (a) no longer lose to the stationary baseline,
-// and (b) beat the hard-reset configuration it replaces (ResetThreshold ==
-// Threshold escalates every event to tier 2, reproducing the pre-graduated
+// The ramp is the profile that motivated the graduated response: there the
+// PR-8 hard reset *hurt* (throwing away the incumbent on slow continuous
+// growth). At the parameters of the EXPERIMENTS.md simulated-day table
+// (`restune-bench -timeline all -iters 48`) the graduated tuner must (a) no
+// longer lose to the stationary baseline, and (b) beat the hard-reset
+// configuration it replaces (ResetThreshold == the detection threshold
+// escalates every event to tier 2, reproducing the pre-graduated
 // behaviour) — while still firing drift events rather than going inert.
+//
+// The diurnal day, at BenchmarkDriftSimulatedDay's budget, has regime
+// structure to exploit: there the aware tuner must violate the load-scaled
+// SLA strictly less often than the stationary one and be back inside the
+// SLA within 12 iterations of every event.
 func TestRampGraduatedResponse(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full simulated-day sessions")
+		t.Skip("five full simulated-day sessions")
 	}
-	p := Quick()
-	p.Iters = 48
-
-	ramp, err := workload.TimelineProfile("ramp")
-	if err != nil {
-		t.Fatal(err)
+	tableParams := Quick()
+	tableParams.Iters = 48
+	benchParams := Params{
+		Seed: 1, Iters: 48, RepoIters: 10, Runs: 1,
+		Acq: bo.OptimizerConfig{RandomCandidates: 64, LocalStarts: 2, LocalSteps: 8, StepScale: 0.1},
 	}
-	stationary, err := SimulatedDay("ramp", ramp, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graduated, err := SimulatedDay("ramp", ramp, p, &core.DriftConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hardReset, err := SimulatedDay("ramp", ramp, p, &core.DriftConfig{ResetThreshold: 0.04})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Logf("ramp violations: graduated=%d stationary=%d hard-reset=%d (graduated events=%d)",
-		graduated.Violations, stationary.Violations, hardReset.Violations, graduated.DriftEvents)
-	if graduated.DriftEvents < 1 {
-		t.Fatal("graduated tuner fired no drift events on the ramp — the detector went inert")
-	}
-	if graduated.Violations > stationary.Violations {
-		t.Errorf("graduated drift response violates the SLA more than the stationary baseline on the ramp: %d > %d",
-			graduated.Violations, stationary.Violations)
-	}
-	if graduated.Violations > hardReset.Violations {
-		t.Errorf("graduated drift response is no better than the hard reset it replaces on the ramp: %d > %d",
-			graduated.Violations, hardReset.Violations)
+	for _, tc := range []struct {
+		profile       string
+		p             Params
+		strictlyFewer bool // aware must beat stationary, not just tie it
+		maxAdapt      int  // bound on DayStats.AdaptMax; 0 leaves it unchecked
+		vsHardReset   bool // also run the hard-reset reference arm
+	}{
+		{profile: "ramp", p: tableParams, vsHardReset: true},
+		{profile: "diurnal", p: benchParams, strictlyFewer: true, maxAdapt: 12},
+	} {
+		t.Run(tc.profile, func(t *testing.T) {
+			tl, err := workload.TimelineProfile(tc.profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stationary, err := SimulatedDay(tc.profile, tl, tc.p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graduated, err := SimulatedDay(tc.profile, tl, tc.p, &core.DriftConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("violations: graduated=%d stationary=%d (graduated events=%d, worst adaptation=%d)",
+				graduated.Violations, stationary.Violations, graduated.DriftEvents, graduated.AdaptMax)
+			if graduated.DriftEvents < 1 {
+				t.Fatal("graduated tuner fired no drift events — the detector went inert")
+			}
+			if graduated.Violations > stationary.Violations ||
+				tc.strictlyFewer && graduated.Violations == stationary.Violations {
+				t.Errorf("graduated drift response does not beat the stationary baseline: %d vs %d violations",
+					graduated.Violations, stationary.Violations)
+			}
+			if tc.maxAdapt > 0 && graduated.AdaptMax > tc.maxAdapt {
+				t.Errorf("worst-case adaptation took %d iterations, want <= %d", graduated.AdaptMax, tc.maxAdapt)
+			}
+			if !tc.vsHardReset {
+				return
+			}
+			hardReset, err := SimulatedDay(tc.profile, tl, tc.p, &core.DriftConfig{ResetThreshold: 0.04})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if graduated.Violations > hardReset.Violations {
+				t.Errorf("graduated drift response is no better than the hard reset it replaces: %d > %d",
+					graduated.Violations, hardReset.Violations)
+			}
+		})
 	}
 }

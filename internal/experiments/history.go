@@ -14,7 +14,7 @@ const (
 	historyBenchDim   = 8
 	historyBenchCands = 64
 	// historyBenchBudget is the warm-iteration hyperparameter search budget,
-	// matching the core session's RefitEvery fast path.
+	// matching the core session's warm iterations.
 	historyBenchBudget = 6
 )
 
@@ -145,7 +145,7 @@ func HistoryScale(sizes []int, seed int64, iters int) (*Report, error) {
 		for _, r := range ratios {
 			worst = math.Max(worst, r)
 		}
-		rep.Addf("worst sparse/exact ratio: %.3f (gate at n=2000: <= 0.20, scripts/benchcheck -gpscale)", worst)
+		rep.Addf("worst sparse/exact ratio: %.3f", worst)
 	}
 	rep.AddSeries("exact_ns_per_iter", exactNs)
 	rep.AddSeries("sparse_ns_per_iter", sparseNs)

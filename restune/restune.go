@@ -90,28 +90,20 @@ type (
 	// decoded on demand, so open cost is proportional to the index, not the
 	// corpus.
 	LazyRepository = repo.LazyRepository
-	// TaskMeta is the eagerly-resident metadata of one lazily-opened task.
-	TaskMeta = repo.TaskMeta
 	// BaseLearner is a fitted per-task surrogate used by the meta-learner.
 	BaseLearner = meta.BaseLearner
-	// Corpus manages base tasks at scale: ANN shortlisting, lazy surrogate
-	// fits with an LRU residency cap, and pruning of persistently
-	// zero-weighted learners (Config.Corpus).
+	// Corpus manages base tasks at scale: nearest-neighbor shortlisting and
+	// lazy surrogate fits (Config.Corpus).
 	Corpus = meta.Corpus
 	// CorpusTask is one shortlistable task: identity, meta-feature and a
 	// deterministic deferred fit.
 	CorpusTask = meta.CorpusTask
-	// CorpusOptions tunes shortlist size, exact-fallback threshold, pruning
-	// patience and surrogate residency.
+	// CorpusOptions tunes shortlist size and the exact-fallback threshold.
 	CorpusOptions = meta.CorpusOptions
 	// SharedCorpus is the fleet-wide copy-on-write fit cache: one immutable
 	// task list whose surrogate fits are computed once (single-flight) and
 	// shared read-only across every session holding a view from NewSession.
 	SharedCorpus = meta.SharedCorpus
-	// Session is one resumable tuning session as a value: NewSession binds
-	// it, Step advances it one iteration, Run steps it to completion. A
-	// Fleet multiplexes many of them over a bounded worker pool.
-	Session = core.Session
 	// SessionSpec declares one fleet session: name, config, evaluator,
 	// iteration budget.
 	SessionSpec = core.SessionSpec
@@ -124,14 +116,12 @@ type (
 	FleetConfig = core.FleetConfig
 	// AcquisitionConfig tunes acquisition-function optimization.
 	AcquisitionConfig = bo.OptimizerConfig
-	// WeightSchema selects the ensemble weight-assignment schema.
-	WeightSchema = core.WeightSchema
 	// ExperimentParams scales a paper-experiment run.
 	ExperimentParams = experiments.Params
 	// ExperimentReport is a paper-experiment's output.
 	ExperimentReport = experiments.Report
-	// DriftConfig parameterizes drift detection and safe trust-region
-	// exploration for online tuning (Config.Drift).
+	// DriftConfig enables drift detection and safe trust-region exploration
+	// for online tuning (Config.Drift).
 	DriftConfig = core.DriftConfig
 	// SparseConfig switches the GP surrogate to subset-of-data sparse
 	// inference once a session's history exceeds its threshold
@@ -139,11 +129,6 @@ type (
 	SparseConfig = gp.SparseConfig
 	// Timeline is a piecewise load schedule over a simulated day.
 	Timeline = workload.Timeline
-	// TimelinePhase is one named phase of a Timeline.
-	TimelinePhase = workload.TimelinePhase
-	// LoadPoint is the instantaneous load of a Timeline: a request-rate
-	// multiplier and an additive write-ratio boost.
-	LoadPoint = workload.LoadPoint
 	// TimelineEvaluator drives a simulator through a Timeline with
 	// time-compressed playback (implements Evaluator).
 	TimelineEvaluator = core.TimelineEvaluator
@@ -151,19 +136,6 @@ type (
 	// drift events and adaptation speed.
 	DayStats = experiments.DayStats
 )
-
-// Weight schemas (Config.Schema).
-const (
-	// AdaptiveSchema is the paper's design: static then dynamic weights.
-	AdaptiveSchema = core.AdaptiveSchema
-	// StaticOnlySchema keeps meta-feature weights for the whole session.
-	StaticOnlySchema = core.StaticOnlySchema
-	// DynamicOnlySchema uses ranking-loss weights from the first iteration.
-	DynamicOnlySchema = core.DynamicOnlySchema
-)
-
-// PenaltyBO returns the penalty-method constrained-BO ablation tuner.
-func PenaltyBO(seed int64) Tuner { return baselines.NewPenaltyBO(seed) }
 
 // DefaultSparseConfig returns the default subset-of-data sparse-GP
 // configuration (activation threshold 256 observations) for
@@ -219,12 +191,6 @@ func NewSimulator(hw Hardware, profile dbsim.WorkloadProfile, seed int64, opts .
 // CPU/IO-experiment setting).
 func WithHalfRAMBufferPool() SimulatorOption { return dbsim.WithHalfRAMBufferPool() }
 
-// WithFixedBufferPool pins the buffer pool to an explicit size.
-func WithFixedBufferPool(bytes int64) SimulatorOption { return dbsim.WithFixedBufferPool(bytes) }
-
-// WithNoise sets the relative measurement-noise standard deviation.
-func WithNoise(std float64) SimulatorOption { return dbsim.WithNoise(std) }
-
 // NewEvaluator adapts a simulator into the Evaluator a tuning session
 // drives, minimizing the given resource over the knob space.
 func NewEvaluator(sim *Simulator, space *Space, res Resource) Evaluator {
@@ -267,9 +233,6 @@ func MetaFeatureDistance(a, b []float64) float64 { return workload.MetaFeatureDi
 
 // ---------------------------------------------------------------------------
 // Timelines and drift-aware online tuning.
-
-// NewTimeline builds a validated Timeline from explicit phases.
-func NewTimeline(phases []TimelinePhase) (*Timeline, error) { return workload.NewTimeline(phases) }
 
 // TimelineProfile returns a named built-in timeline: "diurnal" (a 24h
 // night/ramp/business/peak day), "spike" (a flash-crowd burst), "ramp" (a
@@ -360,23 +323,12 @@ func LoadRepository(path string) (*Repository, error) { return repo.Load(path) }
 // behind the same interface). Close it when the session is done.
 func OpenLazyRepository(path string) (*LazyRepository, error) { return repo.OpenLazy(path) }
 
-// NewCorpus builds a shortlisting corpus over explicit tasks. Repositories
-// build one directly via (*Repository).Corpus / (*LazyRepository).Corpus.
-func NewCorpus(tasks []CorpusTask, opts CorpusOptions) *Corpus { return meta.NewCorpus(tasks, opts) }
-
 // NewSharedCorpus builds the fleet-wide single-flight fit cache over a task
 // list (from SyntheticCorpus or a repository's CorpusTasks). Hand each
 // concurrent session its own view via SharedCorpus.NewSession so N sessions
 // over similar workloads pay ~1 surrogate fit per base task instead of N.
 func NewSharedCorpus(tasks []CorpusTask, rec Recorder) *SharedCorpus {
 	return meta.NewSharedCorpus(tasks, rec)
-}
-
-// NewSession binds a resumable tuning session without running anything: the
-// probe, corpus activation and model fits all happen inside Step, so a
-// scheduler can enqueue hundreds of sessions cheaply.
-func NewSession(cfg Config, ev Evaluator, iters int) (*Session, error) {
-	return core.NewSession(cfg, ev, iters)
 }
 
 // NewFleet returns the bounded-worker scheduler that multiplexes many
@@ -407,9 +359,6 @@ func TaskFromResult(taskID, workloadName, hardwareName string, metaFeature []flo
 // and physical IO counters.
 type EngineEvaluator = minidb.Evaluator
 
-// EngineConfig assembles the storage engine's tunables.
-type EngineConfig = minidb.Config
-
 // NewEngineEvaluator builds a real-engine evaluator: each Measure call
 // opens a fresh engine under the candidate knobs, loads the dataset and
 // replays the workload at its request rate.
@@ -417,22 +366,13 @@ func NewEngineEvaluator(baseDir string, space *Space, res Resource, w Workload, 
 	return minidb.NewEvaluator(baseDir, space, res, w, seed)
 }
 
-// OpenEngine opens (or creates) a minidb instance directly.
-func OpenEngine(cfg EngineConfig) (*minidb.DB, error) { return minidb.Open(cfg) }
-
-// EngineConfigFromKnobs maps a native knob configuration onto engine
-// parameters.
-func EngineConfigFromKnobs(dir string, space *Space, native []float64) EngineConfig {
-	return minidb.ConfigFromKnobs(dir, space, native)
-}
-
 // ---------------------------------------------------------------------------
 // Observability.
 
 // Recorder receives telemetry (spans, counters, gauges, histograms) from an
 // instrumented component. It is always injected — through Config.Recorder,
-// EngineConfig.Recorder, EngineEvaluator.Recorder or ExperimentParams.
-// Recorder — never global, and never influences tuning decisions.
+// EngineEvaluator.Recorder or ExperimentParams.Recorder — never global, and
+// never influences tuning decisions.
 type Recorder = obs.Recorder
 
 // TraceRecorder is a live Recorder streaming structured events as JSON

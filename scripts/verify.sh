@@ -19,22 +19,16 @@
 #      benchmark run once (-benchtime=1x) so a broken benchmark cannot land
 #      silently; so does the minidb engine family (point select, insert,
 #      range scan, group commit, sharded pool, replay workers, one
-#      deterministic Measure per sweep shape, open/close)
-#   7. snapshot guards: the committed BENCH_corpus.json must satisfy the
-#      <= 25% sublinear-meta gate, the committed BENCH_fleet.json must
-#      satisfy the >= 3x fleet-scaling / > 50% hit-rate gates, the
-#      committed BENCH_drift.json must satisfy the drift-adaptation gates
-#      (diurnal: aware strictly fewer SLA violations than stationary, >= 1
-#      drift event, bounded re-convergence; ramp: aware no more violations
-#      than stationary), and the committed BENCH_mathcore.json must satisfy
-#      the sparse-GP gate (sparse model update at n=2000 <= 20% of exact)
-#      (scripts/benchcheck)
-#   8. telemetry smoke runs: restune-tune -trace must emit a non-empty,
+#      deterministic Measure per sweep shape, open/close). Run-only: no
+#      timing is recorded or compared here (benchmark/ is where speed is
+#      measured); the behaviour these benchmarks report — drift violations,
+#      fleet hit rate, sparse accuracy — is asserted by step 4's tests
+#   7. telemetry smoke runs: restune-tune -trace must emit a non-empty,
 #      schema-valid JSONL artifact, a 2-session restune-server fleet must
 #      emit schema-valid per-session and fleet streams, and a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
 #      spans carry drift/trust-region attrs
-#   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s)
+#   8. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s)
 #
 # Environment:
 #   FUZZTIME=30s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing
@@ -77,18 +71,6 @@ go test -run '^$' \
 go test -run '^$' \
     -bench '^BenchmarkEngine(PointSelect|Insert|RangeScan)$|^BenchmarkCommitGroup$|^BenchmarkBufferPoolSharded$|^BenchmarkReplayWorkers$|^BenchmarkMeasureDeterministic$|^BenchmarkOpenClose$' \
     -benchtime 1x .
-
-echo "==> corpus snapshot guard (scripts/benchcheck)"
-go run ./scripts/benchcheck BENCH_corpus.json
-
-echo "==> fleet snapshot guard (scripts/benchcheck -fleet)"
-go run ./scripts/benchcheck -fleet BENCH_fleet.json
-
-echo "==> drift snapshot guard (scripts/benchcheck -drift)"
-go run ./scripts/benchcheck -drift BENCH_drift.json
-
-echo "==> sparse-GP snapshot guard (scripts/benchcheck -gpscale)"
-go run ./scripts/benchcheck -gpscale BENCH_mathcore.json
 
 echo "==> telemetry smoke (restune-tune -trace)"
 tracedir="$(mktemp -d)"
