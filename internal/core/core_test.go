@@ -376,3 +376,64 @@ func TestTargetImprovementGoal(t *testing.T) {
 		t.Fatal("goal reached but session did not stop early")
 	}
 }
+
+// TestIncumbentMatchesRescan steps a session and holds the running incumbent
+// to History.BestFeasible over the whole history after every step, and the
+// one-pass stopping rule to the definition it replaced: the incumbents of
+// the last window+1 history prefixes, each found by its own rescan.
+func TestIncumbentMatchesRescan(t *testing.T) {
+	cfg := DefaultConfig(5)
+	cfg.Acq = fastAcq()
+	cfg.ConvergenceWindow = 0
+	s, err := NewSession(cfg, twitterEvaluator(5), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rescanConverged := func(res *Result, window int) bool {
+		if window <= 0 || len(res.Iterations) < window+1 {
+			return false
+		}
+		h := res.History()
+		var prev *bo.Observation
+		for i := len(h) - window - 1; i < len(h); i++ {
+			best, ok := h[:i+1].BestFeasible(res.SLA)
+			if !ok {
+				return false
+			}
+			if prev != nil && (relChange(prev.Res, best.Res) > convergenceEps ||
+				relChange(prev.Tps, best.Tps) > convergenceEps ||
+				relChange(prev.Lat, best.Lat) > convergenceEps) {
+				return false
+			}
+			prev = &best
+		}
+		return true
+	}
+	moved, converged := 0, 0
+	for done := false; !done; {
+		before := s.best.Res
+		if done, err = s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		want, ok := s.h.BestFeasible(s.res.SLA)
+		if ok != s.hasBest || want.Res != s.best.Res || &want.Theta[0] != &s.best.Theta[0] {
+			t.Fatalf("iteration %d: incumbent %+v (%v), rescan finds %+v (%v)",
+				len(s.h)-1, s.best, s.hasBest, want, ok)
+		}
+		if s.best.Res != before {
+			moved++
+		}
+		for _, window := range []int{1, 3, 10, len(s.h) - 1, len(s.h)} {
+			got, want := sessionConverged(s.res, window), rescanConverged(s.res, window)
+			if got != want {
+				t.Fatalf("iteration %d window %d: converged=%v, rescan says %v", len(s.h)-1, window, got, want)
+			}
+			if got {
+				converged++
+			}
+		}
+	}
+	if moved < 2 || converged == 0 {
+		t.Fatalf("session too quiet to test the rule: incumbent moved %d times, %d converged verdicts", moved, converged)
+	}
+}

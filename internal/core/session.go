@@ -44,8 +44,14 @@ type Session struct {
 	bestGauge obs.Gauge
 	span      obs.Span
 
-	res          *Result
+	res *Result
+	// h is the history track; best is its incumbent — the feasible
+	// observation of lowest Res, the first on ties, Res +Inf until there is
+	// one — kept by record as h grows: h.BestFeasible(res.SLA) without the
+	// per-iteration rescans.
 	h            bo.History
+	best         bo.Observation
+	hasBest      bool
 	defaultTheta []float64
 	lhsDesign    [][]float64
 	tri          *bo.TriGP
@@ -159,7 +165,8 @@ func (s *Session) start() error {
 	// never move it: slices of it handed to the model layer (the target
 	// surrogate and base-learner) stay valid as the session grows.
 	s.h = make(bo.History, 0, s.budget+1)
-	s.h = append(s.h, s.res.Iterations[0].Observation)
+	s.best = bo.Observation{Res: math.Inf(1)}
+	s.record(s.res.Iterations[0].Observation)
 
 	// Pre-compute the LHS fallback design once. The target surrogate
 	// persists across iterations so hyperparameter search warm-starts.
@@ -355,15 +362,15 @@ func (s *Session) runIteration(iter int) error {
 		it.Shortlist = len(base)
 		surrogate = ens
 		cons = ens.RescaledConstraints(s.defaultTheta)
-		if best, ok := s.h.BestFeasible(s.res.SLA); ok {
-			mu, _ := ens.Predict(bo.Res, best.Theta)
+		if s.hasBest {
+			mu, _ := ens.Predict(bo.Res, s.best.Theta)
 			bestVal = mu
 		}
 	} else if !lhsPhase {
 		surrogate = s.tri
 		cons = s.tri.RawConstraints(s.res.SLA)
-		if best, ok := s.h.BestFeasible(s.res.SLA); ok {
-			bestVal = s.tri.Standardizer(bo.Res).Apply(best.Res)
+		if s.hasBest {
+			bestVal = s.tri.Standardizer(bo.Res).Apply(s.best.Res)
 		}
 		it.Phase = "cbo"
 	}
@@ -463,7 +470,7 @@ func (s *Session) runIteration(iter int) error {
 		s.radiusGauge.Set(s.drift.radius)
 	}
 	s.res.Iterations = append(s.res.Iterations, it)
-	s.h = append(s.h, it.Observation)
+	s.record(it.Observation)
 	if s.obsW != nil {
 		// The new observation enters at full weight: it is the freshest
 		// evidence of the (possibly just-translated) current regime.
@@ -524,12 +531,21 @@ func (s *Session) runIteration(iter int) error {
 		}
 		iterSpan.SetAttrs(attrs...)
 		s.iterGauge.Set(float64(iter))
-		if best, ok := s.h.BestFeasible(s.res.SLA); ok {
-			s.bestGauge.Set(best.Res)
+		if s.hasBest {
+			s.bestGauge.Set(s.best.Res)
 		}
 	}
 	iterSpan.End()
 	return nil
+}
+
+// record appends an observation to the history and moves the incumbent by
+// History.BestFeasible's rule.
+func (s *Session) record(o bo.Observation) {
+	s.h = append(s.h, o)
+	if s.res.SLA.Feasible(o) && o.Res < s.best.Res {
+		s.best, s.hasBest = o, true
+	}
 }
 
 // decayObservationWeights applies one tier-1 forgetting step: every
@@ -556,8 +572,8 @@ func (s *Session) decayObservationWeights() {
 // entries, so no copying happens either).
 func (s *Session) incumbents() [][]float64 {
 	inc := s.incBuf[:0]
-	if best, ok := s.h.BestFeasible(s.res.SLA); ok {
-		inc = append(inc, best.Theta)
+	if s.hasBest {
+		inc = append(inc, s.best.Theta)
 	}
 	inc = append(inc, s.defaultTheta)
 	if len(s.h) > 0 {
@@ -570,26 +586,29 @@ func (s *Session) incumbents() [][]float64 {
 // sessionConverged applies the stopping rule: best-feasible res/tps/lat all
 // stable within convergenceEps for window consecutive iterations.
 func sessionConverged(res *Result, window int) bool {
-	if window <= 0 || len(res.Iterations) < window+1 {
+	from := len(res.Iterations) - window - 1
+	if window <= 0 || from < 0 {
 		return false
 	}
-	h := res.History()
-	type triple struct{ r, tp, l float64 }
-	var prev *triple
-	for i := len(res.Iterations) - window - 1; i < len(res.Iterations); i++ {
-		best, ok := h[:i+1].BestFeasible(res.SLA)
-		if !ok {
+	// One pass: best is the incumbent of the first i+1 iterations, prev the
+	// one before it; only the last window+1 of them are compared.
+	best, prev := bo.Observation{Res: math.Inf(1)}, bo.Observation{}
+	for i, it := range res.Iterations {
+		if o := it.Observation; res.SLA.Feasible(o) && o.Res < best.Res {
+			best = o
+		}
+		if i < from {
+			continue
+		}
+		if math.IsInf(best.Res, 1) {
 			return false
 		}
-		cur := triple{best.Res, best.Tps, best.Lat}
-		if prev != nil {
-			if relChange(prev.r, cur.r) > convergenceEps ||
-				relChange(prev.tp, cur.tp) > convergenceEps ||
-				relChange(prev.l, cur.l) > convergenceEps {
-				return false
-			}
+		if i > from && (relChange(prev.Res, best.Res) > convergenceEps ||
+			relChange(prev.Tps, best.Tps) > convergenceEps ||
+			relChange(prev.Lat, best.Lat) > convergenceEps) {
+			return false
 		}
-		prev = &cur
+		prev = best
 	}
 	return true
 }

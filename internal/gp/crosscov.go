@@ -7,15 +7,15 @@ import (
 	"repro/internal/mat"
 )
 
-// crossScratch is the pooled workspace of one fast cross-covariance pass:
-// the dim x m transposed candidate block (one candidate per column, so the
-// distance pass streams contiguous rows) plus the per-training-row distance
-// and radius arrays. Pooled package-wide; concurrent callers each take their
-// own.
+// crossScratch is the pooled workspace of one fast covariance pass: the
+// dim x m transposed point block (one point per column, so the distance
+// pass streams contiguous rows) plus the per-row distance, radius and
+// exponential arrays. Pooled package-wide; concurrent callers each take
+// their own.
 type crossScratch struct {
-	xtdata []float64
-	xt     mat.Dense
-	s, r   []float64
+	xtdata  []float64
+	xt      mat.Dense
+	s, r, e []float64
 }
 
 var crossPool = sync.Pool{New: func() any { return &crossScratch{} }}
@@ -28,9 +28,9 @@ func getCrossScratch(dim, m int) *crossScratch {
 	if cap(cs.s) < m {
 		cs.s = make([]float64, m)
 		cs.r = make([]float64, m)
+		cs.e = make([]float64, m)
 	}
 	cs.xt.Reset(dim, m, cs.xtdata[:dim*m])
-	cs.s, cs.r = cs.s[:m], cs.r[:m]
 	return cs
 }
 
@@ -45,30 +45,53 @@ func (cs *crossScratch) transpose(X [][]float64, dim, m int) {
 	}
 }
 
+// matern52Row fills row[j] = k(x, column lo+j of cs.xt) for an isotropic
+// Matérn-5/2 kernel of variance v and inverse squared length scale inv. It
+// replays exactly Eval's op sequence, split into array passes: the scaled
+// squared distance (sub, square, scale by the hoisted 1/(l·l), add over
+// ascending dimensions), then r = sqrt(5·s), then exp(−r), then the output
+// expression v·(1+r+5·s/3)·exp(−r). The first three vectorize over columns,
+// each lane doing what the scalar code does (see mat.SqDistColsTo,
+// SqrtScaleTo and ExpTo for the three arguments), so every entry matches
+// Eval(x, column) bit for bit.
+func (cs *crossScratch) matern52Row(row, x []float64, lo int, v, inv float64) {
+	s, r, e := cs.s[:len(row)], cs.r[:len(row)], cs.e[:len(row)]
+	mat.SqDistColsTo(s, x, &cs.xt, lo, inv)
+	mat.SqrtScaleTo(r, s, 5)
+	for j, rj := range r {
+		e[j] = -rj
+	}
+	mat.ExpTo(e, e)
+	for j := range row {
+		row[j] = v * (1 + r[j] + 5*s[j]/3) * e[j]
+	}
+}
+
 // crossCovMatern52Iso fills dst[i][j] = k(xs[i], X[j]) for an isotropic
 // Matérn-5/2 kernel — the production configuration (NewMatern52, and
-// hyperparameter search preserves the parameter count). Per training row it
-// replays exactly EvalRow's op sequence, split into array passes: the scaled
-// squared distance (sub, square, scale by the hoisted 1/(l·l), add over
-// ascending dimensions), then r = sqrt(5·s), then the output expression
-// v·(1+r+5·s/3)·exp(−r). The distance and sqrt passes vectorize over
-// candidates (see mat.SqDistColsTo/SqrtScaleTo for the lane-wise bit-identity
-// argument); the exp pass stays scalar because math.Exp must keep its exact
-// bits. Every entry therefore matches Eval(xs[i], X[j]) bit for bit.
+// hyperparameter search preserves the parameter count).
 func crossCovMatern52Iso(dst *mat.Dense, xs, X [][]float64, k *Matern52) {
 	dim, m := len(xs[0]), len(X)
 	cs := getCrossScratch(dim, m)
 	cs.transpose(X, dim, m)
-	v := k.Variance
 	inv := 1 / (k.LengthScales[0] * k.LengthScales[0])
 	for i, xi := range xs {
-		row := dst.Row(i)
-		mat.SqDistColsTo(cs.s, xi[:dim], &cs.xt, inv)
-		mat.SqrtScaleTo(cs.r, cs.s, 5)
-		for j := 0; j < m; j++ {
-			r := cs.r[j]
-			row[j] = v * (1 + r + 5*cs.s[j]/3) * math.Exp(-r)
-		}
+		cs.matern52Row(dst.Row(i), xi[:dim], 0, k.Variance, inv)
+	}
+	crossPool.Put(cs)
+}
+
+// fillMatern52Iso fills the upper triangle of dst with k(xs[i], xs[j]): row
+// i from the start of the diagonal's group of eight columns, so the vector
+// passes of matern52Row see whole groups and only the row's end is a tail.
+func fillMatern52Iso(dst *mat.Dense, xs [][]float64, k *Matern52) {
+	dim, n := len(xs[0]), len(xs)
+	cs := getCrossScratch(dim, n)
+	cs.transpose(xs, dim, n)
+	inv := 1 / (k.LengthScales[0] * k.LengthScales[0])
+	for i, xi := range xs {
+		lo := i &^ 7
+		cs.matern52Row(dst.Row(i)[lo:], xi[:dim], lo, k.Variance, inv)
 	}
 	crossPool.Put(cs)
 }
@@ -83,7 +106,7 @@ func crossCovRBFIso(dst *mat.Dense, xs, X [][]float64, k *RBF) {
 	inv := 1 / (k.LengthScales[0] * k.LengthScales[0])
 	for i, xi := range xs {
 		row := dst.Row(i)
-		mat.SqDistColsTo(cs.s, xi[:dim], &cs.xt, inv)
+		mat.SqDistColsTo(cs.s[:m], xi[:dim], &cs.xt, 0, inv)
 		for j := 0; j < m; j++ {
 			row[j] = v * math.Exp(-0.5*cs.s[j])
 		}

@@ -72,6 +72,7 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	clones := make([]*GP, len(cands))
 	par.ForEach(len(cands), func(i int) {
 		cg := g.cloneForSearch()
+		clones[i] = cg
 		cg.kernel.SetParams(cands[i].params)
 		cg.NoiseVariance = cands[i].noise
 		if err := cg.refactor(); err != nil {
@@ -79,24 +80,27 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 			return
 		}
 		lml[i] = cg.LogMarginalLikelihood()
-		clones[i] = cg
 	})
 
 	// Index-ordered reduction against the incumbent (−Inf if it never
-	// factored, forcing replacement).
+	// factored, forcing replacement). The winner swaps factor storage with
+	// g; then every clone, factored or not, returns what it holds.
 	bestLML := g.LogMarginalLikelihood()
 	bestIdx := -1
 	for i, v := range lml {
-		if clones[i] != nil && v > bestLML {
+		if clones[i].chol != nil && v > bestLML {
 			bestLML, bestIdx = v, i
 		}
 	}
 	if bestIdx >= 0 {
 		g.adopt(clones[bestIdx])
-		return bestLML
+	}
+	for _, cg := range clones {
+		cg.releaseBufs()
 	}
 	if g.chol != nil {
-		// Incumbent hyperparameters won; the factorization is already theirs.
+		// A candidate won and was adopted, or the incumbent hyperparameters
+		// won and the factorization is already theirs.
 		return bestLML
 	}
 	// Neither the incumbent nor any candidate factored: fall back to a safe

@@ -35,14 +35,16 @@ type GP struct {
 	// the identical bits, weights ≡ 1 are indistinguishable from no weights.
 	obsW []float64
 
-	chol  *mat.Cholesky
-	alpha []float64  // (K + Σ)⁻¹ (y - mean), Σ the (weighted) noise diagonal
-	kinv  *mat.Dense // lazily computed inverse for LOO
+	// chol and alpha — (K + Σ)⁻¹ (y - mean), Σ the (weighted) noise diagonal
+	// — live in bufs' storage; chol is nil while there is no factorization,
+	// and bufs outlives that so the next one reuses it. refactors counts
+	// rebuilds (the lifecycle test tells a rebuild from an append by it).
+	bufs      *factorBufs
+	chol      *mat.Cholesky
+	alpha     []float64
+	kinv      *mat.Dense // lazily computed inverse for LOO
+	refactors int
 
-	// kmat is the kernel-matrix scratch reused across refactors, so the
-	// repeated factorizations of hyperparameter search allocate nothing
-	// after the first candidate.
-	kmat *mat.Dense
 	// factorParams/factorNoise/factorW record the hyperparameters and the
 	// per-view-entry observation weights the current factorization was built
 	// with; Fit takes the O(n²) incremental path only when they still match.
@@ -90,6 +92,33 @@ type batchBuf struct {
 	kstar, v     mat.Dense
 	prior        []float64
 }
+
+// factorBufs is the storage one factorization lives in: the packed factor
+// and the weight vector. A GP keeps its own; the clones of a hyperparameter
+// search borrow theirs from searchBufs, the winner's is swapped into the GP
+// (adopt) and every other one goes back, so a search allocates per candidate
+// only the clone's small header.
+type factorBufs struct {
+	chol  mat.Cholesky
+	alpha []float64
+}
+
+var searchBufs = sync.Pool{New: func() any { return new(factorBufs) }}
+
+// kernelScratch is the n x n matrix a refactor fills and factors. It is
+// needed only in between, so concurrent refactors share a pool of them and
+// no GP holds one.
+type kernelScratch struct {
+	data []float64
+	k    mat.Dense
+}
+
+var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
+
+// roomFor rounds a training-set size up to the next multiple of 32, the
+// capacity pooled storage is grown to: a history grows by one point per
+// tuning iteration, and exact-size buffers would be reallocated every time.
+func roomFor(n int) int { return (n + 31) &^ 31 }
 
 func (bb *batchBuf) resize(n, m int) {
 	if cap(bb.kdata) < n*m {
@@ -319,34 +348,30 @@ func (g *GP) appendPoint() error {
 }
 
 // refactor rebuilds the Cholesky factorization for the current view and
-// hyperparameters, reusing the kernel-matrix and factor storage. It never
+// hyperparameters, reusing the factor storage. It never
 // changes the view (Fit owns that decision), so hyperparameter-search
 // clones and AdoptHyperparamsFrom refactor the same subset they were
 // handed.
 func (g *GP) refactor() error {
-	tx := g.tx
-	n := len(tx)
-	if g.kmat == nil {
-		g.kmat = mat.NewDense(n, n)
-	} else if r, _ := g.kmat.Dims(); r != n {
-		g.kmat = mat.NewDense(n, n)
+	n := len(g.tx)
+	g.refactors++
+	if g.bufs == nil {
+		g.bufs = new(factorBufs)
 	}
-	k := g.kmat
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := g.kernel.Eval(tx[i], tx[j])
-			k.Set(i, j, v)
-			k.Set(j, i, v)
-		}
-		k.Set(i, i, k.At(i, i)+g.obsNoise(i)+1e-8) // jitter for stability
+	ks := kernelPool.Get().(*kernelScratch)
+	if room := roomFor(n); cap(ks.data) < n*n {
+		ks.data = make([]float64, room*room)
 	}
-	if g.chol == nil {
-		g.chol = &mat.Cholesky{}
-	}
-	if err := g.chol.Factor(k); err != nil {
+	ks.k.Reset(n, n, ks.data[:n*n])
+	g.fillKernel(&ks.k)
+	g.bufs.chol.Reserve(roomFor(n))
+	err := g.bufs.chol.Factor(&ks.k)
+	kernelPool.Put(ks)
+	if err != nil {
 		g.dropFactor()
 		return fmt.Errorf("gp: factorization failed: %w", err)
 	}
+	g.chol = &g.bufs.chol
 	g.factorParams = append(g.factorParams[:0], g.kernel.Params()...)
 	g.factorNoise = g.NoiseVariance
 	if g.obsW == nil {
@@ -359,6 +384,27 @@ func (g *GP) refactor() error {
 	}
 	g.solveAlpha()
 	return nil
+}
+
+// fillKernel writes the upper triangle of K + Σ + jitter over the view into
+// k — the part mat.Cholesky.Factor reads; the rest of k is left as found.
+// The isotropic Matérn-5/2 kernel takes the vector fill, whose entries are
+// Eval's bit for bit; any other kernel is evaluated entry by entry.
+func (g *GP) fillKernel(k *mat.Dense) {
+	tx := g.tx
+	if m, ok := g.kernel.(*Matern52); ok && len(m.LengthScales) == 1 {
+		fillMatern52Iso(k, tx, m)
+	} else {
+		for i, xi := range tx {
+			row := k.Row(i)
+			for j := i; j < len(tx); j++ {
+				row[j] = g.kernel.Eval(xi, tx[j])
+			}
+		}
+	}
+	for i := range tx {
+		k.Set(i, i, k.At(i, i)+g.obsNoise(i)+1e-8) // jitter for stability
+	}
 }
 
 // dropFactor leaves the GP without a factorization (Predict returns the
@@ -376,10 +422,10 @@ func (g *GP) dropFactor() {
 // uses every observation even when the covariance conditions on a subset.
 func (g *GP) solveAlpha() {
 	n := len(g.tx)
-	if cap(g.alpha) < n {
-		g.alpha = make([]float64, n)
+	if cap(g.bufs.alpha) < n {
+		g.bufs.alpha = make([]float64, roomFor(n))
 	}
-	g.alpha = g.alpha[:n]
+	g.alpha = g.bufs.alpha[:n]
 	for i := 0; i < n; i++ {
 		g.alpha[i] = g.y[g.at(i)] - g.meanY
 	}
@@ -686,9 +732,11 @@ func (g *GP) LOO() (mu, variance []float64) {
 // candidate evaluation. The view is shared too: every candidate of a search
 // refactors the same subset the incumbent conditions on (selection is
 // input-only, so candidates could never disagree on it anyway), and the
-// winning clone's factor is adopted without touching the view.
+// winning clone's factor is adopted without touching the view. The clone's
+// factor storage is borrowed: releaseBufs hands it back.
 func (g *GP) cloneForSearch() *GP {
 	return &GP{
+		bufs:          searchBufs.Get().(*factorBufs),
 		kernel:        g.kernel.Clone(),
 		NoiseVariance: g.NoiseVariance,
 		x:             g.x,
@@ -701,16 +749,26 @@ func (g *GP) cloneForSearch() *GP {
 	}
 }
 
+// releaseBufs returns a search clone's factor storage to the pool, leaving
+// the clone unfitted.
+func (g *GP) releaseBufs() {
+	if g.bufs != nil {
+		searchBufs.Put(g.bufs)
+	}
+	g.bufs, g.chol, g.alpha = nil, nil, nil
+}
+
 // adopt installs the hyperparameters and factorization of a search clone
-// (which shares g's training data) without refactoring. The kernel object's
-// identity is preserved so external references stay coherent.
+// (which shares g's training data) without refactoring: the two swap factor
+// storage, so releasing the clone afterwards recycles what g held before.
+// The kernel object's identity is preserved so external references stay
+// coherent.
 func (g *GP) adopt(c *GP) {
 	g.kernel.SetParams(c.kernel.Params())
 	g.NoiseVariance = c.NoiseVariance
-	g.chol = c.chol
-	g.alpha = c.alpha
+	g.bufs, c.bufs = c.bufs, g.bufs
+	g.chol, g.alpha = &g.bufs.chol, c.alpha
 	g.kinv = nil
-	g.kmat = c.kmat
 	g.factorParams = append(g.factorParams[:0], c.factorParams...)
 	g.factorNoise = c.factorNoise
 	if c.factorW == nil {

@@ -8,6 +8,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Dense is a row-major dense matrix.
@@ -160,39 +161,31 @@ func ColDotsTo(dst []float64, a *Dense) {
 }
 
 // SqDistColsTo fills s[j] with the scaled squared distance between the point
-// x and column j of xt — a len(x) x len(s) matrix holding one candidate per
-// column: s[j] = Σ_d ((x[d]−xt[d][j])²)·inv, accumulating over d in
+// x and column lo+j of xt — a len(x)-row matrix holding one candidate per
+// column, of which s covers the len(s) columns from lo:
+// s[j] = Σ_d ((x[d]−xt[d][lo+j])²)·inv, accumulating over d in
 // ascending order with per-element op order subtract, square, scale, add.
 // This is the isotropic-kernel distance loop vectorized over candidates;
 // per column it carries the same bits as the point-wise scalar loop (the
 // candidate-minus-point sign flip vanishes under squaring).
-func SqDistColsTo(s []float64, x []float64, xt *Dense, inv float64) {
-	if xt.rows != len(x) || xt.cols != len(s) {
-		panic(fmt.Sprintf("mat: sqdist dimension mismatch %dx%d vs %d, %d",
-			xt.rows, xt.cols, len(x), len(s)))
-	}
-	if len(x) == 0 {
-		for j := range s {
-			s[j] = 0
-		}
-		return
+func SqDistColsTo(s []float64, x []float64, xt *Dense, lo int, inv float64) {
+	if xt.rows != len(x) || lo < 0 || lo+len(s) > xt.cols {
+		panic(fmt.Sprintf("mat: sqdist dimension mismatch %dx%d vs %d, columns %d+%d",
+			xt.rows, xt.cols, len(x), lo, len(s)))
 	}
 	w := len(s)
 	w8 := 0
-	if simdOn {
+	if simdOn && len(x) > 0 {
 		w8 = w &^ 7
 	}
 	if w8 > 0 {
-		sqDistRow(&s[0], &x[0], &xt.data[0], xt.rows, xt.cols, w8, inv)
-	}
-	if w8 == w {
-		return
+		sqDistRow(&s[0], &x[0], &xt.data[lo], xt.rows, xt.cols, w8, inv)
 	}
 	for j := w8; j < w; j++ {
 		s[j] = 0
 	}
 	for d, xd := range x {
-		row := xt.Row(d)
+		row := xt.Row(d)[lo : lo+w]
 		for j := w8; j < w; j++ {
 			diff := xd - row[j]
 			s[j] += diff * diff * inv
@@ -216,6 +209,37 @@ func SqrtScaleTo(r, s []float64, c float64) {
 	}
 	for j := w8; j < len(s); j++ {
 		r[j] = math.Sqrt(c * s[j])
+	}
+}
+
+// An expKernel is a vector exponential: it fills dst[j] = math.Exp(src[j])
+// over w arguments, w a positive multiple of 4, stops in front of the first
+// block of four holding an argument outside the range its straight-line
+// path covers, and returns how many it filled.
+type expKernel func(dst, src *float64, w int) int
+
+// ExpTo fills dst[j] = math.Exp(src[j]), bit for bit. dst may alias src.
+// Where a vector kernel is in use (see expRow) it handles whole blocks of
+// four arguments inside the range where math.Exp runs straight through; a
+// block holding any other argument (NaN, an infinity, a result that would
+// be subnormal or overflow), and the tail, go through math.Exp itself.
+func ExpTo(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("mat: exp length mismatch %d != %d", len(dst), len(src)))
+	}
+	j := 0
+	if simdOn && expRow != nil {
+		for w4 := len(src) &^ 3; j < w4; {
+			j += expRow(&dst[j], &src[j], w4-j)
+			if j < w4 {
+				for e := j + 4; j < e; j++ {
+					dst[j] = math.Exp(src[j])
+				}
+			}
+		}
+	}
+	for ; j < len(src); j++ {
+		dst[j] = math.Exp(src[j])
 	}
 }
 
@@ -268,9 +292,31 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return c, nil
 }
 
+// factorPanel is the number of rows Factor computes side by side: wide
+// enough that the vector kernel runs whole 16-lane chunks over rows it loads
+// once, narrow enough that a panel (n x factorPanel) stays cache-resident.
+const factorPanel = 64
+
+// panelPool holds Factor's panel scratch, so concurrent factorizations (one
+// per hyperparameter candidate) each take their own and allocate nothing in
+// steady state.
+var panelPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // Factor (re)factors c for the SPD matrix a, reusing the packed storage when
 // it has capacity — repeated refactors at the same size allocate nothing.
-// On error the factor is left empty.
+// Only a's upper triangle (row <= column) is read. On error the factor is
+// left empty.
+//
+// Row i of L is the forward solve of column i of a, down to the diagonal,
+// through the rows above it (the arithmetic Append documents), so
+// factorPanel rows at a time are laid out as right-hand-side columns and
+// solved together: every entry is
+// (a[j][i] − Σ_{k<j, ascending} L[i][k]·L[j][k]) / L[j][j] and every pivot
+// a[i][i] − Σ_{k<i, ascending} L[i][k]², exactly the operations, in exactly
+// the order, of the one-entry-at-a-time left-looking loop — the lanes of a
+// panel are different rows i and never interact. The factor, the failing
+// pivot and its d are therefore the same bits at any panel width, with the
+// vector kernel or without.
 func (c *Cholesky) Factor(a *Dense) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("mat: cholesky of non-square %dx%d matrix", a.rows, a.cols)
@@ -283,28 +329,110 @@ func (c *Cholesky) Factor(a *Dense) error {
 		c.d = c.d[:size]
 	}
 	c.n = n
-	for j := 0; j < n; j++ {
-		rowj := c.row(j)
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= rowj[k] * rowj[k]
-		}
-		if d <= 0 || math.IsNaN(d) {
+	pp := panelPool.Get().(*[]float64)
+	defer panelPool.Put(pp)
+	// Whole panels of rows, so a matrix growing by a row at a time (a tuning
+	// history) finds room far more often than not.
+	if rows := (n + factorPanel - 1) &^ (factorPanel - 1); cap(*pp) < rows*factorPanel {
+		*pp = make([]float64, rows*factorPanel)
+	}
+	for i0 := 0; i0 < n; i0 += factorPanel {
+		if err := c.factorRows(a, (*pp)[:cap(*pp)], i0, min(factorPanel, n-i0)); err != nil {
 			c.n, c.d = 0, c.d[:0]
-			return fmt.Errorf("mat: matrix not positive definite at pivot %d (d=%g)", j, d)
-		}
-		ljj := math.Sqrt(d)
-		rowj[j] = ljj
-		for i := j + 1; i < n; i++ {
-			rowi := c.row(i)
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= rowi[k] * rowj[k]
-			}
-			rowi[j] = s / ljj
+			return err
 		}
 	}
 	return nil
+}
+
+// factorRows computes rows i0..i0+w of the factor, rows 0..i0 being done.
+// Row t of the panel b (stride factorPanel) starts as a[t][i0..i0+w) and
+// ends as column t of those rows: b[t][p] = L[i0+p][t].
+//
+// With the vector kernel a row is worked on in whole groups of eight lanes,
+// so up to seven lanes left of the diagonal and the lanes past w ride along.
+// They start at zero, stay finite, and no live lane ever reads them: lane p
+// only reads lane p of the rows above.
+func (c *Cholesky) factorRows(a *Dense, b []float64, i0, w int) error {
+	const s = factorPanel
+	g := 0 // a group of lanes starts at p &^ g
+	if simdOn {
+		g = 7
+	}
+	hi := (w + g) &^ g
+	for t := 0; t < i0+w; t++ {
+		lo := max(t-i0, 0)
+		bt := b[t*s : t*s+hi]
+		clear(bt[lo&^g : lo])
+		copy(bt[lo:w], a.Row(t)[i0+lo:i0+w])
+		clear(bt[w:])
+	}
+	// scatter copies the finished entries b[t][from..w) into column t of the
+	// packed rows below.
+	scatter := func(t, from int) {
+		i := i0 + from
+		o := i*(i+1)/2 + t
+		for _, v := range b[t*s+from : t*s+w] {
+			c.d[o] = v
+			i++
+			o += i
+		}
+	}
+	for t := 0; t < i0; t++ {
+		fwdSubCols(b, s, c.row(t), t, 0, hi)
+		scatter(t, 0)
+	}
+	for q := 0; q < w; q++ {
+		t := i0 + q
+		rowt := c.row(t)
+		d := b[t*s+q]
+		for _, v := range rowt[:t] {
+			d -= v * v
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return fmt.Errorf("mat: matrix not positive definite at pivot %d (d=%g)", t, d)
+		}
+		rowt[t] = math.Sqrt(d)
+		if lo := (q + 1) &^ g; lo < hi {
+			fwdSubCols(b, s, rowt, t, lo, hi)
+			scatter(t, q+1)
+		}
+	}
+	return nil
+}
+
+// fwdSubCols performs row t of forward substitution over columns [lo, hi) of
+// the row-major block data, whose rows above t are solved already:
+//
+//	data[t][j] = (data[t][j] − Σ_{k<t, ascending} lrow[k]·data[k][j]) / lrow[t]
+//
+// Whole groups of eight columns go through the vector kernel when it is on,
+// the rest through the scalar loop; per column both are the op sequence of
+// SolveLowerVecTo.
+func fwdSubCols(data []float64, stride int, lrow []float64, t, lo, hi int) {
+	di := data[t*stride+lo : t*stride+hi]
+	w8 := 0
+	if simdOn {
+		w8 = len(di) &^ 7
+	}
+	if w8 > 0 {
+		fwdSubRow(&di[0], &lrow[0], &data[lo], t, stride, w8, lrow[t])
+	}
+	if w8 == len(di) {
+		return
+	}
+	dt := di[w8:]
+	for k := 0; k < t; k++ {
+		lik := lrow[k]
+		dk := data[k*stride+lo+w8 : k*stride+hi]
+		for j := range dt {
+			dt[j] -= lik * dk[j]
+		}
+	}
+	lii := lrow[t]
+	for j := range dt {
+		dt[j] /= lii
+	}
 }
 
 // Append extends the factorization of the n×n matrix A to the bordered
@@ -323,15 +451,10 @@ func (c *Cholesky) Append(row []float64) error {
 	o := len(c.d)
 	c.d = append(c.d, row...)
 	y := c.d[o : o+n+1]
+	c.SolveLowerVecTo(y[:n], y[:n])
 	d := y[n]
-	for i := 0; i < n; i++ {
-		s := y[i]
-		ri := c.row(i)
-		for k := 0; k < i; k++ {
-			s -= ri[k] * y[k]
-		}
-		y[i] = s / ri[i]
-		d -= y[i] * y[i]
+	for _, v := range y[:n] {
+		d -= v * v
 	}
 	if d <= 0 || math.IsNaN(d) {
 		c.d = c.d[:o]
@@ -398,11 +521,38 @@ func (c *Cholesky) SolveLowerVec(b []float64) []float64 {
 
 // SolveLowerVecTo solves L y = b into dst without allocating. dst may alias
 // b (entry i is consumed before it is overwritten).
+//
+// Four rows are solved side by side: their k < i subtract chains are
+// independent of one another, so the processor overlaps them, and the 4x4
+// corner then finishes each row in order. Every row still subtracts over
+// ascending k and divides once — the one-row loop's bits.
 func (c *Cholesky) SolveLowerVecTo(dst, b []float64) {
 	if len(b) != c.n || len(dst) != c.n {
 		panic("mat: solve dimension mismatch")
 	}
-	for i := 0; i < c.n; i++ {
+	i := 0
+	for ; i+4 <= c.n; i += 4 {
+		r0, r1, r2, r3 := c.row(i), c.row(i+1), c.row(i+2), c.row(i+3)
+		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+		for k, y := range dst[:i] {
+			s0 -= r0[k] * y
+			s1 -= r1[k] * y
+			s2 -= r2[k] * y
+			s3 -= r3[k] * y
+		}
+		s0 /= r0[i]
+		s1 -= r1[i] * s0
+		s1 /= r1[i+1]
+		s2 -= r2[i] * s0
+		s2 -= r2[i+1] * s1
+		s2 /= r2[i+2]
+		s3 -= r3[i] * s0
+		s3 -= r3[i+1] * s1
+		s3 -= r3[i+2] * s2
+		s3 /= r3[i+3]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < c.n; i++ {
 		s := b[i]
 		row := c.row(i)
 		for k := 0; k < i; k++ {
@@ -441,33 +591,8 @@ func (c *Cholesky) SolveLowerBatchTo(dst, b *Dense) {
 		if hi > m {
 			hi = m
 		}
-		w := hi - lo
-		w8 := 0
-		if simdOn {
-			w8 = w &^ 7
-		}
 		for i := 0; i < c.n; i++ {
-			row := c.row(i)
-			di := dst.Row(i)[lo:hi]
-			if w8 > 0 {
-				// Vector columns: one row of forward substitution across
-				// w8 right-hand sides, accumulators held in registers.
-				fwdSubRow(&di[0], &row[0], &dst.data[lo], i, dst.cols, w8, row[i])
-			}
-			if w8 < w {
-				dt := di[w8:]
-				for k := 0; k < i; k++ {
-					lik := row[k]
-					dk := dst.Row(k)[lo+w8 : hi]
-					for j := range dt {
-						dt[j] -= lik * dk[j]
-					}
-				}
-				lii := row[i]
-				for j := range dt {
-					dt[j] /= lii
-				}
-			}
+			fwdSubCols(dst.data, dst.cols, c.row(i), i, lo, hi)
 		}
 	}
 }
@@ -507,15 +632,13 @@ func (c *Cholesky) LogDet() float64 {
 // inverse diagonal and rows are needed).
 func (c *Cholesky) Inverse() *Dense {
 	inv := NewDense(c.n, c.n)
-	e := make([]float64, c.n)
+	col := make([]float64, c.n)
 	for j := 0; j < c.n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := c.SolveVec(e)
-		for i := 0; i < c.n; i++ {
-			inv.Set(i, j, col[i])
+		clear(col)
+		col[j] = 1
+		c.SolveVecTo(col, col)
+		for i, v := range col {
+			inv.Set(i, j, v)
 		}
 	}
 	return inv

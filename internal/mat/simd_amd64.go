@@ -1,5 +1,7 @@
 package mat
 
+import "math"
+
 // simdOn gates the AVX vector kernels under every batched primitive. The
 // vector paths are bit-identical to the scalar loops they replace: each AVX
 // lane performs exactly the per-column IEEE op sequence (mul, sub, add, div,
@@ -26,6 +28,67 @@ func detectAVX() bool {
 	// The OS must save/restore XMM and YMM state across context switches.
 	lo, _ := xgetbv()
 	return lo&0x6 == 0x6
+}
+
+// expRow is the vector exponential ExpTo uses, nil for none.
+var expRow = pickExpRow()
+
+// pickExpRow returns the vector kernel that reproduces math.Exp in this
+// process. CPUID only says which kernels can execute; which of math.Exp's
+// two branches the runtime took is not CPUID's to say —
+// GODEBUG=cpu.fma=off clears math.useFMA on a CPU that has FMA, and a later
+// Go release may change the algorithm altogether. So each runnable kernel is
+// held against math.Exp on a fixed probe set (the two branches disagree, by
+// one ulp, on about a tenth of it) and the first to match every bit is used;
+// if none does, ExpTo stays scalar.
+func pickExpRow() expKernel {
+	kernels := runnableExpKernels()
+	if len(kernels) == 0 {
+		return nil
+	}
+	const probes = 1024
+	src := make([]float64, probes)
+	want := make([]float64, probes)
+	for j := range src {
+		// An irrational stride over the kernels' whole range, so the probes
+		// share no pattern with the reduction constants.
+		src[j] = math.Mod(float64(j)*math.Pi*7, 1417) - 708
+		want[j] = math.Exp(src[j])
+	}
+	got := make([]float64, probes)
+next:
+	for _, k := range kernels {
+		if k(&got[0], &src[0], probes) != probes {
+			continue
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				continue next
+			}
+		}
+		return k
+	}
+	return nil
+}
+
+// runnableExpKernels lists the expRow kernels this CPU can execute: both
+// need AVX2 (the integer half of ldexp), expRowFMA needs FMA as well.
+func runnableExpKernels() []expKernel {
+	if !simdOn {
+		return nil
+	}
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
+		return nil
+	}
+	const avx2 = 1 << 5
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx2 == 0 {
+		return nil
+	}
+	const fma = 1 << 12
+	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 {
+		return []expKernel{expRowMul}
+	}
+	return []expKernel{expRowFMA, expRowMul}
 }
 
 // cpuid executes the CPUID instruction.
@@ -69,3 +132,13 @@ func axpyRow(dst, src *float64, a float64, w int)
 //
 //go:noescape
 func sqAccumRow(dst, src *float64, w int)
+
+// expRowFMA is the expKernel following the branch math.Exp takes under math.useFMA.
+//
+//go:noescape
+func expRowFMA(dst, src *float64, w int) int
+
+// expRowMul is the expKernel following math.Exp's multiply-then-add branch.
+//
+//go:noescape
+func expRowMul(dst, src *float64, w int) int

@@ -305,3 +305,181 @@ sq_loop:
 sq_done:
 	VZEROUPPER
 	RET
+
+// The two expRow kernels are math.Exp's amd64 body (the SLEEF algorithm,
+// $GOROOT/src/math/exp_amd64.s) with every scalar instruction replaced by its
+// packed twin, four arguments to a register: the same operations on the same
+// constants in the same order per lane, so a lane's result is the scalar
+// routine's. expRowFMA follows the branch math.Exp takes when math.useFMA is
+// set, expRowMul the other one; which of them (if either) this process uses
+// is decided by comparing against math.Exp at start-up, see pickExpRow.
+//
+// Only the straight-line path is ported. A block is processed only if all
+// four arguments lie in [expLo, expHi], inside which the scaled exponent is
+// in [-1021, 1023] and math.Exp takes neither its denormal nor its overflow
+// exit; the first block that fails the test (NaN and infinities fail it)
+// ends the call, and the caller hands that block to math.Exp.
+
+// EXPV lays one constant out four times, a packed memory operand.
+#define EXPV(o, v) \
+	DATA expv<>+(o+0)(SB)/8, $v;  \
+	DATA expv<>+(o+8)(SB)/8, $v;  \
+	DATA expv<>+(o+16)(SB)/8, $v; \
+	DATA expv<>+(o+24)(SB)/8, $v
+
+EXPV(0, -708.0)
+EXPV(32, 709.0)
+EXPV(64, 1.4426950408889634073599246810018920)
+EXPV(96, 0.69314718055966295651160180568695068359375)
+EXPV(128, 0.28235290563031577122588448175013436025525412068e-12)
+EXPV(160, 0.0625)
+EXPV(192, 2.4801587301587301587e-5)
+EXPV(224, 1.9841269841269841270e-4)
+EXPV(256, 1.3888888888888888889e-3)
+EXPV(288, 8.3333333333333333333e-3)
+EXPV(320, 4.1666666666666666667e-2)
+EXPV(352, 1.6666666666666666667e-1)
+EXPV(384, 0.5)
+EXPV(416, 1.0)
+EXPV(448, 2.0)
+GLOBL expv<>(SB), RODATA, $480
+
+#define EXP_LO    expv<>+0(SB)
+#define EXP_HI    expv<>+32(SB)
+#define EXP_LOG2E expv<>+64(SB)
+#define EXP_LN2U  expv<>+96(SB)
+#define EXP_LN2L  expv<>+128(SB)
+#define EXP_16TH  expv<>+160(SB)
+#define EXP_C8    expv<>+192(SB)
+#define EXP_C7    expv<>+224(SB)
+#define EXP_C6    expv<>+256(SB)
+#define EXP_C5    expv<>+288(SB)
+#define EXP_C4    expv<>+320(SB)
+#define EXP_C3    expv<>+352(SB)
+#define EXP_HALF  expv<>+384(SB)
+#define EXP_ONE   expv<>+416(SB)
+#define EXP_TWO   expv<>+448(SB)
+
+DATA expbias<>+0(SB)/4, $0x3FF
+DATA expbias<>+4(SB)/4, $0x3FF
+DATA expbias<>+8(SB)/4, $0x3FF
+DATA expbias<>+12(SB)/4, $0x3FF
+GLOBL expbias<>(SB), RODATA, $16
+
+// EXP_LOAD reads the next four arguments into Y0 and leaves the loop at
+// label out unless lo <= x <= hi holds in every lane (predicates 9 and 6 are
+// not-greater-or-equal and not-less-or-equal, true on NaN). Then Y1 = the
+// exponent round(x*LOG2E) as a float and X2 holds it as four int32.
+#define EXP_LOAD(out) \
+	VMOVUPD 0(SI)(R10*1), Y0; \
+	VCMPPD $9, EXP_LO, Y0, Y3; \
+	VCMPPD $6, EXP_HI, Y0, Y4; \
+	VORPD Y3, Y4, Y3; \
+	VMOVMSKPD Y3, AX; \
+	TESTL AX, AX; \
+	JNZ out; \
+	VMULPD EXP_LOG2E, Y0, Y1; \
+	VCVTPD2DQY Y1, X2; \
+	VCVTDQ2PD X2, Y1
+
+// EXP_STORE scales the fraction in Y0 by 2**exponent — the biased exponent
+// shifted into place as a float, math.Exp's ldexp — and stores four results.
+#define EXP_STORE \
+	VPADDD expbias<>(SB), X2, X2; \
+	VPMOVZXDQ X2, Y2; \
+	VPSLLQ $52, Y2, Y2; \
+	VMULPD Y2, Y0, Y0; \
+	VMOVUPD Y0, 0(DI)(R10*1); \
+	ADDQ $32, R10
+
+// func expRowFMA(dst, src *float64, w int) int
+TEXT ·expRowFMA(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), R9
+	SHLQ $3, R9
+	XORQ R10, R10
+
+ef_loop:
+	CMPQ R10, R9
+	JGE  ef_done
+	EXP_LOAD(ef_done)
+	VFNMADD231PD EXP_LN2U, Y1, Y0 // x - exponent*LN2U, one rounding
+	VFNMADD231PD EXP_LN2L, Y1, Y0
+	VMULPD EXP_16TH, Y0, Y0
+	VMOVUPD EXP_C8, Y1
+	VFMADD213PD EXP_C7, Y0, Y1    // Y1 = Y0*Y1 + c
+	VFMADD213PD EXP_C6, Y0, Y1
+	VFMADD213PD EXP_C5, Y0, Y1
+	VFMADD213PD EXP_C4, Y0, Y1
+	VFMADD213PD EXP_C3, Y0, Y1
+	VFMADD213PD EXP_HALF, Y0, Y1
+	VFMADD213PD EXP_ONE, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VFMADD213PD EXP_ONE, Y1, Y0   // Y0 = Y1*Y0 + 1
+	EXP_STORE
+	JMP  ef_loop
+
+ef_done:
+	SHRQ $3, R10
+	MOVQ R10, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func expRowMul(dst, src *float64, w int) int
+TEXT ·expRowMul(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), R9
+	SHLQ $3, R9
+	XORQ R10, R10
+
+em_loop:
+	CMPQ R10, R9
+	JGE  em_done
+	EXP_LOAD(em_done)
+	VMULPD EXP_LN2U, Y1, Y5       // X2 keeps the exponent for EXP_STORE
+	VSUBPD Y5, Y0, Y0
+	VMULPD EXP_LN2L, Y1, Y5
+	VSUBPD Y5, Y0, Y0
+	VMULPD EXP_16TH, Y0, Y0
+	VMOVUPD EXP_C8, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD EXP_C7, Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD EXP_C6, Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD EXP_C5, Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD EXP_C4, Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD EXP_C3, Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD EXP_HALF, Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD EXP_ONE, Y1, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_TWO, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD EXP_ONE, Y0, Y0
+	EXP_STORE
+	JMP  em_loop
+
+em_done:
+	SHRQ $3, R10
+	MOVQ R10, ret+24(FP)
+	VZEROUPPER
+	RET

@@ -15,6 +15,15 @@ func forceScalar() (restore func()) {
 	return func() { simdOn = prev }
 }
 
+// eachSIMDMode runs f with the vector kernels as detected and again with
+// them forced off, so a differential test against a scalar reference covers
+// both the kernels and the Go loops they stand in for.
+func eachSIMDMode(f func(mode string)) {
+	f("simd")
+	defer forceScalar()()
+	f("scalar")
+}
+
 // TestSIMDBitIdentical runs every vectorized primitive twice — SIMD enabled
 // and forced scalar — over widths that exercise the 16-wide chunks, the
 // 8-wide chunk and the scalar tail, and requires bit-equal results. On
@@ -99,12 +108,12 @@ func TestSIMDBitIdentical(t *testing.T) {
 				inv := 1 / (0.3 * 0.3)
 				got := make([]float64, m)
 				gotR := make([]float64, m)
-				SqDistColsTo(got, x, xt, inv)
+				SqDistColsTo(got, x, xt, 0, inv)
 				SqrtScaleTo(gotR, got, 5)
 				want := make([]float64, m)
 				wantR := make([]float64, m)
 				restore := forceScalar()
-				SqDistColsTo(want, x, xt, inv)
+				SqDistColsTo(want, x, xt, 0, inv)
 				SqrtScaleTo(wantR, want, 5)
 				restore()
 				for j := 0; j < m; j++ {
@@ -138,7 +147,7 @@ func TestSqDistColsMatchesScalarLoop(t *testing.T) {
 	}
 	inv := 1 / (0.7 * 0.7)
 	s := make([]float64, m)
-	SqDistColsTo(s, x, xt, inv)
+	SqDistColsTo(s, x, xt, 0, inv)
 	for j := 0; j < m; j++ {
 		want := 0.0
 		for d := 0; d < dim; d++ {
@@ -148,5 +157,27 @@ func TestSqDistColsMatchesScalarLoop(t *testing.T) {
 		if math.Float64bits(s[j]) != math.Float64bits(want) {
 			t.Fatalf("col %d: got %x want %x", j, s[j], want)
 		}
+	}
+}
+
+// TestExpKernelSelected fails where ExpTo has silently fallen back to
+// math.Exp: on a CPU that can run the vector kernels, one of them must have
+// reproduced math.Exp on the start-up probes. (Both branches of math.Exp are
+// ported; GODEBUG=cpu.fma=off selects the other one.) A Go release that
+// changes math.Exp's algorithm lands here.
+func TestExpKernelSelected(t *testing.T) {
+	kernels := runnableExpKernels()
+	if len(kernels) == 0 {
+		t.Skip("no AVX2: ExpTo is scalar on this CPU")
+	}
+	if expRow == nil {
+		t.Fatal("no vector kernel reproduces math.Exp in this process; ExpTo runs scalar")
+	}
+	// The kernel in use must stop in front of a block it cannot handle and
+	// report how far it got.
+	src := []float64{-1, -2, -3, -4, -5, -6, math.Inf(-1), -8, -9, -10, -11, -12}
+	dst := make([]float64, len(src))
+	if got := expRow(&dst[0], &src[0], len(src)); got != 4 {
+		t.Fatalf("kernel filled %d arguments in front of an infinity in the second block, want 4", got)
 	}
 }

@@ -6,6 +6,9 @@ package mat
 // branch and the stubs below are never reached.
 const simdOn = false
 
+// expRow is nil off amd64: ExpTo calls math.Exp.
+var expRow expKernel
+
 func fwdSubRow(di, lrow, data *float64, k, stride, w int, lii float64) {
 	panic("mat: simd stub called")
 }

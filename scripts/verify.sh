@@ -11,9 +11,15 @@
 #      then go vet + go test -C benchmark: the benchmark is a nested module
 #      that `./...` at the root never compiles, so a change that breaks the
 #      surface benchmark/adapter.go pins fails here, not in the pipeline
-#   5. go test -race ./...           (short mode: the crash harness strides
+#   5. the vector math core's other configurations: mat, gp and core again
+#      under GODEBUG=cpu.fma=off (math.Exp takes its multiply-then-add
+#      branch, mat.ExpTo must pick the matching kernel, and the pinned
+#      session digests must still hold), and GOARCH=arm64 go vet of mat and
+#      gp, so the stubs in simd_other.go cannot drift from the amd64
+#      declarations
+#   6. go test -race ./...           (short mode: the crash harness strides
 #                                     its boundary enumeration under -short)
-#   6. a benchmark smoke pass: the batched math-core benchmarks, the
+#   7. a benchmark smoke pass: the batched math-core benchmarks, the
 #      corpus-scale meta-iteration benchmark, the fleet-scaling benchmark,
 #      the simulated-day drift benchmark and the long-history sparse-GP
 #      benchmark run once (-benchtime=1x) so a broken benchmark cannot land
@@ -23,12 +29,12 @@
 #      timing is recorded or compared here (benchmark/ is where speed is
 #      measured); the behaviour these benchmarks report — drift violations,
 #      fleet hit rate, sparse accuracy — is asserted by step 4's tests
-#   7. telemetry smoke runs: restune-tune -trace must emit a non-empty,
+#   8. telemetry smoke runs: restune-tune -trace must emit a non-empty,
 #      schema-valid JSONL artifact, a 2-session restune-server fleet must
 #      emit schema-valid per-session and fleet streams, and a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
 #      spans carry drift/trust-region attrs
-#   8. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s)
+#   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s)
 #
 # Environment:
 #   FUZZTIME=30s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing
@@ -60,6 +66,10 @@ go test ./...
 
 echo "==> go vet + go test -C benchmark ./... (nested module)"
 go vet -C benchmark ./... && go test -C benchmark ./...
+
+echo "==> GODEBUG=cpu.fma=off go test (mat, gp, core) + GOARCH=arm64 go vet (mat, gp)"
+GODEBUG=cpu.fma=off go test ./internal/mat ./internal/gp ./internal/core
+GOARCH=arm64 go vet ./internal/mat ./internal/gp
 
 echo "==> go test -race -short ./..."
 go test -race -short ./...
@@ -128,6 +138,8 @@ fuzz ./internal/minidb FuzzBTreeOperations
 fuzz ./internal/minidb FuzzLeafKernels -fuzzminimizetime 20x
 fuzz ./internal/minidb FuzzWALReplay
 fuzz ./internal/replay FuzzExtractTemplate
+fuzz ./internal/mat FuzzFactorBlocked
+fuzz ./internal/mat FuzzExpTo
 fuzz ./internal/gp FuzzPredictBatch
 fuzz ./internal/gp FuzzSparseSelect
 fuzz ./internal/meta FuzzCorpusIndex
