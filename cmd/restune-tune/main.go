@@ -128,7 +128,20 @@ func run(workloadName, instance, resource, knobSet, method string, iters, shortl
 		ev = restune.NewEvaluator(sim, space, res)
 	}
 
-	tuner, cleanup, err := pickTuner(method, seed, shortlist, repoPath, space, w, converge, engine, rec)
+	// Every method runs the same session loop from this one configuration,
+	// so -engine, -converge and -trace reach each of them alike.
+	cfg := restune.DefaultConfig(seed)
+	cfg.Recorder = rec
+	if converge {
+		cfg.ConvergenceWindow = 10
+	}
+	if engine {
+		// Real measurements at short windows are noisy; widen the SLA
+		// tolerance and shorten initialization accordingly.
+		cfg.SLATolerance = 0.30
+		cfg.InitIters = 6
+	}
+	tuner, cleanup, err := pickTuner(method, cfg, shortlist, repoPath, space, w, rec)
 	if err != nil {
 		return err
 	}
@@ -235,35 +248,25 @@ func pickSpace(name string, res restune.Resource) (*restune.Space, error) {
 	return nil, fmt.Errorf("unknown knob set %q", name)
 }
 
-// pickTuner builds the selected method. The returned cleanup (possibly nil)
-// must be deferred past the session: the lazily-opened repository file
-// backs on-demand history reads for the whole run.
-func pickTuner(method string, seed int64, shortlist int, repoPath string, space *restune.Space, w restune.Workload, converge, engine bool, rec restune.Recorder) (restune.Tuner, func() error, error) {
+// pickTuner builds the selected method from the session configuration.
+// The returned cleanup (possibly nil) must be deferred past the session:
+// the lazily-opened repository file backs on-demand history reads for the
+// whole run.
+func pickTuner(method string, cfg restune.Config, shortlist int, repoPath string, space *restune.Space, w restune.Workload, rec restune.Recorder) (restune.Tuner, func() error, error) {
 	switch strings.ToLower(method) {
 	case "restune":
-		cfg := restune.DefaultConfig(seed)
-		cfg.Recorder = rec
-		if converge {
-			cfg.ConvergenceWindow = 10
-		}
-		if engine {
-			// Real measurements at short windows are noisy; widen the SLA
-			// tolerance and shorten initialization accordingly.
-			cfg.SLATolerance = 0.30
-			cfg.InitIters = 6
-		}
 		var cleanup func() error
 		if repoPath != "" {
-			ch, err := restune.NewCharacterizer(restune.Workloads(), seed)
+			ch, err := restune.NewCharacterizer(restune.Workloads(), cfg.Seed)
 			if err != nil {
 				return nil, nil, err
 			}
-			cfg.TargetMetaFeature = ch.MetaFeature(w, 3000, rngFor(seed))
+			cfg.TargetMetaFeature = ch.MetaFeature(w, 3000, rngFor(cfg.Seed))
 			lazy, err := restune.OpenLazyRepository(repoPath)
 			if err != nil {
 				return nil, nil, err
 			}
-			corpus, err := lazy.Corpus(space, seed, nil,
+			corpus, err := lazy.Corpus(space, cfg.Seed, nil,
 				restune.CorpusOptions{ShortlistK: shortlist, Recorder: rec})
 			if err != nil {
 				lazy.Close()
@@ -276,7 +279,7 @@ func pickTuner(method string, seed int64, shortlist int, repoPath string, space 
 		}
 		return restune.New(cfg), cleanup, nil
 	case "ituned":
-		return restune.ITuned(seed), nil, nil
+		return restune.ITuned(cfg), nil, nil
 	case "ottertune":
 		var tasks []restune.TaskRecord
 		if repoPath != "" {
@@ -286,13 +289,13 @@ func pickTuner(method string, seed int64, shortlist int, repoPath string, space 
 			}
 			tasks = r.Tasks
 		}
-		return restune.OtterTuneWithConstraints(seed, tasks), nil, nil
+		return restune.OtterTuneWithConstraints(cfg, tasks), nil, nil
 	case "cdbtune":
-		return restune.CDBTuneWithConstraints(seed), nil, nil
+		return restune.CDBTuneWithConstraints(cfg), nil, nil
 	case "grid":
-		return restune.GridSearch(8), nil, nil
+		return restune.GridSearch(cfg, 8), nil, nil
 	case "default":
-		return restune.Default(), nil, nil
+		return restune.Default(cfg), nil, nil
 	}
 	return nil, nil, fmt.Errorf("unknown method %q", method)
 }

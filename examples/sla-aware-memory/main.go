@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	itunedRes, err := restune.ITuned(11).Run(newEv(12), 50)
+	itunedRes, err := restune.ITuned(restune.DefaultConfig(11)).Run(newEv(12), 50)
 	if err != nil {
 		log.Fatal(err)
 	}

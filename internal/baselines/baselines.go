@@ -1,72 +1,49 @@
 // Package baselines implements the comparison methods of the paper's
-// evaluation (Section 7): Default, iTuned, OtterTune-w-Con, CDBTune-w-Con
-// and grid search. ResTune-w/o-ML and ResTune-w/o-Workload are
-// configurations of the core tuner and get constructors here for symmetry.
-// Every method implements core.Tuner, so the experiment harness treats them
-// uniformly.
+// evaluation (Section 7) — Default, iTuned, OtterTune-w-Con, CDBTune-w-Con,
+// grid search and the penalty-method ablation — as core.Policy values. Each
+// runs on the same core.Session loop as ResTune, which owns the default
+// probe, the SLA, measurement, the record, the incumbent, drift handling,
+// convergence and telemetry; a policy owns only its model and its next
+// configuration. Every constructor takes the session's core.Config (seed,
+// InitIters, SLATolerance, Acq, recorder, ...) and returns core.New of it
+// under the method's name and policy. That policy is the tuner's one
+// instance, reset by each session's start, so a baseline Tuner runs one
+// session at a time: call Run sequentially, or build one tuner per
+// concurrent session. ResTune-w/o-ML and
+// ResTune-w/o-Workload are configurations of the core tuner and get
+// constructors here for symmetry.
 package baselines
 
 import (
-	"time"
+	"math/rand"
 
-	"repro/internal/bo"
 	"repro/internal/core"
-	"repro/internal/dbsim"
+	"repro/internal/lhs"
 	"repro/internal/meta"
+	"repro/internal/rng"
 )
 
-// session carries the shared bookkeeping every baseline loop needs: the
-// default probe, SLA capture, and per-iteration recording.
-type session struct {
-	ev     core.Evaluator
-	res    *core.Result
-	hist   bo.History
-	defHat []float64 // normalized default configuration
+// withPolicy returns the tuner cfg describes under a method's name and
+// policy. Every session of the tuner shares p, so they must not overlap.
+func withPolicy(cfg core.Config, name string, p core.Policy) core.Tuner {
+	cfg.Name, cfg.Policy = name, p
+	return core.New(cfg)
 }
 
-// The paper's settings every baseline shares with ResTune: the LHS design
-// size and the relative measurement deviation accepted when judging
-// feasibility.
-const (
-	initIters    = 10
-	slaTolerance = 0.05
-)
-
-// newSession measures the default configuration and initializes the result.
-func newSession(ev core.Evaluator, method string) *session {
-	defaultNative := ev.DefaultNative()
-	theta := ev.Space().Normalize(defaultNative)
-	m0 := ev.Measure(defaultNative)
-	res := &core.Result{Method: method}
-	res.DefaultMeasurement = m0
-	res.SLA = bo.SLA{LambdaTps: m0.TPS, LambdaLat: m0.LatencyP99Ms, Tolerance: slaTolerance}
-	obs := bo.Observation{Theta: theta, Res: m0.Resource(ev.Resource()), Tps: m0.TPS, Lat: m0.LatencyP99Ms}
-	res.Iterations = append(res.Iterations, core.Iteration{
-		Index: 0, Phase: "default", Observation: obs, Measurement: m0, Feasible: true,
-	})
-	return &session{ev: ev, res: res, hist: bo.History{obs}, defHat: theta}
+// lhsStart is the start iTuned, Penalty-BO and OtterTune-w-Con share: the
+// method's acquisition stream and an InitIters-point maximin LHS design from
+// the stream's "-lhs" twin, measured before any model is fitted.
+type lhsStart struct {
+	stream string
+	r      *rand.Rand
+	design [][]float64
 }
 
-// evaluate quantizes, measures and records one configuration, returning the
-// measurement for method-specific bookkeeping (e.g. RL state).
-func (s *session) evaluate(theta []float64, phase string, modelUpdate, recommend time.Duration) dbsim.Measurement {
-	theta = s.ev.Space().Quantize(theta)
-	tRep := time.Now()
-	m := s.ev.Measure(s.ev.Space().Denormalize(theta))
-	obs := bo.Observation{Theta: theta, Res: m.Resource(s.ev.Resource()), Tps: m.TPS, Lat: m.LatencyP99Ms}
-	it := core.Iteration{
-		Index:       len(s.res.Iterations),
-		Phase:       phase,
-		Observation: obs,
-		Measurement: m,
-		Feasible:    s.res.SLA.Feasible(obs),
-		ModelUpdate: modelUpdate,
-		Recommend:   recommend,
-		Replay:      time.Since(tRep),
-	}
-	s.res.Iterations = append(s.res.Iterations, it)
-	s.hist = append(s.hist, obs)
-	return m
+// Start implements core.Policy.
+func (l *lhsStart) Start(v *core.View) error {
+	l.r = rng.Derive(v.Seed, l.stream)
+	l.design = lhs.Maximin(v.InitIters, v.Dim, 10, rng.Derive(v.Seed, l.stream+"-lhs"))
+	return nil
 }
 
 // NewResTuneWithoutML returns the ResTune-w/o-ML ablation: the full
@@ -89,18 +66,16 @@ func NewResTuneWithoutWorkload(seed int64, base []*meta.BaseLearner, targetMeta 
 	return core.New(cfg)
 }
 
-// DefaultOnly is the Default baseline: the DBA configuration, re-measured
-// each iteration (the flat line in Figures 3-5 and 9).
-type DefaultOnly struct{}
+// NewDefault returns the Default baseline: the DBA configuration,
+// re-measured each iteration (the flat line in Figures 3-5 and 9).
+func NewDefault(cfg core.Config) core.Tuner {
+	return withPolicy(cfg, "Default", defaultOnly{})
+}
 
-// Name implements core.Tuner.
-func (DefaultOnly) Name() string { return "Default" }
+type defaultOnly struct{}
 
-// Run implements core.Tuner.
-func (DefaultOnly) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, "Default")
-	for i := 0; i < iters; i++ {
-		s.evaluate(s.defHat, "default", 0, 0)
-	}
-	return s.res, nil
+func (defaultOnly) Start(*core.View) error  { return nil }
+func (defaultOnly) Update(*core.View) error { return nil }
+func (defaultOnly) Propose(v *core.View) ([]float64, string) {
+	return v.Default, "default"
 }

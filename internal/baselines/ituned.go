@@ -2,90 +2,58 @@ package baselines
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/bo"
 	"repro/internal/core"
-	"repro/internal/lhs"
-	"repro/internal/rng"
 )
 
-// ITuned is the iTuned baseline: a Gaussian-process surrogate with the
-// plain Expected Improvement acquisition, initialized by LHS. Per the
+// NewITuned returns the iTuned baseline: a Gaussian-process surrogate with
+// the plain Expected Improvement acquisition, initialized by LHS. Per the
 // paper's modification, its objective is flipped from maximizing throughput
 // to minimizing resource utilization "with the algorithm unmodified" — in
 // particular it has no notion of the SLA constraints, so it happily chases
 // low-resource configurations that throttle the database (the failure mode
 // Section 7.1 reports).
-type ITuned struct {
-	// Seed drives the session's randomness.
-	Seed int64
-	// Acq configures acquisition optimization.
-	Acq bo.OptimizerConfig
+func NewITuned(cfg core.Config) core.Tuner {
+	return withPolicy(cfg, "iTuned", &iTuned{lhsStart: lhsStart{stream: "ituned"}})
 }
 
-// NewITuned returns the baseline with paper settings.
-func NewITuned(seed int64) *ITuned {
-	return &ITuned{Seed: seed, Acq: bo.DefaultOptimizerConfig()}
+type iTuned struct {
+	lhsStart
+	tri *bo.TriGP
 }
 
-// Name implements core.Tuner.
-func (t *ITuned) Name() string { return "iTuned" }
-
-// Run implements core.Tuner.
-func (t *ITuned) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, t.Name())
-	dim := ev.Space().Dim()
-	r := rng.Derive(t.Seed, "ituned")
-	design := lhs.Maximin(initIters, dim, 10, rng.Derive(t.Seed, "ituned-lhs"))
-
-	for iter := 1; iter <= iters; iter++ {
-		if iter <= initIters {
-			s.evaluate(design[iter-1], "lhs", 0, 0)
-			continue
-		}
-		tModel := time.Now()
-		tri := bo.NewTriGP(dim, t.Seed+int64(iter))
-		if err := tri.FitWithBudget(s.hist, 0); err != nil {
-			return nil, err
-		}
-		modelUpdate := time.Since(tModel)
-
-		tRec := time.Now()
-		// Unconstrained EI over the best observed (not best feasible)
-		// resource value.
-		best := s.hist[0].Res
-		for _, o := range s.hist {
-			if o.Res < best {
-				best = o.Res
-			}
-		}
-		bestZ := tri.Standardizer(bo.Res).Apply(best)
-		acq := func(x []float64) float64 {
-			mu, v := tri.Predict(bo.Res, x)
-			return bo.EI(mu, sqrt(v), bestZ)
-		}
-		theta := bo.OptimizeAcqBatch(acq, nil, dim, t.Acq, [][]float64{s.hist[argminRes(s.hist)].Theta}, r)
-		recommend := time.Since(tRec)
-
-		s.evaluate(theta, "ei", modelUpdate, recommend)
+// Update implements core.Policy: a fresh surrogate per iteration.
+func (p *iTuned) Update(v *core.View) error {
+	if v.Iter <= v.InitIters {
+		return nil
 	}
-	return s.res, nil
+	p.tri = bo.NewTriGP(v.Dim, v.Seed+int64(v.Iter))
+	return p.tri.FitWithBudget(v.History, 0)
 }
 
-func argminRes(h bo.History) int {
+// Propose implements core.Policy: unconstrained EI over the best observed
+// (not best feasible) resource value, started from that observation.
+func (p *iTuned) Propose(v *core.View) ([]float64, string) {
+	if v.Iter <= v.InitIters {
+		return p.design[v.Iter-1], "lhs"
+	}
+	best := argmin(v.History.Values(bo.Res))
+	bestZ := p.tri.Standardizer(bo.Res).Apply(v.History[best].Res)
+	acq := func(x []float64) float64 {
+		mu, s2 := p.tri.Predict(bo.Res, x)
+		return bo.EI(mu, math.Sqrt(max(s2, 0)), bestZ)
+	}
+	return bo.OptimizeAcqBatch(acq, nil, v.Dim, v.Acq, [][]float64{v.History[best].Theta}, p.r), "ei"
+}
+
+// argmin returns the index of xs's smallest value, the first on ties.
+func argmin(xs []float64) int {
 	best := 0
-	for i, o := range h {
-		if o.Res < h[best].Res {
+	for i, x := range xs {
+		if x < xs[best] {
 			best = i
 		}
 	}
 	return best
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
 }

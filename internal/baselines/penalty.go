@@ -2,93 +2,73 @@ package baselines
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/gp"
-	"repro/internal/lhs"
 	"repro/internal/rng"
 )
 
-// PenaltyBO is the "simplest way to solve constrained optimization" the
-// paper's related-work section describes: attach a penalty value to the
+// NewPenaltyBO returns the "simplest way to solve constrained optimization"
+// the paper's related-work section describes: attach a penalty value to the
 // objective when the constraints are violated, then run plain Bayesian
 // optimization on the penalized objective with a single GP and EI. It is
 // the ablation counterpart to ResTune's CEI (experiments
 // "ablation-acquisition"): the penalty surface has a discontinuity at the
 // feasibility boundary that a smooth GP fits poorly, which is why the CEI
 // formulation wins.
-type PenaltyBO struct {
-	// Seed drives the session's randomness.
-	Seed int64
-	// Acq configures acquisition optimization.
-	Acq bo.OptimizerConfig
+func NewPenaltyBO(cfg core.Config) core.Tuner {
+	return withPolicy(cfg, "Penalty-BO", &penaltyBO{lhsStart: lhsStart{stream: "penalty"}})
 }
 
 // penalty is the penalized objective's violation coefficient, in units of
 // the standardized resource scale.
 const penalty = 10
 
-// NewPenaltyBO returns the penalty-method tuner.
-func NewPenaltyBO(seed int64) *PenaltyBO {
-	return &PenaltyBO{Seed: seed, Acq: bo.DefaultOptimizerConfig()}
+type penaltyBO struct {
+	lhsStart
+	g *gp.GP
+	y []float64 // the penalized objective, parallel to the history
 }
 
-// Name implements core.Tuner.
-func (t *PenaltyBO) Name() string { return "Penalty-BO" }
-
-// Run implements core.Tuner.
-func (t *PenaltyBO) Run(ev core.Evaluator, iters int) (*core.Result, error) {
-	s := newSession(ev, t.Name())
-	dim := ev.Space().Dim()
-	r := rng.Derive(t.Seed, "penalty")
-	design := lhs.Maximin(initIters, dim, 10, rng.Derive(t.Seed, "penalty-lhs"))
-
-	for iter := 1; iter <= iters; iter++ {
-		if iter <= initIters {
-			s.evaluate(design[iter-1], "lhs", 0, 0)
-			continue
-		}
-
-		tModel := time.Now()
-		// Penalized objective on the standardized resource scale: relative
-		// constraint shortfalls scaled by the penalty coefficient.
-		std := bo.NewStandardizer(s.hist.Values(bo.Res))
-		y := make([]float64, len(s.hist))
-		for i, o := range s.hist {
-			v := 0.0
-			if o.Tps < s.res.SLA.LambdaTps {
-				v += (s.res.SLA.LambdaTps - o.Tps) / s.res.SLA.LambdaTps
-			}
-			if o.Lat > s.res.SLA.LambdaLat {
-				v += (o.Lat - s.res.SLA.LambdaLat) / s.res.SLA.LambdaLat
-			}
-			y[i] = std.Apply(o.Res) + penalty*v
-		}
-		g := gp.New(gp.NewMatern52(1, 0.5), 0.01)
-		if err := g.Fit(s.hist.Thetas(), y); err != nil {
-			return nil, err
-		}
-		gp.FitHyperparams(g, gp.DefaultFitConfig(), rng.Derive(t.Seed, "penalty-fit"))
-		modelUpdate := time.Since(tModel)
-
-		tRec := time.Now()
-		best := y[0]
-		bestIdx := 0
-		for i, yi := range y {
-			if yi < best {
-				best, bestIdx = yi, i
-			}
-		}
-		acq := func(x []float64) float64 {
-			mu, v := g.Predict(x)
-			return bo.EI(mu, math.Sqrt(v), best)
-		}
-		theta := bo.OptimizeAcqBatch(acq, nil, dim, t.Acq, [][]float64{s.hist[bestIdx].Theta}, r)
-		recommend := time.Since(tRec)
-
-		s.evaluate(theta, "penalty-ei", modelUpdate, recommend)
+// Update implements core.Policy: fit one GP to the penalized objective.
+func (p *penaltyBO) Update(v *core.View) error {
+	if v.Iter <= v.InitIters {
+		return nil
 	}
-	return s.res, nil
+	// Penalized objective on the standardized resource scale: relative
+	// constraint shortfalls scaled by the penalty coefficient.
+	sla := v.SLA
+	std := bo.NewStandardizer(v.History.Values(bo.Res))
+	p.y = make([]float64, len(v.History))
+	for i, o := range v.History {
+		viol := 0.0
+		if o.Tps < sla.LambdaTps {
+			viol += (sla.LambdaTps - o.Tps) / sla.LambdaTps
+		}
+		if o.Lat > sla.LambdaLat {
+			viol += (o.Lat - sla.LambdaLat) / sla.LambdaLat
+		}
+		p.y[i] = std.Apply(o.Res) + penalty*viol
+	}
+	p.g = gp.New(gp.NewMatern52(1, 0.5), 0.01)
+	if err := p.g.Fit(v.History.Thetas(), p.y); err != nil {
+		return err
+	}
+	gp.FitHyperparams(p.g, gp.DefaultFitConfig(), rng.Derive(v.Seed, "penalty-fit"))
+	return nil
+}
+
+// Propose implements core.Policy: EI on the penalized objective, started
+// from its best observation.
+func (p *penaltyBO) Propose(v *core.View) ([]float64, string) {
+	if v.Iter <= v.InitIters {
+		return p.design[v.Iter-1], "lhs"
+	}
+	best := argmin(p.y)
+	acq := func(x []float64) float64 {
+		mu, s2 := p.g.Predict(x)
+		return bo.EI(mu, math.Sqrt(s2), p.y[best])
+	}
+	return bo.OptimizeAcqBatch(acq, nil, v.Dim, v.Acq, [][]float64{v.History[best].Theta}, p.r), "penalty-ei"
 }

@@ -5,9 +5,7 @@ import (
 )
 
 func TestPenaltyBORuns(t *testing.T) {
-	tuner := NewPenaltyBO(3)
-	tuner.Acq = fastAcq()
-	res, err := tuner.Run(twitterEv(3), 25)
+	res, err := newMethod("Penalty-BO", 3, nil).Run(twitterEv(3), 25)
 	if err != nil {
 		t.Fatal(err)
 	}

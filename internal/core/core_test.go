@@ -410,23 +410,24 @@ func TestIncumbentMatchesRescan(t *testing.T) {
 		return true
 	}
 	moved, converged := 0, 0
+	v := &s.view
 	for done := false; !done; {
-		before := s.best.Res
+		before := v.Best.Res
 		if done, err = s.Step(); err != nil {
 			t.Fatal(err)
 		}
-		want, ok := s.h.BestFeasible(s.res.SLA)
-		if ok != s.hasBest || want.Res != s.best.Res || &want.Theta[0] != &s.best.Theta[0] {
+		want, ok := v.History.BestFeasible(s.res.SLA)
+		if ok != v.HasBest || want.Res != v.Best.Res || &want.Theta[0] != &v.Best.Theta[0] {
 			t.Fatalf("iteration %d: incumbent %+v (%v), rescan finds %+v (%v)",
-				len(s.h)-1, s.best, s.hasBest, want, ok)
+				len(v.History)-1, v.Best, v.HasBest, want, ok)
 		}
-		if s.best.Res != before {
+		if v.Best.Res != before {
 			moved++
 		}
-		for _, window := range []int{1, 3, 10, len(s.h) - 1, len(s.h)} {
+		for _, window := range []int{1, 3, 10, len(v.History) - 1, len(v.History)} {
 			got, want := sessionConverged(s.res, window), rescanConverged(s.res, window)
 			if got != want {
-				t.Fatalf("iteration %d window %d: converged=%v, rescan says %v", len(s.h)-1, window, got, want)
+				t.Fatalf("iteration %d window %d: converged=%v, rescan says %v", len(v.History)-1, window, got, want)
 			}
 			if got {
 				converged++

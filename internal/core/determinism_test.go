@@ -307,7 +307,7 @@ func sampleHistory(ev *SimEvaluator, n int, off float64) bo.History {
 		}
 		theta = space.Quantize(theta)
 		m := ev.Measure(space.Denormalize(theta))
-		h = append(h, observe(theta, m, ev))
+		h = append(h, bo.Observation{Theta: theta, Res: m.Resource(ev.Resource()), Tps: m.TPS, Lat: m.LatencyP99Ms})
 	}
 	return h
 }

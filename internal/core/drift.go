@@ -217,10 +217,10 @@ func (d *driftState) observe(iter int, theta []float64, feasible bool, res float
 			d.center = append(d.center[:0], theta...)
 		}
 		if !warm {
-			d.radius = min64(driftMaxRadius, d.radius*driftExpand)
+			d.radius = min(driftMaxRadius, d.radius*driftExpand)
 		}
 	} else if !warm {
-		d.radius = max64(driftMinRadius, d.radius*driftShrink)
+		d.radius = max(driftMinRadius, d.radius*driftShrink)
 	}
 
 	if len(sig) == 0 {
@@ -264,24 +264,10 @@ func (d *driftState) observe(iter int, theta []float64, feasible bool, res float
 			// shrink above; apply it here so a violating event leaves the
 			// region shrunk exactly as it would post-warm-up, and the box
 			// the event opens with honours the safety invariant.
-			d.radius = max64(driftMinRadius, d.radius*driftShrink)
+			d.radius = max(driftMinRadius, d.radius*driftShrink)
 		}
 	}
 	return dist, tier
-}
-
-func min64(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TimelineEvaluator drives a simulator through a workload.Timeline with

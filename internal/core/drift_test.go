@@ -132,8 +132,8 @@ func TestTrustRegionSafetyProperties(t *testing.T) {
 					t.Fatalf("iter %d: no trust region recorded post-warmup", it.Index)
 				}
 				for d, v := range it.Observation.Theta {
-					lo := max64(0, it.TrustCenter[d]-it.TrustRadius)
-					hi := min64(1, it.TrustCenter[d]+it.TrustRadius)
+					lo := max(0, it.TrustCenter[d]-it.TrustRadius)
+					hi := min(1, it.TrustCenter[d]+it.TrustRadius)
 					if v < lo-1e-12 || v > hi+1e-12 {
 						t.Errorf("iter %d dim %d: theta %g outside trust region [%g, %g]",
 							it.Index, d, v, lo, hi)
@@ -314,7 +314,7 @@ func TestDriftWarmupGateUnification(t *testing.T) {
 
 	t.Run("violating-warmup-event-shrinks", func(t *testing.T) {
 		d, _ := drive(t, false)
-		want := max64(driftMinRadius, driftInitRadius*driftShrink)
+		want := max(driftMinRadius, driftInitRadius*driftShrink)
 		if d.radius != want {
 			t.Fatalf("radius %g after violating warm-up event, want shrunk %g (frozen warm-up radius must not skip the violation shrink)",
 				d.radius, want)

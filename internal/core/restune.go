@@ -1,10 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/bo"
-	"repro/internal/dbsim"
 	"repro/internal/gp"
 	"repro/internal/lhs"
 	"repro/internal/meta"
@@ -12,11 +13,19 @@ import (
 	"repro/internal/rng"
 )
 
-// Config parameterizes a ResTune session. Start from DefaultConfig: New
+// Config parameterizes a tuning session. Start from DefaultConfig: New
 // takes the fields as given and fills in nothing.
 type Config struct {
 	// Name overrides the method's display name (e.g. "ResTune-w/o-ML").
 	Name string
+	// Policy chooses each iteration's configuration. Nil selects the
+	// paper's ResTune, configured by the fields below; the comparison
+	// methods (package baselines) supply their own. A Policy is
+	// single-session state, like Corpus: each session's Start resets it, so
+	// sessions sharing one Policy value must run one at a time — two
+	// concurrent sessions (or Fleet specs copying one Config) would race
+	// on it.
+	Policy Policy
 	// Seed drives every stochastic component of the session.
 	Seed int64
 	// InitIters is the initialization budget: the static-weight phase when
@@ -140,13 +149,15 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// ResTune is the paper's tuner: constrained Bayesian optimization over a
-// meta-learner ensemble with the adaptive weight schema.
+// ResTune is a tuner built from a Config: the paper's method —
+// constrained Bayesian optimization over a meta-learner ensemble with the
+// adaptive weight schema — when Config.Policy is nil, a comparison
+// method's policy on the same session loop otherwise.
 type ResTune struct {
 	cfg Config
 }
 
-// New returns a ResTune tuner.
+// New returns the tuner a Config describes.
 func New(cfg Config) *ResTune {
 	return &ResTune{cfg: cfg}
 }
@@ -174,17 +185,6 @@ func (t *ResTune) Run(ev Evaluator, iters int) (*Result, error) {
 	return s.Run()
 }
 
-// observe packs a measurement into the (θ, res, tps, lat) four-tuple, with
-// res selected by the session's resource kind.
-func observe(theta []float64, m dbsim.Measurement, ev Evaluator) bo.Observation {
-	return bo.Observation{
-		Theta: theta,
-		Res:   m.Resource(ev.Resource()),
-		Tps:   m.TPS,
-		Lat:   m.LatencyP99Ms,
-	}
-}
-
 func relChange(a, b float64) float64 {
 	if a == 0 {
 		if b == 0 {
@@ -195,7 +195,214 @@ func relChange(a, b float64) float64 {
 	return math.Abs(b-a) / math.Abs(a)
 }
 
-// LHSInit exposes the session's initial design for tests.
+// LHSInit is ResTune's initial design: a maximin Latin hypercube of n
+// points drawn from the seed's "lhs" stream.
 func LHSInit(n, dim int, seed int64) [][]float64 {
 	return lhs.Maximin(n, dim, 10, rng.Derive(seed, "lhs"))
+}
+
+// restunePolicy is the paper's method as a session policy: an LHS design or
+// the static-weight phase first, then constrained EI over the target
+// surrogate — alone (ResTune-w/o-ML) or inside the meta-learning ensemble
+// of the corpus's base-learners (Sections 4-6).
+type restunePolicy struct {
+	cfg  Config
+	name string
+
+	r      *rand.Rand
+	design [][]float64
+	// tri is the target surrogate; it persists across iterations so
+	// hyperparameter search warm-starts.
+	tri *bo.TriGP
+	// resets is the View.Resets the corpus shortlist was computed for.
+	resets int
+
+	// Update's choices for Propose and annotate.
+	phase     string
+	surrogate bo.BatchSurrogate
+	cons      bo.Constraints
+	bestVal   float64
+	weights   []float64
+	shortlist int
+
+	acq      bo.AcqFunc
+	acqBatch bo.BatchAcqFunc
+	// incBuf backs the per-iteration incumbent set so acquisition start
+	// points stop allocating each step.
+	incBuf [][]float64
+}
+
+// Start implements Policy: corpus activation, the acquisition stream and the
+// LHS fallback design.
+func (p *restunePolicy) Start(v *View) error {
+	if p.cfg.Corpus != nil {
+		// One shortlist per regime: the target meta-feature only changes at a
+		// drift reset, so the index query does not run every iteration.
+		if err := p.cfg.Corpus.Activate(v.MetaFeature); err != nil {
+			return fmt.Errorf("core: activating corpus: %w", err)
+		}
+	}
+	p.r = rng.Derive(v.Seed, "restune:"+p.name)
+	p.design = LHSInit(v.InitIters, v.Dim, v.Seed)
+	// Both surrogates (TriGP and the meta ensemble) batch, so probes are
+	// scored block-at-a-time; the batch path is bit-identical to acq.
+	p.acq = func(x []float64) float64 {
+		return bo.CEI(p.surrogate, x, p.bestVal, p.cons)
+	}
+	p.acqBatch = func(X [][]float64, out []float64) {
+		bo.CEIBatch(p.surrogate, X, p.bestVal, p.cons, out)
+	}
+	return nil
+}
+
+// Update implements Policy: fit the target base-learner and, with a corpus,
+// the ensemble weights.
+func (p *restunePolicy) Update(v *View) error {
+	cfg := &p.cfg
+	iter := v.Iter
+	if cfg.Corpus != nil && v.Resets != p.resets {
+		// A drift reset replaced the target meta-feature: re-trigger
+		// meta-learning by recomputing the shortlist against the new regime.
+		p.resets = v.Resets
+		if err := cfg.Corpus.Activate(v.MetaFeature); err != nil {
+			return fmt.Errorf("core: re-activating corpus after drift at iter %d: %w", iter, err)
+		}
+	}
+	p.weights, p.shortlist = nil, 0
+	staticPhase := cfg.Corpus != nil && cfg.UseWorkloadChar && iter <= v.InitIters
+	if iter <= v.InitIters && !staticPhase {
+		p.phase = "lhs"
+		return nil
+	}
+
+	if p.tri == nil {
+		p.tri = bo.NewTriGP(v.Dim, v.Seed)
+		// Long-history sessions cap the cubic surrogate fit on an anchor
+		// subset; below the threshold — and under the zero config — this
+		// is bit-identical to the exact tuner (gp.SparseConfig).
+		p.tri.SetSparse(cfg.Sparse)
+		p.tri.SetRecorder(cfg.Recorder)
+	}
+	// Warm-started hyperparameter search: full budget every
+	// fullSearchEvery-th iteration, a small budget otherwise (the incumbent
+	// hyperparameters are always retained).
+	budget := 0
+	if iter%fullSearchEvery != 0 {
+		budget = warmSearchBudget
+	}
+	// The session's history is preallocated and append-only, so the
+	// snapshot handed to the model layer is just the current slice header.
+	hist := v.History
+	if v.Weights != nil {
+		// Forgetting active: the target surrogate (and therefore the meta
+		// ensemble's target learner wrapping it) conditions on the decayed
+		// weights. Weights only change at tier-1 events, so between events
+		// the GP's incremental-fit path stays open.
+		p.tri.SetObservationWeights(v.Weights)
+	}
+	if err := p.tri.FitWithBudget(hist, budget); err != nil {
+		return fmt.Errorf("core: target model at iter %d: %w", iter, err)
+	}
+
+	if cfg.Corpus == nil {
+		p.phase = "cbo"
+		p.surrogate = p.tri
+		p.cons = p.tri.RawConstraints(v.SLA)
+		p.bestVal = math.NaN()
+		if v.HasBest {
+			p.bestVal = p.tri.Standardizer(bo.Res).Apply(v.Best.Res)
+		}
+		return nil
+	}
+
+	target := meta.NewBaseLearnerFromSurrogate("target", "target", "target", v.MetaFeature, hist, p.tri)
+	base, activeIDs, err := cfg.Corpus.ActiveLearners()
+	if err != nil {
+		return fmt.Errorf("core: corpus learners at iter %d: %w", iter, err)
+	}
+	var w []float64
+	useStatic := staticPhase
+	switch cfg.Schema {
+	case StaticOnlySchema:
+		useStatic = true
+	case DynamicOnlySchema:
+		useStatic = false
+	}
+	if useStatic {
+		w = meta.StaticWeights(base, v.MetaFeature, true, meta.EpanechnikovBandwidth)
+		p.phase = "static"
+	} else {
+		w = meta.DynamicWeightsOpts(base, target,
+			meta.DynamicOptions{Samples: cfg.DynamicSamples, DilutionGuard: cfg.DilutionGuard, Recorder: cfg.Recorder},
+			rng.Derive(v.Seed, fmt.Sprintf("dyn:%d", iter)))
+		p.phase = "dynamic"
+	}
+	ens := meta.NewEnsemble(base, target, w)
+	if cfg.WeightedVariance {
+		ens = ens.WithWeightedVariance()
+	}
+	// Fixed-shape weight vector over the whole corpus (zeros off the
+	// shortlist) so fig6-style weight traces keep one column per base task.
+	// On the exact path this is the identity.
+	p.weights = cfg.Corpus.ScatterWeights(activeIDs, ens.Weights())
+	p.shortlist = len(base)
+	p.surrogate = ens
+	p.cons = ens.RescaledConstraints(v.Default)
+	p.bestVal = math.NaN()
+	if v.HasBest {
+		p.bestVal, _ = ens.Predict(bo.Res, v.Best.Theta)
+	}
+	return nil
+}
+
+// Propose implements Policy: the next LHS point, or the maximizer of the
+// constrained acquisition.
+func (p *restunePolicy) Propose(v *View) ([]float64, string) {
+	if p.phase == "lhs" {
+		return p.design[v.Iter-1], p.phase
+	}
+	// Acquisition start points: the best feasible configuration, the
+	// default, and the most recent probe — views of history entries in a
+	// reused buffer, so nothing is copied.
+	inc := p.incBuf[:0]
+	if v.HasBest {
+		inc = append(inc, v.Best.Theta)
+	}
+	inc = append(inc, v.Default, v.History[len(v.History)-1].Theta)
+	p.incBuf = inc
+	return bo.OptimizeAcqBatch(p.acq, p.acqBatch, v.Dim, v.Acq, inc, p.r), p.phase
+}
+
+// annotate implements annotator: the ensemble weights and shortlist size,
+// and in telemetry the CEI value at the evaluated θ and the target
+// surrogate's sparse-inference state.
+func (p *restunePolicy) annotate(it *Iteration, theta []float64, attrs []obs.Attr) []obs.Attr {
+	it.Weights, it.Shortlist = p.weights, p.shortlist
+	if attrs == nil {
+		return nil
+	}
+	if p.phase != "lhs" {
+		// One extra pure acquisition evaluation at the chosen point. No RNG
+		// is consumed, so the tuning trace is unchanged.
+		if v := p.acq(theta); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			attrs = append(attrs, obs.Float("cei", v))
+		}
+	}
+	if len(it.Weights) > 0 {
+		attrs = append(attrs, obs.Floats("weights", it.Weights))
+	}
+	if it.Shortlist > 0 {
+		attrs = append(attrs, obs.Int("shortlist", it.Shortlist))
+	}
+	if p.tri != nil {
+		if st := p.tri.SparseStats(); st.Active {
+			// Sparse-inference telemetry, emitted only while the anchor
+			// subset is live so exact-mode traces are byte-identical to
+			// sessions built before the sparse path existed.
+			attrs = append(attrs,
+				obs.Int("gp_sparse_m", st.Anchors),
+				obs.Int("gp_sparse_reselect", st.Reselects))
+		}
+	}
+	return attrs
 }

@@ -44,17 +44,14 @@ func runAblationAcq(p Params) (*Report, error) {
 	r := newReport("ablation-acquisition", Title("ablation-acquisition"))
 	r.Addf("%-28s %12s %14s %12s %14s", "Acquisition", "DefaultCPU%", "BestFeasCPU%", "Improve%", "FeasibleProbes")
 
-	pen := baselines.NewPenaltyBO(p.Seed)
-	pen.Acq = p.Acq
-	itd := baselines.NewITuned(p.Seed)
-	itd.Acq = p.Acq
+	cfg := sessionConfig(p, p.Seed)
 	rows := []struct {
 		label string
 		tuner core.Tuner
 	}{
 		{"CEI (ResTune-w/o-ML)", scratchTuner(p, p.Seed)},
-		{"Penalty-BO", pen},
-		{"EI unconstrained (iTuned)", itd},
+		{"Penalty-BO", baselines.NewPenaltyBO(cfg)},
+		{"EI unconstrained (iTuned)", baselines.NewITuned(cfg)},
 	}
 	for i, row := range rows {
 		if err := ablationRow(r, p, row.label, row.tuner, p.Seed+int64(10*i)); err != nil {

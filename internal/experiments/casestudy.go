@@ -217,7 +217,7 @@ func runTable6(p Params) (*Report, error) {
 	}
 	m := newMethodSet(p, p.Seed, restune, tasks)
 	methods := []core.Tuner{
-		m.def, baselines.NewGridSearch(8), m.restune, m.scratch, m.otterTune, m.cdbTune, m.iTuned,
+		m.def, baselines.NewGridSearch(sessionConfig(p, p.Seed), 8), m.restune, m.scratch, m.otterTune, m.cdbTune, m.iTuned,
 	}
 
 	r.Addf("%-18s %20s %18s %16s %8s", "Method", "thread_concurrency", "spin_wait_delay", "lru_scan_depth", "CPU%")

@@ -355,6 +355,15 @@ func bpKey(f func(dbsim.Hardware) int64) string {
 // halfRAM is the paper's buffer-pool policy for CPU experiments.
 func halfRAM(hw dbsim.Hardware) int64 { return hw.RAMBytes / 2 }
 
+// sessionConfig is the paper's session configuration with the experiment's
+// acquisition settings and recorder.
+func sessionConfig(p Params, seed int64) core.Config {
+	cfg := core.DefaultConfig(seed)
+	cfg.Acq = p.Acq
+	cfg.Recorder = p.Recorder
+	return cfg
+}
+
 // restuneFor builds the meta-boosted ResTune tuner for a target workload
 // from a repository subset.
 func restuneFor(p Params, r *repo.Repository, space *knobs.Space, target workload.Workload, seed int64, pred func(repo.TaskRecord) bool) (core.Tuner, error) {
@@ -366,20 +375,16 @@ func restuneFor(p Params, r *repo.Repository, space *knobs.Space, target workloa
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig(seed)
-	cfg.Acq = p.Acq
+	cfg := sessionConfig(p, seed)
 	cfg.Corpus = corpus
 	cfg.TargetMetaFeature = mf
-	cfg.Recorder = p.Recorder
 	return core.New(cfg), nil
 }
 
 // scratchTuner is ResTune-w/o-ML with experiment acquisition settings.
 func scratchTuner(p Params, seed int64) core.Tuner {
-	cfg := core.DefaultConfig(seed)
-	cfg.Acq = p.Acq
+	cfg := sessionConfig(p, seed)
 	cfg.Name = "ResTune-w/o-ML"
-	cfg.Recorder = p.Recorder
 	return core.New(cfg)
 }
 
@@ -422,17 +427,14 @@ type methodSet struct {
 // newMethodSet builds the methods around an already-built ResTune tuner;
 // otTasks is the repository subset OtterTune-w-Con maps workloads from.
 func newMethodSet(p Params, seed int64, restune core.Tuner, otTasks []repo.TaskRecord) methodSet {
-	ot := baselines.NewOtterTuneWCon(seed, otTasks)
-	ot.Acq = p.Acq
-	it := baselines.NewITuned(seed)
-	it.Acq = p.Acq
+	cfg := sessionConfig(p, seed)
 	return methodSet{
-		def:       baselines.DefaultOnly{},
+		def:       baselines.NewDefault(cfg),
 		restune:   restune,
 		scratch:   scratchTuner(p, seed),
-		otterTune: ot,
-		cdbTune:   baselines.NewCDBTuneWCon(seed),
-		iTuned:    it,
+		otterTune: baselines.NewOtterTuneWCon(cfg, otTasks),
+		cdbTune:   baselines.NewCDBTuneWCon(cfg),
+		iTuned:    baselines.NewITuned(cfg),
 	}
 }
 

@@ -85,7 +85,7 @@ func ExampleGridSearch() {
 		restune.WithHalfRAMBufferPool())
 	ev := restune.NewEvaluator(sim, space, restune.CPU)
 
-	res, err := restune.GridSearch(4).Run(ev, 0) // 4^3 = 64 evaluations
+	res, err := restune.GridSearch(restune.DefaultConfig(3), 4).Run(ev, 0) // 4^3 = 64 evaluations
 	if err != nil {
 		log.Fatal(err)
 	}

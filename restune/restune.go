@@ -72,7 +72,7 @@ type (
 	Observation = bo.Observation
 	// SLA holds the throughput/latency constraints.
 	SLA = bo.SLA
-	// Config parameterizes a ResTune session.
+	// Config parameterizes a tuning session, ResTune's or a baseline's.
 	Config = core.Config
 	// Tuner is any tuning method (ResTune or a baseline).
 	Tuner = core.Tuner
@@ -290,24 +290,34 @@ func DefaultConfig(seed int64) Config { return core.DefaultConfig(seed) }
 // meta-boosted ResTune.
 func New(cfg Config) Tuner { return core.New(cfg) }
 
+// The baselines run the same session loop as New, configured by the same
+// Config (seed, SLA tolerance, initialization budget, acquisition settings,
+// recorder, stopping rule, drift handling); only how the next configuration
+// is chosen differs. A baseline Tuner holds one policy instance, so it runs
+// one session at a time: build one per concurrent session.
+
 // Default returns the Default baseline (DBA configuration re-measured).
-func Default() Tuner { return baselines.DefaultOnly{} }
+func Default(cfg Config) Tuner { return baselines.NewDefault(cfg) }
 
 // ITuned returns the iTuned baseline (unconstrained GP + EI).
-func ITuned(seed int64) Tuner { return baselines.NewITuned(seed) }
+func ITuned(cfg Config) Tuner { return baselines.NewITuned(cfg) }
 
 // OtterTuneWithConstraints returns the OtterTune-w-Con baseline over a
 // historical task set.
-func OtterTuneWithConstraints(seed int64, tasks []TaskRecord) Tuner {
-	return baselines.NewOtterTuneWCon(seed, tasks)
+func OtterTuneWithConstraints(cfg Config, tasks []TaskRecord) Tuner {
+	return baselines.NewOtterTuneWCon(cfg, tasks)
 }
 
 // CDBTuneWithConstraints returns the CDBTune-w-Con baseline (DDPG with the
 // paper's constrained reward).
-func CDBTuneWithConstraints(seed int64) Tuner { return baselines.NewCDBTuneWCon(seed) }
+func CDBTuneWithConstraints(cfg Config) Tuner { return baselines.NewCDBTuneWCon(cfg) }
 
-// GridSearch returns an exhaustive grid-search tuner.
-func GridSearch(pointsPerDim int) Tuner { return baselines.NewGridSearch(pointsPerDim) }
+// GridSearch returns an exhaustive grid-search tuner; its sessions measure
+// every grid point whatever budget Run is given, ignoring the Config's
+// stopping rules and trust region.
+func GridSearch(cfg Config, pointsPerDim int) Tuner {
+	return baselines.NewGridSearch(cfg, pointsPerDim)
+}
 
 // ---------------------------------------------------------------------------
 // Data repository and meta-learning.

@@ -51,12 +51,13 @@ func TestPublicCataloguesAndWorkloads(t *testing.T) {
 }
 
 func TestPublicBaselines(t *testing.T) {
+	cfg := restune.DefaultConfig(1)
 	names := map[string]restune.Tuner{
-		"Default":         restune.Default(),
-		"iTuned":          restune.ITuned(1),
-		"OtterTune-w-Con": restune.OtterTuneWithConstraints(1, nil),
-		"CDBTune-w-Con":   restune.CDBTuneWithConstraints(1),
-		"GridSearch":      restune.GridSearch(4),
+		"Default":         restune.Default(cfg),
+		"iTuned":          restune.ITuned(cfg),
+		"OtterTune-w-Con": restune.OtterTuneWithConstraints(cfg, nil),
+		"CDBTune-w-Con":   restune.CDBTuneWithConstraints(cfg),
+		"GridSearch":      restune.GridSearch(cfg, 4),
 	}
 	for want, tuner := range names {
 		if tuner.Name() != want {

@@ -30,7 +30,9 @@
 #      measured); the behaviour these benchmarks report — drift violations,
 #      fleet hit rate, sparse accuracy — is asserted by step 4's tests
 #   8. telemetry smoke runs: restune-tune -trace must emit a non-empty,
-#      schema-valid JSONL artifact, a 2-session restune-server fleet must
+#      schema-valid JSONL artifact for ResTune and for the iTuned baseline
+#      (whose core.iteration spans must carry its "ei" phase: baselines run
+#      the same instrumented session loop), a 2-session restune-server fleet must
 #      emit schema-valid per-session and fleet streams, and a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
 #      spans carry drift/trust-region attrs
@@ -91,6 +93,15 @@ test -s "$tracedir/trace.jsonl" || {
     exit 1
 }
 go run ./scripts/tracecheck "$tracedir/trace.jsonl"
+
+echo "==> telemetry smoke (restune-tune -method ituned -trace)"
+go run ./cmd/restune-tune -workload twitter -method ituned -iters 12 \
+    -trace "$tracedir/ituned.jsonl" >/dev/null
+go run ./scripts/tracecheck "$tracedir/ituned.jsonl"
+grep -q '"name":"core.iteration".*"phase":"ei"' "$tracedir/ituned.jsonl" || {
+    echo "telemetry smoke: iTuned trace has no core.iteration span in its ei phase" >&2
+    exit 1
+}
 
 echo "==> fleet smoke (restune-server, 2 sessions)"
 go run ./cmd/restune-server -sessions 2 -workers 2 -iters 3 \
