@@ -100,9 +100,7 @@ func runFig9(p Params) (*Report, error) {
 }
 
 // fig9Donor LHS-samples the donor workload for a Figure-9 panel on
-// instance E with the panel's buffer-pool policy. The record is returned
-// without internal metrics, as these panels have always run: OtterTune-w-Con
-// finds nothing to map against and runs as plain constrained BO here.
+// instance E with the panel's buffer-pool policy.
 func fig9Donor(p Params, c fig9Case, seed int64) (repo.TaskRecord, *meta.BaseLearner, error) {
 	opts := []dbsim.Option{}
 	if c.fixedBP {
@@ -110,9 +108,5 @@ func fig9Donor(p Params, c fig9Case, seed int64) (repo.TaskRecord, *meta.BaseLea
 	}
 	source := calibrateRate(c.source, "E", seed+1, opts...)
 	sim := dbsim.New(dbsim.Instance("E"), source.Profile, seed+1, opts...)
-	task, bl, err := lhsTask(p, c.source.Name+"@E", c.source, "E", sim, c.space, c.resource, seed+1)
-	for i := range task.Observations {
-		task.Observations[i].Internal = nil
-	}
-	return task, bl, err
+	return lhsTask(p, c.source.Name+"@E", c.source, "E", sim, c.space, c.resource, seed+1)
 }
