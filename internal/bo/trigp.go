@@ -115,6 +115,12 @@ func (t *TriGP) Predict(m Metric, x []float64) (mu, variance float64) {
 	return t.gps[m].Predict(x)
 }
 
+// PredictMean returns Predict's mean alone, bit for bit, skipping the
+// variance's triangular solve (gp.GP.PredictMean).
+func (t *TriGP) PredictMean(m Metric, x []float64) float64 {
+	return t.gps[m].PredictMean(x)
+}
+
 // triBlockBuf pools the cross-covariance blocks a TriGP.PredictBatch call
 // builds (at most one per metric; exactly one when the metric GPs share
 // kernels).
@@ -144,6 +150,19 @@ func (b *triBlockBuf) get(slot, n, m int) *mat.Dense {
 // blocked triangular solve, just with their own block. Results match three
 // independent Predict calls bit for bit.
 func (t *TriGP) PredictBatch(X [][]float64, post *BatchPosterior) {
+	t.predictBatch(X, post, false)
+}
+
+// PredictMeanBatch fills post.Mu exactly as PredictBatch does and leaves
+// post.Var unspecified: each block feeds gp.GP.MeanBatchCov alone, so no
+// triangular solve runs.
+func (t *TriGP) PredictMeanBatch(X [][]float64, post *BatchPosterior) {
+	t.predictBatch(X, post, true)
+}
+
+// predictBatch is the block-sharing loop behind PredictBatch and, with
+// meanOnly, PredictMeanBatch.
+func (t *TriGP) predictBatch(X [][]float64, post *BatchPosterior, meanOnly bool) {
 	post.Resize(len(X))
 	if len(X) == 0 {
 		return
@@ -162,18 +181,25 @@ func (t *TriGP) PredictBatch(X [][]float64, post *BatchPosterior) {
 		}
 		kstar := bb.get(i, gi.TrainN(), len(X))
 		gi.CrossCovTo(kstar, X)
-		gi.PredictBatchCov(kstar, X, post.Mu[i], post.Var[i])
+		if meanOnly {
+			gi.MeanBatchCov(kstar, post.Mu[i])
+		} else {
+			gi.PredictBatchCov(kstar, X, post.Mu[i], post.Var[i])
+		}
 		done[i] = true
 		for j := i + 1; j < len(t.gps); j++ {
 			if done[j] || !gi.SharesCrossCov(t.gps[j]) {
 				continue
 			}
-			if gi.SharesSolve(t.gps[j]) {
+			switch {
+			case meanOnly:
+				t.gps[j].MeanBatchCov(kstar, post.Mu[j])
+			case gi.SharesSolve(t.gps[j]):
 				// Same factor, noise and block: the variance half is
 				// bit-identical, so only the mean is recomputed.
 				t.gps[j].MeanBatchCov(kstar, post.Mu[j])
 				copy(post.Var[j], post.Var[i])
-			} else {
+			default:
 				t.gps[j].PredictBatchCov(kstar, X, post.Mu[j], post.Var[j])
 			}
 			done[j] = true

@@ -332,7 +332,7 @@ func (p *restunePolicy) Update(v *View) error {
 		w = meta.StaticWeights(base, v.MetaFeature, true, meta.EpanechnikovBandwidth)
 		p.phase = "static"
 	} else {
-		w = meta.DynamicWeightsOpts(base, target,
+		w = cfg.Corpus.DynamicWeights(base, target,
 			meta.DynamicOptions{Samples: cfg.DynamicSamples, DilutionGuard: cfg.DilutionGuard, Recorder: cfg.Recorder},
 			rng.Derive(v.Seed, fmt.Sprintf("dyn:%d", iter)))
 		p.phase = "dynamic"

@@ -7,45 +7,53 @@ import (
 	"repro/internal/mat"
 )
 
+// rowScratch holds the radius and exponential arrays of one vector kernel
+// row (matern52Row); the row itself holds the distances.
+type rowScratch struct {
+	r, e []float64
+}
+
 // crossScratch is the pooled workspace of one fast covariance pass: the
 // dim x m transposed point block (one point per column, so the distance
-// pass streams contiguous rows) plus the per-row distance, radius and
-// exponential arrays. Pooled package-wide; concurrent callers each take
-// their own.
+// pass streams contiguous rows) plus one row's scratch. Pooled package-wide;
+// concurrent callers each take their own.
 type crossScratch struct {
-	xtdata  []float64
-	xt      mat.Dense
-	s, r, e []float64
+	xtdata []float64
+	xt     mat.Dense
+	rowScratch
 }
 
 var crossPool = sync.Pool{New: func() any { return &crossScratch{} }}
 
-func getCrossScratch(dim, m int) *crossScratch {
+// getCrossScratch returns a workspace holding X transposed (dim x len(X)).
+func getCrossScratch(X [][]float64, dim int) *crossScratch {
+	m := len(X)
 	cs := crossPool.Get().(*crossScratch)
 	if cap(cs.xtdata) < dim*m {
 		cs.xtdata = make([]float64, dim*m)
 	}
-	if cap(cs.s) < m {
-		cs.s = make([]float64, m)
-		cs.r = make([]float64, m)
-		cs.e = make([]float64, m)
+	if cap(cs.r) < m {
+		cs.r, cs.e = make([]float64, m), make([]float64, m)
 	}
 	cs.xt.Reset(dim, m, cs.xtdata[:dim*m])
+	transposeTo(cs.xtdata, X, dim)
 	return cs
 }
 
-// transpose lays the candidate batch out one candidate per column.
-// Candidates longer than dim are truncated, matching EvalRow's b[:len(x)].
-func (cs *crossScratch) transpose(X [][]float64, dim, m int) {
+// transposeTo lays the points out one per column of a dim x len(X) matrix
+// with row stride len(X). Points longer than dim are truncated, matching
+// EvalRow's b[:len(x)].
+func transposeTo(dst []float64, X [][]float64, dim int) {
+	m := len(X)
 	for j, xj := range X {
 		xj = xj[:dim]
 		for d := 0; d < dim; d++ {
-			cs.xtdata[d*m+j] = xj[d]
+			dst[d*m+j] = xj[d]
 		}
 	}
 }
 
-// matern52Row fills row[j] = k(x, column lo+j of cs.xt) for an isotropic
+// matern52Row fills row[j] = k(x, column lo+j of xt) for an isotropic
 // Matérn-5/2 kernel of variance v and inverse squared length scale inv. It
 // replays exactly Eval's op sequence, split into array passes: the scaled
 // squared distance (sub, square, scale by the hoisted 1/(l·l), add over
@@ -53,10 +61,11 @@ func (cs *crossScratch) transpose(X [][]float64, dim, m int) {
 // expression v·(1+r+5·s/3)·exp(−r). The first three vectorize over columns,
 // each lane doing what the scalar code does (see mat.SqDistColsTo,
 // SqrtScaleTo and ExpTo for the three arguments), so every entry matches
-// Eval(x, column) bit for bit.
-func (cs *crossScratch) matern52Row(row, x []float64, lo int, v, inv float64) {
-	s, r, e := cs.s[:len(row)], cs.r[:len(row)], cs.e[:len(row)]
-	mat.SqDistColsTo(s, x, &cs.xt, lo, inv)
+// Eval(x, column) bit for bit. The distances s live in row until the last
+// pass overwrites each with its entry. rs must hold len(row) of each array.
+func (rs *rowScratch) matern52Row(row, x []float64, xt *mat.Dense, lo int, v, inv float64) {
+	s, r, e := row, rs.r[:len(row)], rs.e[:len(row)]
+	mat.SqDistColsTo(s, x, xt, lo, inv)
 	mat.SqrtScaleTo(r, s, 5)
 	for j, rj := range r {
 		e[j] = -rj
@@ -71,12 +80,11 @@ func (cs *crossScratch) matern52Row(row, x []float64, lo int, v, inv float64) {
 // Matérn-5/2 kernel — the production configuration (NewMatern52, and
 // hyperparameter search preserves the parameter count).
 func crossCovMatern52Iso(dst *mat.Dense, xs, X [][]float64, k *Matern52) {
-	dim, m := len(xs[0]), len(X)
-	cs := getCrossScratch(dim, m)
-	cs.transpose(X, dim, m)
+	dim := len(xs[0])
+	cs := getCrossScratch(X, dim)
 	inv := 1 / (k.LengthScales[0] * k.LengthScales[0])
 	for i, xi := range xs {
-		cs.matern52Row(dst.Row(i), xi[:dim], 0, k.Variance, inv)
+		cs.matern52Row(dst.Row(i), xi[:dim], &cs.xt, 0, k.Variance, inv)
 	}
 	crossPool.Put(cs)
 }
@@ -85,30 +93,28 @@ func crossCovMatern52Iso(dst *mat.Dense, xs, X [][]float64, k *Matern52) {
 // i from the start of the diagonal's group of eight columns, so the vector
 // passes of matern52Row see whole groups and only the row's end is a tail.
 func fillMatern52Iso(dst *mat.Dense, xs [][]float64, k *Matern52) {
-	dim, n := len(xs[0]), len(xs)
-	cs := getCrossScratch(dim, n)
-	cs.transpose(xs, dim, n)
+	dim := len(xs[0])
+	cs := getCrossScratch(xs, dim)
 	inv := 1 / (k.LengthScales[0] * k.LengthScales[0])
 	for i, xi := range xs {
 		lo := i &^ 7
-		cs.matern52Row(dst.Row(i)[lo:], xi[:dim], lo, k.Variance, inv)
+		cs.matern52Row(dst.Row(i)[lo:], xi[:dim], &cs.xt, lo, k.Variance, inv)
 	}
 	crossPool.Put(cs)
 }
 
 // crossCovRBFIso is crossCovMatern52Iso for the isotropic RBF kernel:
-// distance pass, then v·exp(−0.5·s) per candidate.
+// distance pass into the row, then v·exp(−0.5·s) per candidate.
 func crossCovRBFIso(dst *mat.Dense, xs, X [][]float64, k *RBF) {
-	dim, m := len(xs[0]), len(X)
-	cs := getCrossScratch(dim, m)
-	cs.transpose(X, dim, m)
+	dim := len(xs[0])
+	cs := getCrossScratch(X, dim)
 	v := k.Variance
 	inv := 1 / (k.LengthScales[0] * k.LengthScales[0])
 	for i, xi := range xs {
 		row := dst.Row(i)
-		mat.SqDistColsTo(cs.s[:m], xi[:dim], &cs.xt, 0, inv)
-		for j := 0; j < m; j++ {
-			row[j] = v * math.Exp(-0.5*cs.s[j])
+		mat.SqDistColsTo(row, xi[:dim], &cs.xt, 0, inv)
+		for j, s := range row {
+			row[j] = v * math.Exp(-0.5*s)
 		}
 	}
 	crossPool.Put(cs)

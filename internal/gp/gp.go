@@ -66,6 +66,13 @@ type GP struct {
 	appendsSinceSelect int
 	reselects          int
 
+	// xt holds tx transposed (dim x TrainN, one view entry per column) in
+	// xtData, for the point-wise vector kernel row (kernelRow). Fit rebuilds
+	// it in place whenever it sets the view; search clones leave it empty and
+	// never predict point-wise.
+	xtData []float64
+	xt     mat.Dense
+
 	// rowBuf is appendPoint's persistent bordered-row scratch, so the
 	// incremental fit path allocates nothing in steady state.
 	rowBuf []float64
@@ -81,6 +88,7 @@ type GP struct {
 
 type predictBuf struct {
 	ks, v []float64
+	rowScratch
 }
 
 // batchBuf is the pooled workspace of one PredictBatch call: the n x m
@@ -245,6 +253,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		} else {
 			g.tx = x
 		}
+		g.transposeView()
 		if err := g.appendPoint(); err == nil {
 			if anchored {
 				g.appendsSinceSelect++
@@ -260,7 +269,19 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	} else {
 		g.view, g.tx = nil, x
 	}
+	g.transposeView()
 	return g.refactor()
+}
+
+// transposeView rebuilds xt from the current view in place, reusing its
+// storage (grown in roomFor steps, like the factor's).
+func (g *GP) transposeView() {
+	n, dim := len(g.tx), len(g.tx[0])
+	if cap(g.xtData) < dim*n {
+		g.xtData = make([]float64, dim*roomFor(n))
+	}
+	g.xt.Reset(dim, n, g.xtData[:dim*n])
+	transposeTo(g.xtData, g.tx, dim)
 }
 
 // factorMatchesKernel reports whether the current factorization was built
@@ -442,20 +463,8 @@ func (g *GP) Predict(x []float64) (mu, variance float64) {
 	if g.chol == nil {
 		return 0, prior
 	}
-	tx := g.tx
-	n := len(tx)
-	pb, _ := g.scratch.Get().(*predictBuf)
-	if pb == nil {
-		pb = &predictBuf{}
-	}
-	if cap(pb.ks) < n {
-		pb.ks = make([]float64, n)
-		pb.v = make([]float64, n)
-	}
-	ks, v := pb.ks[:n], pb.v[:n]
-	for i, xi := range tx {
-		ks[i] = g.kernel.Eval(x, xi)
-	}
+	pb := g.predictBuf()
+	ks, v := g.kernelRow(pb, x), pb.v[:len(g.tx)]
 	mu = g.meanY + mat.Dot(ks, g.alpha)
 	g.chol.SolveLowerVecTo(v, ks)
 	variance = prior - mat.Dot(v, v)
@@ -464,6 +473,53 @@ func (g *GP) Predict(x []float64) (mu, variance float64) {
 		variance = 1e-12
 	}
 	return mu, variance
+}
+
+// PredictMean returns Predict's posterior mean alone, bit for bit, without
+// the forward solve the variance needs: O(n) instead of O(n²). An unfitted GP
+// returns the prior mean, 0. Safe for concurrent use.
+func (g *GP) PredictMean(x []float64) float64 {
+	if g.chol == nil {
+		return 0
+	}
+	pb := g.predictBuf()
+	mu := g.meanY + mat.Dot(g.kernelRow(pb, x), g.alpha)
+	g.scratch.Put(pb)
+	return mu
+}
+
+// predictBuf takes a point-wise scratch buffer sized for the view from the
+// pool; the caller puts it back. Its four arrays share one allocation.
+func (g *GP) predictBuf() *predictBuf {
+	n := len(g.tx)
+	pb, _ := g.scratch.Get().(*predictBuf)
+	if pb == nil {
+		pb = &predictBuf{}
+	}
+	if cap(pb.ks) < n {
+		room := roomFor(n)
+		all := make([]float64, 4*room)
+		pb.ks, pb.v, pb.r, pb.e = all[:room:room], all[room:2*room:2*room], all[2*room:3*room:3*room], all[3*room:]
+	}
+	return pb
+}
+
+// kernelRow fills and returns pb's row k(x, tx[i]) over the view. The
+// isotropic Matérn-5/2 kernel takes the vector row over the transposed view,
+// whose entries are Eval's bit for bit; any other kernel, or an x whose
+// length differs from the view's inputs, is evaluated entry by entry.
+func (g *GP) kernelRow(pb *predictBuf, x []float64) []float64 {
+	n := len(g.tx)
+	ks := pb.ks[:n]
+	dim, cols := g.xt.Dims()
+	if m, ok := g.kernel.(*Matern52); ok && len(m.LengthScales) == 1 && cols == n && dim == len(x) {
+		pb.matern52Row(ks, x, &g.xt, 0, m.Variance, 1/(m.LengthScales[0]*m.LengthScales[0]))
+		return ks
+	}
+	for i, xi := range g.tx {
+		ks[i] = g.kernel.Eval(x, xi)
+	}
+	return ks
 }
 
 // CrossCovTo fills dst (an N() x len(X) matrix) with the cross-covariance
@@ -559,9 +615,16 @@ func weightsEqual(a, b []float64) bool {
 
 // MeanBatchCov fills mu with the posterior mean at every candidate from a
 // caller-provided cross-covariance block — exactly the mean half of
-// PredictBatchCov, bit for bit — leaving the variance to be shared from a
-// sibling GP for which SharesSolve holds. The GP must be fitted.
+// PredictBatchCov, bit for bit, the prior mean 0 when unfitted — for callers
+// that share the variance from a sibling GP for which SharesSolve holds, or
+// need no variance at all.
 func (g *GP) MeanBatchCov(kstar *mat.Dense, mu []float64) {
+	if g.chol == nil {
+		for j := range mu {
+			mu[j] = 0
+		}
+		return
+	}
 	mat.MulTVecTo(mu, kstar, g.alpha)
 	for j := range mu {
 		mu[j] += g.meanY

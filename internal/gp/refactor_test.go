@@ -14,65 +14,118 @@ import (
 // entry by entry through Eval — the reference the vector fill must match.
 type evalOnly struct{ Kernel }
 
-// TestVectorFillMatchesEvalLoop holds refactor's vector fill to the Eval
-// double loop it replaced, at view sizes on both sides of the vector width
-// and of the factor's panel width, without and with observation weights and
-// under a sparse view: first the filled upper triangle entry by entry, then
-// everything built on it — the factor's log-determinant and weights through
-// the log marginal likelihood, and the posterior.
+// TestVectorFillMatchesEvalLoop holds the vector kernel code to the Eval
+// loops it replaced, against a reference GP whose kernel hides its type and
+// so is filled and read entry by entry. A history grows one point at a time
+// to 150 — view sizes on both sides of the vector width and of the factor's
+// panel width — without and with observation weights and under a sparse
+// view; at every size refactor's filled upper triangle must match entry by
+// entry, and everything built on it must too: the factor's log-determinant
+// and weights through the log marginal likelihood, and the point-wise
+// posterior, which reads the GP's transposed view through the vector kernel
+// row, from Predict and from PredictMean. The growth crosses every path that
+// changes the view or the factor it is read with: an append, a rebuild, a
+// search's adopt, AdoptHyperparamsFrom and SetSparse. Under -tags purego the
+// vector kernels are compiled out and the same table checks the scalar
+// fallbacks.
 func TestVectorFillMatchesEvalLoop(t *testing.T) {
-	probe, _ := randPoints(4, 6, 77)
-	for _, n := range []int{1, 2, 7, 8, 9, 17, 64, 65, 150} {
-		x, y := randPoints(n, 6, int64(n))
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = 0.2 + 0.8*rand.New(rand.NewSource(int64(i))).Float64()
+	const maxN, dim = 150, 6
+	x, y := randPoints(maxN, dim, 5)
+	probe, _ := randPoints(6, dim, 77)
+	probe = append(probe, x[0], x[maxN-1]) // training points: zero distance
+	w := make([]float64, maxN)
+	r := rand.New(rand.NewSource(11))
+	for i := range w {
+		w[i] = 0.2 + 0.8*r.Float64()
+	}
+	for _, mode := range []string{"plain", "weighted", "sparse", "sparse weighted"} {
+		sparse := SparseConfig{}
+		if mode == "sparse" || mode == "sparse weighted" {
+			sparse = SparseConfig{Threshold: 80, MaxAnchors: 66, ReselectEvery: 5}
 		}
-		for _, mode := range []string{"plain", "weighted", "sparse", "sparse weighted"} {
-			sparse := SparseConfig{}
-			if mode == "sparse" || mode == "sparse weighted" {
-				if n < 9 {
-					continue
+		weighted := mode == "weighted" || mode == "sparse weighted"
+		g, ref := New(NewMatern52(1.7, 0.4), 0.013), New(evalOnly{NewMatern52(1.7, 0.4)}, 0.013)
+		donor := New(NewMatern52(0.8, 0.7), 0.05)
+		both := []*GP{g, ref}
+		for _, h := range both {
+			h.SetSparse(sparse)
+		}
+		fit := func(n int, gps ...*GP) {
+			t.Helper()
+			for _, h := range gps {
+				if weighted {
+					h.SetObservationWeights(w[:n])
 				}
-				sparse = SparseConfig{Threshold: n / 2, MaxAnchors: n/2 + 1, ReselectEvery: 4}
+				if err := h.Fit(x[:n], y[:n]); err != nil {
+					t.Fatalf("%s n=%d: %v", mode, n, err)
+				}
 			}
-			fit := func(k Kernel) *GP {
-				g := New(k, 0.013)
-				g.SetSparse(sparse)
-				if mode == "weighted" || mode == "sparse weighted" {
-					g.SetObservationWeights(w)
-				}
-				if err := g.Fit(x, y); err != nil {
-					t.Fatalf("n=%d %s: %v", n, mode, err)
-				}
-				return g
-			}
-			g, ref := fit(NewMatern52(1.7, 0.4)), fit(evalOnly{NewMatern52(1.7, 0.4)})
+		}
+		check := func(n int, path string) {
+			t.Helper()
 			m := g.TrainN()
-			if (m < n) != (sparse.Threshold > 0) || ref.TrainN() != m {
-				t.Fatalf("n=%d %s: view of %d points (reference %d)", n, mode, m, ref.TrainN())
+			if _, cols := g.xt.Dims(); cols != m || ref.TrainN() != m || g.chol == nil {
+				t.Fatalf("%s n=%d after %s: view of %d points (reference %d, transposed %d)", mode, n, path, m, ref.TrainN(), cols)
 			}
-
 			got, want := mat.NewDense(m, m), mat.NewDense(m, m)
 			g.fillKernel(got)
 			ref.fillKernel(want)
 			for i := 0; i < m; i++ {
 				for j := i; j < m; j++ {
 					if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
-						t.Fatalf("n=%d %s: K[%d][%d] = %x, Eval loop %x", n, mode, i, j, got.At(i, j), want.At(i, j))
+						t.Fatalf("%s n=%d after %s: K[%d][%d] = %x, Eval loop %x", mode, n, path, i, j, got.At(i, j), want.At(i, j))
 					}
 				}
 			}
 			if a, b := g.LogMarginalLikelihood(), ref.LogMarginalLikelihood(); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("n=%d %s: LML %x, Eval loop %x", n, mode, a, b)
+				t.Fatalf("%s n=%d after %s: LML %x, Eval loop %x", mode, n, path, a, b)
 			}
 			for _, p := range probe {
 				mu, v := g.Predict(p)
 				rmu, rv := ref.Predict(p)
 				if math.Float64bits(mu) != math.Float64bits(rmu) || math.Float64bits(v) != math.Float64bits(rv) {
-					t.Fatalf("n=%d %s: posterior (%x, %x), Eval loop (%x, %x)", n, mode, mu, v, rmu, rv)
+					t.Fatalf("%s n=%d after %s: posterior (%x, %x), Eval loop (%x, %x)", mode, n, path, mu, v, rmu, rv)
+				}
+				for _, h := range both {
+					if mean := h.PredictMean(p); math.Float64bits(mean) != math.Float64bits(rmu) {
+						t.Fatalf("%s n=%d after %s: mean-only %x, Eval loop %x", mode, n, path, mean, rmu)
+					}
 				}
 			}
+		}
+		for n := 1; n <= maxN; n++ {
+			fit(n, g, ref, donor)
+			check(n, "fit")
+			if n%7 == 3 {
+				for _, h := range both {
+					FitHyperparams(h, FitConfig{Candidates: 4}, rand.New(rand.NewSource(int64(n))))
+				}
+				check(n, "search")
+			}
+			if n%11 == 5 {
+				for _, h := range both {
+					if err := h.AdoptHyperparamsFrom(donor); err != nil {
+						t.Fatalf("%s n=%d: %v", mode, n, err)
+					}
+				}
+				check(n, "AdoptHyperparamsFrom")
+			}
+			if n == 100 || n == 120 {
+				// Toggle sparse inference: an anchored view goes back to the
+				// identity, an exact one is anchored at the next fit.
+				next := SparseConfig{Threshold: 90, MaxAnchors: 72}
+				if g.SparseStats().Active {
+					next = SparseConfig{}
+				}
+				for _, h := range both {
+					h.SetSparse(next)
+				}
+				fit(n, g, ref)
+				check(n, "SetSparse")
+			}
+		}
+		if g.refactors >= maxN {
+			t.Fatalf("%s: %d rebuilds over %d fits: the append path never ran", mode, g.refactors, maxN)
 		}
 	}
 }

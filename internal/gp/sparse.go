@@ -175,6 +175,7 @@ func (g *GP) SetSparse(cfg SparseConfig) {
 		return
 	}
 	g.view, g.tx = nil, g.x
+	g.transposeView()
 	g.appendsSinceSelect = 0
 	g.dropFactor()
 }

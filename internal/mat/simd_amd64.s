@@ -1,3 +1,5 @@
+//go:build !purego
+
 // AVX vector kernels for the batched math primitives. Every loop processes
 // independent columns in 256-bit lanes using only correctly-rounded IEEE-754
 // instructions (VMULPD, VSUBPD, VADDPD, VDIVPD, VSQRTPD) in exactly the

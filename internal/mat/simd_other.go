@@ -1,12 +1,14 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package mat
 
-// simdOn is a constant false off amd64, so the compiler removes every vector
-// branch and the stubs below are never reached.
+// simdOn is a constant false off amd64, and on amd64 under the purego build
+// tag (go test -tags purego runs every caller on the scalar loops), so the
+// compiler removes every vector branch and the stubs below are never
+// reached.
 const simdOn = false
 
-// expRow is nil off amd64: ExpTo calls math.Exp.
+// expRow is nil here: ExpTo calls math.Exp.
 var expRow expKernel
 
 func fwdSubRow(di, lrow, data *float64, k, stride, w int, lii float64) {

@@ -1,6 +1,7 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package mat
 
-// eachSIMDMode runs f once: off amd64 there is only the scalar path.
+// eachSIMDMode runs f once: off amd64, or under purego, there is only the
+// scalar path.
 func eachSIMDMode(f func(mode string)) { f("scalar") }

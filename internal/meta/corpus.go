@@ -3,6 +3,7 @@ package meta
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 
@@ -72,6 +73,10 @@ type Corpus struct {
 	activated    bool
 	shortlisting bool
 	active       []int // ascending task indices
+
+	// memo holds the base posteriors DynamicWeights has computed at the
+	// target's observed points since the last Activate.
+	memo posteriorMemo
 
 	mu       sync.Mutex
 	resident map[int]*BaseLearner
@@ -159,6 +164,7 @@ func (c *Corpus) shortlistK() int {
 func (c *Corpus) Activate(targetMeta []float64) error {
 	n := len(c.tasks)
 	c.activated = true
+	c.memo = posteriorMemo{}
 	var sp obs.Span
 	if c.rec.Enabled() {
 		sp = c.rec.Span("meta.corpus_activate", obs.Int("n", n))
@@ -317,4 +323,16 @@ func (c *Corpus) ScatterWeights(ids []int, w []float64) []float64 {
 		out[len(c.tasks)] = w[len(ids)]
 	}
 	return out
+}
+
+// DynamicWeights is DynamicWeightsOpts for a session: base are the active
+// learners (ActiveLearners) and target the session's target learner, whose
+// history only grows between calls. Each base learner's posterior at each
+// target observation is computed once and kept until the next Activate, so an
+// iteration pays only for the newest point; the weights are bit-identical to
+// DynamicWeightsOpts'. The memo is re-validated on every call (posteriorMemo)
+// and recomputes whatever no longer matches, so a rewritten history or a
+// different learner list costs time, never correctness.
+func (c *Corpus) DynamicWeights(base []*BaseLearner, target *BaseLearner, opts DynamicOptions, r *rand.Rand) []float64 {
+	return dynamicWeights(c.memo.resolve(base, target.History), target, opts, r)
 }

@@ -81,20 +81,31 @@ func (e *Ensemble) Weights() []float64 {
 	return out
 }
 
+// meanOnly reports whether the base learners contribute their means alone:
+// Eq. 7 takes the variance from the target, so whenever a target exists and
+// the weighted-variance ablation is off, no base-learner variance is read.
+func (e *Ensemble) meanOnly() bool {
+	return e.target != nil && !e.weightedVariance
+}
+
 // Predict implements bo.Surrogate in the unified (standardized) scale.
 func (e *Ensemble) Predict(m bo.Metric, x []float64) (mu, variance float64) {
+	meanOnly := e.meanOnly()
 	var sumW, sumWMu, sumWVar float64
 	for i, b := range e.base {
 		if e.weights[i] == 0 {
 			continue
 		}
-		bm, bv := b.Predict(m, x)
 		sumW += e.weights[i]
+		if meanOnly {
+			sumWMu += e.weights[i] * b.Surrogate.PredictMean(m, x)
+			continue
+		}
+		bm, bv := b.Predict(m, x)
 		sumWMu += e.weights[i] * bm
 		sumWVar += e.weights[i] * bv
 	}
 	var targetVar float64
-	hasTargetVar := false
 	if e.target != nil {
 		tm, tv := e.target.Predict(m, x)
 		if w := e.weights[len(e.base)]; w > 0 {
@@ -103,13 +114,12 @@ func (e *Ensemble) Predict(m bo.Metric, x []float64) (mu, variance float64) {
 			sumWVar += w * tv
 		}
 		targetVar = tv
-		hasTargetVar = true
 	}
 	if sumW == 0 {
 		return 0, 1
 	}
 	mu = sumWMu / sumW
-	if hasTargetVar && !e.weightedVariance {
+	if meanOnly {
 		return mu, targetVar
 	}
 	// Weighted variance: either the explicit ablation mode, or the static
@@ -150,7 +160,8 @@ func growZero(s []float64, n int) []float64 {
 // candidate of a block, bit-identical to per-point Predict. Zero-weight base
 // learners are skipped entirely — their surrogates never build a block — and
 // each contributing learner computes its cross-covariance block(s) once for
-// the whole (block x 3 metrics) workload via its own PredictBatch.
+// the whole (block x 3 metrics) workload via its own PredictBatch, or
+// PredictMeanBatch when its variance is not read (meanOnly).
 func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 	post.Resize(len(X))
 	n := len(X)
@@ -159,6 +170,7 @@ func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 	}
 	buf := ensemblePool.Get().(*ensembleBuf)
 	buf.resize(n)
+	meanOnly := e.meanOnly()
 	// Accumulate base learners in index order — the same order, and thus the
 	// same floating-point sums, as the point-wise loop.
 	sumW := 0.0
@@ -168,12 +180,21 @@ func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 		}
 		w := e.weights[i]
 		sumW += w
-		b.PredictBatch(X, &buf.learner)
+		if meanOnly {
+			b.Surrogate.PredictMeanBatch(X, &buf.learner)
+		} else {
+			b.PredictBatch(X, &buf.learner)
+		}
 		for m := range buf.sumWMu {
-			lmu, lv := buf.learner.Mu[m], buf.learner.Var[m]
-			smu, sv := buf.sumWMu[m], buf.sumWVar[m]
+			lmu, smu := buf.learner.Mu[m], buf.sumWMu[m]
 			for j := 0; j < n; j++ {
 				smu[j] += w * lmu[j]
+			}
+			if meanOnly {
+				continue
+			}
+			lv, sv := buf.learner.Var[m], buf.sumWVar[m]
+			for j := 0; j < n; j++ {
 				sv[j] += w * lv[j]
 			}
 		}
@@ -204,7 +225,7 @@ func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 		for j := 0; j < n; j++ {
 			mu[j] = buf.sumWMu[m][j] / sumW
 		}
-		if hasTarget && !e.weightedVariance {
+		if meanOnly {
 			copy(va, buf.target.Var[m])
 			continue
 		}

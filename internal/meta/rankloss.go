@@ -1,6 +1,9 @@
 package meta
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // RankingLoss counts misranked pairs (Eq. 9) between predictions and ground
 // truths: Σ_j Σ_k 1(pred_j ≤ pred_k) XOR 1(true_j ≤ true_k), over all n²
@@ -31,20 +34,16 @@ type RankEvaluator struct {
 	order     []int    // indices sorted by ascending truth
 	groups    [][2]int // [start,end) runs of equal truth in order, len >= 2 only
 	tiesTruth int      // Σ over groups of m(m−1)/2
-
-	// Per-instance scratch:
-	a, buf []float64
+	// Per-instance scratch; the float pair only once a NaN needs it:
+	key, kbuf []int64
+	a, buf    []float64
 }
 
 // NewRankEvaluator builds the truth-side structure for repeated Loss calls.
 func NewRankEvaluator(truth []float64) *RankEvaluator {
 	n := len(truth)
-	e := &RankEvaluator{
-		n:     n,
-		order: make([]int, n),
-		a:     make([]float64, n),
-		buf:   make([]float64, n),
-	}
+	e := &RankEvaluator{n: n, order: make([]int, n)}
+	e.scratch()
 	for i := range e.order {
 		e.order[i] = i
 	}
@@ -65,29 +64,74 @@ func NewRankEvaluator(truth []float64) *RankEvaluator {
 	return e
 }
 
+// scratch gives e its own per-instance buffers.
+func (e *RankEvaluator) scratch() {
+	e.key, e.kbuf = make([]int64, e.n), make([]int64, e.n)
+	e.a, e.buf = nil, nil
+}
+
 // Clone returns an evaluator sharing the (read-only) truth structure with
 // its own scratch buffers, so parallel workers can evaluate concurrently.
 func (e *RankEvaluator) Clone() *RankEvaluator {
 	c := *e
-	c.a = make([]float64, e.n)
-	c.buf = make([]float64, e.n)
+	c.scratch()
 	return &c
 }
 
 // Loss returns the Eq. 9 pairwise ranking loss of pred against the
-// evaluator's ground truth. It allocates nothing.
+// evaluator's ground truth. It allocates nothing, except the float merge's
+// scratch the first time a prediction vector holds a NaN.
+//
+// Predictions are ranked by order-preserving integer keys (rankKey), on
+// which the merge runs without data-dependent branches. A prediction vector
+// holding a NaN is ranked by the float merge instead — the same merge on the
+// floats themselves, whose comparisons with NaN are all false — so the loss
+// of such a vector is what it always was. That value is not Eq. 9's: the
+// pairwise sum reads NaN ≤ x as false in both directions, even against
+// itself, while a merge sort cannot place an element that compares with
+// nothing (pred = {0, NaN} against truth = {0, 1} scores 2 pairwise, one of
+// them the NaN's diagonal pair, and 0 here). Posterior samples are finite,
+// so a session never takes this path.
 func (e *RankEvaluator) Loss(pred []float64) int {
 	if len(pred) != e.n {
 		panic("meta: ranking loss length mismatch")
 	}
-	n := e.n
-	if n < 2 {
+	if e.n < 2 {
 		return 0
 	}
-	a := e.a[:n]
+	key := e.key[:e.n]
+	nan := false
+	for i, idx := range e.order {
+		x := pred[idx]
+		if math.IsNaN(x) {
+			nan = true
+		}
+		key[i] = rankKey(x)
+	}
+	if !nan {
+		return rankLoss(e, key, e.kbuf)
+	}
+	if e.a == nil {
+		e.a, e.buf = make([]float64, e.n), make([]float64, e.n)
+	}
+	a := e.a
 	for i, idx := range e.order {
 		a[i] = pred[idx]
 	}
+	return rankLoss(e, a, e.buf)
+}
+
+// rankKey maps a non-NaN x to an int64 whose signed order is x's order: the
+// float's bits with every bit but the sign flipped on negatives. Adding +0
+// first folds −0 into +0, so the two zeros, equal as floats, share a key.
+func rankKey(x float64) int64 {
+	k := int64(math.Float64bits(x + 0))
+	return k ^ int64(uint64(k>>63)>>1)
+}
+
+// rankLoss evaluates the decomposition over a, the predictions (or their
+// keys) in ascending-truth order; a and buf, of one length, are overwritten.
+func rankLoss[T int64 | float64](e *RankEvaluator, a, buf []T) int {
 	// Within each truth-tie group, order predictions ascending so tied-truth
 	// pairs contribute no inversions; count pairs tied on both sides while
 	// at it. Groups are rare and small for continuous metrics.
@@ -97,13 +141,12 @@ func (e *RankEvaluator) Loss(pred []float64) int {
 		insertionSort(seg)
 		tiesBoth += countEqualPairs(seg)
 	}
-	inv := countInversions(a, e.buf) // sorts a ascending as a side effect
-	tiesPred := countEqualPairs(a)
-	return 2*inv + tiesPred + e.tiesTruth - 2*tiesBoth
+	inv, sorted := countInversions(a, buf)
+	return 2*inv + countEqualPairs(sorted) + e.tiesTruth - 2*tiesBoth
 }
 
 // insertionSort sorts a small slice ascending in place.
-func insertionSort(s []float64) {
+func insertionSort[T int64 | float64](s []T) {
 	for i := 1; i < len(s); i++ {
 		v := s[i]
 		j := i - 1
@@ -117,7 +160,7 @@ func insertionSort(s []float64) {
 
 // countEqualPairs returns Σ m(m−1)/2 over runs of equal values in the
 // sorted slice s.
-func countEqualPairs(s []float64) int {
+func countEqualPairs[T int64 | float64](s []T) int {
 	ties, run := 0, 1
 	for i := 1; i < len(s); i++ {
 		if s[i] == s[i-1] {
@@ -131,34 +174,57 @@ func countEqualPairs(s []float64) int {
 }
 
 // countInversions counts pairs i < j with a[i] > a[j] (strict) by bottom-up
-// merge sort, sorting a ascending in place. buf must have len(a) capacity.
-func countInversions(a, buf []float64) int {
+// merge sort, ping-ponging between a and buf (which must have len(a)
+// capacity), and returns the count with the sorted values — a or buf.
+func countInversions[T int64 | float64](a, buf []T) (int, []T) {
 	n := len(a)
+	src, dst := a, buf[:n]
 	inv := 0
-	buf = buf[:n]
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n-width; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if a[j] < a[i] { // strict: equal values are not inversions
-					inv += mid - i
-					buf[k] = a[j]
-					j++
-				} else {
-					buf[k] = a[i]
-					i++
-				}
-				k++
-			}
-			copy(buf[k:], a[i:mid])
-			copy(buf[k+mid-i:hi], a[j:hi])
-			copy(a[lo:hi], buf[lo:hi])
+	// Runs of one merge pairwise in place: swap a pair iff it is inverted.
+	for i := 1; i < n; i += 2 {
+		x, y := src[i-1], src[i]
+		t, lo, hi := 0, x, y
+		if y < x {
+			t, lo, hi = 1, y, x
 		}
+		src[i-1], src[i] = lo, hi
+		inv += t
+	}
+	for width := 2; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			inv += merge(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, dst = dst, src
+	}
+	return inv, src
+}
+
+// merge merges the sorted runs l and r into out (len(l)+len(r)) and returns
+// how many (l, r) pairs are inverted. Each step is branch-free: whether the
+// right head goes first (it is strictly smaller, so equal values are not
+// inversions) selects the output value, advances one of the two cursors and
+// gates the inversion count, all through arithmetic — random predictions
+// would mispredict a branch on that comparison about half the time.
+func merge[T int64 | float64](out, l, r []T) int {
+	inv, i, j, k := 0, 0, 0, 0
+	for i < len(l) && j < len(r) {
+		x, y := l[i], r[j]
+		t, v := 0, x
+		if y < x {
+			t, v = 1, y
+		}
+		out[k] = v
+		inv += (len(l) - i) & -t
+		i += 1 - t
+		j += t
+		k++
+	}
+	for ; i < len(l); i, k = i+1, k+1 {
+		out[k] = l[i]
+	}
+	for ; j < len(r); j, k = j+1, k+1 {
+		out[k] = r[j]
 	}
 	return inv
 }

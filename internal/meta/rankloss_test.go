@@ -1,8 +1,11 @@
 package meta
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +23,81 @@ func bruteRankingLoss(pred, truth []float64) int {
 		}
 	}
 	return loss
+}
+
+// refRankingLoss is the float merge-sort evaluation RankEvaluator.Loss used
+// before it ranked by integer keys, kept as the reference the keyed loss must
+// reproduce on every input, NaN included.
+func refRankingLoss(pred, truth []float64) int {
+	n := len(truth)
+	if n < 2 {
+		return 0
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return truth[order[i]] < truth[order[j]] })
+	a := make([]float64, n)
+	for i, idx := range order {
+		a[i] = pred[idx]
+	}
+	equalPairs := func(s []float64) int {
+		ties, run := 0, 1
+		for i := 1; i < len(s); i++ {
+			if s[i] == s[i-1] {
+				run++
+				continue
+			}
+			ties += run * (run - 1) / 2
+			run = 1
+		}
+		return ties + run*(run-1)/2
+	}
+	tiesTruth, tiesBoth := 0, 0
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && truth[order[hi]] == truth[order[lo]] {
+			hi++
+		}
+		if m := hi - lo; m > 1 {
+			tiesTruth += m * (m - 1) / 2
+			seg := a[lo:hi]
+			for i := 1; i < len(seg); i++ {
+				v, j := seg[i], i-1
+				for j >= 0 && seg[j] > v {
+					seg[j+1] = seg[j]
+					j--
+				}
+				seg[j+1] = v
+			}
+			tiesBoth += equalPairs(seg)
+		}
+		lo = hi
+	}
+	inv := 0
+	buf := make([]float64, n)
+	for width := 1; width < n; width *= 2 {
+		for lo := 0; lo < n-width; lo += 2 * width {
+			mid, hi := lo+width, min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if a[j] < a[i] {
+					inv += mid - i
+					buf[k] = a[j]
+					j++
+				} else {
+					buf[k] = a[i]
+					i++
+				}
+				k++
+			}
+			copy(buf[k:], a[i:mid])
+			copy(buf[k+mid-i:hi], a[j:hi])
+			copy(a[lo:hi], buf[lo:hi])
+		}
+	}
+	return 2*inv + equalPairs(a) + tiesTruth - 2*tiesBoth
 }
 
 // Property: the O(n log n) inversion-count loss equals the O(n²) pairwise
@@ -82,6 +160,12 @@ func TestRankEvaluatorDegenerate(t *testing.T) {
 	if got := RankingLoss([]float64{1, 2, 3, 4}, []float64{5, 5, 5, 5}); got != 6 {
 		t.Fatalf("tied-truth loss %d want 6", got)
 	}
+	// A NaN prediction keeps the float merge's value, which is not the
+	// pairwise sum's (RankEvaluator.Loss).
+	pred, truth := []float64{0, math.NaN()}, []float64{0, 1}
+	if got, brute := RankingLoss(pred, truth), bruteRankingLoss(pred, truth); got != 0 || brute != 2 {
+		t.Fatalf("NaN loss %d, pairwise %d; documented as 0 and 2", got, brute)
+	}
 }
 
 // TestDynamicWeightsDeterministicAcrossGOMAXPROCS checks the meta-level
@@ -105,4 +189,77 @@ func TestDynamicWeightsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatalf("weights differ across GOMAXPROCS: %v vs %v", a, b)
 		}
 	}
+}
+
+// rankPalette holds the values FuzzRankingLoss's palette mode draws from:
+// ties, both zeros, both infinities, NaN and neighbours one ulp apart.
+var rankPalette = []float64{
+	math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1), 0, 5e-324,
+	0.5, math.Nextafter(0.5, 1), 1, math.MaxFloat64, math.Inf(1), math.NaN(),
+}
+
+// decodeRankInput splits fuzz bytes into equal-length pred and truth
+// vectors: one palette value per byte, or in raw mode one float64 per eight
+// bytes, bit pattern as given.
+func decodeRankInput(data []byte, palette bool) (pred, truth []float64) {
+	var v []float64
+	if palette {
+		for _, b := range data {
+			v = append(v, rankPalette[int(b)%len(rankPalette)])
+		}
+	} else {
+		for ; len(data) >= 8; data = data[8:] {
+			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+	}
+	n := len(v) / 2
+	return v[:n], v[n : 2*n]
+}
+
+func hasNaN(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzRankingLoss holds the keyed branch-free loss to refRankingLoss on any
+// input, through a fresh evaluator, a reused one and a clone, and, where
+// neither vector holds a NaN, to the pairwise definition of Eq. 9 as well.
+func FuzzRankingLoss(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 8, 30, 80, 192, 300} {
+		ties := make([]byte, 2*n)
+		for i := range ties {
+			ties[i] = byte(r.Intn(4) + 3) // -0, 0, 5e-324, 0.5
+		}
+		f.Add(ties, true)
+		all := make([]byte, 2*n)
+		for i := range all {
+			all[i] = byte(r.Intn(len(rankPalette)))
+		}
+		f.Add(all, true)
+		raw := make([]byte, 16*n)
+		for i := 0; i < 2*n; i++ {
+			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(r.NormFloat64()))
+		}
+		f.Add(raw, false)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, palette bool) {
+		pred, truth := decodeRankInput(data, palette)
+		want := refRankingLoss(pred, truth)
+		e := NewRankEvaluator(truth)
+		for _, ev := range []*RankEvaluator{e, e, e.Clone()} {
+			if got := ev.Loss(pred); got != want {
+				t.Fatalf("loss %d, float merge %d\npred %v\ntruth %v", got, want, pred, truth)
+			}
+		}
+		if !hasNaN(pred) && !hasNaN(truth) {
+			if brute := bruteRankingLoss(pred, truth); want != brute {
+				t.Fatalf("loss %d, pairwise %d\npred %v\ntruth %v", want, brute, pred, truth)
+			}
+		}
+	})
 }

@@ -93,8 +93,107 @@ type DynamicOptions struct {
 // GOMAXPROCS.
 //
 // The returned slice has len(base)+1 entries, target last, summing to 1.
+// A session calling this every iteration should use Corpus.DynamicWeights,
+// which computes each base posterior once.
 func DynamicWeightsOpts(base []*BaseLearner, target *BaseLearner, opts DynamicOptions, r *rand.Rand) []float64 {
-	nL := len(base) + 1
+	posts := make([]*basePosterior, len(base))
+	for i, b := range base {
+		posts[i] = &basePosterior{learner: b}
+	}
+	return dynamicWeights(posts, target, opts, r)
+}
+
+// basePosterior is one learner's posterior mean and standard deviation, per
+// metric, at a prefix of the target's observed configurations — the input
+// Eq. 9's sampling reads.
+type basePosterior struct {
+	learner *BaseLearner
+	mu, sd  [3][]float64
+}
+
+// covered returns how many history points the entry holds.
+func (p *basePosterior) covered() int { return len(p.mu[0]) }
+
+// truncate keeps the entry's first n points at most.
+func (p *basePosterior) truncate(n int) {
+	if n >= p.covered() {
+		return
+	}
+	for m := range p.mu {
+		p.mu[m], p.sd[m] = p.mu[m][:n], p.sd[m][:n]
+	}
+}
+
+// extend computes the learner's posterior at the points of h the entry does
+// not hold yet, in one batched call (bit-identical to point-wise Predict).
+func (p *basePosterior) extend(h bo.History) {
+	from := p.covered()
+	if from >= len(h) {
+		return
+	}
+	var post bo.BatchPosterior
+	p.learner.PredictBatch(h[from:].Thetas(), &post)
+	for m := range p.mu {
+		p.mu[m] = append(p.mu[m], post.Mu[m]...)
+		for _, v := range post.Var[m] {
+			p.sd[m] = append(p.sd[m], math.Sqrt(v))
+		}
+	}
+}
+
+// posteriorMemo keeps the base posteriors of Corpus.DynamicWeights across a
+// session's iterations. Base learners never change and the target history
+// only grows, so each (learner, point) posterior is computed once. Every use
+// re-validates: the entries cover the longest prefix of the history whose θ
+// match the memo's own copies bit for bit, and an entry whose learner is not
+// the one at its position is recomputed from scratch.
+type posteriorMemo struct {
+	thetas [][]float64
+	posts  []*basePosterior
+}
+
+// resolve returns one entry per base learner, each holding a valid prefix of
+// h; dynamicWeights' fan-out extends them to all of h. All bookkeeping
+// happens here, before the fan-out, so the workers touch only their own
+// entry.
+func (pm *posteriorMemo) resolve(base []*BaseLearner, h bo.History) []*basePosterior {
+	valid := 0
+	for valid < len(pm.thetas) && valid < len(h) && sameBits(pm.thetas[valid], h[valid].Theta) {
+		valid++
+	}
+	pm.thetas = pm.thetas[:valid]
+	for _, o := range h[valid:] {
+		pm.thetas = append(pm.thetas, append([]float64(nil), o.Theta...))
+	}
+	posts := make([]*basePosterior, len(base))
+	for i, b := range base {
+		if i < len(pm.posts) && pm.posts[i].learner == b {
+			posts[i] = pm.posts[i]
+			posts[i].truncate(valid)
+		} else {
+			posts[i] = &basePosterior{learner: b}
+		}
+	}
+	pm.posts = posts
+	return posts
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// dynamicWeights is DynamicWeightsOpts over base posteriors that may already
+// cover a prefix of the target history.
+func dynamicWeights(posts []*basePosterior, target *BaseLearner, opts DynamicOptions, r *rand.Rand) []float64 {
+	nL := len(posts) + 1
 	w := make([]float64, nL)
 	h := target.History
 	nt := len(h)
@@ -123,34 +222,27 @@ func DynamicWeightsOpts(base []*BaseLearner, target *BaseLearner, opts DynamicOp
 		evals[mi] = NewRankEvaluator(h.Values(m))
 	}
 
-	// Pre-compute posterior means/stds of every learner at the target's
-	// observed points, per metric, concurrently (pure reads of read-only
-	// surrogates — except the target's lazily cached LOO inverse, which
-	// only its own worker touches). For the target learner use LOO.
-	type post struct{ mu, sd []float64 }
-	posts := make([][]post, nL)
+	// Posterior means/stds of every learner at the target's observed points,
+	// per metric, concurrently: each base entry computes the points it does
+	// not hold yet (pure reads of read-only surrogates), the target takes its
+	// leave-one-out posterior (its lazily cached LOO inverse is touched by
+	// its own worker only).
+	learners := make([]*basePosterior, nL)
+	copy(learners, posts)
+	learners[nL-1] = &basePosterior{learner: target}
 	par.ForEach(nL, func(i int) {
-		posts[i] = make([]post, len(bo.Metrics))
-		if i == nL-1 {
-			for mi, m := range bo.Metrics {
-				looMu, looVar := target.Surrogate.GP(m).LOO()
-				sd := make([]float64, nt)
-				for j := range sd {
-					sd[j] = math.Sqrt(looVar[j])
-				}
-				posts[i][mi] = post{looMu, sd}
-			}
+		p := learners[i]
+		if i < nL-1 {
+			p.extend(h)
 			return
 		}
-		b := base[i]
 		for mi, m := range bo.Metrics {
-			mu := make([]float64, nt)
+			looMu, looVar := target.Surrogate.GP(m).LOO()
 			sd := make([]float64, nt)
-			for j, o := range h {
-				pm, pv := b.Predict(m, o.Theta)
-				mu[j], sd[j] = pm, math.Sqrt(pv)
+			for j := range sd {
+				sd[j] = math.Sqrt(looVar[j])
 			}
-			posts[i][mi] = post{mu, sd}
+			p.mu[mi], p.sd[mi] = looMu, sd
 		}
 	})
 
@@ -165,12 +257,13 @@ func DynamicWeightsOpts(base []*BaseLearner, target *BaseLearner, opts DynamicOp
 		}
 		pred := make([]float64, nt)
 		losses := make([]int, samples)
+		p := learners[i]
 		for s := 0; s < samples; s++ {
 			loss := 0
 			for mi := range bo.Metrics {
-				p := posts[i][mi]
+				mu, sd := p.mu[mi], p.sd[mi]
 				for j := 0; j < nt; j++ {
-					pred[j] = p.mu[j] + p.sd[j]*lr.NormFloat64()
+					pred[j] = mu[j] + sd[j]*lr.NormFloat64()
 				}
 				loss += ev[mi].Loss(pred)
 			}
@@ -185,9 +278,9 @@ func DynamicWeightsOpts(base []*BaseLearner, target *BaseLearner, opts DynamicOp
 	excluded := make([]bool, nL)
 	if opts.DilutionGuard {
 		scratch := make([]int, samples)
-		targetP95 := percentileIntInto(scratch, lossMatrix[nL-1], 0.95)
+		targetP95 := percentileInt(scratch, lossMatrix[nL-1], 0.95)
 		for i := 0; i < nL-1; i++ {
-			if percentileIntInto(scratch, lossMatrix[i], 0.5) > targetP95 {
+			if percentileInt(scratch, lossMatrix[i], 0.5) > targetP95 {
 				excluded[i] = true
 			}
 		}
@@ -196,6 +289,7 @@ func DynamicWeightsOpts(base []*BaseLearner, target *BaseLearner, opts DynamicOp
 	// Weight each learner by the probability it attains the minimum loss,
 	// splitting ties uniformly.
 	wins := make([]float64, nL)
+	ties := make([]int, 0, nL)
 	for s := 0; s < samples; s++ {
 		minLoss := -1
 		for i := 0; i < nL; i++ {
@@ -206,7 +300,7 @@ func DynamicWeightsOpts(base []*BaseLearner, target *BaseLearner, opts DynamicOp
 				minLoss = lossMatrix[i][s]
 			}
 		}
-		var ties []int
+		ties = ties[:0]
 		for i := 0; i < nL; i++ {
 			if !excluded[i] && lossMatrix[i][s] == minLoss {
 				ties = append(ties, i)
@@ -230,14 +324,9 @@ func DynamicWeightsOpts(base []*BaseLearner, target *BaseLearner, opts DynamicOp
 	return w
 }
 
-// percentileInt returns the q-quantile of values (copied, not mutated).
-func percentileInt(values []int, q float64) int {
-	return percentileIntInto(make([]int, len(values)), values, q)
-}
-
-// percentileIntInto is percentileInt with a caller-provided scratch buffer
+// percentileInt returns the q-quantile of values, sorting a copy in scratch
 // (len(scratch) >= len(values)); values is not mutated.
-func percentileIntInto(scratch, values []int, q float64) int {
+func percentileInt(scratch, values []int, q float64) int {
 	s := scratch[:len(values)]
 	copy(s, values)
 	sort.Ints(s)
@@ -264,7 +353,7 @@ func MeanRankingLossPct(base []*BaseLearner, h bo.History) []float64 {
 		loss := 0
 		for mi, m := range bo.Metrics {
 			for j, o := range h {
-				pred[j], _ = b.Predict(m, o.Theta)
+				pred[j] = b.Surrogate.PredictMean(m, o.Theta)
 			}
 			loss += evals[mi].Loss(pred)
 		}

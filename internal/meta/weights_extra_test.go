@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,13 +62,14 @@ func TestDilutionGuardKeepsGoodLearners(t *testing.T) {
 
 func TestPercentileInt(t *testing.T) {
 	vals := []int{5, 1, 3, 2, 4}
-	if got := percentileInt(vals, 0.5); got != 3 {
+	scratch := make([]int, 8)
+	if got := percentileInt(scratch, vals, 0.5); got != 3 {
 		t.Fatalf("median: %d", got)
 	}
-	if got := percentileInt(vals, 0); got != 1 {
+	if got := percentileInt(scratch, vals, 0); got != 1 {
 		t.Fatalf("min: %d", got)
 	}
-	if got := percentileInt(vals, 1); got != 5 {
+	if got := percentileInt(scratch, vals, 1); got != 5 {
 		t.Fatalf("max: %d", got)
 	}
 	// Input must not be mutated.
@@ -99,4 +101,66 @@ func TestWeightedVarianceEnsemble(t *testing.T) {
 	if _, v := e.Predict(bo.Res, x); v != vt {
 		t.Fatal("WithWeightedVariance must not mutate the receiver")
 	}
+}
+
+// TestCorpusDynamicWeightsRevalidate drives Corpus.DynamicWeights through the
+// changes its memo must notice — a growing history, a θ rewritten in place,
+// a θ replaced by an equal copy, a reordered learner list, a shorter history
+// and a re-activation — and holds it after every call to a fresh
+// DynamicWeightsOpts, and every memo entry to the learner's own posterior.
+func TestCorpusDynamicWeightsRevalidate(t *testing.T) {
+	var base []*BaseLearner
+	for i := 0; i < 4; i++ {
+		base = append(base, mustLearner(t, fmt.Sprintf("b%d", i), nil,
+			synthHistory(15+i, 0.2+0.2*float64(i), 10, float64(i), int64(40+i)), int64(40+i)))
+	}
+	c := NewCorpus(TasksOf(base...), CorpusOptions{})
+	full := synthHistory(14, 0.35, 12, 1, 50)
+	opts := DynamicOptions{Samples: 60, DilutionGuard: true}
+	step := 0
+	check := func(what string, learners []*BaseLearner, h bo.History) {
+		t.Helper()
+		step++
+		target := mustLearner(t, "target", nil, h, 51)
+		got := c.DynamicWeights(learners, target, opts, rand.New(rand.NewSource(int64(step))))
+		want := DynamicWeightsOpts(learners, target, opts, rand.New(rand.NewSource(int64(step))))
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: memoized weights %v, fresh %v", what, got, want)
+			}
+		}
+		if len(h) < 2 {
+			return
+		}
+		for i, p := range c.memo.posts {
+			if p.learner != learners[i] || p.covered() != len(h) {
+				t.Fatalf("%s: entry %d holds %d points of learner %s, want %d of %s",
+					what, i, p.covered(), p.learner.TaskID, len(h), learners[i].TaskID)
+			}
+			for mi, m := range bo.Metrics {
+				for j, o := range h {
+					mu, v := learners[i].Predict(m, o.Theta)
+					if math.Float64bits(p.mu[mi][j]) != math.Float64bits(mu) ||
+						math.Float64bits(p.sd[mi][j]) != math.Float64bits(math.Sqrt(v)) {
+						t.Fatalf("%s: learner %d metric %v point %d is stale", what, i, m, j)
+					}
+				}
+			}
+		}
+	}
+	for n := 1; n <= 10; n++ {
+		check(fmt.Sprintf("grow to %d", n), base, full[:n])
+	}
+	full[3].Theta[0] += 0.25 // in place: same storage, new value
+	check("rewritten in place", base, full[:10])
+	full[5].Theta = append([]float64(nil), full[5].Theta...) // new storage, same value
+	check("equal copy", base, full[:11])
+	rev := []*BaseLearner{base[3], base[1], base[2], base[0]}
+	check("reordered learners", rev, full[:12])
+	check("fewer learners", base[:2], full[:12])
+	check("shorter history", base, full[:7])
+	if err := c.Activate(nil); err != nil {
+		t.Fatal(err)
+	}
+	check("re-activated", base, full[:14])
 }

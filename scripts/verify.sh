@@ -11,12 +11,14 @@
 #      then go vet + go test -C benchmark: the benchmark is a nested module
 #      that `./...` at the root never compiles, so a change that breaks the
 #      surface benchmark/adapter.go pins fails here, not in the pipeline
-#   5. the vector math core's other configurations: mat, gp and core again
-#      under GODEBUG=cpu.fma=off (math.Exp takes its multiply-then-add
-#      branch, mat.ExpTo must pick the matching kernel, and the pinned
-#      session digests must still hold), and GOARCH=arm64 go vet of mat and
-#      gp, so the stubs in simd_other.go cannot drift from the amd64
-#      declarations
+#   5. the vector math core's other configurations: mat, gp, meta and core
+#      again under GODEBUG=cpu.fma=off (math.Exp takes its multiply-then-add
+#      branch, mat.ExpTo must pick the matching kernel — which the ensemble's
+#      point-wise kernel rows ride — and the pinned session digests must
+#      still hold), the same four under -tags purego (the vector kernels
+#      compiled out: every bit-parity table runs on the scalar loops), and
+#      GOARCH=arm64 go vet of mat and gp, so the stubs in simd_other.go
+#      cannot drift from the amd64 declarations
 #   6. go test -race ./...           (short mode: the crash harness strides
 #                                     its boundary enumeration under -short)
 #   7. a benchmark smoke pass: the batched math-core benchmarks, the
@@ -69,8 +71,9 @@ go test ./...
 echo "==> go vet + go test -C benchmark ./... (nested module)"
 go vet -C benchmark ./... && go test -C benchmark ./...
 
-echo "==> GODEBUG=cpu.fma=off go test (mat, gp, core) + GOARCH=arm64 go vet (mat, gp)"
-GODEBUG=cpu.fma=off go test ./internal/mat ./internal/gp ./internal/core
+echo "==> GODEBUG=cpu.fma=off and -tags purego go test (mat, gp, meta, core) + GOARCH=arm64 go vet (mat, gp)"
+GODEBUG=cpu.fma=off go test ./internal/mat ./internal/gp ./internal/meta ./internal/core
+go test -tags purego ./internal/mat ./internal/gp ./internal/meta ./internal/core
 GOARCH=arm64 go vet ./internal/mat ./internal/gp
 
 echo "==> go test -race -short ./..."
@@ -154,6 +157,7 @@ fuzz ./internal/mat FuzzExpTo
 fuzz ./internal/gp FuzzPredictBatch
 fuzz ./internal/gp FuzzSparseSelect
 fuzz ./internal/meta FuzzCorpusIndex
+fuzz ./internal/meta FuzzRankingLoss
 fuzz ./internal/workload FuzzTimeline
 
 echo "==> verify OK"
