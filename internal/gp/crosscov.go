@@ -89,20 +89,6 @@ func crossCovMatern52Iso(dst *mat.Dense, xs, X [][]float64, k *Matern52) {
 	crossPool.Put(cs)
 }
 
-// fillMatern52Iso fills the upper triangle of dst with k(xs[i], xs[j]): row
-// i from the start of the diagonal's group of eight columns, so the vector
-// passes of matern52Row see whole groups and only the row's end is a tail.
-func fillMatern52Iso(dst *mat.Dense, xs [][]float64, k *Matern52) {
-	dim := len(xs[0])
-	cs := getCrossScratch(xs, dim)
-	inv := 1 / (k.LengthScales[0] * k.LengthScales[0])
-	for i, xi := range xs {
-		lo := i &^ 7
-		cs.matern52Row(dst.Row(i)[lo:], xi[:dim], &cs.xt, lo, k.Variance, inv)
-	}
-	crossPool.Put(cs)
-}
-
 // crossCovRBFIso is crossCovMatern52Iso for the isotropic RBF kernel:
 // distance pass into the row, then v·exp(−0.5·s) per candidate.
 func crossCovRBFIso(dst *mat.Dense, xs, X [][]float64, k *RBF) {

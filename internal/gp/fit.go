@@ -40,13 +40,21 @@ func DefaultFitConfig() FitConfig {
 // concurrently on clones sharing the training data, and reduced in index
 // order (a later candidate must strictly beat the running best), so the
 // result is bit-identical to the sequential search at any GOMAXPROCS.
+//
+// Only a candidate whose LML beats the incumbent's can be adopted, so each
+// clone factors against that bound and is abandoned, unfactored, as soon as
+// its first rows prove it cannot (GP.refactor). The bound is the incumbent
+// alone, never a running best, so which candidates are abandoned does not
+// depend on the order they run in; and an abandoned candidate is one the
+// exhaustive search would have passed over, so the result is its bits.
 func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	if g.N() == 0 {
 		return math.Inf(-1)
 	}
 	rec := obs.OrNop(cfg.Recorder)
+	var sp obs.Span
 	if rec.Enabled() {
-		sp := rec.Span("gp.fit_hyperparams",
+		sp = rec.Span("gp.fit_hyperparams",
 			obs.Int("n", g.N()), obs.Int("candidates", cfg.Candidates))
 		defer sp.End()
 	}
@@ -56,6 +64,8 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	type cand struct {
 		params []float64
 		noise  float64
+		rows   int  // factor rows finished (telemetry)
+		pruned bool // abandoned against the incumbent (telemetry)
 	}
 	nParams := len(g.kernel.Params())
 	cands := make([]cand, cfg.Candidates)
@@ -68,6 +78,9 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 		cands[c] = cand{params: p, noise: logU(noiseMin, noiseMax)}
 	}
 
+	// The incumbent's LML (−Inf if it never factored, which abandons nothing
+	// and forces replacement).
+	incumbent := g.LogMarginalLikelihood()
 	lml := make([]float64, len(cands))
 	clones := make([]*GP, len(cands))
 	par.ForEach(len(cands), func(i int) {
@@ -75,17 +88,29 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 		clones[i] = cg
 		cg.kernel.SetParams(cands[i].params)
 		cg.NoiseVariance = cands[i].noise
-		if err := cg.refactor(); err != nil {
+		err := cg.refactor(incumbent)
+		cands[i].rows, cands[i].pruned = cg.bufs.chol.N(), err == errPruned
+		if err != nil {
 			lml[i] = math.Inf(-1)
 			return
 		}
 		lml[i] = cg.LogMarginalLikelihood()
 	})
+	if sp != nil {
+		pruned, rows := 0, 0
+		for _, c := range cands {
+			rows += c.rows
+			if c.pruned {
+				pruned++
+			}
+		}
+		sp.SetAttrs(obs.Int("pruned", pruned), obs.Int("rows_factored", rows))
+	}
 
-	// Index-ordered reduction against the incumbent (−Inf if it never
-	// factored, forcing replacement). The winner swaps factor storage with
-	// g; then every clone, factored or not, returns what it holds.
-	bestLML := g.LogMarginalLikelihood()
+	// Index-ordered reduction against the incumbent. The winner swaps factor
+	// storage with g; then every clone, factored or not, returns what it
+	// holds.
+	bestLML := incumbent
 	bestIdx := -1
 	for i, v := range lml {
 		if clones[i].chol != nil && v > bestLML {
@@ -107,7 +132,7 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	// prior.
 	g.kernel.SetParams(defaultParams(nParams))
 	g.NoiseVariance = 0.1
-	_ = g.refactor()
+	_ = g.refactor(math.Inf(-1))
 	return g.LogMarginalLikelihood()
 }
 

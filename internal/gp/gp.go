@@ -12,9 +12,9 @@ import (
 // GP is an exact Gaussian-process regressor with a constant (empirical) mean
 // and homoscedastic Gaussian observation noise.
 //
-// Concurrency: Predict (and LogMarginalLikelihood) may be called from many
-// goroutines at once — scratch space comes from an internal pool — but Fit,
-// FitHyperparams and LOO mutate the model and must not run concurrently with
+// Concurrency: Predict, LOO and LogMarginalLikelihood may be called from many
+// goroutines at once — scratch space comes from an internal pool — but Fit
+// and FitHyperparams mutate the model and must not run concurrently with
 // anything else on the same GP.
 type GP struct {
 	kernel Kernel
@@ -42,7 +42,6 @@ type GP struct {
 	bufs      *factorBufs
 	chol      *mat.Cholesky
 	alpha     []float64
-	kinv      *mat.Dense // lazily computed inverse for LOO
 	refactors int
 
 	// factorParams/factorNoise/factorW record the hyperparameters and the
@@ -67,9 +66,10 @@ type GP struct {
 	reselects          int
 
 	// xt holds tx transposed (dim x TrainN, one view entry per column) in
-	// xtData, for the point-wise vector kernel row (kernelRow). Fit rebuilds
-	// it in place whenever it sets the view; search clones leave it empty and
-	// never predict point-wise.
+	// xtData, for the vector kernel rows of refactor's fill and of point-wise
+	// prediction (kernelRow). Fit rebuilds it in place whenever it sets the
+	// view; search clones share it read-only with the GP they were cloned
+	// from, whose view they refactor.
 	xtData []float64
 	xt     mat.Dense
 
@@ -113,12 +113,13 @@ type factorBufs struct {
 
 var searchBufs = sync.Pool{New: func() any { return new(factorBufs) }}
 
-// kernelScratch is the n x n matrix a refactor fills and factors. It is
-// needed only in between, so concurrent refactors share a pool of them and
-// no GP holds one.
+// kernelScratch is the n x n matrix a refactor fills and factors, with the
+// scratch of the fill's kernel rows. It is needed only in between, so
+// concurrent refactors share a pool of them and no GP holds one.
 type kernelScratch struct {
 	data []float64
 	k    mat.Dense
+	rowScratch
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -270,7 +271,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		g.view, g.tx = nil, x
 	}
 	g.transposeView()
-	return g.refactor()
+	return g.refactor(math.Inf(-1))
 }
 
 // transposeView rebuilds xt from the current view in place, reusing its
@@ -357,7 +358,7 @@ func (g *GP) appendPoint() error {
 	for i := 0; i < n-1; i++ {
 		row[i] = g.kernel.Eval(xn, tx[i])
 	}
-	row[n-1] = g.kernel.Eval(xn, xn) + g.obsNoise(n-1) + 1e-8 // jitter as in refactor
+	row[n-1] = g.kernel.Eval(xn, xn) + g.obsNoise(n-1) + jitter
 	if err := g.chol.Append(row); err != nil {
 		return err
 	}
@@ -368,31 +369,66 @@ func (g *GP) appendPoint() error {
 	return nil
 }
 
+// jitter is added to every diagonal entry of the kernel matrix, on top of
+// the noise, for numerical stability.
+const jitter = 1e-8
+
+// pruneStride is the number of rows refactor fills and factors between two
+// looks at its bound. It is a constant: sessions ran no faster at 8, and
+// slower at 32 or 64, where candidates are abandoned later.
+const pruneStride = 16
+
+// errPruned is refactor's report of a search candidate it abandoned.
+var errPruned = errors.New("gp: candidate cannot beat the incumbent")
+
 // refactor rebuilds the Cholesky factorization for the current view and
-// hyperparameters, reusing the factor storage. It never
-// changes the view (Fit owns that decision), so hyperparameter-search
-// clones and AdoptHyperparamsFrom refactor the same subset they were
-// handed.
-func (g *GP) refactor() error {
+// hyperparameters, reusing the factor storage. It never changes the view (Fit
+// owns that decision), so hyperparameter-search clones and
+// AdoptHyperparamsFrom refactor the same subset they were handed.
+//
+// The kernel matrix is filled and factored pruneStride rows at a time. A
+// hyperparameter search passes its incumbent's log marginal likelihood as
+// beat, and after every panel but the last refactor abandons the candidate —
+// leaving it without a factor and returning errPruned — once the rows done
+// prove that its LML could not exceed beat (lmlBound). Everyone else passes
+// −Inf, which never abandons. A factorization that finishes is the same
+// whatever beat was.
+func (g *GP) refactor(beat float64) error {
 	n := len(g.tx)
 	g.refactors++
 	if g.bufs == nil {
 		g.bufs = new(factorBufs)
 	}
 	ks := kernelPool.Get().(*kernelScratch)
-	if room := roomFor(n); cap(ks.data) < n*n {
-		ks.data = make([]float64, room*room)
+	ks.resize(n)
+	c := &g.bufs.chol
+	c.Reset()
+	c.Reserve(roomFor(n))
+	var bound lmlBound
+	prune := beat > math.Inf(-1)
+	if prune {
+		bound.start(g)
 	}
-	ks.k.Reset(n, n, ks.data[:n*n])
-	g.fillKernel(&ks.k)
-	g.bufs.chol.Reserve(roomFor(n))
-	err := g.bufs.chol.Factor(&ks.k)
+	var err error
+	for c.N() < n {
+		i0 := c.N()
+		w := min(pruneStride, n-i0)
+		g.fillKernel(ks, i0, w)
+		if err = c.Grow(&ks.k, w); err != nil {
+			err = fmt.Errorf("gp: factorization failed: %w", err)
+			break
+		}
+		if prune && c.N() < n && !bound.canBeat(g, i0, beat) {
+			err = errPruned
+			break
+		}
+	}
 	kernelPool.Put(ks)
 	if err != nil {
 		g.dropFactor()
-		return fmt.Errorf("gp: factorization failed: %w", err)
+		return err
 	}
-	g.chol = &g.bufs.chol
+	g.chol = c
 	g.factorParams = append(g.factorParams[:0], g.kernel.Params()...)
 	g.factorNoise = g.NoiseVariance
 	if g.obsW == nil {
@@ -407,25 +443,102 @@ func (g *GP) refactor() error {
 	return nil
 }
 
-// fillKernel writes the upper triangle of K + Σ + jitter over the view into
-// k — the part mat.Cholesky.Factor reads; the rest of k is left as found.
-// The isotropic Matérn-5/2 kernel takes the vector fill, whose entries are
-// Eval's bit for bit; any other kernel is evaluated entry by entry.
-func (g *GP) fillKernel(k *mat.Dense) {
-	tx := g.tx
+// resize sizes the scratch for an n x n matrix.
+func (ks *kernelScratch) resize(n int) {
+	if room := roomFor(n); cap(ks.data) < n*n {
+		ks.data = make([]float64, room*room)
+		ks.r, ks.e = make([]float64, room), make([]float64, room)
+	}
+	ks.k.Reset(n, n, ks.data[:n*n])
+}
+
+// fillKernel writes into ks.k what growing the factor over view entries
+// [i0, i0+w) reads of K + Σ + jitter — columns i0..i0+w of the upper
+// triangle, the diagonal with its noise and jitter — leaving the rest of the
+// matrix as found. The isotropic Matérn-5/2 kernel takes the vector rows over
+// the transposed view, whose entries are Eval's bit for bit: the panel's
+// rows in full up to its right edge, then mirrored into the columns above
+// it, which is exact because k(a, b) and k(b, a) are the same bits (the
+// distance squares a difference and its negation alike). Any other kernel is
+// evaluated entry by entry as Eval(tx[i], tx[j]), i ≤ j.
+func (g *GP) fillKernel(ks *kernelScratch, i0, w int) {
+	k, tx, hi := &ks.k, g.tx, i0+w
 	if m, ok := g.kernel.(*Matern52); ok && len(m.LengthScales) == 1 {
-		fillMatern52Iso(k, tx, m)
+		dim, _ := g.xt.Dims()
+		inv := 1 / (m.LengthScales[0] * m.LengthScales[0])
+		for j := i0; j < hi; j++ {
+			ks.matern52Row(k.Row(j)[:hi], tx[j][:dim], &g.xt, 0, m.Variance, inv)
+		}
+		for t := 0; t < i0; t++ {
+			row := k.Row(t)[i0:hi]
+			for p := range row {
+				row[p] = k.At(i0+p, t)
+			}
+		}
 	} else {
-		for i, xi := range tx {
+		for i := 0; i < hi; i++ {
 			row := k.Row(i)
-			for j := i; j < len(tx); j++ {
-				row[j] = g.kernel.Eval(xi, tx[j])
+			for j := max(i, i0); j < hi; j++ {
+				row[j] = g.kernel.Eval(tx[i], tx[j])
 			}
 		}
 	}
-	for i := range tx {
-		k.Set(i, i, k.At(i, i)+g.obsNoise(i)+1e-8) // jitter for stability
+	for i := i0; i < hi; i++ {
+		k.Set(i, i, k.At(i, i)+g.obsNoise(i)+jitter)
 	}
+}
+
+// lmlBound bounds the log marginal likelihood of a factorization in progress.
+// With r = y − mean over the view's m entries, z = L⁻¹r and f_i = σ²/w_i +
+// jitter the noise and jitter on entry i's diagonal,
+//
+//	LML = −½‖z‖² − Σ_i log L_ii − ½m·log 2π.
+//
+// After k rows Q_k = Σ_{i<k} z_i² and Λ_k = Σ_{i<k} log L_ii are known, and
+// every later pivot has L_ii² ≥ f_i: it is the variance of entry i
+// conditioned on the entries before it, which keeps at least its own noise
+// and jitter. Hence LML ≤ U_k = −½Q_k − Λ_k − ½Σ_{i≥k} log f_i − ½m·log 2π.
+// That holds in exact arithmetic; a margin of 1e-6 of the terms' magnitudes
+// covers the rounding of the finished factor's LML (of order m·ε·cond(L),
+// cond(L) ≤ 10⁴ for the search's bounds).
+type lmlBound struct {
+	quad, logDiag float64 // Q_k and Λ_k
+	floor         float64 // ½Σ_{i≥k} log f_i
+}
+
+// start sets up a zero bound before any row is factored; z will live in the
+// α buffer, which solveAlpha overwrites if the factorization finishes.
+func (b *lmlBound) start(g *GP) {
+	m := len(g.tx)
+	if cap(g.bufs.alpha) < m {
+		g.bufs.alpha = make([]float64, roomFor(m))
+	}
+	for i := 0; i < m; i++ {
+		b.floor += math.Log(g.obsNoise(i) + jitter)
+	}
+	b.floor *= 0.5
+}
+
+// canBeat takes rows [lo, N) of the factor in progress into the bound —
+// forward-substituting r through them into z — and reports whether the
+// finished factor's LML could still exceed beat.
+func (b *lmlBound) canBeat(g *GP, lo int, beat float64) bool {
+	c, z := &g.bufs.chol, g.bufs.alpha
+	for i := lo; i < c.N(); i++ {
+		row := c.Row(i)
+		s := g.y[g.at(i)] - g.meanY
+		for j, l := range row[:i] {
+			s -= l * z[j]
+		}
+		z[i] = s / row[i]
+		b.quad += z[i] * z[i]
+		b.logDiag += math.Log(row[i])
+		b.floor -= 0.5 * math.Log(g.obsNoise(i)+jitter)
+	}
+	norm := 0.5 * float64(len(g.tx)) * math.Log(2*math.Pi)
+	upper := -0.5*b.quad - b.logDiag - b.floor - norm
+	margin := 1e-6 * (1 + 0.5*math.Abs(b.quad) + math.Abs(b.logDiag) + math.Abs(b.floor) + norm + math.Abs(beat))
+	return upper+margin >= beat
 }
 
 // dropFactor leaves the GP without a factorization (Predict returns the
@@ -434,7 +547,6 @@ func (g *GP) dropFactor() {
 	g.chol = nil
 	g.factorParams = nil
 	g.factorW = nil
-	g.kinv = nil
 }
 
 // solveAlpha recomputes the weight vector α = (K + σ²I)⁻¹ (y − mean) for the
@@ -451,7 +563,6 @@ func (g *GP) solveAlpha() {
 		g.alpha[i] = g.y[g.at(i)] - g.meanY
 	}
 	g.chol.SolveVecTo(g.alpha, g.alpha)
-	g.kinv = nil
 }
 
 // Predict returns the posterior mean and variance at x. The variance
@@ -729,7 +840,7 @@ func (g *GP) predictBatchCov(bb *batchBuf, kstar *mat.Dense, X [][]float64, mu, 
 func (g *GP) AdoptHyperparamsFrom(o *GP) error {
 	g.kernel.SetParams(o.kernel.Params())
 	g.NoiseVariance = o.NoiseVariance
-	return g.refactor()
+	return g.refactor(math.Inf(-1))
 }
 
 // LogMarginalLikelihood returns log p(y | X, θ) for the current fit. Under
@@ -751,7 +862,9 @@ func (g *GP) LogMarginalLikelihood() float64 {
 // point without refitting hyperparameters, via the standard identities
 // μ_i = y_i − α_i / K⁻¹_ii and σ²_i = 1 / K⁻¹_ii. This is exactly the
 // "remove the data point from the GP model, kernel hyper-parameters do not
-// need re-estimation" construction of paper Section 6.4.2.
+// need re-estimation" construction of paper Section 6.4.2. It reads only the
+// diagonal of K⁻¹ (mat.Cholesky.InverseDiagTo), so it allocates O(n) and
+// leaves the GP as it found it.
 //
 // The returned vectors always span the full fitted history, so ranking-loss
 // consumers (meta.DynamicWeightsOpts) see one entry per observation whether
@@ -763,9 +876,8 @@ func (g *GP) LOO() (mu, variance []float64) {
 	if g.chol == nil {
 		return nil, nil
 	}
-	if g.kinv == nil {
-		g.kinv = g.chol.Inverse()
-	}
+	kinv := make([]float64, len(g.tx))
+	g.chol.InverseDiagTo(kinv)
 	n := len(g.y)
 	mu = make([]float64, n)
 	variance = make([]float64, n)
@@ -779,7 +891,7 @@ func (g *GP) LOO() (mu, variance []float64) {
 			mu[i], variance[i] = g.Predict(g.x[i])
 			continue
 		}
-		kii := g.kinv.At(k, k)
+		kii := kinv[k]
 		mu[i] = g.y[i] - g.alpha[k]/kii
 		variance[i] = 1 / kii
 		if variance[i] < 1e-12 {
@@ -794,9 +906,10 @@ func (g *GP) LOO() (mu, variance []float64) {
 // independent kernel and factorization state, for concurrent hyperparameter
 // candidate evaluation. The view is shared too: every candidate of a search
 // refactors the same subset the incumbent conditions on (selection is
-// input-only, so candidates could never disagree on it anyway), and the
-// winning clone's factor is adopted without touching the view. The clone's
-// factor storage is borrowed: releaseBufs hands it back.
+// input-only, so candidates could never disagree on it anyway), and so is
+// its transpose, read-only: the winning clone's factor is adopted without
+// touching either. The clone's factor storage is borrowed: releaseBufs hands
+// it back.
 func (g *GP) cloneForSearch() *GP {
 	return &GP{
 		bufs:          searchBufs.Get().(*factorBufs),
@@ -809,6 +922,7 @@ func (g *GP) cloneForSearch() *GP {
 		sparse:        g.sparse,
 		view:          g.view,
 		tx:            g.tx,
+		xt:            g.xt,
 	}
 }
 
@@ -831,7 +945,6 @@ func (g *GP) adopt(c *GP) {
 	g.NoiseVariance = c.NoiseVariance
 	g.bufs, c.bufs = c.bufs, g.bufs
 	g.chol, g.alpha = &g.bufs.chol, c.alpha
-	g.kinv = nil
 	g.factorParams = append(g.factorParams[:0], c.factorParams...)
 	g.factorNoise = c.factorNoise
 	if c.factorW == nil {

@@ -212,6 +212,29 @@ func TestLOO(t *testing.T) {
 	}
 }
 
+// TestLOOAllocatesLinear pins LOO's storage to O(n): its two result vectors
+// and the diagonal of K⁻¹, where the full inverse it once built was n² floats
+// (320 KB at n = 200), exact and under a sparse view.
+func TestLOOAllocatesLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const n = 200
+	x, y := randPoints(n, 6, 43)
+	for _, sparse := range []SparseConfig{{}, {Threshold: 120, MaxAnchors: 90}} {
+		g := New(NewMatern52(1, 0.5), 0.01)
+		g.SetSparse(sparse)
+		if err := g.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		bytes := int64(searchBytes(t, func(int64) float64 { g.LOO(); return 0 }))
+		t.Logf("sparse %+v: LOO allocates %d bytes at n=%d", sparse, bytes, n)
+		if limit := int64(4 * 8 * n); bytes > limit {
+			t.Fatalf("sparse %+v: LOO allocates %d bytes at n=%d, want at most %d (4n floats)", sparse, bytes, n, limit)
+		}
+	}
+}
+
 func TestGPDeterminism(t *testing.T) {
 	build := func() float64 {
 		rng := rand.New(rand.NewSource(5))

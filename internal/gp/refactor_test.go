@@ -67,9 +67,7 @@ func TestVectorFillMatchesEvalLoop(t *testing.T) {
 			if _, cols := g.xt.Dims(); cols != m || ref.TrainN() != m || g.chol == nil {
 				t.Fatalf("%s n=%d after %s: view of %d points (reference %d, transposed %d)", mode, n, path, m, ref.TrainN(), cols)
 			}
-			got, want := mat.NewDense(m, m), mat.NewDense(m, m)
-			g.fillKernel(got)
-			ref.fillKernel(want)
+			got, want := fillAll(g), fillAll(ref)
 			for i := 0; i < m; i++ {
 				for j := i; j < m; j++ {
 					if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
@@ -128,6 +126,17 @@ func TestVectorFillMatchesEvalLoop(t *testing.T) {
 			t.Fatalf("%s: %d rebuilds over %d fits: the append path never ran", mode, g.refactors, maxN)
 		}
 	}
+}
+
+// fillAll fills a fresh matrix with every panel refactor would fill.
+func fillAll(g *GP) *mat.Dense {
+	m := g.TrainN()
+	ks := &kernelScratch{}
+	ks.resize(m)
+	for i0 := 0; i0 < m; i0 += pruneStride {
+		g.fillKernel(ks, i0, min(pruneStride, m-i0))
+	}
+	return &ks.k
 }
 
 // TestSearchWhereNothingFactors drives FitHyperparams down its last branch:

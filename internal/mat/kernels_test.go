@@ -15,7 +15,7 @@ func referenceFactor(a *Dense) ([]float64, error) {
 	n := a.rows
 	c := Cholesky{n: n, d: make([]float64, n*(n+1)/2)}
 	for j := 0; j < n; j++ {
-		rowj := c.row(j)
+		rowj := c.Row(j)
 		d := a.At(j, j)
 		for k := 0; k < j; k++ {
 			d -= rowj[k] * rowj[k]
@@ -26,7 +26,7 @@ func referenceFactor(a *Dense) ([]float64, error) {
 		ljj := math.Sqrt(d)
 		rowj[j] = ljj
 		for i := j + 1; i < n; i++ {
-			rowi := c.row(i)
+			rowi := c.Row(i)
 			s := a.At(i, j)
 			for k := 0; k < j; k++ {
 				s -= rowi[k] * rowj[k]
@@ -42,7 +42,7 @@ func referenceSolveLower(c *Cholesky, b []float64) []float64 {
 	y := make([]float64, c.n)
 	for i := 0; i < c.n; i++ {
 		s := b[i]
-		row := c.row(i)
+		row := c.Row(i)
 		for k := 0; k < i; k++ {
 			s -= row[k] * y[k]
 		}
@@ -93,7 +93,7 @@ func spoil(a *Dense, p int, excess float64) {
 		return
 	}
 	sum := 0.0
-	for _, v := range c.row(p)[:p] {
+	for _, v := range c.Row(p)[:p] {
 		sum += v * v
 	}
 	a.Set(p, p, sum-excess)
@@ -217,8 +217,8 @@ func TestSolveLowerMatchesOneRowLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range y {
-			if math.Float64bits(inc.row(n - 1)[i]) != math.Float64bits(y[i]) {
-				t.Fatalf("n=%d: appended row entry %d is %x, one-row solve %x", n, i, inc.row(n - 1)[i], y[i])
+			if math.Float64bits(inc.Row(n - 1)[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("n=%d: appended row entry %d is %x, one-row solve %x", n, i, inc.Row(n - 1)[i], y[i])
 			}
 		}
 		for i := range c.d {

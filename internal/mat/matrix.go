@@ -276,8 +276,9 @@ type Cholesky struct {
 	d []float64 // packed lower-triangular rows
 }
 
-// row returns packed row i (entries L[i][0..i]).
-func (c *Cholesky) row(i int) []float64 {
+// Row returns row i of L, its entries L[i][0..i], sharing the factor's
+// storage: callers read it and must not write it.
+func (c *Cholesky) Row(i int) []float64 {
 	o := i * (i + 1) / 2
 	return c.d[o : o+i+1]
 }
@@ -292,20 +293,38 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return c, nil
 }
 
-// factorPanel is the number of rows Factor computes side by side: wide
-// enough that the vector kernel runs whole 16-lane chunks over rows it loads
-// once, narrow enough that a panel (n x factorPanel) stays cache-resident.
-const factorPanel = 64
+// factorPanel is the number of rows Grow computes side by side: one whole
+// 16-lane chunk of the vector kernel, and a panel (n x factorPanel) small
+// enough to stay in the first-level cache.
+const factorPanel = 16
 
-// panelPool holds Factor's panel scratch, so concurrent factorizations (one
-// per hyperparameter candidate) each take their own and allocate nothing in
-// steady state.
+// panelPool holds the panel scratch of Grow and InverseDiagTo, so concurrent
+// factorizations (one per hyperparameter candidate) each take their own and
+// allocate nothing in steady state.
 var panelPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Factor (re)factors c for the SPD matrix a, reusing the packed storage when
 // it has capacity — repeated refactors at the same size allocate nothing.
 // Only a's upper triangle (row <= column) is read. On error the factor is
-// left empty.
+// left empty. It is Grow from an empty factor over all of a.
+func (c *Cholesky) Factor(a *Dense) error {
+	if a.rows != a.cols {
+		return fmt.Errorf("mat: cholesky of non-square %dx%d matrix", a.rows, a.cols)
+	}
+	c.Reset()
+	if err := c.Grow(a, a.rows); err != nil {
+		c.Reset()
+		return err
+	}
+	return nil
+}
+
+// Grow extends the factor of a's leading N()×N() block to its leading
+// (N()+w)×(N()+w) block. It reads only columns [N(), N()+w) of a's upper
+// triangle (rows 0 to N()+w), so a caller may write a a panel at a time just
+// before growing over it, and stop between panels. If the grown block is not
+// positive definite, Grow returns the error and keeps the factor of the
+// leading N()×N() block.
 //
 // Row i of L is the forward solve of column i of a, down to the diagonal,
 // through the rows above it (the arithmetic Append documents), so
@@ -315,33 +334,30 @@ var panelPool = sync.Pool{New: func() any { return new([]float64) }}
 // a[i][i] − Σ_{k<i, ascending} L[i][k]², exactly the operations, in exactly
 // the order, of the one-entry-at-a-time left-looking loop — the lanes of a
 // panel are different rows i and never interact. The factor, the failing
-// pivot and its d are therefore the same bits at any panel width, with the
-// vector kernel or without.
-func (c *Cholesky) Factor(a *Dense) error {
-	if a.rows != a.cols {
-		return fmt.Errorf("mat: cholesky of non-square %dx%d matrix", a.rows, a.cols)
+// pivot and its d are therefore the same bits at any panel width and
+// whatever widths the factor was grown by, with the vector kernel or
+// without.
+func (c *Cholesky) Grow(a *Dense, w int) error {
+	i0, n := c.n, c.n+w
+	if a.rows != a.cols || w < 0 || n > a.rows {
+		return fmt.Errorf("mat: cannot grow a factor of %d rows by %d over a %dx%d matrix", i0, w, a.rows, a.cols)
 	}
-	n := a.rows
-	size := n * (n + 1) / 2
-	if cap(c.d) < size {
-		c.d = make([]float64, size)
-	} else {
-		c.d = c.d[:size]
-	}
-	c.n = n
+	c.Reserve(a.rows)
+	c.d = c.d[:n*(n+1)/2]
 	pp := panelPool.Get().(*[]float64)
 	defer panelPool.Put(pp)
-	// Whole panels of rows, so a matrix growing by a row at a time (a tuning
-	// history) finds room far more often than not.
-	if rows := (n + factorPanel - 1) &^ (factorPanel - 1); cap(*pp) < rows*factorPanel {
+	// Whole panels of a's rows, so a matrix growing by a row at a time (a
+	// tuning history) finds room far more often than not.
+	if rows := (a.rows + factorPanel - 1) &^ (factorPanel - 1); cap(*pp) < rows*factorPanel {
 		*pp = make([]float64, rows*factorPanel)
 	}
-	for i0 := 0; i0 < n; i0 += factorPanel {
-		if err := c.factorRows(a, (*pp)[:cap(*pp)], i0, min(factorPanel, n-i0)); err != nil {
-			c.n, c.d = 0, c.d[:0]
+	for p0 := i0; p0 < n; p0 += factorPanel {
+		if err := c.factorRows(a, (*pp)[:cap(*pp)], p0, min(factorPanel, n-p0)); err != nil {
+			c.d = c.d[:i0*(i0+1)/2]
 			return err
 		}
 	}
+	c.n = n
 	return nil
 }
 
@@ -379,12 +395,12 @@ func (c *Cholesky) factorRows(a *Dense, b []float64, i0, w int) error {
 		}
 	}
 	for t := 0; t < i0; t++ {
-		fwdSubCols(b, s, c.row(t), t, 0, hi)
+		fwdSubCols(b, s, c.Row(t), t, 0, hi)
 		scatter(t, 0)
 	}
 	for q := 0; q < w; q++ {
 		t := i0 + q
-		rowt := c.row(t)
+		rowt := c.Row(t)
 		d := b[t*s+q]
 		for _, v := range rowt[:t] {
 			d -= v * v
@@ -405,18 +421,26 @@ func (c *Cholesky) factorRows(a *Dense, b []float64, i0, w int) error {
 // the row-major block data, whose rows above t are solved already:
 //
 //	data[t][j] = (data[t][j] − Σ_{k<t, ascending} lrow[k]·data[k][j]) / lrow[t]
-//
-// Whole groups of eight columns go through the vector kernel when it is on,
-// the rest through the scalar loop; per column both are the op sequence of
-// SolveLowerVecTo.
 func fwdSubCols(data []float64, stride int, lrow []float64, t, lo, hi int) {
-	di := data[t*stride+lo : t*stride+hi]
+	solveLanes(data[t*stride+lo:t*stride+hi], data[lo:], stride, lrow[:t+1])
+}
+
+// solveLanes performs one row of a triangular solve over the lanes of di,
+// given the t = len(lrow)−1 solved rows it depends on at rows[k·stride:]:
+//
+//	di[j] = (di[j] − Σ_{k<t, ascending} lrow[k]·rows[k·stride+j]) / lrow[t]
+//
+// Whole groups of eight lanes go through the vector kernel when it is on,
+// the rest through the scalar loop; per lane both are the op sequence of
+// SolveLowerVecTo's rows and of solveUpperInPlace's. rows must not be empty.
+func solveLanes(di, rows []float64, stride int, lrow []float64) {
+	t := len(lrow) - 1
 	w8 := 0
 	if simdOn {
 		w8 = len(di) &^ 7
 	}
 	if w8 > 0 {
-		fwdSubRow(&di[0], &lrow[0], &data[lo], t, stride, w8, lrow[t])
+		fwdSubRow(&di[0], &lrow[0], &rows[0], t, stride, w8, lrow[t])
 	}
 	if w8 == len(di) {
 		return
@@ -424,7 +448,7 @@ func fwdSubCols(data []float64, stride int, lrow []float64, t, lo, hi int) {
 	dt := di[w8:]
 	for k := 0; k < t; k++ {
 		lik := lrow[k]
-		dk := data[k*stride+lo+w8 : k*stride+hi]
+		dk := rows[k*stride+w8 : k*stride+len(di)]
 		for j := range dt {
 			dt[j] -= lik * dk[j]
 		}
@@ -494,29 +518,15 @@ func (c *Cholesky) Reserve(n int) {
 func (c *Cholesky) L() *Dense {
 	l := NewDense(c.n, c.n)
 	for i := 0; i < c.n; i++ {
-		copy(l.Row(i)[:i+1], c.row(i))
+		copy(l.Row(i)[:i+1], c.Row(i))
 	}
 	return l
-}
-
-// SolveVec solves A x = b using the factorization.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	x := make([]float64, c.n)
-	c.SolveVecTo(x, b)
-	return x
 }
 
 // SolveVecTo solves A x = b into dst without allocating. dst may alias b.
 func (c *Cholesky) SolveVecTo(dst, b []float64) {
 	c.SolveLowerVecTo(dst, b)
 	c.solveUpperInPlace(dst)
-}
-
-// SolveLowerVec solves L y = b by forward substitution.
-func (c *Cholesky) SolveLowerVec(b []float64) []float64 {
-	y := make([]float64, c.n)
-	c.SolveLowerVecTo(y, b)
-	return y
 }
 
 // SolveLowerVecTo solves L y = b into dst without allocating. dst may alias
@@ -532,7 +542,7 @@ func (c *Cholesky) SolveLowerVecTo(dst, b []float64) {
 	}
 	i := 0
 	for ; i+4 <= c.n; i += 4 {
-		r0, r1, r2, r3 := c.row(i), c.row(i+1), c.row(i+2), c.row(i+3)
+		r0, r1, r2, r3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
 		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
 		for k, y := range dst[:i] {
 			s0 -= r0[k] * y
@@ -554,7 +564,7 @@ func (c *Cholesky) SolveLowerVecTo(dst, b []float64) {
 	}
 	for ; i < c.n; i++ {
 		s := b[i]
-		row := c.row(i)
+		row := c.Row(i)
 		for k := 0; k < i; k++ {
 			s -= row[k] * dst[k]
 		}
@@ -592,17 +602,9 @@ func (c *Cholesky) SolveLowerBatchTo(dst, b *Dense) {
 			hi = m
 		}
 		for i := 0; i < c.n; i++ {
-			fwdSubCols(dst.data, dst.cols, c.row(i), i, lo, hi)
+			fwdSubCols(dst.data, dst.cols, c.Row(i), i, lo, hi)
 		}
 	}
-}
-
-// SolveUpperVec solves Lᵀ x = y by back substitution.
-func (c *Cholesky) SolveUpperVec(y []float64) []float64 {
-	x := make([]float64, c.n)
-	copy(x, y)
-	c.solveUpperInPlace(x)
-	return x
 }
 
 // solveUpperInPlace solves Lᵀ x = x by back substitution in place.
@@ -628,18 +630,56 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// Inverse returns A⁻¹ (used for leave-one-out GP formulas, where the full
-// inverse diagonal and rows are needed).
-func (c *Cholesky) Inverse() *Dense {
-	inv := NewDense(c.n, c.n)
-	col := make([]float64, c.n)
-	for j := 0; j < c.n; j++ {
-		clear(col)
-		col[j] = 1
-		c.SolveVecTo(col, col)
-		for i, v := range col {
-			inv.Set(i, j, v)
+// InverseDiagTo fills dst with the diagonal of A⁻¹: entry k is bit for bit
+// the x[k] that solving A x = e_k with SolveVecTo leaves, for about a third
+// of the n³ multiply-adds of n such solves. Column k's forward solve
+// L y = e_k starts at row k: the entries above it are exactly +0, and
+// subtracting a product with +0 from +0, or from the 1 at row k, changes no
+// bit, so the skipped terms are no-ops. Its back substitution Lᵀ x = y stops
+// at row k, the entry wanted; the rows it skips are never read by it.
+//
+// Columns go through factorPanel at a time as the lanes of one block, each
+// lane the one-column op sequence (solveLanes), so a block may start its
+// forward solve at its first column's row: for the later lanes that only
+// adds more of those no-op terms. The back substitution reads L by column,
+// gathered one row of the block at a time. dst is the only storage the
+// caller sees; the block is pooled scratch.
+func (c *Cholesky) InverseDiagTo(dst []float64) {
+	n := c.n
+	if len(dst) != n {
+		panic(fmt.Sprintf("mat: inverse diagonal length %d != %d", len(dst), n))
+	}
+	const s = factorPanel
+	pp := panelPool.Get().(*[]float64)
+	defer panelPool.Put(pp)
+	// n+1 block rows (the last stays zero, so the bottom row's back
+	// substitution has rows to point at), then the gathered column.
+	if need := (n+1)*s + n; cap(*pp) < need {
+		*pp = make([]float64, need)
+	}
+	buf := (*pp)[:cap(*pp)]
+	for k0 := 0; k0 < n; k0 += s {
+		m := n - k0 // block row r is matrix row k0+r
+		blk, col := buf[:(m+1)*s], buf[(m+1)*s:(m+1)*s+m]
+		clear(blk)
+		for p := 0; p < min(s, m); p++ {
+			blk[p*s+p] = 1
+		}
+		for r := 0; r < m; r++ {
+			solveLanes(blk[r*s:r*s+s], blk, s, c.Row(k0 + r)[k0:])
+		}
+		for r := m - 1; r >= 0; r-- {
+			// col holds L[i+1..n)[i] and then the divisor L[i][i], i = k0+r.
+			i, t := k0+r, m-1-r
+			for j, o := 0, (i+1)*(i+2)/2+i; j < t; j++ {
+				col[j] = c.d[o]
+				o += i + 2 + j
+			}
+			col[t] = c.d[i*(i+1)/2+i]
+			solveLanes(blk[r*s:r*s+s], blk[(r+1)*s:], s, col[:t+1])
+		}
+		for p := 0; p < min(s, m); p++ {
+			dst[k0+p] = blk[p*s+p]
 		}
 	}
-	return inv
 }

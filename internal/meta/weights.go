@@ -225,8 +225,8 @@ func dynamicWeights(posts []*basePosterior, target *BaseLearner, opts DynamicOpt
 	// Posterior means/stds of every learner at the target's observed points,
 	// per metric, concurrently: each base entry computes the points it does
 	// not hold yet (pure reads of read-only surrogates), the target takes its
-	// leave-one-out posterior (its lazily cached LOO inverse is touched by
-	// its own worker only).
+	// leave-one-out posterior, all three metrics in one item: giving each its
+	// own item measured no faster.
 	learners := make([]*basePosterior, nL)
 	copy(learners, posts)
 	learners[nL-1] = &basePosterior{learner: target}

@@ -16,7 +16,10 @@
 #      branch, mat.ExpTo must pick the matching kernel — which the ensemble's
 #      point-wise kernel rows ride — and the pinned session digests must
 #      still hold), the same four under -tags purego (the vector kernels
-#      compiled out: every bit-parity table runs on the scalar loops), and
+#      compiled out: every bit-parity table runs on the scalar loops — among
+#      them the blocked factor grown panel by panel, InverseDiagTo against
+#      the full inverse's diagonal, and the pruned hyperparameter search
+#      against the exhaustive one), and
 #      GOARCH=arm64 go vet of mat and gp, so the stubs in simd_other.go
 #      cannot drift from the amd64 declarations
 #   6. go test -race ./...           (short mode: the crash harness strides
@@ -38,7 +41,8 @@
 #      emit schema-valid per-session and fleet streams, and a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
 #      spans carry drift/trust-region attrs
-#   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s)
+#   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
+#      FuzzSearchPruning included (the pruned search vs the exhaustive one)
 #
 # Environment:
 #   FUZZTIME=30s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing
@@ -156,6 +160,7 @@ fuzz ./internal/mat FuzzFactorBlocked
 fuzz ./internal/mat FuzzExpTo
 fuzz ./internal/gp FuzzPredictBatch
 fuzz ./internal/gp FuzzSparseSelect
+fuzz ./internal/gp FuzzSearchPruning
 fuzz ./internal/meta FuzzCorpusIndex
 fuzz ./internal/meta FuzzRankingLoss
 fuzz ./internal/workload FuzzTimeline
