@@ -9,9 +9,7 @@
 // under the method's name and policy. That policy is the tuner's one
 // instance, reset by each session's start, so a baseline Tuner runs one
 // session at a time: call Run sequentially, or build one tuner per
-// concurrent session. ResTune-w/o-ML and
-// ResTune-w/o-Workload are configurations of the core tuner and get
-// constructors here for symmetry.
+// concurrent session.
 package baselines
 
 import (
@@ -19,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lhs"
-	"repro/internal/meta"
 	"repro/internal/rng"
 )
 
@@ -44,26 +41,6 @@ func (l *lhsStart) Start(v *core.View) error {
 	l.r = rng.Derive(v.Seed, l.stream)
 	l.design = lhs.Maximin(v.InitIters, v.Dim, 10, rng.Derive(v.Seed, l.stream+"-lhs"))
 	return nil
-}
-
-// NewResTuneWithoutML returns the ResTune-w/o-ML ablation: the full
-// constrained-BO tuner without the data repository.
-func NewResTuneWithoutML(seed int64) core.Tuner {
-	cfg := core.DefaultConfig(seed)
-	cfg.Name = "ResTune-w/o-ML"
-	return core.New(cfg)
-}
-
-// NewResTuneWithoutWorkload returns the Figure 6(b) ablation: meta-learning
-// with dynamic weights but LHS initialization instead of the workload-
-// characterization static phase.
-func NewResTuneWithoutWorkload(seed int64, base []*meta.BaseLearner, targetMeta []float64) core.Tuner {
-	cfg := core.DefaultConfig(seed)
-	cfg.Name = "ResTune-w/o-Workload"
-	cfg.Corpus = meta.NewCorpus(meta.TasksOf(base...), meta.CorpusOptions{})
-	cfg.TargetMetaFeature = targetMeta
-	cfg.UseWorkloadChar = false
-	return core.New(cfg)
 }
 
 // NewDefault returns the Default baseline: the DBA configuration,

@@ -252,12 +252,3 @@ func TestGridSearchIgnoresStoppingRulesAndTrustRegion(t *testing.T) {
 		}
 	}
 }
-
-func TestResTuneAblationConstructors(t *testing.T) {
-	if NewResTuneWithoutML(1).Name() != "ResTune-w/o-ML" {
-		t.Fatal("w/o-ML name")
-	}
-	if NewResTuneWithoutWorkload(1, nil, nil).Name() != "ResTune-w/o-Workload" {
-		t.Fatal("w/o-Workload name")
-	}
-}

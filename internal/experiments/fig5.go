@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dbsim"
@@ -20,52 +20,34 @@ func init() {
 func runFig5(p Params) (*Report, error) {
 	r := newReport("fig5", Title("fig5"))
 	space := knobs.CPUSpace()
-	rep, err := buildRepository(space, dbsim.CPUPct, p, halfRAM)
+	rep, err := BuildRepository(space, dbsim.CPUPct, p, true)
 	if err != nil {
 		return nil, err
 	}
 
-	r.Addf("%-14s %-18s %12s %14s %12s %12s", "Workload", "Method", "DefaultCPU%", "BestFeasCPU%", "Improve%", "ItersToBest")
-	type job struct {
-		w     workload.Workload
-		tuner core.Tuner
-		seed  int64
-	}
-	var jobs []job
+	var rows []row
 	for wi, w := range workload.Five() {
 		seed := p.Seed + int64(10*wi)
 		holdOut := func(t repo.TaskRecord) bool { return t.Workload != w.Name }
-		restune, err := restuneFor(p, rep, space, w, seed, holdOut)
+		m, err := repoMethodSet(p, rep, holdOut, space, w, seed)
 		if err != nil {
 			return nil, err
 		}
-		m := newMethodSet(p, seed, restune, rep.Filter(holdOut))
-		methods := []core.Tuner{m.def, m.restune, m.scratch, m.otterTune}
-		for mi, m := range methods {
-			jobs = append(jobs, job{w, m, seed + int64(mi)})
+		for mi, t := range []core.Tuner{m.def, m.restune, m.scratch, m.otterTune} {
+			rows = append(rows, p.averaged(w.Name+"/"+t.Name(), t,
+				simRuns(w, "A", space, dbsim.CPUPct, seed+int64(mi), halfRAM)))
 		}
 	}
-	type row struct {
-		workload, method string
-		series           []float64
-	}
-	rows, err := parallelMap(len(jobs), func(i int) (row, error) {
-		j := jobs[i]
-		series, res, err := comparisonRun(p, func(run int) (core.Tuner, core.Evaluator, error) {
-			return j.tuner, cpuEvaluator(j.w, "A", space, j.seed+int64(run)), nil
-		})
-		if err != nil {
-			return row{}, err
-		}
-		return row{j.w.Name, res.Method, series}, nil
-	})
+	out, err := runRows(rows)
 	if err != nil {
 		return nil, err
 	}
-	for _, rw := range rows {
-		r.AddSeries(fmt.Sprintf("%s/%s", rw.workload, rw.method), rw.series)
-		def, best := rw.series[0], rw.series[len(rw.series)-1]
-		r.Addf("%-14s %-18s %12.1f %14.1f %12.1f %12d", rw.workload, rw.method, def, best, (def-best)/def*100, itersToWithin(rw.series))
+	r.Addf("%-14s %-18s %12s %14s %12s %12s", "Workload", "Method", "DefaultCPU%", "BestFeasCPU%", "Improve%", "ItersToBest")
+	for _, o := range out {
+		wl, method, _ := strings.Cut(o.key, "/")
+		r.AddSeries(o.key, o.series)
+		def, best := o.series[0], o.series[len(o.series)-1]
+		r.Addf("%-14s %-18s %12.1f %14.1f %12.1f %12d", wl, method, def, best, (def-best)/def*100, itersToWithin(o.series))
 	}
 	r.Addf("")
 	r.Addf("Expected shape (paper 7.2.2): ResTune outperforms all baselines on the")

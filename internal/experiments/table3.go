@@ -25,29 +25,25 @@ func runTable3(p Params) (*Report, error) {
 	space := knobs.CPUSpace()
 	const replayWindow = 182 * time.Second // the paper's measured ~182.2s
 
-	repoAll, err := buildRepository(space, dbsim.CPUPct, p, halfRAM)
+	repoAll, err := BuildRepository(space, dbsim.CPUPct, p, true)
 	if err != nil {
 		return nil, err
 	}
-
-	newEv := func(seed int64) core.Evaluator {
-		sim := dbsim.New(dbsim.Instance("A"), w.Profile, seed, dbsim.WithHalfRAMBufferPool())
-		return core.NewSimEvaluator(sim, space, dbsim.CPUPct)
-	}
-
-	restune, err := restuneFor(p, repoAll, space, w, p.Seed, nil)
+	m, err := repoMethodSet(p, repoAll, nil, space, w, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	m := newMethodSet(p, p.Seed, restune, repoAll.Tasks)
-	methods := []core.Tuner{m.restune, m.scratch, m.iTuned, m.cdbTune, m.otterTune}
 
 	r.Addf("%-18s %14s %14s %16s %12s", "Method", "Model Update", "Knob Rec.", "Replay(window)", "Total")
-	for mi, m := range methods {
-		res, err := m.Run(newEv(p.Seed+int64(mi)), p.Iters)
+	// The rows run one at a time, unlike every other experiment's: their
+	// stage timings are the report, and concurrent sessions would charge each
+	// other's contention for the cores to them.
+	for mi, t := range []core.Tuner{m.restune, m.scratch, m.iTuned, m.cdbTune, m.otterTune} {
+		o, err := p.once(t.Name(), t, simRuns(w, "A", space, dbsim.CPUPct, p.Seed+int64(mi), halfRAM)).run()
 		if err != nil {
 			return nil, err
 		}
+		res := o.last
 		var modelD, recD time.Duration
 		n := 0
 		for _, iter := range res.Iterations[1:] {

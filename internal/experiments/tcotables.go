@@ -18,28 +18,29 @@ func init() {
 // price the saved cores across the three providers.
 func runTable8(p Params) (*Report, error) {
 	r := newReport("table8", Title("table8"))
-	space := knobs.CPUSpace()
 	instances := []string{"A", "B", "C", "D", "E", "F"}
 	targets := []workload.Workload{workload.Sysbench(10), workload.TPCC(200)}
-
+	var rows []row
 	for ti, w := range targets {
+		for ii, hwName := range instances {
+			rows = append(rows, scratchRow(p, w.Name+"/"+hwName, w, hwName, p.Seed+int64(100*ti+10*ii)))
+		}
+	}
+	out, err := runRows(rows)
+	if err != nil {
+		return nil, err
+	}
+
+	for _, w := range targets {
 		r.Addf("%s:", w.Name)
 		r.Addf("  %-9s %14s %15s %12s", "Instance", "OriginalCores", "OptimizedCores", "AvgTCOdown")
 		var saved []float64
-		for ii, hwName := range instances {
-			hw := dbsim.Instance(hwName)
-			seed := p.Seed + int64(100*ti+10*ii)
-			res, err := scratchTuner(p, seed).Run(cpuEvaluator(w, hwName, space, seed), p.Iters)
-			if err != nil {
-				return nil, err
-			}
-			defCPU := res.Iterations[0].Observation.Res
-			bestCPU := defCPU
-			if b, ok := res.BestFeasible(); ok {
-				bestCPU = b.Res
-			}
-			orig := tco.CoresUsed(defCPU, hw.Cores)
-			opt := tco.CoresUsed(bestCPU, hw.Cores)
+		for _, hwName := range instances {
+			defCPU, bestCPU := defaultAndBest(out[0].last)
+			out = out[1:]
+			cores := dbsim.Instance(hwName).Cores
+			orig := tco.CoresUsed(defCPU, cores)
+			opt := tco.CoresUsed(bestCPU, cores)
 			red := tco.CPUReduction(orig - opt)
 			r.Addf("  %-9s %14d %15d %12s", hwName, orig, opt, tco.FormatUSD(red.Average))
 			saved = append(saved, red.Average)
@@ -53,27 +54,27 @@ func runTable8(p Params) (*Report, error) {
 }
 
 // runTable9 reproduces Table 9: memory tuning on instance E for SYSBENCH
-// and TPC-C, priced per provider.
+// and TPC-C, priced per provider. The simulator takes no buffer-pool
+// option: the pool is one of the tuned knobs.
 func runTable9(p Params) (*Report, error) {
 	r := newReport("table9", Title("table9"))
 	space := knobs.MemorySpace()
 	targets := []workload.Workload{workload.Sysbench(30), workload.TPCC100G()}
+	rows := make([]row, len(targets))
+	for ti, w := range targets {
+		seed := p.Seed + int64(10*ti)
+		rows[ti] = p.once(w.Name, core.New(p.config(seed, "ResTune-w/o-ML", nil, nil)),
+			simRuns(w, "E", space, dbsim.MemoryBytes, seed))
+	}
+	out, err := runRows(rows)
+	if err != nil {
+		return nil, err
+	}
 
 	r.Addf("%-14s %12s %13s %10s %10s %10s", "Workload", "OrigMem(GB)", "OptMem(GB)", "AWS", "Azure", "Aliyun")
 	for ti, w := range targets {
-		seed := p.Seed + int64(10*ti)
-		wc := calibrateRate(w, "E", seed)
-		sim := dbsim.New(dbsim.Instance("E"), wc.Profile, seed)
-		ev := core.NewSimEvaluator(sim, space, dbsim.MemoryBytes)
-		res, err := scratchTuner(p, seed).Run(ev, p.Iters)
-		if err != nil {
-			return nil, err
-		}
-		origGB := res.Iterations[0].Observation.Res / 1e9
-		bestGB := origGB
-		if b, ok := res.BestFeasible(); ok {
-			bestGB = b.Res / 1e9
-		}
+		orig, best := defaultAndBest(out[ti].last)
+		origGB, bestGB := orig/1e9, best/1e9
 		red := tco.MemoryReduction(origGB - bestGB)
 		r.Addf("%-14s %12.2f %13.2f %10s %10s %10s",
 			w.Name, origGB, bestGB,
