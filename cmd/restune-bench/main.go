@@ -81,52 +81,15 @@ func main() {
 	}
 
 	if *corpusSize != "" {
-		sizes, err := parseSizes(*corpusSize)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "restune-bench:", err)
-			os.Exit(2)
-		}
-		start := time.Now()
-		rep, err := restune.CorpusScale(sizes, *corpusSeed, *iters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "restune-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.String())
-		if *csvDir != "" {
-			path, err := writeCSV(*csvDir, rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "restune-bench: writing CSV:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("(series written to %s)\n", path)
-		}
-		fmt.Printf("(corpus scaling completed in %s)\n", time.Since(start).Round(time.Millisecond))
+		sweep("-corpus-size", *corpusSize, *csvDir, "corpus scaling", func(sizes []int) (*restune.ExperimentReport, error) {
+			return restune.CorpusScale(sizes, *corpusSeed, *iters)
+		})
 		return
 	}
-
 	if *historySize != "" {
-		sizes, err := parseSizesFlag("-history-size", *historySize)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "restune-bench:", err)
-			os.Exit(2)
-		}
-		start := time.Now()
-		rep, err := restune.HistoryScale(sizes, *seed, *iters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "restune-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.String())
-		if *csvDir != "" {
-			path, err := writeCSV(*csvDir, rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "restune-bench: writing CSV:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("(series written to %s)\n", path)
-		}
-		fmt.Printf("(history scaling completed in %s)\n", time.Since(start).Round(time.Millisecond))
+		sweep("-history-size", *historySize, *csvDir, "history scaling", func(sizes []int) (*restune.ExperimentReport, error) {
+			return restune.HistoryScale(sizes, *seed, *iters)
+		})
 		return
 	}
 
@@ -202,15 +165,10 @@ func main() {
 		if err != nil {
 			die("%s: %v", eid, err)
 		}
-		fmt.Print(rep.String())
-		if *csvDir != "" {
-			path, err := writeCSV(*csvDir, rep)
-			if err != nil {
-				die("writing CSV: %v", err)
-			}
-			fmt.Printf("(series written to %s)\n", path)
+		if err := emit(rep, *csvDir, eid, start); err != nil {
+			die("%v", err)
 		}
-		fmt.Printf("(%s completed in %s)\n\n", eid, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
 	}
 	if trace != nil {
 		if err := trace.Close(); err != nil {
@@ -267,14 +225,43 @@ func runTimeline(arg string, p restune.ExperimentParams) error {
 	return nil
 }
 
-// parseSizes parses the -corpus-size list ("34,100,1000") into sizes.
-func parseSizes(s string) ([]int, error) {
-	return parseSizesFlag("-corpus-size", s)
+// sweep runs a size-sweep measurement (-corpus-size, -history-size) over
+// the sizes listed in the named flag and prints its report.
+func sweep(flagName, list, csvDir, label string, run func(sizes []int) (*restune.ExperimentReport, error)) {
+	sizes, err := parseSizes(flagName, list)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "restune-bench:", err)
+		os.Exit(2)
+	}
+	start := time.Now()
+	rep, err := run(sizes)
+	if err == nil {
+		err = emit(rep, csvDir, label, start)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "restune-bench:", err)
+		os.Exit(1)
+	}
 }
 
-// parseSizesFlag parses a comma-separated positive size list for the named
+// emit prints a report, writes its series as CSV into csvDir when one is
+// given, and says how long the run since start took.
+func emit(rep *restune.ExperimentReport, csvDir, label string, start time.Time) error {
+	fmt.Print(rep.String())
+	if csvDir != "" {
+		path, err := writeCSV(csvDir, rep)
+		if err != nil {
+			return fmt.Errorf("writing CSV: %w", err)
+		}
+		fmt.Printf("(series written to %s)\n", path)
+	}
+	fmt.Printf("(%s completed in %s)\n", label, time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// parseSizes parses a comma-separated positive size list for the named
 // flag (-corpus-size, -history-size).
-func parseSizesFlag(name, s string) ([]int, error) {
+func parseSizes(name, s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	sizes := make([]int, 0, len(parts))
 	for _, p := range parts {
