@@ -41,7 +41,12 @@
 #      emit schema-valid per-session and fleet streams, and a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
 #      spans carry drift/trust-region attrs
-#   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
+#   9. a staleness check of results_quick.txt (amd64 only, where its float
+#      bits were recorded): restune-bench -all -iters 100 is regenerated and
+#      diffed against the committed file, with the "(... completed in ...)"
+#      wall-clock lines and the table3 block (stage timings) masked on both
+#      sides
+#  10. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
 #      FuzzSearchPruning included (the pruned search vs the exhaustive one)
 #
 # Environment:
@@ -133,6 +138,29 @@ grep -q 'drift_event' "$tracedir/timeline.jsonl" || {
     echo "timeline smoke: trace has no drift/trust-region attrs" >&2
     exit 1
 }
+
+if [ "$(go env GOARCH)" = "amd64" ]; then
+    echo "==> results_quick.txt staleness (restune-bench -all -iters 100)"
+    # Drop wall-clock lines and table3's block, whose stage timings are wall
+    # clock too.
+    mask() {
+        awk '/^== table3:/ { skip = 1; next }
+             /^== /         { skip = 0 }
+             skip           { next }
+             /^\(.* completed in .*\)$/ { next }
+             { print }' "$1"
+    }
+    go run ./cmd/restune-bench -all -iters 100 >"$tracedir/results_quick.txt"
+    mask results_quick.txt >"$tracedir/want.txt"
+    mask "$tracedir/results_quick.txt" >"$tracedir/got.txt"
+    diff -u "$tracedir/want.txt" "$tracedir/got.txt" || {
+        echo "results_quick.txt is stale: regenerate it with" >&2
+        echo "  go run ./cmd/restune-bench -all -iters 100 > results_quick.txt" >&2
+        exit 1
+    }
+else
+    echo "==> results_quick.txt staleness skipped (recorded on amd64)"
+fi
 
 if [ "$FUZZTIME" = "0" ]; then
     echo "==> fuzz smoke skipped (FUZZTIME=0)"
