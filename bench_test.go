@@ -19,7 +19,6 @@ import (
 	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/mat"
-	"repro/internal/meta"
 	"repro/internal/minidb"
 	"repro/internal/workload"
 	"repro/restune"
@@ -348,30 +347,6 @@ func BenchmarkCEI(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bo.CEI(tri, x, 0, cons)
-	}
-}
-
-// BenchmarkDynamicWeights measures the RGPE ranking-loss weight assignment
-// over a 10-learner ensemble (the dynamic phase of the Model Update stage).
-func BenchmarkDynamicWeights(b *testing.B) {
-	var base []*meta.BaseLearner
-	for i := 0; i < 10; i++ {
-		bl, err := meta.NewBaseLearnerSparse(fmt.Sprintf("t%d", i), "w", "A", nil,
-			syntheticHistory(30, 3, int64(i)), 3, int64(i), gp.SparseConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		base = append(base, bl)
-	}
-	target, err := meta.NewBaseLearnerSparse("target", "w", "A", nil,
-		syntheticHistory(20, 3, 99), 3, 99, gp.SparseConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = meta.DynamicWeightsOpts(base, target, meta.DynamicOptions{Samples: 100}, r)
 	}
 }
 

@@ -243,6 +243,40 @@ func ExpTo(dst, src []float64) {
 	}
 }
 
+// pairsCrossover is the length from which counting every pair with the
+// vector kernel costs about what an O(n log n) merge-sort count does. One
+// meta.RankEvaluator.Loss on continuous values, counted against its keyed
+// merge, on an AMD EPYC core (AVX2, Go 1.24): 45 vs 265 ns at n = 30, 221
+// vs 1046 ns at 80, 1.19 vs 3.0 µs at 192, 10.9 vs 12.3 µs at 600, 14.9 vs
+// 14.4 µs at 700 and 19.7 vs 17.5 µs at 800.
+const pairsCrossover = 700
+
+// CountPairsPays reports whether CountPairs over n values beats a merge
+// sort: the vector kernel runs on this CPU and n is below the crossover.
+func CountPairsPays(n int) bool { return simdOn && avx2 && n < pairsCrossover }
+
+// CountPairs counts, over the pairs i < j of a, a[i] > a[j] into gt and
+// a[i] == a[j] into eq, with float comparison: −0 equals +0, and NaN is
+// neither greater than nor equal to anything, itself included. The vector
+// kernel counts a slice whose length is a multiple of 4, its width; pad a
+// with NaN, which adds to neither count, to have it taken. Other lengths,
+// and CPUs without AVX2, run the scalar double loop.
+func CountPairs(a []float64) (gt, eq int) {
+	if simdOn && avx2 && len(a) > 0 && len(a)%4 == 0 {
+		return countPairsRow(&a[0], len(a))
+	}
+	for i, x := range a {
+		for _, y := range a[i+1:] {
+			if x > y {
+				gt++
+			} else if x == y {
+				eq++
+			}
+		}
+	}
+	return gt, eq
+}
+
 // Transpose returns the transpose of m.
 func (m *Dense) Transpose() *Dense {
 	t := NewDense(m.cols, m.rows)

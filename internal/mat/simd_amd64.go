@@ -73,17 +73,26 @@ next:
 	return nil
 }
 
+// avx2 reports whether the CPU also has the 256-bit integer instructions the
+// expRow kernels and countPairsRow need.
+var avx2 = detectAVX2()
+
+func detectAVX2() bool {
+	if !simdOn {
+		return false
+	}
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
+		return false
+	}
+	const avx2Bit = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2Bit != 0
+}
+
 // runnableExpKernels lists the expRow kernels this CPU can execute: both
 // need AVX2 (the integer half of ldexp), expRowFMA needs FMA as well.
 func runnableExpKernels() []expKernel {
-	if !simdOn {
-		return nil
-	}
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
-		return nil
-	}
-	const avx2 = 1 << 5
-	if _, ebx, _, _ := cpuid(7, 0); ebx&avx2 == 0 {
+	if !simdOn || !avx2 {
 		return nil
 	}
 	const fma = 1 << 12
@@ -144,3 +153,9 @@ func expRowFMA(dst, src *float64, w int) int
 //
 //go:noescape
 func expRowMul(dst, src *float64, w int) int
+
+// countPairsRow counts, over the pairs i < j of a[0:w], a[i] > a[j] into gt
+// and a[i] == a[j] into eq, w a positive multiple of 4. It needs AVX2.
+//
+//go:noescape
+func countPairsRow(a *float64, w int) (gt, eq int)

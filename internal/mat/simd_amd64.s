@@ -6,6 +6,8 @@
 // per-column op order of the scalar Go loops — no FMA, no horizontal
 // reductions — so the vector paths are bit-identical to the scalar ones.
 // All w arguments are positive multiples of 8; callers handle tails in Go.
+// The exponential and pair-counting kernels at the end of the file have
+// their own notes.
 
 #include "textflag.h"
 
@@ -483,5 +485,104 @@ em_loop:
 em_done:
 	SHRQ $3, R10
 	MOVQ R10, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// Lane masks for the pairs inside one block of four: row l keeps the lanes
+// above l, so lane l is compared only with the elements after it.
+DATA pairmask<>+0(SB)/8, $0
+DATA pairmask<>+8(SB)/8, $-1
+DATA pairmask<>+16(SB)/8, $-1
+DATA pairmask<>+24(SB)/8, $-1
+DATA pairmask<>+32(SB)/8, $0
+DATA pairmask<>+40(SB)/8, $0
+DATA pairmask<>+48(SB)/8, $-1
+DATA pairmask<>+56(SB)/8, $-1
+DATA pairmask<>+64(SB)/8, $0
+DATA pairmask<>+72(SB)/8, $0
+DATA pairmask<>+80(SB)/8, $0
+DATA pairmask<>+88(SB)/8, $-1
+GLOBL pairmask<>(SB), RODATA, $96
+
+// PAIRS compares the broadcast element in bx with the four in Y4, adding
+// one per lane where bx > Y4 (predicate 30, GT_OQ) to gt and one per lane
+// where bx == Y4 (predicate 0, EQ_OQ) to eq. Both predicates are false on
+// NaN. A true lane is all ones, -1 as an int64, so subtracting it counts.
+#define PAIRS(bx, gt, eq) \
+	VCMPPD $30, Y4, bx, Y5; \
+	VPSUBQ Y5, gt, gt; \
+	VCMPPD $0, Y4, bx, Y6; \
+	VPSUBQ Y6, eq, eq
+
+// PAIRSIN is PAIRS for a block against itself: mask keeps the lanes after
+// the broadcast one.
+#define PAIRSIN(bx, mask) \
+	VCMPPD $30, Y4, bx, Y5; \
+	VANDPD mask, Y5, Y5; \
+	VPSUBQ Y5, Y12, Y12; \
+	VCMPPD $0, Y4, bx, Y6; \
+	VANDPD mask, Y6, Y6; \
+	VPSUBQ Y6, Y13, Y13
+
+// func countPairsRow(a *float64, w int) (gt, eq int)
+//
+// Over the pairs i < j of a[0:w], w a positive multiple of 4, counts
+// a[i] > a[j] into gt and a[i] == a[j] into eq. Block b's four elements
+// are broadcast once, compared with each other under pairmask, then with
+// every later block; the counts accumulate per lane in Y12/Y14 (gt) and
+// Y13/Y15 (eq) and are summed across lanes at the end.
+TEXT ·countPairsRow(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), SI
+	MOVQ w+8(FP), R9
+	SHLQ $3, R9
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	VXORPD Y14, Y14, Y14
+	VXORPD Y15, Y15, Y15
+	XORQ R10, R10                 // block b, in bytes
+
+cp_block:
+	CMPQ R10, R9
+	JGE  cp_sum
+	VMOVUPD 0(SI)(R10*1), Y4
+	VBROADCASTSD 0(SI)(R10*1), Y0
+	VBROADCASTSD 8(SI)(R10*1), Y1
+	VBROADCASTSD 16(SI)(R10*1), Y2
+	VBROADCASTSD 24(SI)(R10*1), Y3
+	PAIRSIN(Y0, pairmask<>+0(SB))
+	PAIRSIN(Y1, pairmask<>+32(SB))
+	PAIRSIN(Y2, pairmask<>+64(SB))
+	LEAQ 32(R10), R11             // later block, in bytes
+
+cp_later:
+	CMPQ R11, R9
+	JGE  cp_next
+	VMOVUPD 0(SI)(R11*1), Y4
+	PAIRS(Y0, Y12, Y13)
+	PAIRS(Y1, Y14, Y15)
+	PAIRS(Y2, Y12, Y13)
+	PAIRS(Y3, Y14, Y15)
+	ADDQ $32, R11
+	JMP  cp_later
+
+cp_next:
+	ADDQ $32, R10
+	JMP  cp_block
+
+cp_sum:
+	VPADDQ Y14, Y12, Y12
+	VPADDQ Y15, Y13, Y13
+	VEXTRACTI128 $1, Y12, X0
+	VPADDQ X0, X12, X0
+	VPSHUFD $0x4E, X0, X1
+	VPADDQ X1, X0, X0
+	VMOVQ X0, AX
+	VEXTRACTI128 $1, Y13, X2
+	VPADDQ X2, X13, X2
+	VPSHUFD $0x4E, X2, X3
+	VPADDQ X3, X2, X2
+	VMOVQ X2, BX
+	MOVQ AX, gt+16(FP)
+	MOVQ BX, eq+24(FP)
 	VZEROUPPER
 	RET

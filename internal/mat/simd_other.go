@@ -11,6 +11,9 @@ const simdOn = false
 // expRow is nil here: ExpTo calls math.Exp.
 var expRow expKernel
 
+// avx2 is false here: CountPairs runs its scalar loop.
+const avx2 = false
+
 func fwdSubRow(di, lrow, data *float64, k, stride, w int, lii float64) {
 	panic("mat: simd stub called")
 }
@@ -28,5 +31,9 @@ func axpyRow(dst, src *float64, a float64, w int) {
 }
 
 func sqAccumRow(dst, src *float64, w int) {
+	panic("mat: simd stub called")
+}
+
+func countPairsRow(a *float64, w int) (gt, eq int) {
 	panic("mat: simd stub called")
 }

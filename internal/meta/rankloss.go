@@ -3,25 +3,31 @@ package meta
 import (
 	"math"
 	"sort"
+
+	"repro/internal/mat"
 )
 
 // RankingLoss counts misranked pairs (Eq. 9) between predictions and ground
 // truths: Σ_j Σ_k 1(pred_j ≤ pred_k) XOR 1(true_j ≤ true_k), over all n²
-// ordered pairs. It runs in O(n log n) via merge-sort inversion counting;
-// for repeated evaluations against the same ground truth (the posterior-
-// sampling loop of DynamicWeightsOpts) build a RankEvaluator once instead.
+// ordered pairs, without visiting the n² pairs one by one (see
+// RankEvaluator). For repeated evaluations against the same ground truth
+// (the posterior-sampling loop of DynamicWeightsOpts) build a RankEvaluator
+// once instead.
 func RankingLoss(pred, truth []float64) int {
 	return NewRankEvaluator(truth).Loss(pred)
 }
 
 // RankEvaluator precomputes the truth-side structure of the Eq. 9 ranking
 // loss — the sort order of the ground truths and their tie groups — so each
-// evaluation against a fresh prediction vector costs one O(n log n)
-// inversion count instead of the O(n²) pairwise scan.
+// evaluation against a fresh prediction vector only has to rank the
+// predictions in that order: by counting pairs with mat.CountPairs's vector
+// kernel while n is below its crossover, by an O(n log n) merge sort
+// otherwise.
 //
 // Decomposition: writing D for the number of unordered pairs ranked in
-// strictly opposite order and T_p, T_t, T_b for the pairs tied in pred only,
-// truth only, and both, the pairwise double sum equals
+// strictly opposite order, T_p and T_t for the pairs tied in pred and in
+// truth, and T_b for those tied on both sides, the pairwise double sum
+// equals
 //
 //	loss = 2·D + T_p + T_t − 2·T_b
 //
@@ -34,9 +40,12 @@ type RankEvaluator struct {
 	order     []int    // indices sorted by ascending truth
 	groups    [][2]int // [start,end) runs of equal truth in order, len >= 2 only
 	tiesTruth int      // Σ over groups of m(m−1)/2
-	// Per-instance scratch; the float pair only once a NaN needs it:
+	// Per-instance scratch. a holds the predictions in ascending-truth
+	// order, NaN-padded to a multiple of 4 for mat.CountPairs; the merge's
+	// buffers are allocated by the first merge that needs them.
+	a         []float64
 	key, kbuf []int64
-	a, buf    []float64
+	buf       []float64
 }
 
 // NewRankEvaluator builds the truth-side structure for repeated Loss calls.
@@ -66,8 +75,11 @@ func NewRankEvaluator(truth []float64) *RankEvaluator {
 
 // scratch gives e its own per-instance buffers.
 func (e *RankEvaluator) scratch() {
-	e.key, e.kbuf = make([]int64, e.n), make([]int64, e.n)
-	e.a, e.buf = nil, nil
+	e.a = make([]float64, (e.n+3)&^3)
+	for i := e.n; i < len(e.a); i++ {
+		e.a[i] = math.NaN()
+	}
+	e.key, e.kbuf, e.buf = nil, nil, nil
 }
 
 // Clone returns an evaluator sharing the (read-only) truth structure with
@@ -79,19 +91,25 @@ func (e *RankEvaluator) Clone() *RankEvaluator {
 }
 
 // Loss returns the Eq. 9 pairwise ranking loss of pred against the
-// evaluator's ground truth. It allocates nothing, except the float merge's
-// scratch the first time a prediction vector holds a NaN.
+// evaluator's ground truth. It allocates nothing, except a merge's scratch
+// the first time that merge runs.
 //
-// Predictions are ranked by order-preserving integer keys (rankKey), on
-// which the merge runs without data-dependent branches. A prediction vector
-// holding a NaN is ranked by the float merge instead — the same merge on the
-// floats themselves, whose comparisons with NaN are all false — so the loss
-// of such a vector is what it always was. That value is not Eq. 9's: the
-// pairwise sum reads NaN ≤ x as false in both directions, even against
-// itself, while a merge sort cannot place an element that compares with
-// nothing (pred = {0, NaN} against truth = {0, 1} scores 2 pairwise, one of
-// them the NaN's diagonal pair, and 0 here). Posterior samples are finite,
-// so a session never takes this path.
+// Below mat.CountPairsPays's crossover the decomposition's pair counts are
+// taken directly: CountPairs over the predictions in truth order gives the
+// pairs ranked opposite to truth or tied in pred, and the truth-tie groups
+// (rare and small for continuous metrics) are counted apart. Without the
+// vector kernel, or from the crossover on, the predictions are ranked by
+// order-preserving integer keys (rankKey) in a branch-free merge sort. Both
+// are exact integer counts of the same pairs, so they return the same loss.
+//
+// A prediction vector holding a NaN is ranked by the float merge instead —
+// the same merge on the floats themselves, whose comparisons with NaN are
+// all false — so the loss of such a vector is what it always was. That
+// value is not Eq. 9's: the pairwise sum reads NaN ≤ x as false in both
+// directions, even against itself, while a merge sort cannot place an
+// element that compares with nothing (pred = {0, NaN} against truth = {0, 1}
+// scores 2 pairwise, one of them the NaN's diagonal pair, and 0 here).
+// Posterior samples are finite, so a session never takes this path.
 func (e *RankEvaluator) Loss(pred []float64) int {
 	if len(pred) != e.n {
 		panic("meta: ranking loss length mismatch")
@@ -99,26 +117,45 @@ func (e *RankEvaluator) Loss(pred []float64) int {
 	if e.n < 2 {
 		return 0
 	}
-	key := e.key[:e.n]
+	a := e.a[:e.n]
 	nan := false
 	for i, idx := range e.order {
 		x := pred[idx]
 		if math.IsNaN(x) {
 			nan = true
 		}
-		key[i] = rankKey(x)
+		a[i] = x
 	}
-	if !nan {
-		return rankLoss(e, key, e.kbuf)
+	switch {
+	case nan:
+		if e.buf == nil {
+			e.buf = make([]float64, e.n)
+		}
+		return rankLoss(e, a, e.buf)
+	case mat.CountPairsPays(e.n):
+		return e.countLoss()
 	}
-	if e.a == nil {
-		e.a, e.buf = make([]float64, e.n), make([]float64, e.n)
+	if e.key == nil {
+		e.key, e.kbuf = make([]int64, e.n), make([]int64, e.n)
 	}
-	a := e.a
-	for i, idx := range e.order {
-		a[i] = pred[idx]
+	for i, x := range a {
+		e.key[i] = rankKey(x)
 	}
-	return rankLoss(e, a, e.buf)
+	return rankLoss(e, e.key, e.kbuf)
+}
+
+// countLoss evaluates the decomposition from pair counts over e.a: gt pairs
+// ranked in pred against the truth order and eq pairs tied in pred, less the
+// pairs of each inside the truth-tie groups, which are not discordant and
+// are tied on both sides.
+func (e *RankEvaluator) countLoss() int {
+	gt, eq := mat.CountPairs(e.a)
+	for _, g := range e.groups {
+		gtTies, eqTies := mat.CountPairs(e.a[g[0]:g[1]])
+		gt -= gtTies
+		eq -= 2 * eqTies
+	}
+	return 2*gt + eq + e.tiesTruth
 }
 
 // rankKey maps a non-NaN x to an int64 whose signed order is x's order: the

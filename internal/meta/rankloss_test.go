@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mat"
 )
 
 // bruteRankingLoss is the original O(n²) pairwise definition of Eq. 9, kept
@@ -100,8 +102,8 @@ func refRankingLoss(pred, truth []float64) int {
 	return 2*inv + equalPairs(a) + tiesTruth - 2*tiesBoth
 }
 
-// Property: the O(n log n) inversion-count loss equals the O(n²) pairwise
-// scan on random inputs with deliberately injected ties on both sides.
+// Property: the evaluator's loss equals the O(n²) pairwise scan on random
+// inputs with deliberately injected ties on both sides.
 func TestQuickRankingLossMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -168,6 +170,44 @@ func TestRankEvaluatorDegenerate(t *testing.T) {
 	}
 }
 
+// mergeFrom is the n from which Loss merges even where mat's vector pair
+// counter runs: mat's pairsCrossover, held to it by TestMergeFromIsCrossover.
+const mergeFrom = 700
+
+func TestMergeFromIsCrossover(t *testing.T) {
+	if !mat.CountPairsPays(2) {
+		t.Skip("no vector pair counter: Loss always merges")
+	}
+	if !mat.CountPairsPays(mergeFrom-1) || mat.CountPairsPays(mergeFrom) {
+		t.Fatalf("mat's crossover is not %d", mergeFrom)
+	}
+}
+
+// TestRankLossAllocatesNothing holds Loss to zero allocations in steady
+// state on each of its paths: pair counting (n = 80, where the vector
+// kernel runs), the keyed merge (n at the crossover, and every n without the
+// kernel) and the float merge a NaN selects.
+func TestRankLossAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for _, n := range []int{80, mergeFrom} {
+		truth := make([]float64, n)
+		pred := make([]float64, n)
+		for i := range truth {
+			truth[i] = float64(r.Intn(n / 2)) // truth-tie groups
+			pred[i] = r.NormFloat64()
+		}
+		withNaN := append([]float64(nil), pred...)
+		withNaN[n/3] = math.NaN()
+		e := NewRankEvaluator(truth).Clone()
+		for _, p := range [][]float64{pred, withNaN} {
+			e.Loss(p) // the merges allocate their scratch on first use
+			if allocs := testing.AllocsPerRun(20, func() { e.Loss(p) }); allocs != 0 {
+				t.Fatalf("n=%d nan=%v: Loss allocates %.1f objects per call", n, hasNaN(p), allocs)
+			}
+		}
+	}
+}
+
 // TestDynamicWeightsDeterministicAcrossGOMAXPROCS checks the meta-level
 // fan-out contract: identical weights at any parallelism for a fixed seed.
 func TestDynamicWeightsDeterministicAcrossGOMAXPROCS(t *testing.T) {
@@ -225,11 +265,27 @@ func hasNaN(v []float64) bool {
 	return false
 }
 
-// FuzzRankingLoss holds the keyed branch-free loss to refRankingLoss on any
-// input, through a fresh evaluator, a reused one and a clone, and, where
-// neither vector holds a NaN, to the pairwise definition of Eq. 9 as well.
+// FuzzRankingLoss holds the evaluator's loss — pair counting below the
+// crossover, the keyed merge from it on, the float merge on a NaN — to
+// refRankingLoss on any input, through a fresh evaluator, a reused one and a
+// clone, and, where neither vector holds a NaN, to the pairwise definition
+// of Eq. 9 as well. The seeds cover every length mod 4 (the counter's
+// padding) on both sides of the crossover, and truth-tie groups of 2 to 5.
 func FuzzRankingLoss(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
+	for m := 2; m <= 5; m++ {
+		for _, n := range []int{28, 29, 30, 31, mergeFrom - 2, mergeFrom - 1, mergeFrom, mergeFrom + 1} {
+			// Truth in shuffled groups of m equal values, predictions over
+			// the palette without its NaN.
+			raw := make([]byte, 16*n)
+			for i, j := range r.Perm(n) {
+				pred := rankPalette[r.Intn(len(rankPalette)-1)]
+				binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(pred))
+				binary.LittleEndian.PutUint64(raw[8*(n+i):], math.Float64bits(float64(j/m)))
+			}
+			f.Add(raw, false)
+		}
+	}
 	for _, n := range []int{0, 1, 2, 3, 8, 30, 80, 192, 300} {
 		ties := make([]byte, 2*n)
 		for i := range ties {

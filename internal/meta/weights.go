@@ -89,8 +89,8 @@ type DynamicOptions struct {
 // loss sampling — fan out across learners. Loss sampling draws from one
 // pre-seeded sub-stream per learner (partitioned from r in learner order),
 // and the truth-side ranking structure is built once per metric, so each
-// sampled loss costs O(n log n) and the result is bit-identical at any
-// GOMAXPROCS.
+// sampled loss only ranks the sample (RankEvaluator) and the result is
+// bit-identical at any GOMAXPROCS.
 //
 // The returned slice has len(base)+1 entries, target last, summing to 1.
 // A session calling this every iteration should use Corpus.DynamicWeights,

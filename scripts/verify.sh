@@ -18,8 +18,9 @@
 #      still hold), the same four under -tags purego (the vector kernels
 #      compiled out: every bit-parity table runs on the scalar loops — among
 #      them the blocked factor grown panel by panel, InverseDiagTo against
-#      the full inverse's diagonal, and the pruned hyperparameter search
-#      against the exhaustive one), and
+#      the full inverse's diagonal, the pruned hyperparameter search
+#      against the exhaustive one, and mat.CountPairs against the double
+#      loop, with meta's ranking loss on the keyed merge alone), and
 #      GOARCH=arm64 go vet of mat and gp, so the stubs in simd_other.go
 #      cannot drift from the amd64 declarations
 #   6. go test -race ./...           (short mode: the crash harness strides
@@ -47,7 +48,8 @@
 #      wall-clock lines and the table3 block (stage timings) masked on both
 #      sides
 #  10. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
-#      FuzzSearchPruning included (the pruned search vs the exhaustive one)
+#      FuzzSearchPruning included (the pruned search vs the exhaustive one),
+#      and FuzzCountPairs (the vector pair counter vs the double loop)
 #
 # Environment:
 #   FUZZTIME=30s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing
@@ -186,6 +188,7 @@ fuzz ./internal/minidb FuzzWALReplay
 fuzz ./internal/replay FuzzExtractTemplate
 fuzz ./internal/mat FuzzFactorBlocked
 fuzz ./internal/mat FuzzExpTo
+fuzz ./internal/mat FuzzCountPairs
 fuzz ./internal/gp FuzzPredictBatch
 fuzz ./internal/gp FuzzSparseSelect
 fuzz ./internal/gp FuzzSearchPruning
