@@ -33,9 +33,9 @@ func main() {
 	var (
 		sessions  = flag.Int("sessions", 4, "number of concurrent tuning sessions")
 		workers   = flag.Int("workers", 0, "worker-pool size bounding concurrent session steps (0 = GOMAXPROCS)")
-		workloads = flag.String("workload", "twitter", "comma-separated workload list cycled across sessions: sysbench, tpcc, twitter, hotel, sales, twitter-w1..w5")
+		workloads = flag.String("workload", "twitter", "comma-separated workload list cycled across sessions: "+strings.Join(restune.WorkloadNames(), ", "))
 		instance  = flag.String("instance", "A", "instance type A-F (paper Table 1)")
-		resource  = flag.String("resource", "cpu", "resource to minimize: cpu, io_bps, iops, memory")
+		resource  = flag.String("resource", "cpu", "resource to minimize: "+strings.Join(restune.ResourceNames(), ", "))
 		iters     = flag.Int("iters", 30, "tuning iterations per session")
 		seed      = flag.Int64("seed", 1, "base seed; session i runs at seed+i")
 		repoPath  = flag.String("repo", "", "repository JSON backing the shared meta-corpus (opened lazily)")
@@ -71,7 +71,7 @@ func main() {
 
 func run(sessions, workers, iters, shortlist, synthetic int, seed int64,
 	workloads, instance, resource, repoPath, traceDir, debugAddr string, verbose bool) (retErr error) {
-	res, err := pickResource(resource)
+	res, err := restune.ResourceByName(resource)
 	if err != nil {
 		return err
 	}
@@ -260,7 +260,7 @@ func pickWorkloads(list string) ([]restune.Workload, error) {
 		if name == "" {
 			continue
 		}
-		w, err := pickWorkload(name)
+		w, err := restune.WorkloadByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -270,39 +270,4 @@ func pickWorkloads(list string) ([]restune.Workload, error) {
 		return nil, fmt.Errorf("no workloads in %q", list)
 	}
 	return ws, nil
-}
-
-func pickWorkload(name string) (restune.Workload, error) {
-	switch strings.ToLower(name) {
-	case "sysbench":
-		return restune.Sysbench(10), nil
-	case "tpcc":
-		return restune.TPCC(200), nil
-	case "twitter":
-		return restune.Twitter(), nil
-	case "hotel":
-		return restune.Hotel(), nil
-	case "sales":
-		return restune.Sales(), nil
-	}
-	for i := 1; i <= 5; i++ {
-		if strings.EqualFold(name, fmt.Sprintf("twitter-w%d", i)) {
-			return restune.TwitterVariant(i), nil
-		}
-	}
-	return restune.Workload{}, fmt.Errorf("unknown workload %q", name)
-}
-
-func pickResource(name string) (restune.Resource, error) {
-	switch strings.ToLower(name) {
-	case "cpu":
-		return restune.CPU, nil
-	case "io_bps", "bps":
-		return restune.IOBandwidth, nil
-	case "iops":
-		return restune.IOOperations, nil
-	case "memory", "mem":
-		return restune.Memory, nil
-	}
-	return 0, fmt.Errorf("unknown resource %q", name)
 }

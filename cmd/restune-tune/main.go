@@ -24,9 +24,9 @@ import (
 
 func main() {
 	var (
-		workloadName = flag.String("workload", "sysbench", "workload: sysbench, tpcc, twitter, hotel, sales, twitter-w1..w5")
+		workloadName = flag.String("workload", "sysbench", "workload: "+strings.Join(restune.WorkloadNames(), ", "))
 		instance     = flag.String("instance", "A", "instance type A-F (paper Table 1)")
-		resource     = flag.String("resource", "cpu", "resource to minimize: cpu, io_bps, iops, memory")
+		resource     = flag.String("resource", "cpu", "resource to minimize: "+strings.Join(restune.ResourceNames(), ", "))
 		knobSet      = flag.String("knobs", "", "knob space: cpu (14), memory (6), io (20), case-study (3); default follows -resource")
 		method       = flag.String("method", "restune", "method: restune, ituned, ottertune, cdbtune, grid, default")
 		iters        = flag.Int("iters", 50, "tuning iterations")
@@ -59,11 +59,11 @@ func main() {
 }
 
 func run(workloadName, instance, resource, knobSet, method string, iters, shortlist int, seed int64, repoPath, tracePath, debugAddr string, converge, verbose, engine bool) (retErr error) {
-	w, err := pickWorkload(workloadName)
+	w, err := restune.WorkloadByName(workloadName)
 	if err != nil {
 		return err
 	}
-	res, err := pickResource(resource)
+	res, err := restune.ResourceByName(resource)
 	if err != nil {
 		return err
 	}
@@ -184,43 +184,6 @@ func run(workloadName, instance, resource, knobSet, method string, iters, shortl
 	fmt.Printf("configuration: %s\n", space.Describe(space.Denormalize(best.Theta)))
 	fmt.Printf("at that point: throughput %.0f txn/s, p99 latency %.1f ms (SLA held)\n", best.Tps, best.Lat)
 	return nil
-}
-
-func pickWorkload(name string) (restune.Workload, error) {
-	switch strings.ToLower(name) {
-	case "sysbench":
-		return restune.Sysbench(10), nil
-	case "sysbench-100g":
-		return restune.Sysbench(100), nil
-	case "tpcc":
-		return restune.TPCC(200), nil
-	case "twitter":
-		return restune.Twitter(), nil
-	case "hotel":
-		return restune.Hotel(), nil
-	case "sales":
-		return restune.Sales(), nil
-	}
-	for i := 1; i <= 5; i++ {
-		if strings.EqualFold(name, fmt.Sprintf("twitter-w%d", i)) {
-			return restune.TwitterVariant(i), nil
-		}
-	}
-	return restune.Workload{}, fmt.Errorf("unknown workload %q", name)
-}
-
-func pickResource(name string) (restune.Resource, error) {
-	switch strings.ToLower(name) {
-	case "cpu":
-		return restune.CPU, nil
-	case "io_bps", "bps":
-		return restune.IOBandwidth, nil
-	case "iops":
-		return restune.IOOperations, nil
-	case "memory", "mem":
-		return restune.Memory, nil
-	}
-	return 0, fmt.Errorf("unknown resource %q", name)
 }
 
 func pickSpace(name string, res restune.Resource) (*restune.Space, error) {

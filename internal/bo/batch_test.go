@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/gp"
 )
 
 func batchTestHistory(n, dim int, seed int64) History {
@@ -90,10 +92,8 @@ func TestTriGPSharedCrossCovBlock(t *testing.T) {
 
 	// Diverged kernel on one metric: it must fall back to its own block
 	// while the other two keep sharing, with parity intact.
-	k := fitted.gps[1].Kernel().Params()
-	k[0] += 0.3
-	fitted.gps[1].Kernel().SetParams(k)
-	if err := fitted.gps[1].Fit(fitted.gps[1].X(), fitted.gps[1].Y()); err != nil {
+	donor := gp.New(gp.NewMatern52(1.7, 0.4), fitted.gps[1].NoiseVariance)
+	if err := fitted.gps[1].AdoptHyperparamsFrom(donor); err != nil {
 		t.Fatal(err)
 	}
 	if fitted.gps[0].SharesCrossCov(fitted.gps[1]) {

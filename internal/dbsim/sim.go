@@ -104,11 +104,6 @@ func WithHalfRAMBufferPool() Option {
 	return func(s *Simulator) { s.FixedBufferPoolBytes = s.HW.RAMBytes / 2 }
 }
 
-// WithNoise sets the relative measurement noise standard deviation.
-func WithNoise(std float64) Option {
-	return func(s *Simulator) { s.NoiseStd = std }
-}
-
 // New returns a simulator for the hardware/workload pair. seed drives the
 // measurement-noise stream.
 func New(hw Hardware, wl WorkloadProfile, seed int64, opts ...Option) *Simulator {
@@ -124,9 +119,6 @@ func New(hw Hardware, wl WorkloadProfile, seed int64, opts ...Option) *Simulator
 	}
 	return s
 }
-
-// Catalogue returns the full knob catalogue the simulator understands.
-func (s *Simulator) Catalogue() *knobs.Space { return s.catalogue }
 
 // resolve merges native values for a knob subspace over catalogue defaults,
 // returning a full-catalogue native configuration.

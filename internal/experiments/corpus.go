@@ -9,17 +9,15 @@ import (
 	"repro/internal/rng"
 )
 
-// CorpusBench is a prepared corpus-scale meta-iteration scenario: one
+// corpusBench is a prepared corpus-scale meta-iteration scenario: one
 // synthetic N-task corpus behind both the all-learners baseline (every task
 // fitted and weighted every iteration) and the shortlisting Corpus path.
-// The root BenchmarkMetaIteration and the restune-bench -corpus-size flag
-// share it, so the CLI and the benchmark measure the same bodies.
-type CorpusBench struct {
-	N          int
-	Target     *meta.BaseLearner
-	Corpus     *meta.Corpus
-	Baseline   []*meta.BaseLearner
-	Candidates [][]float64
+// CorpusScale (restune-bench -corpus-size) times the two.
+type corpusBench struct {
+	target     *meta.BaseLearner
+	corpus     *meta.Corpus
+	baseline   []*meta.BaseLearner
+	candidates [][]float64
 	seed       int64
 	samples    int
 }
@@ -37,11 +35,11 @@ const (
 	corpusBenchFitPool = 16
 )
 
-// NewCorpusBench builds the scenario for an n-task corpus. Setup fits the
+// newCorpusBench builds the scenario for an n-task corpus. Setup fits the
 // target, a pool of baseline surrogates, and warms the corpus shortlist so
 // iteration timings measure steady-state per-iteration cost, not one-time
 // fits.
-func NewCorpusBench(n int, seed int64) (*CorpusBench, error) {
+func newCorpusBench(n int, seed int64) (*corpusBench, error) {
 	tasks := meta.SyntheticCorpus(n, corpusBenchMetaDim, corpusBenchKnobDim, corpusBenchHistLen, seed)
 
 	tgt := meta.SyntheticCorpus(1, corpusBenchMetaDim, corpusBenchKnobDim, 12, seed+1)[0]
@@ -86,45 +84,46 @@ func NewCorpusBench(n int, seed int64) (*CorpusBench, error) {
 		}
 		cands[i] = x
 	}
-	return &CorpusBench{
-		N: n, Target: target, Corpus: corpus, Baseline: baseline,
-		Candidates: cands, seed: seed, samples: 100,
+	return &corpusBench{
+		target: target, corpus: corpus, baseline: baseline,
+		candidates: cands, seed: seed, samples: 100,
 	}, nil
 }
 
-// BaselineIteration runs one all-learners meta iteration: dynamic RGPE
+// baselineIteration runs one all-learners meta iteration: dynamic RGPE
 // weights over every learner in the corpus, then ensemble batch scoring of
 // the candidate block.
-func (cb *CorpusBench) BaselineIteration(iter int) []float64 {
+func (cb *corpusBench) baselineIteration(iter int) []float64 {
 	r := rng.Derive(cb.seed, fmt.Sprintf("dyn:%d", iter))
-	w := meta.DynamicWeightsOpts(cb.Baseline, cb.Target,
+	w := meta.DynamicWeightsOpts(cb.baseline, cb.target,
 		meta.DynamicOptions{Samples: cb.samples}, r)
-	ens := meta.NewEnsemble(cb.Baseline, cb.Target, w)
+	ens := meta.NewEnsemble(cb.baseline, cb.target, w)
 	var post bo.BatchPosterior
-	ens.PredictBatch(cb.Candidates, &post)
+	ens.PredictBatch(cb.candidates, &post)
 	return w
 }
 
-// CorpusIteration runs the same iteration through the shortlist: only
+// corpusIteration runs the same iteration through the shortlist: only
 // active learners get weights and score candidates; the full-corpus weight
 // vector is reconstructed by scatter, as the tuner loop does.
-func (cb *CorpusBench) CorpusIteration(iter int) ([]float64, error) {
-	base, ids, err := cb.Corpus.ActiveLearners()
+func (cb *corpusBench) corpusIteration(iter int) ([]float64, error) {
+	base, ids, err := cb.corpus.ActiveLearners()
 	if err != nil {
 		return nil, err
 	}
 	r := rng.Derive(cb.seed, fmt.Sprintf("dyn:%d", iter))
-	w := meta.DynamicWeightsOpts(base, cb.Target,
+	w := meta.DynamicWeightsOpts(base, cb.target,
 		meta.DynamicOptions{Samples: cb.samples}, r)
-	ens := meta.NewEnsemble(base, cb.Target, w)
+	ens := meta.NewEnsemble(base, cb.target, w)
 	var post bo.BatchPosterior
-	ens.PredictBatch(cb.Candidates, &post)
-	return cb.Corpus.ScatterWeights(ids, w), nil
+	ens.PredictBatch(cb.candidates, &post)
+	return cb.corpus.ScatterWeights(ids, w), nil
 }
 
 // CorpusScale measures per-iteration meta-learning cost against corpus size
-// for both paths — the reproducible CLI counterpart of
-// BenchmarkMetaIteration (restune-bench -corpus-size N -corpus-seed S).
+// for both paths (restune-bench -corpus-size N -corpus-seed S). The
+// repository benchmark's meta-34 and fleet-1k workloads time the same
+// layers inside whole sessions.
 func CorpusScale(sizes []int, seed int64, iters int) (*Report, error) {
 	if iters <= 0 {
 		iters = 10
@@ -133,18 +132,18 @@ func CorpusScale(sizes []int, seed int64, iters int) (*Report, error) {
 	rep.Addf("%8s %12s %16s %16s %8s", "N", "shortlist", "corpus ns/iter", "baseline ns/iter", "ratio")
 	var corpusNs, baselineNs, ratios []float64
 	for _, n := range sizes {
-		cb, err := NewCorpusBench(n, seed)
+		cb, err := newCorpusBench(n, seed)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cb.CorpusIteration(0); err != nil { // warm
+		if _, err := cb.corpusIteration(0); err != nil { // warm
 			return nil, err
 		}
-		cb.BaselineIteration(0)
+		cb.baselineIteration(0)
 
 		t0 := time.Now()
 		for i := 1; i <= iters; i++ {
-			if _, err := cb.CorpusIteration(i); err != nil {
+			if _, err := cb.corpusIteration(i); err != nil {
 				return nil, err
 			}
 		}
@@ -152,11 +151,11 @@ func CorpusScale(sizes []int, seed int64, iters int) (*Report, error) {
 
 		t0 = time.Now()
 		for i := 1; i <= iters; i++ {
-			cb.BaselineIteration(i)
+			cb.baselineIteration(i)
 		}
 		baseline := float64(time.Since(t0).Nanoseconds()) / float64(iters)
 
-		shortlist := len(cb.Corpus.ActiveIDs())
+		shortlist := len(cb.corpus.ActiveIDs())
 		rep.Addf("%8d %12d %16.0f %16.0f %8.3f", n, shortlist, corpus, baseline, corpus/baseline)
 		corpusNs = append(corpusNs, corpus)
 		baselineNs = append(baselineNs, baseline)

@@ -62,20 +62,18 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 		return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
 	}
 	type cand struct {
-		params []float64
+		params [2]float64 // log variance, log length scale
 		noise  float64
 		rows   int  // factor rows finished (telemetry)
 		pruned bool // abandoned against the incumbent (telemetry)
 	}
-	nParams := len(g.kernel.Params())
 	cands := make([]cand, cfg.Candidates)
 	for c := range cands {
-		p := make([]float64, nParams)
-		p[0] = math.Log(logU(varianceMin, varianceMax))
-		for i := 1; i < nParams; i++ {
-			p[i] = math.Log(logU(lengthScaleMin, lengthScaleMax))
-		}
-		cands[c] = cand{params: p, noise: logU(noiseMin, noiseMax)}
+		// Three draws per candidate, in this order: the stream is part of
+		// every recorded session.
+		v := math.Log(logU(varianceMin, varianceMax))
+		l := math.Log(logU(lengthScaleMin, lengthScaleMax))
+		cands[c] = cand{params: [2]float64{v, l}, noise: logU(noiseMin, noiseMax)}
 	}
 
 	// The incumbent's LML (−Inf if it never factored, which abandons nothing
@@ -86,7 +84,7 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	par.ForEach(len(cands), func(i int) {
 		cg := g.cloneForSearch()
 		clones[i] = cg
-		cg.kernel.SetParams(cands[i].params)
+		cg.kernel.SetParams(cands[i].params[:])
 		cg.NoiseVariance = cands[i].noise
 		err := cg.refactor(incumbent)
 		cands[i].rows, cands[i].pruned = cg.bufs.chol.N(), err == errPruned
@@ -130,17 +128,12 @@ func FitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	}
 	// Neither the incumbent nor any candidate factored: fall back to a safe
 	// prior.
-	g.kernel.SetParams(defaultParams(nParams))
+	g.kernel.SetParams(defaultParams())
 	g.NoiseVariance = 0.1
 	_ = g.refactor(math.Inf(-1))
 	return g.LogMarginalLikelihood()
 }
 
-func defaultParams(n int) []float64 {
-	p := make([]float64, n)
-	// variance 1.0 -> log 0; length scales 0.5
-	for i := 1; i < n; i++ {
-		p[i] = math.Log(0.5)
-	}
-	return p
-}
+// defaultParams returns the safe prior's log hyperparameters: variance 1,
+// length scale 0.5.
+func defaultParams() []float64 { return []float64{0, math.Log(0.5)} }

@@ -115,11 +115,11 @@ func TestDownWeightingFadesObservation(t *testing.T) {
 	x := [][]float64{{0.2, 0.8}, {0.8, 0.2}}
 	y := []float64{2, -2}
 
-	trusted := New(NewRBF(1, 0.4), 0.01)
+	trusted := New(NewMatern52(1, 0.4), 0.01)
 	if err := trusted.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	faded := New(NewRBF(1, 0.4), 0.01)
+	faded := New(NewMatern52(1, 0.4), 0.01)
 	faded.SetObservationWeights([]float64{0.05, 1})
 	if err := faded.Fit(x, y); err != nil {
 		t.Fatal(err)

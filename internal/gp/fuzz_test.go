@@ -7,40 +7,24 @@ import (
 )
 
 // FuzzPredictBatch is the differential fuzz target for the batched inference
-// path: for arbitrary training sets, kernels (type, isotropic/ARD, randomized
-// hyperparameters) and batch sizes — including the 0 and 1 edge cases — the
-// batch posterior must equal the point-wise posterior bit for bit. This is
-// the contract that lets the acquisition optimizer switch freely between the
-// two paths without perturbing a single tuning trace.
+// path: for arbitrary training sets, randomized hyperparameters and batch
+// sizes — including the 0 and 1 edge cases — the batch posterior must equal
+// the point-wise posterior bit for bit. This is the contract that lets the
+// acquisition optimizer switch freely between the two paths without
+// perturbing a single tuning trace.
 func FuzzPredictBatch(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(3), uint8(16), false, false)
-	f.Add(int64(2), uint8(1), uint8(1), uint8(0), true, false)
-	f.Add(int64(3), uint8(40), uint8(8), uint8(1), false, true)
-	f.Add(int64(4), uint8(25), uint8(12), uint8(65), true, true)
-	f.Add(int64(-9), uint8(0), uint8(5), uint8(7), false, false)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, dimRaw, mRaw uint8, useRBF, ard bool) {
+	f.Add(int64(1), uint8(10), uint8(3), uint8(16))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(40), uint8(8), uint8(1))
+	f.Add(int64(4), uint8(25), uint8(12), uint8(65))
+	f.Add(int64(-9), uint8(0), uint8(5), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, dimRaw, mRaw uint8) {
 		n := int(nRaw)%48 + 1
 		dim := int(dimRaw)%16 + 1
 		m := int(mRaw) % 80 // includes 0 and 1
 		r := rand.New(rand.NewSource(seed))
 
-		nls := 1
-		if ard {
-			nls = dim
-		}
-		ls := make([]float64, nls)
-		for i := range ls {
-			ls[i] = 0.05 + 2*r.Float64()
-		}
-		variance := 0.05 + 3*r.Float64()
-		var k Kernel
-		if useRBF {
-			k = &RBF{Variance: variance, LengthScales: ls}
-		} else {
-			k = &Matern52{Variance: variance, LengthScales: ls}
-		}
-
-		g := New(k, 1e-4+0.2*r.Float64())
+		g := New(NewMatern52(0.05+3*r.Float64(), 0.05+2*r.Float64()), 1e-4+0.2*r.Float64())
 		x, y := fuzzTraining(n, dim, r)
 		if err := g.Fit(x, y); err != nil {
 			t.Skip("not positive definite for this draw")
@@ -67,8 +51,8 @@ func FuzzPredictBatch(f *testing.F) {
 			wm, wv := g.Predict(xq)
 			if math.Float64bits(mu[j]) != math.Float64bits(wm) ||
 				math.Float64bits(va[j]) != math.Float64bits(wv) {
-				t.Fatalf("seed=%d n=%d dim=%d m=%d rbf=%v ard=%v candidate %d: batch (%x, %x) != point (%x, %x)",
-					seed, n, dim, m, useRBF, ard, j, mu[j], va[j], wm, wv)
+				t.Fatalf("seed=%d n=%d dim=%d m=%d candidate %d: batch (%x, %x) != point (%x, %x)",
+					seed, n, dim, m, j, mu[j], va[j], wm, wv)
 			}
 		}
 	})

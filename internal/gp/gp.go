@@ -17,7 +17,7 @@ import (
 // and FitHyperparams mutate the model and must not run concurrently with
 // anything else on the same GP.
 type GP struct {
-	kernel Kernel
+	kernel Matern52
 	// NoiseVariance is the observation noise variance added to the kernel
 	// diagonal. It is fit together with the kernel hyperparameters.
 	NoiseVariance float64
@@ -142,13 +142,11 @@ func (bb *batchBuf) resize(n, m int) {
 	bb.prior = bb.prior[:m]
 }
 
-// New returns an unfitted GP with the given kernel and noise variance.
-func New(kernel Kernel, noiseVariance float64) *GP {
-	return &GP{kernel: kernel, NoiseVariance: noiseVariance}
+// New returns an unfitted GP with a copy of the given kernel and the given
+// noise variance.
+func New(kernel *Matern52, noiseVariance float64) *GP {
+	return &GP{kernel: *kernel, NoiseVariance: noiseVariance}
 }
-
-// Kernel returns the GP's kernel.
-func (g *GP) Kernel() Kernel { return g.kernel }
 
 // N returns the number of training observations.
 func (g *GP) N() int { return len(g.x) }
@@ -292,15 +290,7 @@ func (g *GP) factorMatchesKernel() bool {
 		return false
 	}
 	p := g.kernel.Params()
-	if len(p) != len(g.factorParams) {
-		return false
-	}
-	for i := range p {
-		if p[i] != g.factorParams[i] {
-			return false
-		}
-	}
-	return true
+	return p[0] == g.factorParams[0] && p[1] == g.factorParams[1]
 }
 
 // viewWeightsMatch reports whether the current factorization's noise
@@ -455,32 +445,21 @@ func (ks *kernelScratch) resize(n int) {
 // fillKernel writes into ks.k what growing the factor over view entries
 // [i0, i0+w) reads of K + Σ + jitter — columns i0..i0+w of the upper
 // triangle, the diagonal with its noise and jitter — leaving the rest of the
-// matrix as found. The isotropic Matérn-5/2 kernel takes the vector rows over
-// the transposed view, whose entries are Eval's bit for bit: the panel's
-// rows in full up to its right edge, then mirrored into the columns above
-// it, which is exact because k(a, b) and k(b, a) are the same bits (the
-// distance squares a difference and its negation alike). Any other kernel is
-// evaluated entry by entry as Eval(tx[i], tx[j]), i ≤ j.
+// matrix as found. The panel's rows are vector kernel rows over the
+// transposed view, whose entries are Eval's bit for bit, in full up to the
+// panel's right edge; they are then mirrored into the columns above it,
+// which is exact because k(a, b) and k(b, a) are the same bits (the distance
+// squares a difference and its negation alike).
 func (g *GP) fillKernel(ks *kernelScratch, i0, w int) {
 	k, tx, hi := &ks.k, g.tx, i0+w
-	if m, ok := g.kernel.(*Matern52); ok && len(m.LengthScales) == 1 {
-		dim, _ := g.xt.Dims()
-		inv := 1 / (m.LengthScales[0] * m.LengthScales[0])
-		for j := i0; j < hi; j++ {
-			ks.matern52Row(k.Row(j)[:hi], tx[j][:dim], &g.xt, 0, m.Variance, inv)
-		}
-		for t := 0; t < i0; t++ {
-			row := k.Row(t)[i0:hi]
-			for p := range row {
-				row[p] = k.At(i0+p, t)
-			}
-		}
-	} else {
-		for i := 0; i < hi; i++ {
-			row := k.Row(i)
-			for j := max(i, i0); j < hi; j++ {
-				row[j] = g.kernel.Eval(tx[i], tx[j])
-			}
+	dim, _ := g.xt.Dims()
+	for j := i0; j < hi; j++ {
+		ks.row(&g.kernel, k.Row(j)[:hi], tx[j][:dim], &g.xt)
+	}
+	for t := 0; t < i0; t++ {
+		row := k.Row(t)[i0:hi]
+		for p := range row {
+			row[p] = k.At(i0+p, t)
 		}
 	}
 	for i := i0; i < hi; i++ {
@@ -615,31 +594,23 @@ func (g *GP) predictBuf() *predictBuf {
 	return pb
 }
 
-// kernelRow fills and returns pb's row k(x, tx[i]) over the view. The
-// isotropic Matérn-5/2 kernel takes the vector row over the transposed view,
-// whose entries are Eval's bit for bit; any other kernel, or an x whose
-// length differs from the view's inputs, is evaluated entry by entry.
+// kernelRow fills and returns pb's row k(x, tx[i]) over the view: the vector
+// row over the transposed view, whose entries are Eval's bit for bit. It
+// panics unless x has the dimension of the training inputs.
 func (g *GP) kernelRow(pb *predictBuf, x []float64) []float64 {
-	n := len(g.tx)
-	ks := pb.ks[:n]
-	dim, cols := g.xt.Dims()
-	if m, ok := g.kernel.(*Matern52); ok && len(m.LengthScales) == 1 && cols == n && dim == len(x) {
-		pb.matern52Row(ks, x, &g.xt, 0, m.Variance, 1/(m.LengthScales[0]*m.LengthScales[0]))
-		return ks
+	if dim, _ := g.xt.Dims(); dim != len(x) {
+		panic(fmt.Sprintf("gp: %d-dimensional point for a GP on %d-dimensional inputs", len(x), dim))
 	}
-	for i, xi := range g.tx {
-		ks[i] = g.kernel.Eval(x, xi)
-	}
+	ks := pb.ks[:len(g.tx)]
+	pb.row(&g.kernel, ks, x, &g.xt)
 	return ks
 }
 
-// CrossCovTo fills dst (an N() x len(X) matrix) with the cross-covariance
+// CrossCovTo fills dst (a TrainN() x len(X) matrix) with the cross-covariance
 // block between the training inputs and the candidate batch X: dst[i][j] =
-// k(x_i, X[j]). Isotropic Matérn-5/2 and RBF kernels — the production
-// configuration — take a transposed fast path whose distance and sqrt passes
-// vectorize over candidates; other kernels evaluate row by row through
-// Kernel.EvalRow with batch-invariant terms hoisted per training point.
-// Either way every entry matches the point-wise Eval bit for bit.
+// k(x_i, X[j]). The candidates are transposed once, so the distance, sqrt
+// and exp passes of every row vectorize over them; every entry matches the
+// point-wise Eval bit for bit.
 func (g *GP) CrossCovTo(dst *mat.Dense, X [][]float64) {
 	tx := g.tx
 	if r, c := dst.Dims(); r != len(tx) || c != len(X) {
@@ -648,21 +619,12 @@ func (g *GP) CrossCovTo(dst *mat.Dense, X [][]float64) {
 	if len(X) == 0 || len(tx) == 0 {
 		return
 	}
-	switch k := g.kernel.(type) {
-	case *Matern52:
-		if len(k.LengthScales) == 1 {
-			crossCovMatern52Iso(dst, tx, X, k)
-			return
-		}
-	case *RBF:
-		if len(k.LengthScales) == 1 {
-			crossCovRBFIso(dst, tx, X, k)
-			return
-		}
-	}
+	dim := len(tx[0])
+	cs := getCrossScratch(X, dim)
 	for i, xi := range tx {
-		g.kernel.EvalRow(xi, X, dst.Row(i))
+		cs.row(&g.kernel, dst.Row(i), xi[:dim], &cs.xt)
 	}
+	crossPool.Put(cs)
 }
 
 // SharesCrossCov reports whether g and o would build bit-identical
@@ -688,7 +650,7 @@ func (g *GP) SharesCrossCov(o *GP) bool {
 			return false
 		}
 	}
-	return KernelsEqual(g.kernel, o.kernel)
+	return g.kernel == o.kernel
 }
 
 // SharesSolve reports whether g and o compute bit-identical posterior
@@ -913,7 +875,7 @@ func (g *GP) LOO() (mu, variance []float64) {
 func (g *GP) cloneForSearch() *GP {
 	return &GP{
 		bufs:          searchBufs.Get().(*factorBufs),
-		kernel:        g.kernel.Clone(),
+		kernel:        g.kernel,
 		NoiseVariance: g.NoiseVariance,
 		x:             g.x,
 		y:             g.y,
@@ -938,8 +900,9 @@ func (g *GP) releaseBufs() {
 // adopt installs the hyperparameters and factorization of a search clone
 // (which shares g's training data) without refactoring: the two swap factor
 // storage, so releasing the clone afterwards recycles what g held before.
-// The kernel object's identity is preserved so external references stay
-// coherent.
+// The hyperparameters pass through log space (Params, SetParams), so g's
+// can differ from the clone's in the last bit; the pinned session traces
+// were recorded with that round trip.
 func (g *GP) adopt(c *GP) {
 	g.kernel.SetParams(c.kernel.Params())
 	g.NoiseVariance = c.NoiseVariance

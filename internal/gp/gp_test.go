@@ -18,29 +18,35 @@ func grid1D(n int) [][]float64 {
 }
 
 func TestKernelBasics(t *testing.T) {
-	for _, k := range []Kernel{NewMatern52(2, 0.3), NewRBF(2, 0.3)} {
-		a := []float64{0.2, 0.8}
-		// k(x,x) = variance
-		if v := k.Eval(a, a); math.Abs(v-2) > 1e-12 {
-			t.Fatalf("k(x,x)=%v want 2", v)
-		}
-		// symmetry
-		b := []float64{0.9, 0.1}
-		if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-15 {
-			t.Fatal("kernel not symmetric")
-		}
-		// decay with distance
-		c := []float64{0.95, 0.05}
-		if k.Eval(a, c) >= k.Eval(a, b) {
-			t.Fatal("kernel should decay with distance")
-		}
-		// params round trip
-		p := k.Params()
-		k2 := k.Clone()
-		k2.SetParams(p)
-		if math.Abs(k2.Eval(a, b)-k.Eval(a, b)) > 1e-12 {
-			t.Fatal("params round trip changed kernel")
-		}
+	k := NewMatern52(2, 0.3)
+	a := []float64{0.2, 0.8}
+	// k(x,x) = variance
+	if v := k.Eval(a, a); math.Abs(v-2) > 1e-12 {
+		t.Fatalf("k(x,x)=%v want 2", v)
+	}
+	// symmetry
+	b := []float64{0.9, 0.1}
+	if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-15 {
+		t.Fatal("kernel not symmetric")
+	}
+	// decay with distance
+	c := []float64{0.95, 0.05}
+	if k.Eval(a, c) >= k.Eval(a, b) {
+		t.Fatal("kernel should decay with distance")
+	}
+	// a shorter length scale decays faster
+	if NewMatern52(2, 0.1).Eval(a, b) >= k.Eval(a, b) {
+		t.Fatal("shorter length scale should decay faster")
+	}
+	// params round trip, in (variance, length scale) order
+	p := k.Params()
+	if math.Abs(math.Exp(p[0])-2) > 1e-12 || math.Abs(math.Exp(p[1])-0.3) > 1e-12 {
+		t.Fatalf("params %v are not log(2), log(0.3)", p)
+	}
+	k2 := NewMatern52(1, 1)
+	k2.SetParams(p)
+	if math.Abs(k2.Eval(a, b)-k.Eval(a, b)) > 1e-12 {
+		t.Fatal("params round trip changed kernel")
 	}
 }
 
@@ -58,19 +64,16 @@ func TestQuickKernelPSD(t *testing.T) {
 				x[i][d] = rng.Float64()
 			}
 		}
-		for _, k := range []Kernel{NewMatern52(1, 0.2+rng.Float64()), NewRBF(1, 0.2+rng.Float64())} {
-			gram := mat.NewDense(n, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					gram.Set(i, j, k.Eval(x[i], x[j]))
-				}
-				gram.Set(i, i, gram.At(i, i)+1e-8)
+		k := NewMatern52(1, 0.2+rng.Float64())
+		gram := mat.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				gram.Set(i, j, k.Eval(x[i], x[j]))
 			}
-			if _, err := mat.NewCholesky(gram); err != nil {
-				return false
-			}
+			gram.Set(i, i, gram.At(i, i)+1e-8)
 		}
-		return true
+		_, err := mat.NewCholesky(gram)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -104,7 +107,7 @@ func TestGPInterpolatesNoiseless(t *testing.T) {
 }
 
 func TestGPPriorBeforeFit(t *testing.T) {
-	g := New(NewRBF(2, 0.5), 0.1)
+	g := New(NewMatern52(2, 0.5), 0.1)
 	mu, v := g.Predict([]float64{0.3})
 	if mu != 0 {
 		t.Fatalf("prior mean: %v", mu)
@@ -115,7 +118,7 @@ func TestGPPriorBeforeFit(t *testing.T) {
 }
 
 func TestGPFitErrors(t *testing.T) {
-	g := New(NewRBF(1, 0.5), 0.01)
+	g := New(NewMatern52(1, 0.5), 0.01)
 	if err := g.Fit(nil, nil); err == nil {
 		t.Fatal("expected error on empty fit")
 	}
@@ -207,7 +210,7 @@ func TestLOO(t *testing.T) {
 			t.Fatalf("LOO var at %d: %v vs refit %v", drop, looVar[drop], v)
 		}
 	}
-	if mu, _ := New(NewRBF(1, 1), 0.1).LOO(); mu != nil {
+	if mu, _ := New(NewMatern52(1, 1), 0.1).LOO(); mu != nil {
 		t.Fatal("LOO on unfitted GP should return nil")
 	}
 }
@@ -253,49 +256,5 @@ func TestGPDeterminism(t *testing.T) {
 	}
 	if build() != build() {
 		t.Fatal("GP pipeline must be deterministic for a fixed seed")
-	}
-}
-
-// TestARDKernels exercises the anisotropic (per-dimension length scale)
-// kernel path: a function varying only along dimension 0 is fit better once
-// the irrelevant dimension's length scale grows.
-func TestARDKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 60; i++ {
-		p := []float64{rng.Float64(), rng.Float64()}
-		x = append(x, p)
-		y = append(y, math.Sin(6*p[0])) // dimension 1 is pure noise input
-	}
-	kern := &Matern52{Variance: 1, LengthScales: []float64{0.5, 0.5}}
-	g := New(kern, 1e-4)
-	if err := g.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	FitHyperparams(g, DefaultFitConfig(), rng)
-	// Predictions track the true function regardless of dim 1.
-	for _, x0 := range []float64{0.2, 0.5, 0.8} {
-		a, _ := g.Predict([]float64{x0, 0.1})
-		b, _ := g.Predict([]float64{x0, 0.9})
-		want := math.Sin(6 * x0)
-		if math.Abs(a-want) > 0.15 || math.Abs(b-want) > 0.15 {
-			t.Fatalf("ARD fit poor at x0=%v: %v, %v want %v", x0, a, b, want)
-		}
-	}
-	// Params round trip covers the ARD slice length.
-	p := kern.Params()
-	if len(p) != 3 {
-		t.Fatalf("ARD params length %d", len(p))
-	}
-	clone := kern.Clone().(*Matern52)
-	if len(clone.LengthScales) != 2 {
-		t.Fatal("clone lost ARD scales")
-	}
-
-	// RBF ARD too.
-	rk := &RBF{Variance: 1, LengthScales: []float64{0.3, 3.0}}
-	if rk.Eval([]float64{0, 0}, []float64{0.1, 0}) >= rk.Eval([]float64{0, 0}, []float64{0, 0.1}) {
-		t.Fatal("short length scale should decay faster")
 	}
 }

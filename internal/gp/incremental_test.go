@@ -58,7 +58,7 @@ func TestIncrementalFitMatchesFullRefit(t *testing.T) {
 // standardization does) and checks exact agreement with a fresh fit.
 func TestIncrementalFitRespectsRestandardizedTargets(t *testing.T) {
 	x, y := randPoints(20, 3, 11)
-	inc := New(NewRBF(1, 0.4), 0.05)
+	inc := New(NewMatern52(1, 0.4), 0.05)
 	scaled := func(n int, scale float64) []float64 {
 		out := make([]float64, n)
 		for i := 0; i < n; i++ {
@@ -74,7 +74,7 @@ func TestIncrementalFitRespectsRestandardizedTargets(t *testing.T) {
 		if err := inc.Fit(x[:n], scaled(n, s)); err != nil {
 			t.Fatal(err)
 		}
-		full := New(NewRBF(1, 0.4), 0.05)
+		full := New(NewMatern52(1, 0.4), 0.05)
 		if err := full.Fit(x[:n], scaled(n, s)); err != nil {
 			t.Fatal(err)
 		}
@@ -95,12 +95,12 @@ func TestFitDetectsHyperparamChange(t *testing.T) {
 	if err := g.Fit(x[:14], y[:14]); err != nil {
 		t.Fatal(err)
 	}
-	g.Kernel().SetParams([]float64{0.3, -0.7})
+	g.kernel.SetParams([]float64{0.3, -0.7})
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
 	want := New(NewMatern52(1, 0.5), 0.01)
-	want.Kernel().SetParams([]float64{0.3, -0.7})
+	want.kernel.SetParams([]float64{0.3, -0.7})
 	if err := want.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}

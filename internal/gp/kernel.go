@@ -1,7 +1,8 @@
-// Package gp implements Gaussian-process regression: covariance kernels,
-// exact inference via Cholesky factorization, marginal-likelihood
-// hyperparameter fitting, and leave-one-out posteriors (needed by the
-// meta-learner's target base-learner evaluation, paper Section 6.4.2).
+// Package gp implements Gaussian-process regression: the Matérn-5/2
+// covariance kernel, exact inference via Cholesky factorization,
+// marginal-likelihood hyperparameter fitting, and leave-one-out posteriors
+// (needed by the meta-learner's target base-learner evaluation, paper
+// Section 6.4.2).
 //
 // Inputs are points of the normalized configuration space [0,1]^m and
 // outputs are standardized metrics, so unit-scale hyperparameter priors work
@@ -12,199 +13,46 @@ import (
 	"math"
 )
 
-// Kernel is a positive-semidefinite covariance function on R^m.
-type Kernel interface {
-	// Eval returns k(a, b).
-	Eval(a, b []float64) float64
-	// EvalRow fills dst[j] = k(x, xs[j]) for every j. It must be
-	// bit-identical to calling Eval(x, xs[j]) point by point; terms that do
-	// not vary across the batch (the inverse squared length scale of an
-	// isotropic kernel) are hoisted out of the loop, which preserves bits
-	// because the hoisted value is computed by the same expression Eval uses.
-	EvalRow(x []float64, xs [][]float64, dst []float64)
-	// Params returns the kernel hyperparameters in log space.
-	Params() []float64
-	// SetParams installs hyperparameters from log space.
-	SetParams(logp []float64)
-	// Clone returns an independent copy.
-	Clone() Kernel
-}
-
-// KernelsEqual reports whether two kernels compute bit-identical covariances:
-// the same concrete type with identical hyperparameters. The GP layer uses it
-// to share cross-covariance blocks between co-trained surrogates.
-func KernelsEqual(a, b Kernel) bool {
-	switch ka := a.(type) {
-	case *Matern52:
-		kb, ok := b.(*Matern52)
-		return ok && ka.Variance == kb.Variance && floatsEqual(ka.LengthScales, kb.LengthScales)
-	case *RBF:
-		kb, ok := b.(*RBF)
-		return ok && ka.Variance == kb.Variance && floatsEqual(ka.LengthScales, kb.LengthScales)
-	}
-	return false
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sqDist returns the squared Euclidean distance scaled per-dimension by the
-// inverse squared length scales. If len(ls) == 1 the kernel is isotropic.
-func sqDist(a, b, ls []float64) float64 {
-	s := 0.0
-	if len(ls) == 1 {
-		inv := 1 / (ls[0] * ls[0])
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d * inv
-		}
-		return s
-	}
-	for i := range a {
-		d := (a[i] - b[i]) / ls[i]
-		s += d * d
-	}
-	return s
-}
-
-// Matern52 is the Matérn-5/2 kernel, the standard choice for Bayesian
-// optimization surrogates (BoTorch's default, which the paper builds on).
+// Matern52 is the isotropic Matérn-5/2 kernel, the standard choice for
+// Bayesian optimization surrogates (BoTorch's default, which the paper builds
+// on) and the one covariance every GP runs:
+//
+//	k(a, b) = σ²·(1 + r + r²/3)·exp(−r),  r = √5·‖a − b‖ / l.
 type Matern52 struct {
 	// Variance is the signal variance σ².
 	Variance float64
-	// LengthScales holds one (isotropic) or m (ARD) length scales.
-	LengthScales []float64
+	// LengthScale is the length scale l, shared by every dimension.
+	LengthScale float64
 }
 
-// NewMatern52 returns an isotropic Matérn-5/2 kernel.
+// NewMatern52 returns a Matérn-5/2 kernel.
 func NewMatern52(variance, lengthScale float64) *Matern52 {
-	return &Matern52{Variance: variance, LengthScales: []float64{lengthScale}}
+	return &Matern52{Variance: variance, LengthScale: lengthScale}
 }
 
-// Eval implements Kernel.
+// invSq returns 1/l², the factor every squared difference is scaled by. Eval
+// and the vector rows (rowScratch.row) both take it from here, so their
+// distances carry the same bits.
+func (k *Matern52) invSq() float64 { return 1 / (k.LengthScale * k.LengthScale) }
+
+// Eval returns k(a, b).
 func (k *Matern52) Eval(a, b []float64) float64 {
-	r2 := sqDist(a, b, k.LengthScales)
-	r := math.Sqrt(5 * r2)
-	return k.Variance * (1 + r + 5*r2/3) * math.Exp(-r)
+	inv, s := k.invSq(), 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d * inv
+	}
+	r := math.Sqrt(5 * s)
+	return k.Variance * (1 + r + 5*s/3) * math.Exp(-r)
 }
 
-// EvalRow implements Kernel. The isotropic inverse squared length scale is
-// hoisted once per row (the same 1/(l·l) expression sqDist computes per
-// call), so every dst[j] matches Eval(x, xs[j]) bit for bit.
-func (k *Matern52) EvalRow(x []float64, xs [][]float64, dst []float64) {
-	v, ls := k.Variance, k.LengthScales
-	if len(ls) == 1 {
-		inv := 1 / (ls[0] * ls[0])
-		for j, b := range xs {
-			b = b[:len(x)]
-			s := 0.0
-			for i := range x {
-				d := x[i] - b[i]
-				s += d * d * inv
-			}
-			r := math.Sqrt(5 * s)
-			dst[j] = v * (1 + r + 5*s/3) * math.Exp(-r)
-		}
-		return
-	}
-	for j, b := range xs {
-		s := sqDist(x, b, ls)
-		r := math.Sqrt(5 * s)
-		dst[j] = v * (1 + r + 5*s/3) * math.Exp(-r)
-	}
-}
-
-// Params implements Kernel.
+// Params returns the hyperparameters in log space: log variance, then log
+// length scale.
 func (k *Matern52) Params() []float64 {
-	p := make([]float64, 1+len(k.LengthScales))
-	p[0] = math.Log(k.Variance)
-	for i, l := range k.LengthScales {
-		p[i+1] = math.Log(l)
-	}
-	return p
+	return []float64{math.Log(k.Variance), math.Log(k.LengthScale)}
 }
 
-// SetParams implements Kernel.
+// SetParams installs hyperparameters from log space, in Params' order.
 func (k *Matern52) SetParams(logp []float64) {
-	k.Variance = math.Exp(logp[0])
-	for i := range k.LengthScales {
-		k.LengthScales[i] = math.Exp(logp[i+1])
-	}
-}
-
-// Clone implements Kernel.
-func (k *Matern52) Clone() Kernel {
-	return &Matern52{Variance: k.Variance, LengthScales: append([]float64(nil), k.LengthScales...)}
-}
-
-// RBF is the squared-exponential kernel.
-type RBF struct {
-	// Variance is the signal variance σ².
-	Variance float64
-	// LengthScales holds one (isotropic) or m (ARD) length scales.
-	LengthScales []float64
-}
-
-// NewRBF returns an isotropic RBF kernel.
-func NewRBF(variance, lengthScale float64) *RBF {
-	return &RBF{Variance: variance, LengthScales: []float64{lengthScale}}
-}
-
-// Eval implements Kernel.
-func (k *RBF) Eval(a, b []float64) float64 {
-	return k.Variance * math.Exp(-0.5*sqDist(a, b, k.LengthScales))
-}
-
-// EvalRow implements Kernel with the same per-batch hoisting as
-// Matern52.EvalRow.
-func (k *RBF) EvalRow(x []float64, xs [][]float64, dst []float64) {
-	v, ls := k.Variance, k.LengthScales
-	if len(ls) == 1 {
-		inv := 1 / (ls[0] * ls[0])
-		for j, b := range xs {
-			b = b[:len(x)]
-			s := 0.0
-			for i := range x {
-				d := x[i] - b[i]
-				s += d * d * inv
-			}
-			dst[j] = v * math.Exp(-0.5*s)
-		}
-		return
-	}
-	for j, b := range xs {
-		dst[j] = v * math.Exp(-0.5*sqDist(x, b, ls))
-	}
-}
-
-// Params implements Kernel.
-func (k *RBF) Params() []float64 {
-	p := make([]float64, 1+len(k.LengthScales))
-	p[0] = math.Log(k.Variance)
-	for i, l := range k.LengthScales {
-		p[i+1] = math.Log(l)
-	}
-	return p
-}
-
-// SetParams implements Kernel.
-func (k *RBF) SetParams(logp []float64) {
-	k.Variance = math.Exp(logp[0])
-	for i := range k.LengthScales {
-		k.LengthScales[i] = math.Exp(logp[i+1])
-	}
-}
-
-// Clone implements Kernel.
-func (k *RBF) Clone() Kernel {
-	return &RBF{Variance: k.Variance, LengthScales: append([]float64(nil), k.LengthScales...)}
+	k.Variance, k.LengthScale = math.Exp(logp[0]), math.Exp(logp[1])
 }

@@ -22,16 +22,12 @@ func exhaustiveFitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	logU := func(lo, hi float64) float64 {
 		return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
 	}
-	nParams := len(g.kernel.Params())
 	params := make([][]float64, cfg.Candidates)
 	noise := make([]float64, cfg.Candidates)
 	for c := range params {
-		p := make([]float64, nParams)
-		p[0] = math.Log(logU(varianceMin, varianceMax))
-		for i := 1; i < nParams; i++ {
-			p[i] = math.Log(logU(lengthScaleMin, lengthScaleMax))
-		}
-		params[c], noise[c] = p, logU(noiseMin, noiseMax)
+		v := math.Log(logU(varianceMin, varianceMax))
+		l := math.Log(logU(lengthScaleMin, lengthScaleMax))
+		params[c], noise[c] = []float64{v, l}, logU(noiseMin, noiseMax)
 	}
 	lml := make([]float64, cfg.Candidates)
 	clones := make([]*GP, cfg.Candidates)
@@ -62,7 +58,7 @@ func exhaustiveFitHyperparams(g *GP, cfg FitConfig, rng *rand.Rand) float64 {
 	if g.chol != nil {
 		return bestLML
 	}
-	g.kernel.SetParams(defaultParams(nParams))
+	g.kernel.SetParams(defaultParams())
 	g.NoiseVariance = 0.1
 	_ = g.refactor(math.Inf(-1))
 	return g.LogMarginalLikelihood()

@@ -27,9 +27,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int returns an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: v} }
 
-// Uint returns an unsigned integer attribute.
-func Uint(k string, v uint64) Attr { return Attr{Key: k, Value: v} }
-
 // Float returns a float attribute.
 func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 

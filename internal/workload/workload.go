@@ -289,12 +289,6 @@ func (w Workload) WithRequestRate(rate float64) Workload {
 	return w
 }
 
-// WithDataBytes returns a copy of w with the data size replaced.
-func (w Workload) WithDataBytes(bytes int64) Workload {
-	w.Profile.DataBytes = bytes
-	return w
-}
-
 // MetaFeatureDistance is the Euclidean distance between two meta-feature
 // vectors (used for the static weights, Eq. 8, and Table 5's reporting).
 func MetaFeatureDistance(a, b []float64) float64 {

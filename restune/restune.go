@@ -28,7 +28,9 @@
 package restune
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/baselines"
@@ -220,6 +222,79 @@ func Sales() Workload { return workload.Sales() }
 
 // Workloads returns the paper's five evaluation workloads.
 func Workloads() []Workload { return workload.Five() }
+
+// namedWorkloads is the one name → workload table of the command-line tools,
+// in the order their help text lists it.
+var namedWorkloads = []struct {
+	name string
+	make func() Workload
+}{
+	{"sysbench", func() Workload { return Sysbench(10) }},
+	{"sysbench-100g", func() Workload { return Sysbench(100) }},
+	{"tpcc", func() Workload { return TPCC(200) }},
+	{"twitter", Twitter},
+	{"hotel", Hotel},
+	{"sales", Sales},
+	{"twitter-w1", func() Workload { return TwitterVariant(1) }},
+	{"twitter-w2", func() Workload { return TwitterVariant(2) }},
+	{"twitter-w3", func() Workload { return TwitterVariant(3) }},
+	{"twitter-w4", func() Workload { return TwitterVariant(4) }},
+	{"twitter-w5", func() Workload { return TwitterVariant(5) }},
+}
+
+// WorkloadNames lists the names WorkloadByName accepts.
+func WorkloadNames() []string {
+	names := make([]string, len(namedWorkloads))
+	for i, nw := range namedWorkloads {
+		names[i] = nw.name
+	}
+	return names
+}
+
+// WorkloadByName returns the workload a command-line name stands for; case
+// does not matter.
+func WorkloadByName(name string) (Workload, error) {
+	for _, nw := range namedWorkloads {
+		if strings.EqualFold(name, nw.name) {
+			return nw.make(), nil
+		}
+	}
+	return Workload{}, fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(WorkloadNames(), ", "))
+}
+
+// namedResources is the one name → resource table of the command-line
+// tools; the first name of each entry is the one help text lists.
+var namedResources = []struct {
+	names []string
+	res   Resource
+}{
+	{[]string{"cpu"}, CPU},
+	{[]string{"io_bps", "bps"}, IOBandwidth},
+	{[]string{"iops"}, IOOperations},
+	{[]string{"memory", "mem"}, Memory},
+}
+
+// ResourceNames lists the names ResourceByName accepts, aliases left out.
+func ResourceNames() []string {
+	names := make([]string, len(namedResources))
+	for i, nr := range namedResources {
+		names[i] = nr.names[0]
+	}
+	return names
+}
+
+// ResourceByName returns the resource a command-line name stands for: one
+// of ResourceNames, or the alias bps or mem; case does not matter.
+func ResourceByName(name string) (Resource, error) {
+	for _, nr := range namedResources {
+		for _, n := range nr.names {
+			if strings.EqualFold(name, n) {
+				return nr.res, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("unknown resource %q (want one of %s)", name, strings.Join(ResourceNames(), ", "))
+}
 
 // NewCharacterizer trains the workload-characterization pipeline
 // (reserved-word TF-IDF -> random forest -> meta-feature).

@@ -1,6 +1,7 @@
 package restune_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/restune"
@@ -118,5 +119,42 @@ func TestPublicExperiments(t *testing.T) {
 	full := restune.FullExperimentParams()
 	if full.Iters != 200 || full.Runs != 3 {
 		t.Fatal("full protocol should match the paper")
+	}
+}
+
+// TestNamedWorkloadsAndResources resolves every name the command-line tools
+// list, in any case, to a distinct workload or resource, and rejects an
+// unknown one.
+func TestNamedWorkloadsAndResources(t *testing.T) {
+	seen := map[string]string{}
+	for _, name := range restune.WorkloadNames() {
+		w, err := restune.WorkloadByName(strings.ToUpper(name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if prev, dup := seen[w.Name]; dup {
+			t.Fatalf("%s and %s both name workload %s", prev, name, w.Name)
+		}
+		seen[w.Name] = name
+	}
+	if _, err := restune.WorkloadByName("nope"); err == nil {
+		t.Fatal("an unknown workload resolved")
+	}
+	want := []restune.Resource{restune.CPU, restune.IOBandwidth, restune.IOOperations, restune.Memory}
+	names := restune.ResourceNames()
+	if len(names) != len(want) {
+		t.Fatalf("resource names %v, want one per resource of %v", names, want)
+	}
+	for i, name := range append(names, "bps", "MEM") {
+		res, err := restune.ResourceByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if i < len(want) && res != want[i] {
+			t.Fatalf("%s resolves to %v, want %v", name, res, want[i])
+		}
+	}
+	if _, err := restune.ResourceByName("nope"); err == nil {
+		t.Fatal("an unknown resource resolved")
 	}
 }

@@ -25,31 +25,22 @@
 #      cannot drift from the amd64 declarations
 #   6. go test -race ./...           (short mode: the crash harness strides
 #                                     its boundary enumeration under -short)
-#   7. a benchmark smoke pass: the batched math-core benchmarks, the
-#      corpus-scale meta-iteration benchmark, the fleet-scaling benchmark,
-#      the simulated-day drift benchmark and the long-history sparse-GP
-#      benchmark run once (-benchtime=1x) so a broken benchmark cannot land
-#      silently; so does the minidb engine family (point select, insert,
-#      range scan, group commit, sharded pool, replay workers, one
-#      deterministic Measure per sweep shape, open/close). Run-only: no
-#      timing is recorded or compared here (benchmark/ is where speed is
-#      measured); the behaviour these benchmarks report — drift violations,
-#      fleet hit rate, sparse accuracy — is asserted by step 4's tests
-#   8. telemetry smoke runs: restune-tune -trace must emit a non-empty,
+#   7. telemetry smoke runs: restune-tune -trace must emit a non-empty,
 #      schema-valid JSONL artifact for ResTune and for the iTuned baseline
 #      (whose core.iteration spans must carry its "ei" phase: baselines run
 #      the same instrumented session loop), a 2-session restune-server fleet must
 #      emit schema-valid per-session and fleet streams, and a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
 #      spans carry drift/trust-region attrs
-#   9. a staleness check of results_quick.txt (amd64 only, where its float
+#   8. a staleness check of results_quick.txt (amd64 only, where its float
 #      bits were recorded): restune-bench -all -iters 100 is regenerated and
 #      diffed against the committed file, with the "(... completed in ...)"
 #      wall-clock lines and the table3 block (stage timings) masked on both
 #      sides
-#  10. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
-#      FuzzSearchPruning included (the pruned search vs the exhaustive one),
-#      and FuzzCountPairs (the vector pair counter vs the double loop)
+#   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
+#      FuzzPredictBatch included (the batched posterior vs the point-wise
+#      one), FuzzSearchPruning (the pruned search vs the exhaustive one) and
+#      FuzzCountPairs (the vector pair counter vs the double loop)
 #
 # Environment:
 #   FUZZTIME=30s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing
@@ -89,14 +80,6 @@ GOARCH=arm64 go vet ./internal/mat ./internal/gp
 
 echo "==> go test -race -short ./..."
 go test -race -short ./...
-
-echo "==> benchmark smoke (-benchtime=1x)"
-go test -run '^$' \
-    -bench 'PredictBatch$|OptimizeAcqPointwise$|OptimizeAcqBatched$|^BenchmarkMetaIteration$|^BenchmarkFleetSessions$|^BenchmarkDriftSimulatedDay$|^BenchmarkGPFitLongHistory$' \
-    -benchtime 1x .
-go test -run '^$' \
-    -bench '^BenchmarkEngine(PointSelect|Insert|RangeScan)$|^BenchmarkCommitGroup$|^BenchmarkBufferPoolSharded$|^BenchmarkReplayWorkers$|^BenchmarkMeasureDeterministic$|^BenchmarkOpenClose$' \
-    -benchtime 1x .
 
 echo "==> telemetry smoke (restune-tune -trace)"
 tracedir="$(mktemp -d)"
