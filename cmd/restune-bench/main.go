@@ -8,8 +8,6 @@
 //	restune-bench -id fig3
 //	restune-bench -id table4 -full
 //	restune-bench -all -iters 40 > results.txt
-//	restune-bench -corpus-size 34,100,1000 -corpus-seed 1
-//	restune-bench -history-size 256,1000,2000
 //	restune-bench -timeline diurnal -iters 48
 //	restune-bench -timeline sched.csv
 package main
@@ -21,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,13 +36,7 @@ func main() {
 		csvDir    = flag.String("csv", "", "also write each experiment's numeric series as CSV into this directory")
 		tracePath = flag.String("trace", "", "write a JSONL telemetry trace of every tuning session to this file")
 		debugAddr = flag.String("debug-addr", "", "serve expvar/metrics/pprof on this address (e.g. localhost:6060) while experiments run")
-
-		corpusSize = flag.String("corpus-size", "", "run the corpus-scaling measurement over these synthetic corpus sizes (comma-separated, e.g. 34,100,1000) instead of a paper experiment")
-		corpusSeed = flag.Int64("corpus-seed", 1, "seed for the deterministic synthetic corpus (-corpus-size)")
-
-		historySize = flag.String("history-size", "", "run the long-history model-update comparison (exact vs sparse GP inference) at these observation counts (comma-separated, e.g. 256,1000,2000) instead of a paper experiment")
-
-		timeline = flag.String("timeline", "", "run the simulated-day drift comparison (drift-aware vs stationary tuning) over this timeline: a profile name (diurnal, spike, ramp, flat), \"all\", or a CSV load file of offset_seconds,rate_mult[,write_boost] rows")
+		timeline  = flag.String("timeline", "", "run the simulated-day drift comparison (drift-aware vs stationary tuning) over this timeline: a profile name (diurnal, spike, ramp, flat), \"all\", or a CSV load file of offset_seconds,rate_mult[,write_boost] rows")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -60,16 +51,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "restune-bench: -all and -id are mutually exclusive")
 		os.Exit(2)
 	}
-	if *corpusSize != "" && (*all || *id != "") {
-		fmt.Fprintln(os.Stderr, "restune-bench: -corpus-size is mutually exclusive with -id/-all")
+	if *timeline != "" && (*all || *id != "") {
+		fmt.Fprintln(os.Stderr, "restune-bench: -timeline is mutually exclusive with -id/-all")
 		os.Exit(2)
 	}
-	if *historySize != "" && (*all || *id != "" || *corpusSize != "") {
-		fmt.Fprintln(os.Stderr, "restune-bench: -history-size is mutually exclusive with -id/-all/-corpus-size")
-		os.Exit(2)
-	}
-	if *timeline != "" && (*all || *id != "" || *corpusSize != "" || *historySize != "") {
-		fmt.Fprintln(os.Stderr, "restune-bench: -timeline is mutually exclusive with -id/-all/-corpus-size/-history-size")
+	if *timeline != "" && *csvDir != "" {
+		fmt.Fprintln(os.Stderr, "restune-bench: -csv does not apply to -timeline, which writes no series")
 		os.Exit(2)
 	}
 
@@ -77,19 +64,6 @@ func main() {
 		for _, eid := range restune.ExperimentIDs() {
 			fmt.Printf("%-8s %s\n", eid, restune.ExperimentTitle(eid))
 		}
-		return
-	}
-
-	if *corpusSize != "" {
-		sweep("-corpus-size", *corpusSize, *csvDir, "corpus scaling", func(sizes []int) (*restune.ExperimentReport, error) {
-			return restune.CorpusScale(sizes, *corpusSeed, *iters)
-		})
-		return
-	}
-	if *historySize != "" {
-		sweep("-history-size", *historySize, *csvDir, "history scaling", func(sizes []int) (*restune.ExperimentReport, error) {
-			return restune.HistoryScale(sizes, *seed, *iters)
-		})
 		return
 	}
 
@@ -155,7 +129,7 @@ func main() {
 	if *all {
 		ids = restune.ExperimentIDs()
 	} else if *id == "" {
-		fmt.Fprintln(os.Stderr, "restune-bench: pass -id <experiment>, -all, -list, -timeline, -corpus-size or -history-size")
+		fmt.Fprintln(os.Stderr, "restune-bench: pass -id <experiment>, -all, -list or -timeline")
 		os.Exit(2)
 	}
 
@@ -165,10 +139,15 @@ func main() {
 		if err != nil {
 			die("%s: %v", eid, err)
 		}
-		if err := emit(rep, *csvDir, eid, start); err != nil {
-			die("%v", err)
+		fmt.Print(rep.String())
+		if *csvDir != "" {
+			path, err := writeCSV(*csvDir, rep)
+			if err != nil {
+				die("writing CSV: %v", err)
+			}
+			fmt.Printf("(series written to %s)\n", path)
 		}
-		fmt.Println()
+		fmt.Printf("(%s completed in %s)\n\n", eid, time.Since(start).Round(time.Millisecond))
 	}
 	if trace != nil {
 		if err := trace.Close(); err != nil {
@@ -223,55 +202,6 @@ func runTimeline(arg string, p restune.ExperimentParams) error {
 		}
 	}
 	return nil
-}
-
-// sweep runs a size-sweep measurement (-corpus-size, -history-size) over
-// the sizes listed in the named flag and prints its report.
-func sweep(flagName, list, csvDir, label string, run func(sizes []int) (*restune.ExperimentReport, error)) {
-	sizes, err := parseSizes(flagName, list)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "restune-bench:", err)
-		os.Exit(2)
-	}
-	start := time.Now()
-	rep, err := run(sizes)
-	if err == nil {
-		err = emit(rep, csvDir, label, start)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "restune-bench:", err)
-		os.Exit(1)
-	}
-}
-
-// emit prints a report, writes its series as CSV into csvDir when one is
-// given, and says how long the run since start took.
-func emit(rep *restune.ExperimentReport, csvDir, label string, start time.Time) error {
-	fmt.Print(rep.String())
-	if csvDir != "" {
-		path, err := writeCSV(csvDir, rep)
-		if err != nil {
-			return fmt.Errorf("writing CSV: %w", err)
-		}
-		fmt.Printf("(series written to %s)\n", path)
-	}
-	fmt.Printf("(%s completed in %s)\n", label, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// parseSizes parses a comma-separated positive size list for the named
-// flag (-corpus-size, -history-size).
-func parseSizes(name, s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%s: %q is not a positive size", name, p)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
 }
 
 // writeCSV dumps an experiment's series, one row per series, as

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,12 +28,12 @@ func main() {
 		workloadName = flag.String("workload", "sysbench", "workload: "+strings.Join(restune.WorkloadNames(), ", "))
 		instance     = flag.String("instance", "A", "instance type A-F (paper Table 1)")
 		resource     = flag.String("resource", "cpu", "resource to minimize: "+strings.Join(restune.ResourceNames(), ", "))
-		knobSet      = flag.String("knobs", "", "knob space: cpu (14), memory (6), io (20), case-study (3); default follows -resource")
+		knobSet      = flag.String("knobs", "", "knob space: cpu (14), memory (6), io (20), case-study (3); default follows -resource (not with -engine)")
 		method       = flag.String("method", "restune", "method: restune, ituned, ottertune, cdbtune, grid, default")
 		iters        = flag.Int("iters", 50, "tuning iterations")
 		seed         = flag.Int64("seed", 1, "random seed")
-		repoPath     = flag.String("repo", "", "repository JSON for meta-learning (restune only)")
-		shortlist    = flag.Int("shortlist", 0, "with -repo: on a corpus too large to weight every base task, shortlist the top-K per iteration (0 = default K)")
+		repoPath     = flag.String("repo", "", "repository JSON for meta-learning (restune and ottertune only)")
+		shortlist    = flag.Int("shortlist", 0, "with -repo and -method restune: on a corpus too large to weight every base task, shortlist the top-K per iteration (0 = default K)")
 		converge     = flag.Bool("converge", false, "stop early under the paper's 0.5%/10-iteration convergence rule")
 		verbose      = flag.Bool("v", false, "print every iteration")
 		engine       = flag.Bool("engine", false, "measure against the real minidb storage engine instead of the simulator (slower, real I/O; engine-relevant knobs only)")
@@ -52,10 +53,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "restune-tune: -shortlist must not be negative (got %d)\n", *shortlist)
 		os.Exit(2)
 	}
+	if err := checkFlags(*method, *knobSet, *repoPath, *shortlist, *engine); err != nil {
+		fmt.Fprintln(os.Stderr, "restune-tune:", err)
+		os.Exit(2)
+	}
 	if err := run(*workloadName, *instance, *resource, *knobSet, *method, *iters, *shortlist, *seed, *repoPath, *tracePath, *debugAddr, *converge, *verbose, *engine); err != nil {
 		fmt.Fprintln(os.Stderr, "restune-tune:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects the flag combinations that a session would accept and
+// then ignore: a -shortlist no corpus reads, a -repo no method reads, and a
+// -knobs space that -engine replaces with the knobs minidb implements.
+func checkFlags(method, knobSet, repoPath string, shortlist int, engine bool) error {
+	m := strings.ToLower(method)
+	switch {
+	case shortlist > 0 && (repoPath == "" || m != "restune"):
+		return errors.New("-shortlist applies only to -method restune with -repo")
+	case repoPath != "" && (m == "ituned" || m == "cdbtune" || m == "grid" || m == "default"):
+		return fmt.Errorf("-method %s reads no repository; -repo applies only to restune and ottertune", method)
+	case knobSet != "" && engine:
+		return errors.New("-engine tunes the knobs minidb implements; -knobs does not apply")
+	}
+	return nil
 }
 
 func run(workloadName, instance, resource, knobSet, method string, iters, shortlist int, seed int64, repoPath, tracePath, debugAddr string, converge, verbose, engine bool) (retErr error) {

@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain makes the test binary restune-tune itself when RESTUNE_TUNE_ARGS
+// is set (arguments separated by newlines), so a test can run the command
+// and read its exit code.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("RESTUNE_TUNE_ARGS"); ok {
+		os.Args = append(os.Args[:1], strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsIgnoredFlagCombinations: a flag the chosen session would
+// ignore is an error (exit 2, the flag named on stderr) before any session
+// starts, so nothing reaches stdout. The last rows pass the check and fail
+// later, on a repository file that does not exist.
+func TestRejectsIgnoredFlagCombinations(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-shortlist", "4"}, 2, "-shortlist"},
+		{[]string{"-shortlist", "4", "-method", "ituned"}, 2, "-shortlist"},
+		{[]string{"-shortlist", "4", "-method", "ottertune", "-repo", missing}, 2, "-shortlist"},
+		{[]string{"-repo", missing, "-method", "ituned"}, 2, "-repo"},
+		{[]string{"-repo", missing, "-method", "CDBTune"}, 2, "-repo"},
+		{[]string{"-repo", missing, "-method", "grid"}, 2, "-repo"},
+		{[]string{"-repo", missing, "-method", "default"}, 2, "-repo"},
+		{[]string{"-knobs", "cpu", "-engine"}, 2, "-knobs"},
+		{[]string{"-knobs", "case-study", "-engine", "-method", "default"}, 2, "-knobs"},
+		{[]string{"-shortlist", "4", "-repo", missing}, 1, missing},
+		{[]string{"-method", "ottertune", "-repo", missing}, 1, missing},
+	} {
+		args := append([]string{"-iters", "2"}, tc.args...)
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "RESTUNE_TUNE_ARGS="+strings.Join(args, "\n"))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: exit %d, stderr %q; want exit %d naming %q",
+				strings.Join(tc.args, " "), code, stderr.String(), tc.code, tc.stderr)
+		}
+		if tc.code == 2 && stdout.Len() > 0 {
+			t.Errorf("%s: a session started before the rejection: %q", strings.Join(tc.args, " "), stdout.String())
+		}
+	}
+}

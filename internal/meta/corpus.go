@@ -130,9 +130,6 @@ func (c *Corpus) Resident() int {
 // shortlist path (false on the exact small-corpus fallback).
 func (c *Corpus) Shortlisting() bool { return c.shortlisting }
 
-// ActiveIDs returns the current active task indices, ascending.
-func (c *Corpus) ActiveIDs() []int { return append([]int(nil), c.active...) }
-
 func (c *Corpus) exactThreshold() int {
 	switch {
 	case c.opts.ExactThreshold > 0:

@@ -44,7 +44,7 @@ func TestCorpusExactFallback(t *testing.T) {
 	if c.Shortlisting() {
 		t.Fatal("5 tasks should take the exact fallback")
 	}
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
+	if got := c.active; !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("exact path must activate every task in order, got %v", got)
 	}
 	for _, n := range fits {
@@ -86,7 +86,7 @@ func TestCorpusShortlistNearest(t *testing.T) {
 	}
 	// Neighbors of task 10 by distance: 10, then {9,11} tied, then {8,12}
 	// tied — the last slot breaks toward the lower id, 8.
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{8, 9, 10, 11}) {
+	if got := c.active; !reflect.DeepEqual(got, []int{8, 9, 10, 11}) {
 		t.Fatalf("shortlist around task 10: got %v", got)
 	}
 	if _, _, err := c.ActiveLearners(); err != nil {
@@ -113,7 +113,7 @@ func TestCorpusShortlistSkipsIncomparable(t *testing.T) {
 	}
 	// 7 comparable tasks <= K=8: all comparable tasks active, none of the
 	// incomparable ones.
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{0, 1, 5, 6, 7, 8, 9}) {
+	if got := c.active; !reflect.DeepEqual(got, []int{0, 1, 5, 6, 7, 8, 9}) {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestCorpusNoComparableTargetFallsBackToFirstK(t *testing.T) {
 	if err := c.Activate(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ActiveIDs(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+	if got := c.active; !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("nil target should fall back to the first K tasks, got %v", got)
 	}
 }

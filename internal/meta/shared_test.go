@@ -154,18 +154,18 @@ func TestSharedCorpusSessionViewsAreIndependent(t *testing.T) {
 	if err := a.Activate(tasks[0].MetaFeature); err != nil {
 		t.Fatal(err)
 	}
-	aIDs := a.ActiveIDs()
+	aIDs := append([]int(nil), a.active...)
 	if err := b.Activate(tasks[n-1].MetaFeature); err != nil {
 		t.Fatal(err)
 	}
-	bIDs := b.ActiveIDs()
+	bIDs := b.active
 	if len(aIDs) != k || len(bIDs) != k {
 		t.Fatalf("shortlists %v and %v, want %d tasks each", aIDs, bIDs, k)
 	}
 	if reflect.DeepEqual(aIDs, bIDs) {
 		t.Fatalf("different targets produced the same shortlist %v", aIDs)
 	}
-	if got := a.ActiveIDs(); !reflect.DeepEqual(got, aIDs) {
+	if got := a.active; !reflect.DeepEqual(got, aIDs) {
 		t.Fatalf("session a shortlist moved from %v to %v when b activated", aIDs, got)
 	}
 	if _, _, err := a.ActiveLearners(); err != nil {

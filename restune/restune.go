@@ -424,7 +424,7 @@ func NewSharedCorpus(tasks []CorpusTask, rec Recorder) *SharedCorpus {
 func NewFleet(cfg FleetConfig) *Fleet { return core.NewFleet(cfg) }
 
 // SyntheticCorpus generates n deterministic synthetic base tasks — the
-// corpus behind restune-bench -corpus-size and BenchmarkMetaIteration.
+// corpus behind restune-server -synthetic-corpus.
 func SyntheticCorpus(n, metaDim, dim, histLen int, seed int64) []CorpusTask {
 	return meta.SyntheticCorpus(n, metaDim, dim, histLen, seed)
 }
@@ -502,23 +502,6 @@ func RunExperiment(id string, p ExperimentParams) (*ExperimentReport, error) {
 
 // ExperimentIDs lists the available experiment ids.
 func ExperimentIDs() []string { return experiments.IDs() }
-
-// CorpusScale measures per-iteration meta-learning cost against synthetic
-// corpus size for the shortlisted and all-learners paths (restune-bench
-// -corpus-size). It is not part of ExperimentIDs: the corpus sizes the
-// scaling argument needs would dominate an -all run.
-func CorpusScale(sizes []int, seed int64, iters int) (*ExperimentReport, error) {
-	return experiments.CorpusScale(sizes, seed, iters)
-}
-
-// HistoryScale measures the per-iteration surrogate model-update cost of
-// exact versus subset-of-data sparse GP inference at the given observation
-// history lengths, along with the recommendation each arm lands on
-// (restune-bench -history-size). Like CorpusScale it is not part of
-// ExperimentIDs: the exact arm at n=2000 is deliberately cubic.
-func HistoryScale(sizes []int, seed int64, iters int) (*ExperimentReport, error) {
-	return experiments.HistoryScale(sizes, seed, iters)
-}
 
 // ExperimentTitle returns an experiment's description.
 func ExperimentTitle(id string) string { return experiments.Title(id) }
