@@ -59,6 +59,11 @@ func main() {
 	}
 	if err := run(*workloadName, *instance, *resource, *knobSet, *method, *iters, *shortlist, *seed, *repoPath, *tracePath, *debugAddr, *converge, *verbose, *engine); err != nil {
 		fmt.Fprintln(os.Stderr, "restune-tune:", err)
+		if errors.Is(err, restune.ErrGridTooLarge) {
+			// -method grid over a -knobs space too wide to enumerate is a
+			// usage error, refused before the session starts.
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }

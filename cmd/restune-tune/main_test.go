@@ -45,25 +45,44 @@ func TestRejectsIgnoredFlagCombinations(t *testing.T) {
 		{[]string{"-shortlist", "4", "-repo", missing}, 1, missing},
 		{[]string{"-method", "ottertune", "-repo", missing}, 1, missing},
 	} {
-		args := append([]string{"-iters", "2"}, tc.args...)
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "RESTUNE_TUNE_ARGS="+strings.Join(args, "\n"))
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		code := 0
-		var exit *exec.ExitError
-		if errors.As(err, &exit) {
-			code = exit.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
+		code, stdout, stderr := runTune(t, append([]string{"-iters", "2"}, tc.args...))
+		if code != tc.code || !strings.Contains(stderr, tc.stderr) {
 			t.Errorf("%s: exit %d, stderr %q; want exit %d naming %q",
-				strings.Join(tc.args, " "), code, stderr.String(), tc.code, tc.stderr)
+				strings.Join(tc.args, " "), code, stderr, tc.code, tc.stderr)
 		}
-		if tc.code == 2 && stdout.Len() > 0 {
-			t.Errorf("%s: a session started before the rejection: %q", strings.Join(tc.args, " "), stdout.String())
+		if tc.code == 2 && stdout != "" {
+			t.Errorf("%s: a session started before the rejection: %q", strings.Join(tc.args, " "), stdout)
 		}
 	}
+}
+
+// TestRejectsGridOverWideSpace: -method grid over the 14-knob CPU space
+// would enumerate 8^14 points. The grid search refuses it before its
+// session starts, and the command exits 2 with the message rather than
+// panicking or running.
+func TestRejectsGridOverWideSpace(t *testing.T) {
+	code, stdout, stderr := runTune(t, []string{"-method", "grid", "-knobs", "cpu", "-iters", "2"})
+	if code != 2 || strings.Contains(stderr, "panic") || !strings.Contains(stderr, "restune-tune: grid search: grid too large") {
+		t.Fatalf("exit %d, stderr %q; want exit 2 with the grid cap's message", code, stderr)
+	}
+	if strings.Contains(stdout, "SLA from default") {
+		t.Fatalf("a session ran: %q", stdout)
+	}
+}
+
+// runTune runs restune-tune with args and returns its exit code and output.
+func runTune(t *testing.T, args []string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "RESTUNE_TUNE_ARGS="+strings.Join(args, "\n"))
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return code, out.String(), errOut.String()
 }

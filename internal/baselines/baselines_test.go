@@ -1,6 +1,9 @@
 package baselines
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bo"
@@ -197,8 +200,8 @@ func TestCDBTuneWConRuns(t *testing.T) {
 
 func TestGridSearch(t *testing.T) {
 	g := NewGridSearch(core.DefaultConfig(7), 4)
-	if g.Size(3) != 64 {
-		t.Fatalf("size: %d", g.Size(3))
+	if g.size(3) != 64 {
+		t.Fatalf("size: %d", g.size(3))
 	}
 	res, err := g.Run(twitterEv(7), 0)
 	if err != nil {
@@ -213,6 +216,28 @@ func TestGridSearch(t *testing.T) {
 	}
 	if NewGridSearch(core.DefaultConfig(7), 0).PointsPerDim != 8 {
 		t.Fatal("default resolution should be 8")
+	}
+}
+
+// A grid over a wide knob space is refused before its session starts: 8
+// points on each of the 14 CPU knobs would be 8^14 iterations, and 8^dim
+// overflows int from 21 knobs on.
+func TestGridSearchRejectsWideSpace(t *testing.T) {
+	g := NewGridSearch(core.DefaultConfig(7), 8)
+	for dim, want := range map[int]int{0: 1, 5: 32768, 20: 1 << 60, 21: math.MaxInt, 1000: math.MaxInt} {
+		if got := g.size(dim); got != want {
+			t.Errorf("size(%d) = %d, want %d", dim, got, want)
+		}
+	}
+	w := workload.Twitter()
+	sim := dbsim.New(dbsim.Instance("A"), w.Profile, 7, dbsim.WithHalfRAMBufferPool())
+	ev := core.NewSimEvaluator(sim, knobs.CPUSpace(), dbsim.CPUPct)
+	res, err := g.Run(ev, 50)
+	if !errors.Is(err, ErrGridTooLarge) || res != nil {
+		t.Fatalf("14-knob grid: result %v, error %v; want ErrGridTooLarge", res, err)
+	}
+	if !strings.Contains(err.Error(), "14 knobs") {
+		t.Fatalf("error %q does not name the knob count", err)
 	}
 }
 
@@ -235,9 +260,9 @@ func TestGridSearchIgnoresStoppingRulesAndTrustRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Iterations) != g.Size(3)+1 || res.Converged {
+		if len(res.Iterations) != g.size(3)+1 || res.Converged {
 			t.Fatalf("%s: iterations %d, converged %v; want the full grid of %d",
-				name, len(res.Iterations), res.Converged, g.Size(3))
+				name, len(res.Iterations), res.Converged, g.size(3))
 		}
 		for i, it := range res.Iterations {
 			want := plain.Iterations[i].Observation

@@ -1,8 +1,21 @@
 package baselines
 
 import (
+	"errors"
+	"fmt"
+	"math"
+
 	"repro/internal/core"
 )
+
+// maxGridPoints caps the grid a GridSearch session measures: 8 points on
+// each of 5 knobs (32 768) fits, 8 on 6 (262 144) does not. Every point is a
+// session iteration, so the cap bounds the session's history and its time.
+const maxGridPoints = 1 << 16
+
+// ErrGridTooLarge is returned, wrapped, by GridSearch.Run when the grid over
+// the evaluator's knob space exceeds maxGridPoints; no session is started.
+var ErrGridTooLarge = errors.New("grid search: grid too large")
 
 // GridSearch exhaustively evaluates a per-dimension grid — the case study's
 // "known ground-truth" (an 8x8x8 grid over the three Twitter knobs,
@@ -29,18 +42,30 @@ func NewGridSearch(cfg core.Config, pointsPerDim int) *GridSearch {
 // Name implements core.Tuner.
 func (g *GridSearch) Name() string { return "GridSearch" }
 
-// Size returns the total number of grid points for a dimension count.
-func (g *GridSearch) Size(dim int) int {
+// size returns the total number of grid points for a dimension count,
+// saturating at math.MaxInt.
+func (g *GridSearch) size(dim int) int {
 	n := 1
 	for i := 0; i < dim; i++ {
+		if n > math.MaxInt/g.PointsPerDim {
+			return math.MaxInt
+		}
 		n *= g.PointsPerDim
 	}
 	return n
 }
 
-// Run implements core.Tuner, evaluating every grid point.
+// Run implements core.Tuner, evaluating every grid point. A grid of more
+// than maxGridPoints points is refused with ErrGridTooLarge before the
+// session starts.
 func (g *GridSearch) Run(ev core.Evaluator, _ int) (*core.Result, error) {
-	return withPolicy(g.cfg, g.Name(), &grid{points: g.PointsPerDim}).Run(ev, g.Size(ev.Space().Dim()))
+	dim := ev.Space().Dim()
+	n := g.size(dim)
+	if n > maxGridPoints {
+		return nil, fmt.Errorf("%w: %d points on each of %d knobs is over the cap of %d grid points",
+			ErrGridTooLarge, g.PointsPerDim, dim, maxGridPoints)
+	}
+	return withPolicy(g.cfg, g.Name(), &grid{points: g.PointsPerDim}).Run(ev, n)
 }
 
 // grid walks the grid in odometer order, first knob fastest.

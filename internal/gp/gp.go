@@ -65,11 +65,13 @@ type GP struct {
 	appendsSinceSelect int
 	reselects          int
 
-	// xt holds tx transposed (dim x TrainN, one view entry per column) in
-	// xtData, for the vector kernel rows of refactor's fill and of point-wise
-	// prediction (kernelRow). Fit rebuilds it in place whenever it sets the
-	// view; search clones share it read-only with the GP they were cloned
-	// from, whose view they refactor.
+	// xt holds tx transposed (dim x lanes(TrainN): one view entry per
+	// column, then up to seven copies of column 0) in xtData, for the vector
+	// kernel rows of refactor's fill and of point-wise prediction
+	// (kernelRow), which run over the padded width and drop the padding
+	// lanes. Fit rebuilds it in place whenever it sets the view; search
+	// clones share it read-only with the GP they were cloned from, whose
+	// view they refactor.
 	xtData []float64
 	xt     mat.Dense
 
@@ -88,7 +90,6 @@ type GP struct {
 
 type predictBuf struct {
 	ks, v []float64
-	rowScratch
 }
 
 // batchBuf is the pooled workspace of one PredictBatch call: the n x m
@@ -113,13 +114,13 @@ type factorBufs struct {
 
 var searchBufs = sync.Pool{New: func() any { return new(factorBufs) }}
 
-// kernelScratch is the n x n matrix a refactor fills and factors, with the
-// scratch of the fill's kernel rows. It is needed only in between, so
+// kernelScratch is the n x n matrix a refactor fills and factors, its rows
+// padded to the transposed view's lanes(n) columns so that every fill row is
+// a whole number of vector blocks. It is needed only in between, so
 // concurrent refactors share a pool of them and no GP holds one.
 type kernelScratch struct {
 	data []float64
 	k    mat.Dense
-	rowScratch
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -276,11 +277,12 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 // storage (grown in roomFor steps, like the factor's).
 func (g *GP) transposeView() {
 	n, dim := len(g.tx), len(g.tx[0])
-	if cap(g.xtData) < dim*n {
+	w := lanes(n)
+	if cap(g.xtData) < dim*w {
 		g.xtData = make([]float64, dim*roomFor(n))
 	}
-	g.xt.Reset(dim, n, g.xtData[:dim*n])
-	transposeTo(g.xtData, g.tx, dim)
+	g.xt.Reset(dim, w, g.xtData[:dim*w])
+	transposeTo(g.xtData, g.tx, dim, w)
 }
 
 // factorMatchesKernel reports whether the current factorization was built
@@ -433,28 +435,30 @@ func (g *GP) refactor(beat float64) error {
 	return nil
 }
 
-// resize sizes the scratch for an n x n matrix.
+// resize sizes the scratch for an n x n matrix with rows of lanes(n).
 func (ks *kernelScratch) resize(n int) {
-	if room := roomFor(n); cap(ks.data) < n*n {
+	w := lanes(n)
+	if room := roomFor(n); cap(ks.data) < n*w {
 		ks.data = make([]float64, room*room)
-		ks.r, ks.e = make([]float64, room), make([]float64, room)
 	}
-	ks.k.Reset(n, n, ks.data[:n*n])
+	ks.k.Reset(n, w, ks.data[:n*w])
 }
 
 // fillKernel writes into ks.k what growing the factor over view entries
 // [i0, i0+w) reads of K + Σ + jitter — columns i0..i0+w of the upper
-// triangle, the diagonal with its noise and jitter — leaving the rest of the
-// matrix as found. The panel's rows are vector kernel rows over the
-// transposed view, whose entries are Eval's bit for bit, in full up to the
-// panel's right edge; they are then mirrored into the columns above it,
-// which is exact because k(a, b) and k(b, a) are the same bits (the distance
-// squares a difference and its negation alike).
+// triangle, the diagonal with its noise and jitter. The panel's rows are
+// vector kernel rows over the transposed view, whose entries are Eval's bit
+// for bit, in full up to the panel's right edge rounded up to whole vector
+// blocks; they are then mirrored into the columns above it, which is exact
+// because k(a, b) and k(b, a) are the same bits (the distance squares a
+// difference and its negation alike). The rest of the matrix is left as
+// found but for up to seven entries past the edge in each panel row: columns
+// the next panel's mirror rewrites before the factor reads them, or padding.
 func (g *GP) fillKernel(ks *kernelScratch, i0, w int) {
 	k, tx, hi := &ks.k, g.tx, i0+w
 	dim, _ := g.xt.Dims()
 	for j := i0; j < hi; j++ {
-		ks.row(&g.kernel, k.Row(j)[:hi], tx[j][:dim], &g.xt)
+		g.kernel.row(k.Row(j)[:lanes(hi)], tx[j][:dim], &g.xt)
 	}
 	for t := 0; t < i0; t++ {
 		row := k.Row(t)[i0:hi]
@@ -579,37 +583,39 @@ func (g *GP) PredictMean(x []float64) float64 {
 }
 
 // predictBuf takes a point-wise scratch buffer sized for the view from the
-// pool; the caller puts it back. Its four arrays share one allocation.
+// pool; the caller puts it back. Its two arrays share one allocation.
 func (g *GP) predictBuf() *predictBuf {
 	n := len(g.tx)
 	pb, _ := g.scratch.Get().(*predictBuf)
 	if pb == nil {
 		pb = &predictBuf{}
 	}
-	if cap(pb.ks) < n {
+	if cap(pb.ks) < lanes(n) {
 		room := roomFor(n)
-		all := make([]float64, 4*room)
-		pb.ks, pb.v, pb.r, pb.e = all[:room:room], all[room:2*room:2*room], all[2*room:3*room:3*room], all[3*room:]
+		all := make([]float64, 2*room)
+		pb.ks, pb.v = all[:room:room], all[room:]
 	}
 	return pb
 }
 
 // kernelRow fills and returns pb's row k(x, tx[i]) over the view: the vector
-// row over the transposed view, whose entries are Eval's bit for bit. It
-// panics unless x has the dimension of the training inputs.
+// row over the transposed view's padded width, whose entries are Eval's bit
+// for bit, cut to the view. It panics unless x has the dimension of the
+// training inputs.
 func (g *GP) kernelRow(pb *predictBuf, x []float64) []float64 {
-	if dim, _ := g.xt.Dims(); dim != len(x) {
+	dim, w := g.xt.Dims()
+	if dim != len(x) {
 		panic(fmt.Sprintf("gp: %d-dimensional point for a GP on %d-dimensional inputs", len(x), dim))
 	}
-	ks := pb.ks[:len(g.tx)]
-	pb.row(&g.kernel, ks, x, &g.xt)
-	return ks
+	ks := pb.ks[:w]
+	g.kernel.row(ks, x, &g.xt)
+	return ks[:len(g.tx)]
 }
 
 // CrossCovTo fills dst (a TrainN() x len(X) matrix) with the cross-covariance
 // block between the training inputs and the candidate batch X: dst[i][j] =
-// k(x_i, X[j]). The candidates are transposed once, so the distance, sqrt
-// and exp passes of every row vectorize over them; every entry matches the
+// k(x_i, X[j]). The candidates are transposed once, so the distance and
+// Matérn passes of every row vectorize over them; every entry matches the
 // point-wise Eval bit for bit.
 func (g *GP) CrossCovTo(dst *mat.Dense, X [][]float64) {
 	tx := g.tx
@@ -622,7 +628,7 @@ func (g *GP) CrossCovTo(dst *mat.Dense, X [][]float64) {
 	dim := len(tx[0])
 	cs := getCrossScratch(X, dim)
 	for i, xi := range tx {
-		cs.row(&g.kernel, dst.Row(i), xi[:dim], &cs.xt)
+		g.kernel.row(dst.Row(i), xi[:dim], &cs.xt)
 	}
 	crossPool.Put(cs)
 }

@@ -11,6 +11,8 @@ package gp
 
 import (
 	"math"
+
+	"repro/internal/mat"
 )
 
 // Matern52 is the isotropic Matérn-5/2 kernel, the standard choice for
@@ -31,8 +33,8 @@ func NewMatern52(variance, lengthScale float64) *Matern52 {
 }
 
 // invSq returns 1/l², the factor every squared difference is scaled by. Eval
-// and the vector rows (rowScratch.row) both take it from here, so their
-// distances carry the same bits.
+// and the vector rows (row) both take it from here, so their distances carry
+// the same bits.
 func (k *Matern52) invSq() float64 { return 1 / (k.LengthScale * k.LengthScale) }
 
 // Eval returns k(a, b).
@@ -44,6 +46,17 @@ func (k *Matern52) Eval(a, b []float64) float64 {
 	}
 	r := math.Sqrt(5 * s)
 	return k.Variance * (1 + r + 5*s/3) * math.Exp(-r)
+}
+
+// row fills row[j] = k(x, column j of xt) in two vector passes that replay
+// Eval's op sequence per column: the scaled squared distance (sub, square,
+// scale by the hoisted 1/(l·l), add over ascending dimensions; see
+// mat.SqDistColsTo), then, in place, r = sqrt(5·s) and
+// v·(1+r+5·s/3)·exp(−r) (mat.MaternTo). Every entry matches Eval(x, column)
+// bit for bit.
+func (k *Matern52) row(row, x []float64, xt *mat.Dense) {
+	mat.SqDistColsTo(row, x, xt, 0, k.invSq())
+	mat.MaternTo(row, k.Variance)
 }
 
 // Params returns the hyperparameters in log space: log variance, then log

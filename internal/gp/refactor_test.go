@@ -104,7 +104,8 @@ func (ref *reference) loo(g *GP) (mu, variance []float64) {
 
 // TestVectorFillMatchesEvalLoop holds the vector kernel code to the scalar
 // reference above. A history grows one point at a time to 150 — view sizes
-// on both sides of the vector width and of the factor's 16-row panel — plain,
+// on both sides of the vector width and of the factor's 16-row panel, every
+// padding width of the transposed view from n = 1 on — plain,
 // with observation weights, under a sparse view and under both; at every size
 // refactor's filled upper triangle, the point-wise kernel row and the
 // cross-covariance block must match Eval entry by entry, and everything built
@@ -148,8 +149,26 @@ func TestVectorFillMatchesEvalLoop(t *testing.T) {
 		check := func(n int, path string) {
 			t.Helper()
 			m := g.TrainN()
-			if _, cols := g.xt.Dims(); cols != m || g.chol == nil {
-				t.Fatalf("%s n=%d after %s: view of %d points, transposed %d", mode, n, path, m, cols)
+			if g.chol == nil {
+				t.Fatalf("%s n=%d after %s: no factor", mode, n, path)
+			}
+			// The transposed view is padded to whole vector blocks with
+			// copies of column 0.
+			if rows, cols := g.xt.Dims(); rows != dim || cols != (m+7)/8*8 {
+				t.Fatalf("%s n=%d after %s: view of %d points transposed %dx%d, want %dx%d", mode, n, path, m, rows, cols, dim, (m+7)/8*8)
+			}
+			for d := 0; d < dim; d++ {
+				for j := 0; j < m; j++ {
+					if !same(g.xt.At(d, j), g.tx[j][d]) {
+						t.Fatalf("%s n=%d after %s: transposed[%d][%d] is not coordinate %d of view entry %d", mode, n, path, d, j, d, j)
+					}
+				}
+				_, cols := g.xt.Dims()
+				for j := m; j < cols; j++ {
+					if !same(g.xt.At(d, j), g.xt.At(d, 0)) {
+						t.Fatalf("%s n=%d after %s: pad column %d differs from column 0 in row %d", mode, n, path, j, d)
+					}
+				}
 			}
 			ref := newReference(t, g)
 			got := fillAll(g)

@@ -229,75 +229,89 @@ func TestSolveLowerMatchesOneRowLoop(t *testing.T) {
 	}
 }
 
-// checkExp holds ExpTo to math.Exp on src in every SIMD mode, separately and
-// in place.
-func checkExp(t *testing.T, src []float64) {
+// maternWant is the Matérn-5/2 entry for the scaled squared distance s
+// under variance v, in Eval's op order — written out here rather than read
+// from the package, so the test does not share the code it checks.
+func maternWant(s, v float64) float64 {
+	r := math.Sqrt(5 * s)
+	return v * (1 + r + 5*s/3) * math.Exp(-r)
+}
+
+// checkMatern holds MaternTo to maternWant on every entry of src, bit for
+// bit, in every SIMD mode.
+func checkMatern(t *testing.T, src []float64, v float64) {
 	t.Helper()
 	eachSIMDMode(func(mode string) {
-		dst := make([]float64, len(src))
-		ExpTo(dst, src)
-		inPlace := append([]float64(nil), src...)
-		ExpTo(inPlace, inPlace)
-		for j, x := range src {
-			want := math.Float64bits(math.Exp(x))
-			if math.Float64bits(dst[j]) != want || math.Float64bits(inPlace[j]) != want {
-				t.Fatalf("%s: exp(%v) [%d of %d] = %x (in place %x), math.Exp gives %x",
-					mode, x, j, len(src), math.Float64bits(dst[j]), math.Float64bits(inPlace[j]), want)
+		got := append([]float64(nil), src...)
+		MaternTo(got, v)
+		for j, s := range src {
+			if want := maternWant(s, v); math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Fatalf("%s: matern(%v, %v) [%d of %d] = %x, Eval's expression gives %x",
+					mode, s, v, j, len(src), math.Float64bits(got[j]), math.Float64bits(want))
 			}
 		}
 	})
 }
 
-// expEdges are arguments on and around every exit of math.Exp's straight
-// line: zeros, infinities, NaN, the vector range's two ends, the denormal
-// and underflow thresholds, overflow, and tiny arguments.
-var expEdges = []float64{
-	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-	-708, math.Nextafter(-708, -1000), math.Nextafter(-708, 0), -708.4, -709, -720, -745.2, -746, -1e300,
-	709, math.Nextafter(709, 1000), math.Nextafter(709, 0), 709.5, 709.78, 709.8, 710, 1e300,
-	1e-300, -1e-300, 5e-324, -5e-324, 1, -1, 0.5, -699.99, -194.599, 88.7,
+// r708 is the distance whose radius √(5s) is 708, the end of the vector
+// range: beyond it exp(−r) heads for math.Exp's denormal exit.
+const r708 = 708 * 708 / 5.0
+
+// maternEdges are distances on and around every exit of the vector path:
+// zeros, subnormals, tiny and huge values, NaN, +Inf, a negative distance
+// (NaN radius), radii on both sides of 708, where exp(−r) turns subnormal
+// and where it underflows to zero, and 5s overflowing to +Inf.
+var maternEdges = []float64{
+	0, math.Copysign(0, -1), 5e-324, 1e-310, 0x1p-1022, 1e-300, math.NaN(), math.Inf(1), -1,
+	r708, math.Nextafter(r708, 0), math.Nextafter(r708, 1e6), 707 * 707 / 5.0, 709 * 709 / 5.0,
+	720 * 720 / 5.0, 745 * 745 / 5.0, 746 * 746 / 5.0, 1e300, 1e308,
+	0.5, 1, 3, 17, 4000,
 }
 
-// TestExpToMatchesMathExp checks more than a million arguments across the
-// whole finite range of the result, the edges in every lane of a block, and
-// every length from 0 to 9.
-func TestExpToMatchesMathExp(t *testing.T) {
+// TestMaternToMatchesEval checks more than a million distances across the
+// whole vector range and past it, the edges in every lane of a block, and
+// every width from 0 to 33.
+func TestMaternToMatchesEval(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	src := make([]float64, 1<<20+3)
 	for j := range src {
 		switch j % 4 {
 		case 0:
-			src[j] = r.Float64()*1500 - 750 // subnormal results and overflow included
+			rad := r.Float64() * 760 // radii past 708 included
+			src[j] = rad * rad / 5
 		case 1:
-			src[j] = -r.ExpFloat64() * 20 // where kernel arguments live
+			src[j] = r.ExpFloat64() * 4 // where kernel rows live
 		default:
-			src[j] = r.NormFloat64() * 100
+			src[j] = math.Abs(r.NormFloat64()) * 300
 		}
 	}
-	checkExp(t, src)
-	for _, e := range expEdges {
-		for lane := 0; lane < 4; lane++ {
-			block := []float64{-1.5, 2.25, -30, 0.125, -7, 11, 3, -0.5, 4}
-			block[lane] = e
-			block[4+(lane+1)%4] = e
-			checkExp(t, block)
+	checkMatern(t, src, 1.7)
+	for _, v := range []float64{1.7, 1, 0.013} {
+		for _, e := range maternEdges {
+			for lane := 0; lane < 4; lane++ {
+				block := []float64{1.5, 0.25, 30, 0.125, 7, 11, 3, 0.5, 4}
+				block[lane] = e
+				block[4+(lane+1)%4] = e
+				checkMatern(t, block, v)
+			}
 		}
 	}
-	for n := 0; n <= 9; n++ {
-		checkExp(t, src[:n])
-		checkExp(t, expEdges[:n])
+	for n := 0; n <= 33; n++ {
+		checkMatern(t, src[:n], 1.7)
+		checkMatern(t, maternEdges[:min(n, len(maternEdges))], 1.7)
 	}
 }
 
-// FuzzExpTo holds ExpTo to math.Exp on fuzzed blocks: four arguments the
-// fuzzer controls bit by bit, placed at a fuzzed offset among ordinary ones.
-func FuzzExpTo(f *testing.F) {
-	f.Add(0.0, -1.0, 709.8, -745.2, uint8(0))
-	f.Add(math.NaN(), math.Inf(-1), -708.4, 1e-310, uint8(5))
-	f.Fuzz(func(t *testing.T, a, b, c, d float64, shape uint8) {
-		src := []float64{-0.25, -3, -17.5, -120, -0.001, -55, -2, -9, -700, -300, -1}
+// FuzzMaternRow holds MaternTo to Eval's expression on fuzzed blocks: four
+// distances and a variance the fuzzer controls bit by bit, the four placed
+// at a fuzzed offset among ordinary distances.
+func FuzzMaternRow(f *testing.F) {
+	f.Add(0.0, 1e-310, r708, math.Inf(1), 1.7, uint8(0))
+	f.Add(math.NaN(), -1.0, 720*720/5.0, 5e-324, 0.5, uint8(5))
+	f.Fuzz(func(t *testing.T, a, b, c, d, v float64, shape uint8) {
+		src := []float64{0.25, 3, 17.5, 120, 0.001, 55, 2, 9, 700, 300, 1}
 		src = src[:4+int(shape>>2)%8]
 		copy(src[int(shape&3)%(len(src)-3):], []float64{a, b, c, d})
-		checkExp(t, src)
+		checkMatern(t, src, v)
 	})
 }

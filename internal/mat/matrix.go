@@ -181,6 +181,9 @@ func SqDistColsTo(s []float64, x []float64, xt *Dense, lo int, inv float64) {
 	if w8 > 0 {
 		sqDistRow(&s[0], &x[0], &xt.data[lo], xt.rows, xt.cols, w8, inv)
 	}
+	if w8 == w {
+		return
+	}
 	for j := w8; j < w; j++ {
 		s[j] = 0
 	}
@@ -193,54 +196,42 @@ func SqDistColsTo(s []float64, x []float64, xt *Dense, lo int, inv float64) {
 	}
 }
 
-// SqrtScaleTo fills r[j] = sqrt(c·s[j]) — one rounded multiply, one rounded
-// square root per element, matching math.Sqrt(c*s[j]) bit for bit. r may
-// alias s.
-func SqrtScaleTo(r, s []float64, c float64) {
-	if len(r) != len(s) {
-		panic(fmt.Sprintf("mat: sqrtscale length mismatch %d != %d", len(r), len(s)))
-	}
-	w8 := 0
-	if simdOn {
-		w8 = len(s) &^ 7
-	}
-	if w8 > 0 {
-		sqrtScaleRow(&r[0], &s[0], c, w8)
-	}
-	for j := w8; j < len(s); j++ {
-		r[j] = math.Sqrt(c * s[j])
-	}
-}
+// A maternKernel is a vector Matérn pass: it replaces row[j] = s by
+// matern(s, v) over w entries, w a positive multiple of 4, stops in front of
+// the first block of four holding a distance outside the range its
+// straight-line path covers, and returns how many it replaced.
+type maternKernel func(row *float64, v float64, w int) int
 
-// An expKernel is a vector exponential: it fills dst[j] = math.Exp(src[j])
-// over w arguments, w a positive multiple of 4, stops in front of the first
-// block of four holding an argument outside the range its straight-line
-// path covers, and returns how many it filled.
-type expKernel func(dst, src *float64, w int) int
-
-// ExpTo fills dst[j] = math.Exp(src[j]), bit for bit. dst may alias src.
-// Where a vector kernel is in use (see expRow) it handles whole blocks of
-// four arguments inside the range where math.Exp runs straight through; a
-// block holding any other argument (NaN, an infinity, a result that would
-// be subnormal or overflow), and the tail, go through math.Exp itself.
-func ExpTo(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mat: exp length mismatch %d != %d", len(dst), len(src)))
-	}
+// MaternTo replaces every scaled squared distance s in row by the
+// Matérn-5/2 covariance variance·(1 + r + 5s/3)·exp(−r), r = √(5s), in place,
+// every entry carrying the bits of the scalar expression matern below. Where
+// a vector kernel is in use (see maternRow) it handles whole blocks of four
+// whose exponents −r lie in [−708, 0], where math.Exp runs straight through;
+// a block holding any other distance (NaN, +Inf, or r past 708, whose
+// exponential would be subnormal), and the tail past the last whole block,
+// go through the scalar expression.
+func MaternTo(row []float64, variance float64) {
 	j := 0
-	if simdOn && expRow != nil {
-		for w4 := len(src) &^ 3; j < w4; {
-			j += expRow(&dst[j], &src[j], w4-j)
+	if simdOn && maternRow != nil {
+		for w4 := len(row) &^ 3; j < w4; {
+			j += maternRow(&row[j], variance, w4-j)
 			if j < w4 {
 				for e := j + 4; j < e; j++ {
-					dst[j] = math.Exp(src[j])
+					row[j] = matern(row[j], variance)
 				}
 			}
 		}
 	}
-	for ; j < len(src); j++ {
-		dst[j] = math.Exp(src[j])
+	for ; j < len(row); j++ {
+		row[j] = matern(row[j], variance)
 	}
+}
+
+// matern is one entry of MaternTo: the op order of the isotropic kernel's
+// point-wise evaluation (gp's Matern52.Eval), which the vector lanes repeat.
+func matern(s, v float64) float64 {
+	r := math.Sqrt(5 * s)
+	return v * (1 + r + 5*s/3) * math.Exp(-r)
 }
 
 // pairsCrossover is the length from which counting every pair with the
@@ -356,9 +347,10 @@ func (c *Cholesky) Factor(a *Dense) error {
 // Grow extends the factor of a's leading N()×N() block to its leading
 // (N()+w)×(N()+w) block. It reads only columns [N(), N()+w) of a's upper
 // triangle (rows 0 to N()+w), so a caller may write a a panel at a time just
-// before growing over it, and stop between panels. If the grown block is not
-// positive definite, Grow returns the error and keeps the factor of the
-// leading N()×N() block.
+// before growing over it, and stop between panels; a may have more columns
+// than rows (rows padded for a vector kernel), which are never read. If the
+// grown block is not positive definite, Grow returns the error and keeps the
+// factor of the leading N()×N() block.
 //
 // Row i of L is the forward solve of column i of a, down to the diagonal,
 // through the rows above it (the arithmetic Append documents), so
@@ -373,7 +365,7 @@ func (c *Cholesky) Factor(a *Dense) error {
 // without.
 func (c *Cholesky) Grow(a *Dense, w int) error {
 	i0, n := c.n, c.n+w
-	if a.rows != a.cols || w < 0 || n > a.rows {
+	if a.rows > a.cols || w < 0 || n > a.rows {
 		return fmt.Errorf("mat: cannot grow a factor of %d rows by %d over a %dx%d matrix", i0, w, a.rows, a.cols)
 	}
 	c.Reserve(a.rows)

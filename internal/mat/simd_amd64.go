@@ -32,35 +32,38 @@ func detectAVX() bool {
 	return lo&0x6 == 0x6
 }
 
-// expRow is the vector exponential ExpTo uses, nil for none.
-var expRow = pickExpRow()
+// maternRow is the vector Matérn pass MaternTo uses, nil for none.
+var maternRow = pickMaternRow()
 
-// pickExpRow returns the vector kernel that reproduces math.Exp in this
-// process. CPUID only says which kernels can execute; which of math.Exp's
-// two branches the runtime took is not CPUID's to say —
-// GODEBUG=cpu.fma=off clears math.useFMA on a CPU that has FMA, and a later
-// Go release may change the algorithm altogether. So each runnable kernel is
-// held against math.Exp on a fixed probe set (the two branches disagree, by
-// one ulp, on about a tenth of it) and the first to match every bit is used;
-// if none does, ExpTo stays scalar.
-func pickExpRow() expKernel {
-	kernels := runnableExpKernels()
+// pickMaternRow returns the vector kernel that reproduces the scalar Matérn
+// expression (matern) in this process. CPUID only says which kernels can
+// execute; which of math.Exp's two branches the runtime took is not CPUID's
+// to say — GODEBUG=cpu.fma=off clears math.useFMA on a CPU that has FMA, and
+// a later Go release may change the algorithm altogether. So each runnable
+// kernel is held against matern on a fixed probe set whose exponents
+// −r = −√(5s) cover the vector range [−708, 0] (math.Exp's two branches
+// disagree, by one ulp, on about a tenth of it), and the first to match
+// every bit is used; if none does, MaternTo stays scalar.
+func pickMaternRow() maternKernel {
+	kernels := runnableMaternKernels()
 	if len(kernels) == 0 {
 		return nil
 	}
-	const probes = 1024
+	const probes, v = 1024, 1.7
 	src := make([]float64, probes)
 	want := make([]float64, probes)
 	for j := range src {
 		// An irrational stride over the kernels' whole range, so the probes
 		// share no pattern with the reduction constants.
-		src[j] = math.Mod(float64(j)*math.Pi*7, 1417) - 708
-		want[j] = math.Exp(src[j])
+		r := math.Mod(float64(j)*math.Pi*7, 708)
+		src[j] = r * r / 5
+		want[j] = matern(src[j], v)
 	}
 	got := make([]float64, probes)
 next:
 	for _, k := range kernels {
-		if k(&got[0], &src[0], probes) != probes {
+		copy(got, src)
+		if k(&got[0], v, probes) != probes {
 			continue
 		}
 		for j := range got {
@@ -74,7 +77,7 @@ next:
 }
 
 // avx2 reports whether the CPU also has the 256-bit integer instructions the
-// expRow kernels and countPairsRow need.
+// maternRow kernels and countPairsRow need.
 var avx2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -89,17 +92,26 @@ func detectAVX2() bool {
 	return ebx&avx2Bit != 0
 }
 
-// runnableExpKernels lists the expRow kernels this CPU can execute: both
-// need AVX2 (the integer half of ldexp), expRowFMA needs FMA as well.
-func runnableExpKernels() []expKernel {
-	if !simdOn || !avx2 {
+// fma3 reports whether the CPU also has the fused multiply-add
+// maternRowFMA needs.
+var fma3 = detectFMA3()
+
+func detectFMA3() bool {
+	const fmaBit = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return avx2 && ecx&fmaBit != 0
+}
+
+// runnableMaternKernels lists the maternRow kernels this CPU can execute:
+// both need AVX2 (the integer half of ldexp), maternRowFMA needs FMA as well.
+func runnableMaternKernels() []maternKernel {
+	switch {
+	case !simdOn || !avx2:
 		return nil
+	case !fma3:
+		return []maternKernel{maternRowMul}
 	}
-	const fma = 1 << 12
-	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 {
-		return []expKernel{expRowMul}
-	}
-	return []expKernel{expRowFMA, expRowMul}
+	return []maternKernel{maternRowFMA, maternRowMul}
 }
 
 // cpuid executes the CPUID instruction.
@@ -126,12 +138,6 @@ func fwdSubRow(di, lrow, data *float64, k, stride, w int, lii float64)
 //go:noescape
 func sqDistRow(s, x, xt *float64, dim, stride, w int, inv float64)
 
-// sqrtScaleRow fills r[j] = sqrt(c·s[j]) for w columns, w a positive
-// multiple of 8.
-//
-//go:noescape
-func sqrtScaleRow(r, s *float64, c float64, w int)
-
 // axpyRow performs dst[j] += a·src[j] for w columns, w a positive multiple
 // of 8.
 //
@@ -144,15 +150,17 @@ func axpyRow(dst, src *float64, a float64, w int)
 //go:noescape
 func sqAccumRow(dst, src *float64, w int)
 
-// expRowFMA is the expKernel following the branch math.Exp takes under math.useFMA.
+// maternRowFMA is the maternKernel following the branch math.Exp takes
+// under math.useFMA.
 //
 //go:noescape
-func expRowFMA(dst, src *float64, w int) int
+func maternRowFMA(row *float64, v float64, w int) int
 
-// expRowMul is the expKernel following math.Exp's multiply-then-add branch.
+// maternRowMul is the maternKernel following math.Exp's multiply-then-add
+// branch.
 //
 //go:noescape
-func expRowMul(dst, src *float64, w int) int
+func maternRowMul(row *float64, v float64, w int) int
 
 // countPairsRow counts, over the pairs i < j of a[0:w], a[i] > a[j] into gt
 // and a[i] == a[j] into eq, w a positive multiple of 4. It needs AVX2.

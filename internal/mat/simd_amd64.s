@@ -6,8 +6,8 @@
 // per-column op order of the scalar Go loops — no FMA, no horizontal
 // reductions — so the vector paths are bit-identical to the scalar ones.
 // All w arguments are positive multiples of 8; callers handle tails in Go.
-// The exponential and pair-counting kernels at the end of the file have
-// their own notes.
+// The Matérn and pair-counting kernels at the end of the file have their own
+// notes.
 
 #include "textflag.h"
 
@@ -224,33 +224,6 @@ sd_done:
 	VZEROUPPER
 	RET
 
-// func sqrtScaleRow(r, s *float64, c float64, w int)
-//
-// r[j] = sqrt(c*s[j]): one rounded multiply, one rounded square root.
-TEXT ·sqrtScaleRow(SB), NOSPLIT, $0-32
-	MOVQ r+0(FP), DI
-	MOVQ s+8(FP), SI
-	VBROADCASTSD c+16(FP), Y15
-	MOVQ w+24(FP), R9
-	SHLQ $3, R9
-	XORQ R10, R10
-
-ss_loop:
-	CMPQ R10, R9
-	JGE  ss_done
-	VMULPD 0(SI)(R10*1), Y15, Y0
-	VSQRTPD Y0, Y0
-	VMULPD 32(SI)(R10*1), Y15, Y1
-	VSQRTPD Y1, Y1
-	VMOVUPD Y0, 0(DI)(R10*1)
-	VMOVUPD Y1, 32(DI)(R10*1)
-	ADDQ $64, R10
-	JMP  ss_loop
-
-ss_done:
-	VZEROUPPER
-	RET
-
 // func axpyRow(dst, src *float64, a float64, w int)
 //
 // dst[j] += a*src[j]: one rounded multiply, one rounded add.
@@ -310,19 +283,27 @@ sq_done:
 	VZEROUPPER
 	RET
 
-// The two expRow kernels are math.Exp's amd64 body (the SLEEF algorithm,
-// $GOROOT/src/math/exp_amd64.s) with every scalar instruction replaced by its
-// packed twin, four arguments to a register: the same operations on the same
-// constants in the same order per lane, so a lane's result is the scalar
-// routine's. expRowFMA follows the branch math.Exp takes when math.useFMA is
-// set, expRowMul the other one; which of them (if either) this process uses
-// is decided by comparing against math.Exp at start-up, see pickExpRow.
+// The two maternRow kernels turn squared distances s into Matérn-5/2
+// covariances in place, four lanes to a register, each lane performing
+// exactly the scalar expression v*(1 + r + 5*s/3)*math.Exp(-r) with
+// r = math.Sqrt(5*s): one rounded multiply, one rounded square root, an
+// exact sign flip, math.Exp, then one add, one divide, one add and two
+// multiplies, each rounded.
 //
-// Only the straight-line path is ported. A block is processed only if all
-// four arguments lie in [expLo, expHi], inside which the scaled exponent is
-// in [-1021, 1023] and math.Exp takes neither its denormal nor its overflow
-// exit; the first block that fails the test (NaN and infinities fail it)
-// ends the call, and the caller hands that block to math.Exp.
+// The exponential is math.Exp's amd64 body (the SLEEF algorithm,
+// $GOROOT/src/math/exp_amd64.s) with every scalar instruction replaced by
+// its packed twin: the same operations on the same constants in the same
+// order per lane, so a lane's exp is the scalar routine's. maternRowFMA
+// follows the branch math.Exp takes when math.useFMA is set, maternRowMul
+// the other one; which of them (if either) this process uses is decided by
+// comparing against the scalar expression at start-up, see pickMaternRow.
+//
+// Only math.Exp's straight-line path is ported. A block is processed only
+// if all four exponents -r lie in [-708, 0], inside which the scaled
+// exponent is in [-1021, 0] and math.Exp takes neither its denormal nor its
+// overflow exit; -r is never above +0, so one comparison suffices. The
+// first block that fails it (NaN fails it; s = +Inf gives -r = -Inf) ends
+// the call, and the caller hands that block to the scalar expression.
 
 // EXPV lays one constant out four times, a packed memory operand.
 #define EXPV(o, v) \
@@ -332,37 +313,44 @@ sq_done:
 	DATA expv<>+(o+24)(SB)/8, $v
 
 EXPV(0, -708.0)
-EXPV(32, 709.0)
-EXPV(64, 1.4426950408889634073599246810018920)
-EXPV(96, 0.69314718055966295651160180568695068359375)
-EXPV(128, 0.28235290563031577122588448175013436025525412068e-12)
-EXPV(160, 0.0625)
-EXPV(192, 2.4801587301587301587e-5)
-EXPV(224, 1.9841269841269841270e-4)
-EXPV(256, 1.3888888888888888889e-3)
-EXPV(288, 8.3333333333333333333e-3)
-EXPV(320, 4.1666666666666666667e-2)
-EXPV(352, 1.6666666666666666667e-1)
-EXPV(384, 0.5)
-EXPV(416, 1.0)
-EXPV(448, 2.0)
-GLOBL expv<>(SB), RODATA, $480
+EXPV(32, 1.4426950408889634073599246810018920)
+EXPV(64, 0.69314718055966295651160180568695068359375)
+EXPV(96, 0.28235290563031577122588448175013436025525412068e-12)
+EXPV(128, 0.0625)
+EXPV(160, 2.4801587301587301587e-5)
+EXPV(192, 1.9841269841269841270e-4)
+EXPV(224, 1.3888888888888888889e-3)
+EXPV(256, 8.3333333333333333333e-3)
+EXPV(288, 4.1666666666666666667e-2)
+EXPV(320, 1.6666666666666666667e-1)
+EXPV(352, 0.5)
+EXPV(384, 1.0)
+EXPV(416, 2.0)
+EXPV(448, 5.0)
+EXPV(480, 3.0)
+DATA expv<>+512(SB)/8, $0x8000000000000000
+DATA expv<>+520(SB)/8, $0x8000000000000000
+DATA expv<>+528(SB)/8, $0x8000000000000000
+DATA expv<>+536(SB)/8, $0x8000000000000000
+GLOBL expv<>(SB), RODATA, $544
 
 #define EXP_LO    expv<>+0(SB)
-#define EXP_HI    expv<>+32(SB)
-#define EXP_LOG2E expv<>+64(SB)
-#define EXP_LN2U  expv<>+96(SB)
-#define EXP_LN2L  expv<>+128(SB)
-#define EXP_16TH  expv<>+160(SB)
-#define EXP_C8    expv<>+192(SB)
-#define EXP_C7    expv<>+224(SB)
-#define EXP_C6    expv<>+256(SB)
-#define EXP_C5    expv<>+288(SB)
-#define EXP_C4    expv<>+320(SB)
-#define EXP_C3    expv<>+352(SB)
-#define EXP_HALF  expv<>+384(SB)
-#define EXP_ONE   expv<>+416(SB)
-#define EXP_TWO   expv<>+448(SB)
+#define EXP_LOG2E expv<>+32(SB)
+#define EXP_LN2U  expv<>+64(SB)
+#define EXP_LN2L  expv<>+96(SB)
+#define EXP_16TH  expv<>+128(SB)
+#define EXP_C8    expv<>+160(SB)
+#define EXP_C7    expv<>+192(SB)
+#define EXP_C6    expv<>+224(SB)
+#define EXP_C5    expv<>+256(SB)
+#define EXP_C4    expv<>+288(SB)
+#define EXP_C3    expv<>+320(SB)
+#define EXP_HALF  expv<>+352(SB)
+#define EXP_ONE   expv<>+384(SB)
+#define EXP_TWO   expv<>+416(SB)
+#define MAT_FIVE  expv<>+448(SB)
+#define MAT_THREE expv<>+480(SB)
+#define MAT_SIGN  expv<>+512(SB)
 
 DATA expbias<>+0(SB)/4, $0x3FF
 DATA expbias<>+4(SB)/4, $0x3FF
@@ -370,15 +358,17 @@ DATA expbias<>+8(SB)/4, $0x3FF
 DATA expbias<>+12(SB)/4, $0x3FF
 GLOBL expbias<>(SB), RODATA, $16
 
-// EXP_LOAD reads the next four arguments into Y0 and leaves the loop at
-// label out unless lo <= x <= hi holds in every lane (predicates 9 and 6 are
-// not-greater-or-equal and not-less-or-equal, true on NaN). Then Y1 = the
-// exponent round(x*LOG2E) as a float and X2 holds it as four int32.
-#define EXP_LOAD(out) \
-	VMOVUPD 0(SI)(R10*1), Y0; \
+// MATERN_LOAD reads the next four distances s and leaves 5*s in Y6,
+// r = sqrt(5*s) in Y7 and the exponent argument -r in Y0, leaving the loop
+// at label out unless -708 <= -r holds in every lane (predicate 9,
+// not-greater-or-equal, is true on NaN). Then Y1 = the exponent
+// round(-r*LOG2E) as a float and X2 holds it as four int32.
+#define MATERN_LOAD(out) \
+	VMOVUPD 0(DI)(R10*1), Y6; \
+	VMULPD MAT_FIVE, Y6, Y6; \
+	VSQRTPD Y6, Y7; \
+	VXORPD MAT_SIGN, Y7, Y0; \
 	VCMPPD $9, EXP_LO, Y0, Y3; \
-	VCMPPD $6, EXP_HI, Y0, Y4; \
-	VORPD Y3, Y4, Y3; \
 	VMOVMSKPD Y3, AX; \
 	TESTL AX, AX; \
 	JNZ out; \
@@ -386,28 +376,34 @@ GLOBL expbias<>(SB), RODATA, $16
 	VCVTPD2DQY Y1, X2; \
 	VCVTDQ2PD X2, Y1
 
-// EXP_STORE scales the fraction in Y0 by 2**exponent — the biased exponent
-// shifted into place as a float, math.Exp's ldexp — and stores four results.
-#define EXP_STORE \
+// MATERN_STORE scales the exp fraction in Y0 by 2**exponent — the biased
+// exponent shifted into place as a float, math.Exp's ldexp — then forms
+// v*(1 + r + 5*s/3)*exp(-r), v in Y15, and stores four results.
+#define MATERN_STORE \
 	VPADDD expbias<>(SB), X2, X2; \
 	VPMOVZXDQ X2, Y2; \
 	VPSLLQ $52, Y2, Y2; \
 	VMULPD Y2, Y0, Y0; \
+	VADDPD EXP_ONE, Y7, Y7; \
+	VDIVPD MAT_THREE, Y6, Y6; \
+	VADDPD Y6, Y7, Y7; \
+	VMULPD Y15, Y7, Y7; \
+	VMULPD Y0, Y7, Y0; \
 	VMOVUPD Y0, 0(DI)(R10*1); \
 	ADDQ $32, R10
 
-// func expRowFMA(dst, src *float64, w int) int
-TEXT ·expRowFMA(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
+// func maternRowFMA(row *float64, v float64, w int) int
+TEXT ·maternRowFMA(SB), NOSPLIT, $0-32
+	MOVQ row+0(FP), DI
+	VBROADCASTSD v+8(FP), Y15
 	MOVQ w+16(FP), R9
 	SHLQ $3, R9
 	XORQ R10, R10
 
-ef_loop:
+mf_loop:
 	CMPQ R10, R9
-	JGE  ef_done
-	EXP_LOAD(ef_done)
+	JGE  mf_done
+	MATERN_LOAD(mf_done)
 	VFNMADD231PD EXP_LN2U, Y1, Y0 // x - exponent*LN2U, one rounding
 	VFNMADD231PD EXP_LN2L, Y1, Y0
 	VMULPD EXP_16TH, Y0, Y0
@@ -428,28 +424,28 @@ ef_loop:
 	VMULPD Y1, Y0, Y0
 	VADDPD EXP_TWO, Y0, Y1
 	VFMADD213PD EXP_ONE, Y1, Y0   // Y0 = Y1*Y0 + 1
-	EXP_STORE
-	JMP  ef_loop
+	MATERN_STORE
+	JMP  mf_loop
 
-ef_done:
+mf_done:
 	SHRQ $3, R10
 	MOVQ R10, ret+24(FP)
 	VZEROUPPER
 	RET
 
-// func expRowMul(dst, src *float64, w int) int
-TEXT ·expRowMul(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
+// func maternRowMul(row *float64, v float64, w int) int
+TEXT ·maternRowMul(SB), NOSPLIT, $0-32
+	MOVQ row+0(FP), DI
+	VBROADCASTSD v+8(FP), Y15
 	MOVQ w+16(FP), R9
 	SHLQ $3, R9
 	XORQ R10, R10
 
-em_loop:
+mm_loop:
 	CMPQ R10, R9
-	JGE  em_done
-	EXP_LOAD(em_done)
-	VMULPD EXP_LN2U, Y1, Y5       // X2 keeps the exponent for EXP_STORE
+	JGE  mm_done
+	MATERN_LOAD(mm_done)
+	VMULPD EXP_LN2U, Y1, Y5       // X2 keeps the exponent for MATERN_STORE
 	VSUBPD Y5, Y0, Y0
 	VMULPD EXP_LN2L, Y1, Y5
 	VSUBPD Y5, Y0, Y0
@@ -479,10 +475,10 @@ em_loop:
 	VADDPD EXP_TWO, Y0, Y1
 	VMULPD Y1, Y0, Y0
 	VADDPD EXP_ONE, Y0, Y0
-	EXP_STORE
-	JMP  em_loop
+	MATERN_STORE
+	JMP  mm_loop
 
-em_done:
+mm_done:
 	SHRQ $3, R10
 	MOVQ R10, ret+24(FP)
 	VZEROUPPER

@@ -8,8 +8,8 @@ package mat
 // reached.
 const simdOn = false
 
-// expRow is nil here: ExpTo calls math.Exp.
-var expRow expKernel
+// maternRow is nil here: MaternTo runs the scalar expression.
+var maternRow maternKernel
 
 // avx2 is false here: CountPairs runs its scalar loop.
 const avx2 = false
@@ -19,10 +19,6 @@ func fwdSubRow(di, lrow, data *float64, k, stride, w int, lii float64) {
 }
 
 func sqDistRow(s, x, xt *float64, dim, stride, w int, inv float64) {
-	panic("mat: simd stub called")
-}
-
-func sqrtScaleRow(r, s *float64, c float64, w int) {
 	panic("mat: simd stub called")
 }
 

@@ -389,10 +389,15 @@ func CDBTuneWithConstraints(cfg Config) Tuner { return baselines.NewCDBTuneWCon(
 
 // GridSearch returns an exhaustive grid-search tuner; its sessions measure
 // every grid point whatever budget Run is given, ignoring the Config's
-// stopping rules and trust region.
+// stopping rules and trust region. Its Run refuses a grid of more than
+// 65 536 points with ErrGridTooLarge before the session starts.
 func GridSearch(cfg Config, pointsPerDim int) Tuner {
 	return baselines.NewGridSearch(cfg, pointsPerDim)
 }
+
+// ErrGridTooLarge is the error, wrapped, of a GridSearch over a knob space
+// too wide to enumerate.
+var ErrGridTooLarge = baselines.ErrGridTooLarge
 
 // ---------------------------------------------------------------------------
 // Data repository and meta-learning.

@@ -13,16 +13,16 @@
 #      surface benchmark/adapter.go pins fails here, not in the pipeline
 #   5. the vector math core's other configurations: mat, gp, meta and core
 #      again under GODEBUG=cpu.fma=off (math.Exp takes its multiply-then-add
-#      branch, mat.ExpTo must pick the matching kernel — which the ensemble's
-#      point-wise kernel rows ride — and the pinned session digests must
-#      still hold), the same four under -tags purego (the vector kernels
-#      compiled out: every bit-parity table runs on the scalar loops — among
-#      them the blocked factor grown panel by panel, InverseDiagTo against
-#      the full inverse's diagonal, the pruned hyperparameter search
-#      against the exhaustive one, and mat.CountPairs against the double
-#      loop, with meta's ranking loss on the keyed merge alone), and
-#      GOARCH=arm64 go vet of mat and gp, so the stubs in simd_other.go
-#      cannot drift from the amd64 declarations
+#      branch, mat.MaternTo must pick the matching kernel — which every GP
+#      kernel row, the ensemble's included, rides — and the pinned session
+#      digests must still hold), the same four under -tags purego (the
+#      vector kernels compiled out: every bit-parity table runs on the
+#      scalar loops — among them the blocked factor grown panel by panel,
+#      InverseDiagTo against the full inverse's diagonal, the pruned
+#      hyperparameter search against the exhaustive one, and mat.CountPairs
+#      against the double loop, with meta's ranking loss on the keyed merge
+#      alone), and GOARCH=arm64 go vet of mat and gp, so the stubs in
+#      simd_other.go cannot drift from the amd64 declarations
 #   6. go test -race ./...           (short mode: the crash harness strides
 #                                     its boundary enumeration under -short)
 #   7. telemetry smoke runs: restune-tune -trace must emit a non-empty,
@@ -39,8 +39,9 @@
 #      sides
 #   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
 #      FuzzPredictBatch included (the batched posterior vs the point-wise
-#      one), FuzzSearchPruning (the pruned search vs the exhaustive one) and
-#      FuzzCountPairs (the vector pair counter vs the double loop)
+#      one), FuzzSearchPruning (the pruned search vs the exhaustive one),
+#      FuzzMaternRow (mat.MaternTo's fused vector pass vs Eval's expression)
+#      and FuzzCountPairs (the vector pair counter vs the double loop)
 #
 # Environment:
 #   FUZZTIME=30s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing
@@ -170,7 +171,7 @@ fuzz ./internal/minidb FuzzLeafKernels -fuzzminimizetime 20x
 fuzz ./internal/minidb FuzzWALReplay
 fuzz ./internal/replay FuzzExtractTemplate
 fuzz ./internal/mat FuzzFactorBlocked
-fuzz ./internal/mat FuzzExpTo
+fuzz ./internal/mat FuzzMaternRow
 fuzz ./internal/mat FuzzCountPairs
 fuzz ./internal/gp FuzzPredictBatch
 fuzz ./internal/gp FuzzSparseSelect
