@@ -20,12 +20,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"repro/internal/rng"
 	"repro/restune"
 )
 
@@ -149,13 +151,8 @@ func run(sessions, workers, iters, shortlist, synthetic int, seed int64,
 		const metaDim = 5
 		tasks := restune.SyntheticCorpus(synthetic, metaDim, space.Dim(), 10, seed)
 		shared = restune.NewSharedCorpus(tasks, fleetRec)
-		targetMeta = func(w restune.Workload, s int64) []float64 {
-			r := rand.New(rand.NewSource(s))
-			mf := make([]float64, metaDim)
-			for d := range mf {
-				mf[d] = r.Float64()
-			}
-			return mf
+		targetMeta = func(w restune.Workload, _ int64) []float64 {
+			return syntheticTarget(seed, w.Name, metaDim)
 		}
 		fmt.Printf("shared corpus: %d synthetic tasks\n", shared.Len())
 	}
@@ -270,4 +267,22 @@ func pickWorkloads(list string) ([]restune.Workload, error) {
 		return nil, fmt.Errorf("no workloads in %q", list)
 	}
 	return ws, nil
+}
+
+// syntheticTarget is the meta-feature every session of one workload tunes
+// towards over a synthetic corpus: one unit-norm vector per workload, like
+// the corpus's own tasks, so sessions of a workload shortlist the same
+// neighbours and share their fits.
+func syntheticTarget(seed int64, workload string, dim int) []float64 {
+	r := rng.Derive(seed, "fleet-target:"+workload)
+	mf := make([]float64, dim)
+	norm := 0.0
+	for d := range mf {
+		mf[d] = r.Float64()
+		norm += mf[d] * mf[d]
+	}
+	for d := range mf {
+		mf[d] /= math.Sqrt(norm)
+	}
+	return mf
 }

@@ -36,8 +36,8 @@ type CorpusOptions struct {
 	// ExactThreshold is the corpus size at or below which shortlisting is
 	// bypassed entirely: every task participates and the session behaves
 	// bit-identically to the eager all-learners path (the paper's 34-task
-	// corpus stays on this path). 0 selects DefaultBruteForceThreshold;
-	// negative forces shortlisting at any size.
+	// corpus stays on this path). 0 selects a default of 64; negative
+	// forces shortlisting at any size.
 	ExactThreshold int
 	// Recorder receives shortlist/materialization telemetry (nil records
 	// nothing). Telemetry only — shortlists and weights never depend on it.
@@ -46,6 +46,10 @@ type CorpusOptions struct {
 
 // DefaultShortlistK is the default shortlist size.
 const DefaultShortlistK = 16
+
+// defaultExactThreshold is the corpus size at or below which every task is
+// active: the paper's 34-task corpus stays on the exact path.
+const defaultExactThreshold = 64
 
 // Corpus is a lazily materialized collection of base tasks with
 // nearest-neighbor shortlisting: the corpus-scale replacement for passing
@@ -66,8 +70,8 @@ type Corpus struct {
 	opts  CorpusOptions
 	rec   obs.Recorder
 
-	// shared, when non-nil, is the fleet-wide fit cache this view
-	// delegates materialization to (set by SharedCorpus.NewSession).
+	// shared is the fit cache every materialization goes through: the
+	// fleet-wide one for a SharedCorpus view, a private one for NewCorpus.
 	shared *SharedCorpus
 
 	activated    bool
@@ -86,18 +90,12 @@ type Corpus struct {
 	cFits      obs.Counter
 }
 
-// NewCorpus builds a corpus over the given tasks.
+// NewCorpus builds a corpus over the given tasks: the one session view of a
+// SharedCorpus of its own, whose counters and fit spans go to
+// opts.Recorder. Like every view, it memoizes a failed fit and returns the
+// same error on every later request for that task.
 func NewCorpus(tasks []CorpusTask, opts CorpusOptions) *Corpus {
-	rec := obs.OrNop(opts.Recorder)
-	return &Corpus{
-		tasks:      tasks,
-		opts:       opts,
-		rec:        rec,
-		resident:   make(map[int]*BaseLearner),
-		gShortlist: rec.Gauge("meta.corpus_shortlist"),
-		gResident:  rec.Gauge("meta.corpus_resident"),
-		cFits:      rec.Counter("meta.corpus_fits"),
-	}
+	return NewSharedCorpus(tasks, opts.Recorder).NewSession(opts)
 }
 
 // TasksOf wraps already-fitted learners as corpus tasks whose Fit returns
@@ -137,7 +135,7 @@ func (c *Corpus) exactThreshold() int {
 	case c.opts.ExactThreshold < 0:
 		return -1
 	default:
-		return DefaultBruteForceThreshold
+		return defaultExactThreshold
 	}
 }
 
@@ -275,25 +273,10 @@ func (c *Corpus) learner(id int) (*BaseLearner, error) {
 	if ok {
 		return bl, nil
 	}
-	// Fit outside the lock: fits are deterministic per task, so a rare
-	// duplicate fit under future concurrent use would be identical. A view
-	// attached to a SharedCorpus routes the fit through the fleet-wide
-	// single-flight cache instead, so N sessions pay ~1 fit per task; the
-	// session-local resident map above still gives reuse within the session
-	// without touching the shared lock.
-	var err error
-	if c.shared != nil {
-		bl, err = c.shared.fit(id)
-	} else {
-		var sp obs.Span
-		if c.rec.Enabled() {
-			sp = c.rec.Span("meta.corpus_fit", obs.String("task", c.tasks[id].ID))
-		}
-		bl, err = c.tasks[id].Fit()
-		if sp != nil {
-			sp.End()
-		}
-	}
+	// The shared single-flight cache runs each task's fit once, however
+	// many sessions ask; the session-local resident map above gives reuse
+	// within the session without touching the shared lock.
+	bl, err := c.shared.fit(id)
 	if err != nil {
 		return nil, fmt.Errorf("meta: materializing corpus task %s: %w", c.tasks[id].ID, err)
 	}

@@ -9,29 +9,21 @@ import (
 )
 
 // CorpusIndex answers exact nearest-neighbor queries over workload
-// meta-feature vectors — the pre-filter that keeps per-iteration
-// meta-learning cost sublinear in corpus size. The index is a vantage-point
-// tree over L2 distance (the same metric the static weights use, Eq. 8), so
-// a query shortlists the base tasks the Epanechnikov kernel would rank
-// closest without touching the rest of the corpus.
+// meta-feature vectors — the pre-filter that picks which base tasks a
+// session weights. Distance is L2, the metric the static weights use
+// (Eq. 8), so a query shortlists the base tasks the Epanechnikov kernel
+// would rank closest.
 //
-// Results are exact, not approximate: triangle-inequality pruning only
-// discards subtrees whose every point is strictly worse than the current
-// k-th best, and ties in distance break toward the lower task id, so TopK
-// agrees bit-for-bit with a brute-force scan (FuzzCorpusIndex enforces
-// this). Below BruteForceThreshold no tree is built and queries scan
-// linearly — small corpora (the paper's 34 tasks) pay zero index overhead
-// and behave identically with or without the index.
+// TopK is a linear scan through a bounded heap: every vector is measured
+// once, and ties in distance break toward the lower task id. A Corpus builds
+// an index per Activate and queries it once, so there is nothing for a
+// search structure to amortize its construction over (DESIGN.md §10.1).
 //
-// Construction and query are deterministic functions of the vectors alone:
-// the vantage point is the point farthest from the subset centroid (ties to
-// the lowest id) and the split is the (distance, id)-median, so the tree
-// shape never depends on goroutine scheduling or map order. Queries are
-// sequential and read-only; a built index is safe for concurrent use.
+// Results are a deterministic function of the vectors and the query; a
+// built index is read-only and safe for concurrent use.
 type CorpusIndex struct {
 	dim  int
 	vecs [][]float64
-	root *vpNode // nil when the corpus is under the brute-force threshold
 	rec  obs.Recorder
 }
 
@@ -44,30 +36,9 @@ type Neighbor struct {
 
 // IndexOptions configures a CorpusIndex.
 type IndexOptions struct {
-	// BruteForceThreshold is the corpus size at or below which queries use
-	// an exact linear scan instead of the tree (the two agree bit-for-bit;
-	// the scan is faster for small corpora). 0 selects
-	// DefaultBruteForceThreshold; negative forces the tree at any size
-	// (tests and fuzzing use this to exercise the tree path).
-	BruteForceThreshold int
-	// LeafSize is the subtree size at which recursion stops and points are
-	// scanned linearly. 0 selects a default of 8.
-	LeafSize int
 	// Recorder receives a per-query span (nil records nothing). Telemetry
 	// only — query results never depend on it.
 	Recorder obs.Recorder
-}
-
-// DefaultBruteForceThreshold is the corpus size below which building a tree
-// is not worth it: the paper's 34-task corpus stays on the exact scan.
-const DefaultBruteForceThreshold = 64
-
-type vpNode struct {
-	vp      int     // vantage point id
-	radius  float64 // inside subtree: dist(vp, p) <= radius; outside: >= radius
-	inside  *vpNode
-	outside *vpNode
-	leaf    []int // leaf ids, ascending; non-nil only for leaves
 }
 
 // NewCorpusIndex builds an index over the given meta-feature vectors. The
@@ -95,104 +66,7 @@ func NewCorpusIndex(vecs [][]float64, opts IndexOptions) (*CorpusIndex, error) {
 		}
 		ix.vecs[i] = append([]float64(nil), v...)
 	}
-	threshold := opts.BruteForceThreshold
-	if threshold == 0 {
-		threshold = DefaultBruteForceThreshold
-	}
-	if threshold > 0 && len(vecs) <= threshold {
-		return ix, nil
-	}
-	leaf := opts.LeafSize
-	if leaf <= 0 {
-		leaf = 8
-	}
-	ids := make([]int, len(vecs))
-	for i := range ids {
-		ids[i] = i
-	}
-	ix.root = ix.build(ids, leaf)
 	return ix, nil
-}
-
-// Len returns the number of indexed vectors.
-func (ix *CorpusIndex) Len() int { return len(ix.vecs) }
-
-// Dim returns the indexed dimensionality (0 for an empty index).
-func (ix *CorpusIndex) Dim() int { return ix.dim }
-
-// Exact reports whether queries run on the brute-force scan (small corpus)
-// rather than the tree.
-func (ix *CorpusIndex) Exact() bool { return ix.root == nil }
-
-// build constructs the subtree over ids (which it reorders freely).
-func (ix *CorpusIndex) build(ids []int, leafSize int) *vpNode {
-	if len(ids) == 0 {
-		return nil
-	}
-	if len(ids) <= leafSize {
-		sorted := append([]int(nil), ids...)
-		sort.Ints(sorted)
-		return &vpNode{leaf: sorted}
-	}
-	// Vantage point: the point farthest from the subset centroid, ties to
-	// the lowest id — a pure function of the data, so the tree shape is
-	// deterministic.
-	centroid := make([]float64, ix.dim)
-	for _, id := range ids {
-		for d, x := range ix.vecs[id] {
-			centroid[d] += x
-		}
-	}
-	for d := range centroid {
-		centroid[d] /= float64(len(ids))
-	}
-	vp, vpDist := -1, -1.0
-	for _, id := range ids {
-		d := l2Dist(centroid, ix.vecs[id])
-		if d > vpDist || (d == vpDist && (vp < 0 || id < vp)) {
-			vp, vpDist = id, d
-		}
-	}
-	if vp < 0 {
-		// Every centroid distance was NaN (intermediate overflow on
-		// extreme-magnitude vectors). Any deterministic pick works: the
-		// search never prunes across NaN radii.
-		vp = ids[0]
-		for _, id := range ids {
-			if id < vp {
-				vp = id
-			}
-		}
-	}
-	rest := make([]Neighbor, 0, len(ids)-1)
-	for _, id := range ids {
-		if id == vp {
-			continue
-		}
-		rest = append(rest, Neighbor{ID: id, Dist: l2Dist(ix.vecs[vp], ix.vecs[id])})
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].Dist != rest[j].Dist {
-			return rest[i].Dist < rest[j].Dist
-		}
-		return rest[i].ID < rest[j].ID
-	})
-	mid := len(rest) / 2
-	if mid == 0 {
-		mid = 1 // at least one point inside, so recursion shrinks
-	}
-	node := &vpNode{vp: vp, radius: rest[mid-1].Dist}
-	insideIDs := make([]int, mid)
-	for i := 0; i < mid; i++ {
-		insideIDs[i] = rest[i].ID
-	}
-	outsideIDs := make([]int, len(rest)-mid)
-	for i := mid; i < len(rest); i++ {
-		outsideIDs[i-mid] = rest[i].ID
-	}
-	node.inside = ix.build(insideIDs, leafSize)
-	node.outside = ix.build(outsideIDs, leafSize)
-	return node
 }
 
 // TopK returns the k nearest vectors to q by L2 distance, ascending by
@@ -214,127 +88,24 @@ func (ix *CorpusIndex) TopK(q []float64, k int) ([]Neighbor, error) {
 	if k > len(ix.vecs) {
 		k = len(ix.vecs)
 	}
-	var sp obs.Span
 	if ix.rec.Enabled() {
-		sp = ix.rec.Span("meta.index_query",
-			obs.Int("n", len(ix.vecs)), obs.Int("k", k), obs.Bool("exact_scan", ix.root == nil))
+		defer ix.rec.Span("meta.index_query", obs.Int("n", len(ix.vecs)), obs.Int("k", k)).End()
 	}
 	h := &knnHeap{k: k}
-	visited := 0
-	if ix.root == nil {
-		for id := range ix.vecs {
-			h.push(Neighbor{ID: id, Dist: l2Dist(q, ix.vecs[id])})
-		}
-		visited = len(ix.vecs)
-	} else {
-		visited = ix.search(ix.root, q, h)
+	for id, v := range ix.vecs {
+		h.push(Neighbor{ID: id, Dist: distance(q, v)})
 	}
 	out := h.items
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	if sp != nil {
-		sp.SetAttrs(obs.Int("visited", visited))
-		sp.End()
-	}
+	sort.Slice(out, func(i, j int) bool { return worseNeighbor(out[j], out[i]) })
 	return out, nil
 }
 
-// search walks the tree, pruning subtrees whose every point is provably
-// strictly worse than the current k-th best. It returns the number of
-// distance evaluations (telemetry only).
-func (ix *CorpusIndex) search(n *vpNode, q []float64, h *knnHeap) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf != nil {
-		for _, id := range n.leaf {
-			h.push(Neighbor{ID: id, Dist: l2Dist(q, ix.vecs[id])})
-		}
-		return len(n.leaf)
-	}
-	d := l2Dist(q, ix.vecs[n.vp])
-	h.push(Neighbor{ID: n.vp, Dist: d})
-	visited := 1
-	// The triangle-inequality bounds below hold for exact distances, but
-	// computed distances carry up to ~(dim+2) ulps of relative rounding
-	// error each — enough that a bound which ties the k-th best in real
-	// arithmetic can exceed it by an ulp and wrongly prune an equidistant
-	// lower-id point (found by FuzzCorpusIndex on near-duplicate vectors).
-	// Padding tau by a worst-case error margin keeps pruning sound; it only
-	// costs extra visits, never exactness.
-	slack := 4 * float64(ix.dim+2) * 0x1p-53 * (d + n.radius)
-	if d <= n.radius {
-		visited += ix.search(n.inside, q, h)
-		// Outside points satisfy dist(vp,p) >= radius, so dist(q,p) >=
-		// radius - d. Prune only when that bound strictly exceeds the
-		// padded k-th best — equality must be explored so distance ties
-		// resolve to the lower id exactly as brute force would, and a NaN
-		// bound (distance overflow on extreme vectors) must be explored
-		// too, which is why the condition is written negated.
-		if !(n.radius-d > h.tau()+slack) {
-			visited += ix.search(n.outside, q, h)
-		}
-	} else {
-		visited += ix.search(n.outside, q, h)
-		// Inside points satisfy dist(vp,p) <= radius, so dist(q,p) >=
-		// d - radius.
-		if !(d-n.radius > h.tau()+slack) {
-			visited += ix.search(n.inside, q, h)
-		}
-	}
-	return visited
-}
-
-// bruteTopK is the reference implementation TopK must agree with.
-func (ix *CorpusIndex) bruteTopK(q []float64, k int) []Neighbor {
-	if k <= 0 || len(ix.vecs) == 0 {
-		return nil
-	}
-	all := make([]Neighbor, len(ix.vecs))
-	for id := range ix.vecs {
-		all[id] = Neighbor{ID: id, Dist: l2Dist(q, ix.vecs[id])}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].ID < all[j].ID
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
-}
-
-func l2Dist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // knnHeap tracks the k best (distance, id) pairs seen so far as a max-heap
-// with the worst candidate on top. "Worse" orders by distance, then by id —
-// the same total order brute force sorts by — so the retained set is exactly
-// the brute-force top k.
+// with the worst candidate on top. "Worse" orders by distance, then by id,
+// so the retained set is the k smallest under that total order.
 type knnHeap struct {
 	k     int
 	items []Neighbor
-}
-
-// tau is the pruning bound: the current k-th best distance, +Inf until the
-// heap is full.
-func (h *knnHeap) tau() float64 {
-	if len(h.items) < h.k {
-		return math.Inf(1)
-	}
-	return h.items[0].Dist
 }
 
 func worseNeighbor(a, b Neighbor) bool {

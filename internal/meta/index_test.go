@@ -27,28 +27,50 @@ func randVecs(n, dim int, seed int64, dupEvery int) [][]float64 {
 	return vecs
 }
 
-func neighborsEqual(a, b []Neighbor) bool {
-	if len(a) != len(b) {
-		return false
+// checkTopK holds got to the definition of the k nearest of vecs to q: it
+// has min(k, len(vecs)) distinct ids, each with its exact L2 distance,
+// ascending by (distance, id), and no id left out sorts before the last one
+// returned.
+func checkTopK(vecs [][]float64, q []float64, k int, got []Neighbor) error {
+	before := func(a, b Neighbor) bool {
+		return a.Dist < b.Dist || (a.Dist == b.Dist && a.ID < b.ID)
 	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
-			return false
+	want := min(k, len(vecs))
+	if len(got) != want {
+		return fmt.Errorf("returned %d neighbors, want %d", len(got), want)
+	}
+	in := make(map[int]bool, len(got))
+	for i, nb := range got {
+		if nb.ID < 0 || nb.ID >= len(vecs) || in[nb.ID] {
+			return fmt.Errorf("neighbor %d: id %d out of range or repeated", i, nb.ID)
+		}
+		in[nb.ID] = true
+		if d := distance(q, vecs[nb.ID]); math.Float64bits(nb.Dist) != math.Float64bits(d) {
+			return fmt.Errorf("neighbor %d: id %d dist %v, want %v", i, nb.ID, nb.Dist, d)
+		}
+		if i > 0 && !before(got[i-1], nb) {
+			return fmt.Errorf("neighbor %d %+v does not sort after %+v", i, nb, got[i-1])
 		}
 	}
-	return true
+	if len(got) == 0 {
+		return nil
+	}
+	last := got[len(got)-1]
+	for id, v := range vecs {
+		if out := (Neighbor{ID: id, Dist: distance(q, v)}); !in[id] && before(out, last) {
+			return fmt.Errorf("omitted %+v sorts before the last returned %+v", out, last)
+		}
+	}
+	return nil
 }
 
 func TestCorpusIndexAgreesWithBruteForce(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 34, 100, 257} {
 		for _, dim := range []int{1, 3, 33} {
 			vecs := randVecs(n, dim, int64(n*1000+dim), 7)
-			ix, err := NewCorpusIndex(vecs, IndexOptions{BruteForceThreshold: -1, LeafSize: 4})
+			ix, err := NewCorpusIndex(vecs, IndexOptions{})
 			if err != nil {
 				t.Fatalf("n=%d dim=%d: %v", n, dim, err)
-			}
-			if ix.Exact() {
-				t.Fatalf("n=%d dim=%d: expected tree, got exact scan", n, dim)
 			}
 			r := rand.New(rand.NewSource(int64(n + dim)))
 			for q := 0; q < 20; q++ {
@@ -66,45 +88,11 @@ func TestCorpusIndexAgreesWithBruteForce(t *testing.T) {
 					if err != nil {
 						t.Fatalf("TopK: %v", err)
 					}
-					want := ix.bruteTopK(query, k)
-					if !neighborsEqual(got, want) {
-						t.Fatalf("n=%d dim=%d k=%d: tree %v != brute %v", n, dim, k, got, want)
+					if err := checkTopK(vecs, query, k, got); err != nil {
+						t.Fatalf("n=%d dim=%d k=%d: %v", n, dim, k, err)
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestCorpusIndexExactFallbackMatchesTree(t *testing.T) {
-	vecs := randVecs(34, 8, 42, 5)
-	exact, err := NewCorpusIndex(vecs, IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.Exact() {
-		t.Fatal("34 vectors should fall below the default brute-force threshold")
-	}
-	tree, err := NewCorpusIndex(vecs, IndexOptions{BruteForceThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(7))
-	for q := 0; q < 50; q++ {
-		query := make([]float64, 8)
-		for d := range query {
-			query[d] = r.NormFloat64()
-		}
-		a, err := exact.TopK(query, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := tree.TopK(query, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !neighborsEqual(a, b) {
-			t.Fatalf("query %d: exact %v != tree %v", q, a, b)
 		}
 	}
 }
@@ -166,7 +154,7 @@ func TestCorpusIndexEdgeCases(t *testing.T) {
 func indexQueryTrace(t *testing.T) string {
 	t.Helper()
 	vecs := randVecs(300, 6, 99, 9)
-	ix, err := NewCorpusIndex(vecs, IndexOptions{BruteForceThreshold: -1, LeafSize: 4})
+	ix, err := NewCorpusIndex(vecs, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,12 +73,21 @@ func (s *SharedCorpus) Len() int { return len(s.tasks) }
 func (s *SharedCorpus) Tasks() []CorpusTask { return s.tasks }
 
 // NewSession returns a fresh per-session Corpus view over the shared tasks:
-// its shortlist and resident set are private to the session, while learner materialization goes through the shared
-// single-flight cache. Safe to call concurrently.
+// its shortlist and resident set are private to the session, while learner
+// materialization goes through the shared single-flight cache. Safe to call
+// concurrently.
 func (s *SharedCorpus) NewSession(opts CorpusOptions) *Corpus {
-	c := NewCorpus(s.tasks, opts)
-	c.shared = s
-	return c
+	rec := obs.OrNop(opts.Recorder)
+	return &Corpus{
+		tasks:      s.tasks,
+		opts:       opts,
+		rec:        rec,
+		shared:     s,
+		resident:   make(map[int]*BaseLearner),
+		gShortlist: rec.Gauge("meta.corpus_shortlist"),
+		gResident:  rec.Gauge("meta.corpus_resident"),
+		cFits:      rec.Counter("meta.corpus_fits"),
+	}
 }
 
 // fit returns task id's fitted learner, computing it at most once across
@@ -94,7 +103,9 @@ func (s *SharedCorpus) fit(id int) (*BaseLearner, error) {
 	}
 	e := &sharedFit{done: make(chan struct{})}
 	s.fits[id] = e
-	resident := len(s.fits)
+	// Set under the lock, so overlapping fits cannot publish sizes out of
+	// order and leave the gauge below the resident count.
+	s.gResident.Set(float64(len(s.fits)))
 	s.mu.Unlock()
 	s.misses.Add(1)
 	s.cMisses.Add(1)
@@ -106,7 +117,6 @@ func (s *SharedCorpus) fit(id int) (*BaseLearner, error) {
 	if sp != nil {
 		sp.End()
 	}
-	s.gResident.Set(float64(resident))
 	close(e.done)
 	return e.bl, e.err
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bo"
+	"repro/internal/obs"
 )
 
 // countingTasks wraps SyntheticCorpus tasks so each underlying Fit counts
@@ -176,6 +177,37 @@ func TestSharedCorpusSessionViewsAreIndependent(t *testing.T) {
 	}
 	if got := b.Resident(); got != 0 {
 		t.Fatalf("session b resident = %d, want 0 (a's fits are not b's)", got)
+	}
+}
+
+func TestSharedCorpusResidentGaugeCountsOverlappingFits(t *testing.T) {
+	// Task 0's fit is inserted first and finishes last, after task 1's:
+	// the gauge must still end at both tasks resident.
+	tasks := SyntheticCorpus(2, 3, 3, 12, 11)
+	started, release := make(chan struct{}), make(chan struct{})
+	fit0 := tasks[0].Fit
+	tasks[0].Fit = func() (*BaseLearner, error) {
+		close(started)
+		<-release
+		return fit0()
+	}
+	reg := obs.NewRegistry(nil)
+	sc := NewSharedCorpus(tasks, reg)
+	done := make(chan error)
+	go func() {
+		_, err := sc.fit(0)
+		done <- err
+	}()
+	<-started
+	if _, err := sc.fit(1); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot()["meta.shared_fit_resident"]; got != 2.0 {
+		t.Fatalf("meta.shared_fit_resident = %v with 2 tasks resident", got)
 	}
 }
 
