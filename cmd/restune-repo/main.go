@@ -1,14 +1,14 @@
 // Command restune-repo builds and inspects the ResTune data repository:
 // tuning histories collected by running past tuning tasks (the repository
 // workloads on instances A and B — 34 tasks at the paper's full scale),
-// each with its workload meta-feature, persisted as JSON for later
-// meta-boosted sessions.
+// each with its workload meta-feature, persisted in the indexed repository
+// format for later meta-boosted sessions.
 //
 // Examples:
 //
 //	restune-repo -out repo.json -iters 60               # build (full: 34 tasks)
 //	restune-repo -out repo.json -iters 24 -limit 6      # quicker, 12 tasks
-//	restune-repo -inspect repo.json                     # summarize an existing repository
+//	restune-repo -inspect repo.json                     # summarize an existing repository from its index
 package main
 
 import (
@@ -37,6 +37,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "restune-repo: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
 		os.Exit(2)
 	}
+	if *inspect != "" {
+		// -inspect reads an existing repository: every build flag would be
+		// ignored, so setting one is an error.
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "inspect" {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "restune-repo: -inspect reads an existing repository and would ignore %s\n", strings.Join(ignored, ", "))
+			os.Exit(2)
+		}
+		if err := inspectRepo(*inspect); err != nil {
+			fmt.Fprintln(os.Stderr, "restune-repo:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *iters <= 0 {
 		fmt.Fprintf(os.Stderr, "restune-repo: -iters must be positive (got %d)\n", *iters)
 		os.Exit(2)
@@ -45,17 +64,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "restune-repo: -limit must not be negative (got %d)\n", *limit)
 		os.Exit(2)
 	}
-	if err := run(*out, *iters, *limit, *seed, *space, *inspect); err != nil {
+	if err := build(*out, *iters, *limit, *seed, *space); err != nil {
 		fmt.Fprintln(os.Stderr, "restune-repo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, iters, limit int, seed int64, spaceName, inspect string) error {
-	if inspect != "" {
-		return inspectRepo(inspect)
-	}
-
+func build(out string, iters, limit int, seed int64, spaceName string) error {
 	var space *knobs.Space
 	var resource dbsim.ResourceKind
 	halfRAM := true
@@ -92,15 +107,23 @@ func run(out string, iters, limit int, seed int64, spaceName, inspect string) er
 	return nil
 }
 
+// inspectRepo summarizes a repository from its index alone: no task
+// history is decoded.
 func inspectRepo(path string) error {
-	r, err := restune.LoadRepository(path)
+	r, err := restune.OpenLazyRepository(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d tasks, %d observations\n\n", path, len(r.Tasks), r.Observations())
+	defer r.Close()
+	obs := 0
+	for i := 0; i < r.Len(); i++ {
+		obs += r.Meta(i).ObsCount
+	}
+	fmt.Printf("%s: %d tasks, %d observations\n\n", path, r.Len(), obs)
 	fmt.Printf("%-28s %-10s %6s %14s\n", "Task", "Hardware", "Obs", "KnobSpace")
-	for _, t := range r.Tasks {
-		fmt.Printf("%-28s %-10s %6d %10d knobs\n", t.TaskID, t.Hardware, len(t.Observations), len(t.KnobNames))
+	for i := 0; i < r.Len(); i++ {
+		m := r.Meta(i)
+		fmt.Printf("%-28s %-10s %6d %10d knobs\n", m.TaskID, m.Hardware, m.ObsCount, len(m.KnobNames))
 	}
 	return nil
 }

@@ -64,15 +64,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "restune-server: -repo and -synthetic-corpus are mutually exclusive\n")
 		os.Exit(2)
 	}
+	hw, err := restune.InstanceByName(*instance)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "restune-server:", err)
+		os.Exit(2)
+	}
 	if err := run(*sessions, *workers, *iters, *shortlist, *synthetic, *seed,
-		*workloads, *instance, *resource, *repoPath, *traceDir, *debugAddr, *verbose); err != nil {
+		*workloads, hw, *resource, *repoPath, *traceDir, *debugAddr, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "restune-server:", err)
 		os.Exit(1)
 	}
 }
 
 func run(sessions, workers, iters, shortlist, synthetic int, seed int64,
-	workloads, instance, resource, repoPath, traceDir, debugAddr string, verbose bool) (retErr error) {
+	workloads string, hw restune.Hardware, resource, repoPath, traceDir, debugAddr string, verbose bool) (retErr error) {
 	res, err := restune.ResourceByName(resource)
 	if err != nil {
 		return err
@@ -185,7 +190,7 @@ func run(sessions, workers, iters, shortlist, synthetic int, seed int64,
 		if res == restune.CPU || res == restune.IOBandwidth || res == restune.IOOperations {
 			opts = append(opts, restune.WithHalfRAMBufferPool())
 		}
-		sim := restune.NewSimulator(restune.Instance(instance), w.Profile, sSeed, opts...)
+		sim := restune.NewSimulator(hw, w.Profile, sSeed, opts...)
 		specs[i] = restune.SessionSpec{
 			Name:      name,
 			Config:    cfg,
@@ -206,7 +211,7 @@ func run(sessions, workers, iters, shortlist, synthetic int, seed int64,
 
 	fleet := restune.NewFleet(restune.FleetConfig{Workers: workers, Recorder: fleetRec})
 	fmt.Printf("fleet: %d sessions x %d iterations over %d workers, minimizing %s on instance %s\n",
-		sessions, iters, fleet.Workers(), res, instance)
+		sessions, iters, fleet.Workers(), res, hw.Name)
 
 	t0 := time.Now()
 	results := fleet.Run(specs)

@@ -53,11 +53,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "restune-tune: -shortlist must not be negative (got %d)\n", *shortlist)
 		os.Exit(2)
 	}
+	hw, err := restune.InstanceByName(*instance)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "restune-tune:", err)
+		os.Exit(2)
+	}
 	if err := checkFlags(*method, *knobSet, *repoPath, *shortlist, *engine); err != nil {
 		fmt.Fprintln(os.Stderr, "restune-tune:", err)
 		os.Exit(2)
 	}
-	if err := run(*workloadName, *instance, *resource, *knobSet, *method, *iters, *shortlist, *seed, *repoPath, *tracePath, *debugAddr, *converge, *verbose, *engine); err != nil {
+	if err := run(*workloadName, hw, *resource, *knobSet, *method, *iters, *shortlist, *seed, *repoPath, *tracePath, *debugAddr, *converge, *verbose, *engine); err != nil {
 		fmt.Fprintln(os.Stderr, "restune-tune:", err)
 		if errors.Is(err, restune.ErrGridTooLarge) {
 			// -method grid over a -knobs space too wide to enumerate is a
@@ -84,7 +89,7 @@ func checkFlags(method, knobSet, repoPath string, shortlist int, engine bool) er
 	return nil
 }
 
-func run(workloadName, instance, resource, knobSet, method string, iters, shortlist int, seed int64, repoPath, tracePath, debugAddr string, converge, verbose, engine bool) (retErr error) {
+func run(workloadName string, hw restune.Hardware, resource, knobSet, method string, iters, shortlist int, seed int64, repoPath, tracePath, debugAddr string, converge, verbose, engine bool) (retErr error) {
 	w, err := restune.WorkloadByName(workloadName)
 	if err != nil {
 		return err
@@ -150,7 +155,7 @@ func run(workloadName, instance, resource, knobSet, method string, iters, shortl
 		if res == restune.CPU || res == restune.IOBandwidth || res == restune.IOOperations {
 			opts = append(opts, restune.WithHalfRAMBufferPool())
 		}
-		sim := restune.NewSimulator(restune.Instance(instance), w.Profile, seed, opts...)
+		sim := restune.NewSimulator(hw, w.Profile, seed, opts...)
 		ev = restune.NewEvaluator(sim, space, res)
 	}
 
@@ -176,7 +181,7 @@ func run(workloadName, instance, resource, knobSet, method string, iters, shortl
 	}
 
 	fmt.Printf("tuning %s on instance %s: minimize %s over %d knobs with %s (%d iterations)\n",
-		w.Name, instance, res, space.Dim(), tuner.Name(), iters)
+		w.Name, hw.Name, res, space.Dim(), tuner.Name(), iters)
 	result, err := tuner.Run(ev, iters)
 	if err != nil {
 		return err

@@ -24,8 +24,9 @@ func TestMain(m *testing.M) {
 
 // TestRejectsIgnoredFlagCombinations: a flag the chosen session would
 // ignore is an error (exit 2, the flag named on stderr) before any session
-// starts, so nothing reaches stdout. The last rows pass the check and fail
-// later, on a repository file that does not exist.
+// starts, so nothing reaches stdout; so is an -instance naming no instance
+// type. The last rows pass the check (an instance name's case does not
+// matter) and fail later, on a repository file that does not exist.
 func TestRejectsIgnoredFlagCombinations(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, tc := range []struct {
@@ -42,7 +43,10 @@ func TestRejectsIgnoredFlagCombinations(t *testing.T) {
 		{[]string{"-repo", missing, "-method", "default"}, 2, "-repo"},
 		{[]string{"-knobs", "cpu", "-engine"}, 2, "-knobs"},
 		{[]string{"-knobs", "case-study", "-engine", "-method", "default"}, 2, "-knobs"},
+		{[]string{"-instance", "z"}, 2, "unknown instance \"z\" (want one of A, B, C, D, E, F)"},
+		{[]string{"-instance", "A1", "-repo", missing}, 2, "want one of A, B, C, D, E, F"},
 		{[]string{"-shortlist", "4", "-repo", missing}, 1, missing},
+		{[]string{"-instance", "b", "-repo", missing}, 1, missing},
 		{[]string{"-method", "ottertune", "-repo", missing}, 1, missing},
 	} {
 		code, stdout, stderr := runTune(t, append([]string{"-iters", "2"}, tc.args...))

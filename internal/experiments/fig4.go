@@ -30,7 +30,7 @@ func runFig4(p Params) (*Report, error) {
 
 	var rows []row
 	for di, dir := range []struct{ src, dst string }{{"B", "A"}, {"A", "B"}} {
-		onlySrc := func(t repo.TaskRecord) bool { return t.Hardware == dir.src }
+		onlySrc := func(t repo.TaskMeta) bool { return t.Hardware == dir.src }
 		for wi, w := range workload.Five() {
 			seed := p.Seed + int64(1000*di+10*wi)
 			m, err := repoMethodSet(p, rep, onlySrc, space, w, seed)

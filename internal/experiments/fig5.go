@@ -28,7 +28,7 @@ func runFig5(p Params) (*Report, error) {
 	var rows []row
 	for wi, w := range workload.Five() {
 		seed := p.Seed + int64(10*wi)
-		holdOut := func(t repo.TaskRecord) bool { return t.Workload != w.Name }
+		holdOut := func(t repo.TaskMeta) bool { return t.Workload != w.Name }
 		m, err := repoMethodSet(p, rep, holdOut, space, w, seed)
 		if err != nil {
 			return nil, err

@@ -375,7 +375,7 @@ func newMethodSet(p Params, seed int64, base []meta.CorpusTask, mf []float64, ot
 
 // repoMethodSet is newMethodSet for target over the repository tasks pred
 // keeps (nil keeps all), the target embedded by the characterizer.
-func repoMethodSet(p Params, rep *repo.Repository, pred func(repo.TaskRecord) bool, space *knobs.Space, target workload.Workload, seed int64) (methodSet, error) {
+func repoMethodSet(p Params, rep *repo.Repository, pred func(repo.TaskMeta) bool, space *knobs.Space, target workload.Workload, seed int64) (methodSet, error) {
 	mf, err := metaFeatureOf(target, p.Seed)
 	if err != nil {
 		return methodSet{}, err

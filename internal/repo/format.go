@@ -8,31 +8,36 @@ import (
 	"path/filepath"
 )
 
-// The v2 on-disk format splits the repository into an eagerly-loaded index
-// and per-task history segments decoded on demand:
+// A repository file is an index line followed by per-task history segments
+// decoded on demand:
 //
 //	restune-repo v2\n
 //	{"tasks":[{index entry}, ...]}\n
 //	<task 0 segment><task 1 segment>...
 //
-// The index holds everything shortlisting needs — task id, meta-feature,
-// knob names (plus an order-insensitive set hash), observation count — with
-// each entry's segment offset (relative to the byte after the index line)
-// and length. Segments are the familiar v1 TaskRecord JSON, so a lazy open
-// reads header+index only and decodes a task's observations the first time
-// the task makes a shortlist. v1 files (a bare JSON object) still load: Load
-// and OpenLazy sniff the header and fall back to the eager v1 decode.
+// An index entry is a task's TaskMeta — everything shortlisting and knob
+// matching need — plus its segment's offset (relative to the byte after the
+// index line) and length. A segment is the task's TaskRecord as compact
+// JSON. OpenLazy reads the header and index only; Load is OpenLazy followed
+// by Task for every entry, so both read the file through one decoder. A file
+// without the header (the pre-index bare-JSON format included) is refused.
 const formatHeader = "restune-repo v2\n"
 
-// IndexEntry is one task's row in the v2 index segment.
-type IndexEntry struct {
+// TaskMeta is one task's index record: everything shortlisting and
+// knob-set matching need, without the observation history. The JSON keys
+// are the index line's.
+type TaskMeta struct {
 	TaskID      string    `json:"task_id"`
 	Workload    string    `json:"workload"`
 	Hardware    string    `json:"hardware"`
 	KnobNames   []string  `json:"knob_names"`
 	MetaFeature []float64 `json:"meta_feature"`
-	KnobSetHash uint64    `json:"knob_set_hash"`
 	ObsCount    int       `json:"obs_count"`
+}
+
+// indexEntry is one task's row in the index line.
+type indexEntry struct {
+	TaskMeta
 	// Offset/Length locate the task's segment relative to the start of the
 	// data section (the byte after the index line's newline).
 	Offset int64 `json:"offset"`
@@ -40,13 +45,25 @@ type IndexEntry struct {
 }
 
 type indexSegment struct {
-	Tasks []IndexEntry `json:"tasks"`
+	Tasks []indexEntry `json:"tasks"`
 }
 
-// encodeV2 renders tasks in the v2 format.
-func encodeV2(tasks []TaskRecord) ([]byte, error) {
+// meta is the index record of an in-memory task.
+func (t TaskRecord) meta() TaskMeta {
+	return TaskMeta{
+		TaskID:      t.TaskID,
+		Workload:    t.Workload,
+		Hardware:    t.Hardware,
+		KnobNames:   t.KnobNames,
+		MetaFeature: t.MetaFeature,
+		ObsCount:    len(t.Observations),
+	}
+}
+
+// encode renders tasks in the repository format.
+func encode(tasks []TaskRecord) ([]byte, error) {
 	segments := make([][]byte, len(tasks))
-	entries := make([]IndexEntry, len(tasks))
+	entries := make([]indexEntry, len(tasks))
 	off := int64(0)
 	for i, t := range tasks {
 		seg, err := json.Marshal(t)
@@ -54,17 +71,7 @@ func encodeV2(tasks []TaskRecord) ([]byte, error) {
 			return nil, fmt.Errorf("encoding task %s: %w", t.TaskID, err)
 		}
 		segments[i] = seg
-		entries[i] = IndexEntry{
-			TaskID:      t.TaskID,
-			Workload:    t.Workload,
-			Hardware:    t.Hardware,
-			KnobNames:   t.KnobNames,
-			MetaFeature: t.MetaFeature,
-			KnobSetHash: KnobSetHash(t.KnobNames),
-			ObsCount:    len(t.Observations),
-			Offset:      off,
-			Length:      int64(len(seg)),
-		}
+		entries[i] = indexEntry{TaskMeta: t.meta(), Offset: off, Length: int64(len(seg))}
 		off += int64(len(seg))
 	}
 	index, err := json.Marshal(indexSegment{Tasks: entries})
@@ -83,7 +90,7 @@ func encodeV2(tasks []TaskRecord) ([]byte, error) {
 }
 
 // decodeIndexLine decodes the JSON index line (without its newline).
-func decodeIndexLine(line []byte) ([]IndexEntry, error) {
+func decodeIndexLine(line []byte) ([]indexEntry, error) {
 	var ix indexSegment
 	if err := json.Unmarshal(line, &ix); err != nil {
 		return nil, fmt.Errorf("decoding index segment: %w", err)
@@ -92,10 +99,12 @@ func decodeIndexLine(line []byte) ([]IndexEntry, error) {
 }
 
 // checkSegmentBounds rejects index entries pointing outside the data
-// section — the shape a truncated or spliced v2 file takes.
-func checkSegmentBounds(entries []IndexEntry, dataLen int64) error {
+// section — the shape a truncated or spliced file takes. The length is
+// compared against the room left after the offset, so a corrupt entry
+// whose offset+length would overflow int64 is rejected too.
+func checkSegmentBounds(entries []indexEntry, dataLen int64) error {
 	for i, e := range entries {
-		if e.Offset < 0 || e.Length < 0 || e.Offset+e.Length > dataLen {
+		if e.Offset < 0 || e.Length < 0 || e.Length > dataLen-e.Offset {
 			return fmt.Errorf("task %d (%s): segment [%d,+%d) outside data section of %d bytes",
 				i, e.TaskID, e.Offset, e.Length, dataLen)
 		}
@@ -103,53 +112,10 @@ func checkSegmentBounds(entries []IndexEntry, dataLen int64) error {
 	return nil
 }
 
-// parseV2Index splits a v2 file into its index entries and data section.
-func parseV2Index(data []byte) ([]IndexEntry, []byte, error) {
-	body := data[len(formatHeader):]
-	nl := bytes.IndexByte(body, '\n')
-	if nl < 0 {
-		return nil, nil, fmt.Errorf("truncated index segment")
-	}
-	entries, err := decodeIndexLine(body[:nl])
-	if err != nil {
-		return nil, nil, err
-	}
-	payload := body[nl+1:]
-	if err := checkSegmentBounds(entries, int64(len(payload))); err != nil {
-		return nil, nil, err
-	}
-	return entries, payload, nil
-}
-
-// decodeTasks decodes a repository from either format.
-func decodeTasks(data []byte) ([]TaskRecord, error) {
-	if !bytes.HasPrefix(data, []byte(formatHeader)) {
-		// v1: one JSON object holding every task eagerly.
-		var r struct {
-			Tasks []TaskRecord `json:"tasks"`
-		}
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, err
-		}
-		return r.Tasks, nil
-	}
-	entries, payload, err := parseV2Index(data)
-	if err != nil {
-		return nil, err
-	}
-	tasks := make([]TaskRecord, len(entries))
-	for i, e := range entries {
-		if err := decodeSegment(payload[e.Offset:e.Offset+e.Length], e, &tasks[i]); err != nil {
-			return nil, err
-		}
-	}
-	return tasks, nil
-}
-
 // decodeSegment decodes one task segment and cross-checks it against its
 // index entry, so index/segment disagreement (a corrupt or spliced file)
 // surfaces as an error rather than silently wrong transfer data.
-func decodeSegment(seg []byte, e IndexEntry, out *TaskRecord) error {
+func decodeSegment(seg []byte, e indexEntry, out *TaskRecord) error {
 	if err := json.Unmarshal(seg, out); err != nil {
 		return fmt.Errorf("decoding task %s segment: %w", e.TaskID, err)
 	}

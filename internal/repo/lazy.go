@@ -6,43 +6,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 
 	"repro/internal/knobs"
 	"repro/internal/meta"
 )
 
-// TaskMeta is the eagerly-resident view of one task in a lazily-opened
-// repository: everything shortlisting and knob-set matching need, without
-// the observation history.
-type TaskMeta struct {
-	TaskID      string
-	Workload    string
-	Hardware    string
-	KnobNames   []string
-	MetaFeature []float64
-	KnobSetHash uint64
-	ObsCount    int
-}
-
-// meta is the resident view of an in-memory record.
-func (t TaskRecord) meta() TaskMeta {
-	return TaskMeta{
-		TaskID:      t.TaskID,
-		Workload:    t.Workload,
-		Hardware:    t.Hardware,
-		KnobNames:   t.KnobNames,
-		MetaFeature: t.MetaFeature,
-		KnobSetHash: KnobSetHash(t.KnobNames),
-		ObsCount:    len(t.Observations),
-	}
-}
-
 // LazyRepository is a repository opened without decoding task histories:
-// only the v2 index segment is resident, and each task's observations are
-// read and decoded on demand — the corpus-scale complement to Load, whose
-// eager decode is proportional to total stored observations. v1 files are
-// accepted too (they decode eagerly at open; laziness needs the v2 index).
+// only the index line is resident, and each task's observations are read
+// and decoded on demand. Load is built on it, so every read of a repository
+// file goes through this one decoder.
 //
 // The underlying file stays open for positioned reads until Close; Save
 // replaces files by rename, so a concurrent save never corrupts reads
@@ -56,12 +30,9 @@ func (t TaskRecord) meta() TaskMeta {
 // repository at once; the close guard makes a Task racing Close fail with
 // a clean error instead of hitting a recycled file descriptor.
 type LazyRepository struct {
-	f         *os.File // nil for the v1 eager fallback
+	f         *os.File
 	dataStart int64
-	dataLen   int64
-	entries   []IndexEntry
-	metas     []TaskMeta
-	eager     []TaskRecord // v1 fallback only
+	entries   []indexEntry
 
 	// mu guards closed: readers (Task) hold it shared for the duration of
 	// their positioned read, Close holds it exclusive, so a file descriptor
@@ -70,80 +41,50 @@ type LazyRepository struct {
 	closed bool
 }
 
-// OpenLazy opens a repository file, reading only its index. For v1 files
-// there is no index segment, so the whole file is decoded eagerly and
-// served from memory behind the same interface.
+// OpenLazy opens a repository file, reading only its header and index. A
+// file that does not start with the format header is refused.
 func OpenLazy(path string) (*LazyRepository, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("repo: opening %s: %w", path, err)
 	}
-	head := make([]byte, len(formatHeader))
-	n, err := io.ReadFull(f, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		f.Close()
-		return nil, fmt.Errorf("repo: reading %s: %w", path, err)
-	}
-	if !bytes.Equal(head[:n], []byte(formatHeader)) {
-		// v1: no index to page against — decode eagerly.
-		f.Close()
-		r, err := Load(path)
-		if err != nil {
-			return nil, err
-		}
-		l := &LazyRepository{eager: r.Tasks}
-		l.metas = make([]TaskMeta, len(r.Tasks))
-		for i, t := range r.Tasks {
-			l.metas[i] = t.meta()
-		}
-		return l, nil
-	}
-	br := bufio.NewReader(f)
-	indexLine, err := br.ReadBytes('\n')
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("repo: %s: truncated index segment: %w", path, err)
-	}
-	entries, err := decodeIndexLine(bytes.TrimSuffix(indexLine, []byte("\n")))
-	if err != nil {
+	fail := func(err error) (*LazyRepository, error) {
 		f.Close()
 		return nil, fmt.Errorf("repo: %s: %w", path, err)
+	}
+	br := bufio.NewReader(f)
+	head := make([]byte, len(formatHeader))
+	if _, err := io.ReadFull(br, head); err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return fail(err)
+	}
+	if !bytes.Equal(head, []byte(formatHeader)) {
+		return fail(fmt.Errorf("missing the %q header; rebuild the repository with restune-repo -out",
+			strings.TrimSuffix(formatHeader, "\n")))
+	}
+	indexLine, err := br.ReadBytes('\n')
+	if err != nil {
+		return fail(fmt.Errorf("truncated index segment: %w", err))
+	}
+	entries, err := decodeIndexLine(indexLine[:len(indexLine)-1])
+	if err != nil {
+		return fail(err)
 	}
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("repo: %s: %w", path, err)
+		return fail(err)
 	}
-	l := &LazyRepository{
-		f:         f,
-		dataStart: int64(len(formatHeader) + len(indexLine)),
-		entries:   entries,
+	dataStart := int64(len(formatHeader) + len(indexLine))
+	if err := checkSegmentBounds(entries, st.Size()-dataStart); err != nil {
+		return fail(err)
 	}
-	l.dataLen = st.Size() - l.dataStart
-	if err := checkSegmentBounds(entries, l.dataLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("repo: %s: %w", path, err)
-	}
-	l.metas = make([]TaskMeta, len(entries))
-	for i, e := range entries {
-		l.metas[i] = TaskMeta{
-			TaskID:      e.TaskID,
-			Workload:    e.Workload,
-			Hardware:    e.Hardware,
-			KnobNames:   e.KnobNames,
-			MetaFeature: e.MetaFeature,
-			KnobSetHash: e.KnobSetHash,
-			ObsCount:    e.ObsCount,
-		}
-	}
-	return l, nil
+	return &LazyRepository{f: f, dataStart: dataStart, entries: entries}, nil
 }
 
 // Len returns the task count.
-func (l *LazyRepository) Len() int { return len(l.metas) }
+func (l *LazyRepository) Len() int { return len(l.entries) }
 
-// Meta returns task i's resident metadata.
-func (l *LazyRepository) Meta(i int) TaskMeta { return l.metas[i] }
+// Meta returns task i's resident index record.
+func (l *LazyRepository) Meta(i int) TaskMeta { return l.entries[i].TaskMeta }
 
 // Task decodes task i's full record, reading its segment on demand. Each
 // call re-reads and re-decodes; callers wanting residency cache the result
@@ -151,9 +92,6 @@ func (l *LazyRepository) Meta(i int) TaskMeta { return l.metas[i] }
 // for concurrent callers: the segment read is positioned (pread) into a
 // fresh buffer, so parallel sessions never interleave file offsets.
 func (l *LazyRepository) Task(i int) (TaskRecord, error) {
-	if l.f == nil {
-		return l.eager[i], nil
-	}
 	e := l.entries[i]
 	seg := make([]byte, e.Length)
 	l.mu.RLock()
@@ -174,12 +112,8 @@ func (l *LazyRepository) Task(i int) (TaskRecord, error) {
 }
 
 // Close releases the underlying file; in-flight Task reads complete first
-// and later ones fail cleanly. Idempotent. The v1 fallback holds no file
-// and Close is a no-op.
+// and later ones fail cleanly. Idempotent.
 func (l *LazyRepository) Close() error {
-	if l.f == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -207,5 +141,5 @@ func (l *LazyRepository) Corpus(space *knobs.Space, seed int64, pred func(TaskMe
 // hundreds of sessions share one open repository behind a single-flight fit
 // cache.
 func (l *LazyRepository) CorpusTasks(space *knobs.Space, seed int64, pred func(TaskMeta) bool) ([]meta.CorpusTask, error) {
-	return corpusTasks(l, space, seed, func(i int) bool { return pred == nil || pred(l.metas[i]) }), nil
+	return corpusTasks(l, space, seed, pred), nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -37,36 +38,50 @@ func twoTaskRepo(t *testing.T) *Repository {
 	return &r
 }
 
-func TestV1FilesStillLoad(t *testing.T) {
-	r := twoTaskRepo(t)
+// TestRejectsV1Files: a pre-index bare-JSON file fails at open, in Load and
+// OpenLazy alike, with an error naming the missing header and the rebuild.
+func TestRejectsV1Files(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "repo.json")
-	writeV1(t, r, path)
+	writeV1(t, tinyRepo(), path)
+	r, err := Load(path)
+	if r != nil || err == nil || !strings.Contains(err.Error(), headerMessage) {
+		t.Fatalf("Load: %v, %v; want nil and an error containing %q", r, err, headerMessage)
+	}
+	l, err := OpenLazy(path)
+	if l != nil || err == nil || !strings.Contains(err.Error(), headerMessage) {
+		t.Fatalf("OpenLazy: %v, %v; want nil and an error containing %q", l, err, headerMessage)
+	}
+}
 
+// TestOpensIndexWithKnobSetHash: files written while the index carried a
+// knob_set_hash key still open, and decode to the same records.
+func TestOpensIndexWithKnobSetHash(t *testing.T) {
+	r := tinyRepo()
+	path := filepath.Join(t.TempDir(), "repo.json")
+	if err := r.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = editIndex(t, data, func(ix map[string][]map[string]json.RawMessage) {
+		for _, e := range ix["tasks"] {
+			e["knob_set_hash"] = json.RawMessage("14695981039346656037")
+		}
+	})
+	if !strings.Contains(string(data), `"knob_set_hash":14695981039346656037`) {
+		t.Fatal("hand-written index lacks knob_set_hash")
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(loaded.Tasks, r.Tasks) {
-		t.Fatal("v1 load lost data")
-	}
-
-	// Old→new round trip: a v1 file re-saved comes back in v2, identical.
-	if err := loaded.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	head, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(head), formatHeader) {
-		t.Fatal("re-save should write the v2 header")
-	}
-	again, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Tasks, r.Tasks) {
-		t.Fatal("v1→v2 round trip lost data")
+		t.Fatal("records differ")
 	}
 }
 
@@ -92,9 +107,6 @@ func TestOpenLazyV2(t *testing.T) {
 			!reflect.DeepEqual(m.MetaFeature, want.MetaFeature) {
 			t.Fatalf("meta %d: %+v vs record %+v", i, m, want)
 		}
-		if m.KnobSetHash != KnobSetHash(want.KnobNames) {
-			t.Fatalf("meta %d: knob hash mismatch", i)
-		}
 		got, err := l.Task(i)
 		if err != nil {
 			t.Fatal(err)
@@ -105,27 +117,9 @@ func TestOpenLazyV2(t *testing.T) {
 	}
 }
 
-func TestOpenLazyV1Fallback(t *testing.T) {
-	r := twoTaskRepo(t)
-	path := filepath.Join(t.TempDir(), "repo.json")
-	writeV1(t, r, path)
-	l, err := OpenLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if l.Len() != 2 || l.Meta(1).TaskID != "b" {
-		t.Fatalf("v1 fallback: len %d", l.Len())
-	}
-	got, err := l.Task(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, r.Tasks[0]) {
-		t.Fatal("v1 fallback task differs")
-	}
-}
-
+// TestOpenLazyRejectsTruncation: a truncated file, or an index entry whose
+// segment lies outside the data section, fails at open in OpenLazy and in
+// Load, and never panics. The last row's offset+length wraps int64 negative.
 func TestOpenLazyRejectsTruncation(t *testing.T) {
 	r := twoTaskRepo(t)
 	path := filepath.Join(t.TempDir(), "repo.json")
@@ -136,14 +130,28 @@ func TestOpenLazyRejectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frac := range []float64{0.1, 0.5, 0.9} {
-		cut := int(float64(len(data)) * frac)
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+	cut := func(frac float64) []byte { return data[:int(float64(len(data))*frac)] }
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"cut at 10%", cut(0.1)},
+		{"cut at 50%", cut(0.5)},
+		{"cut at 90%", cut(0.9)},
+		{"offset+length overflows", editIndex(t, data, func(ix map[string][]map[string]json.RawMessage) {
+			ix["tasks"][0]["offset"] = json.RawMessage("1")
+			ix["tasks"][0]["length"] = json.RawMessage(strconv.FormatInt(math.MaxInt64, 10))
+		})},
+	} {
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if l, err := OpenLazy(path); err == nil {
 			l.Close()
-			t.Fatalf("truncation at %d/%d bytes: expected an open error", cut, len(data))
+			t.Errorf("%s: OpenLazy: expected an open error", tc.name)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("%s: Load: expected an open error", tc.name)
 		}
 	}
 }

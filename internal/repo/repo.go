@@ -8,9 +8,6 @@ package repo
 
 import (
 	"fmt"
-	"hash/fnv"
-	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/bo"
@@ -50,24 +47,10 @@ func (t TaskRecord) History() bo.History {
 	return h
 }
 
-// Repository is a collection of task records.
+// Repository is a collection of task records held in memory: what Save
+// writes and Load returns.
 type Repository struct {
 	Tasks []TaskRecord `json:"tasks"`
-}
-
-// KnobSetHash is an order-insensitive FNV-1a hash of a knob-name set, stored
-// in the v2 index segment so tools can group tasks by configuration space
-// without decoding histories. Matching still compares full name sets —
-// the hash is a grouping key, never a proof of equality.
-func KnobSetHash(names []string) uint64 {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	h := fnv.New64a()
-	for _, n := range sorted {
-		h.Write([]byte(n))
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
 }
 
 // Add appends a task record.
@@ -82,11 +65,11 @@ func (r *Repository) Observations() int {
 	return n
 }
 
-// Filter returns the tasks matching the predicate.
-func (r *Repository) Filter(pred func(TaskRecord) bool) []TaskRecord {
+// Filter returns the tasks whose index record matches the predicate.
+func (r *Repository) Filter(pred func(TaskMeta) bool) []TaskRecord {
 	out := make([]TaskRecord, 0, len(r.Tasks))
 	for _, t := range r.Tasks {
-		if pred(t) {
+		if pred(t.meta()) {
 			out = append(out, t)
 		}
 	}
@@ -109,15 +92,16 @@ func (e eagerTasks) Meta(i int) TaskMeta            { return e[i].meta() }
 func (e eagerTasks) Task(i int) (TaskRecord, error) { return e[i], nil }
 
 // corpusTasks builds one lazily-fitting meta.CorpusTask per task of src that
-// keep selects and whose knob *set* matches the space: histories are only
-// transferable within the same configuration space. Knob order is
-// immaterial — a task stored under a different knob ordering has its Theta
-// vectors permuted into the space's order. The same knob set recurs across
-// most tasks of a corpus, so each distinct stored order is matched once.
-// Fit closures read the task's record and fit its TriGP on first shortlist
-// hit, seeded with the base seed plus the task's index in the store —
-// whichever repository type serves the file, a task gets the same surrogate.
-func corpusTasks(src taskSource, space *knobs.Space, seed int64, keep func(i int) bool) []meta.CorpusTask {
+// pred selects (nil selects all) and whose knob *set* matches the space:
+// histories are only transferable within the same configuration space.
+// Knob order is immaterial — a task stored under a different knob ordering
+// has its Theta vectors permuted into the space's order. The same knob set
+// recurs across most tasks of a corpus, so each distinct stored order is
+// matched once. Fit closures read the task's record and fit its TriGP on
+// first shortlist hit, seeded with the base seed plus the task's index in
+// the store — whichever repository type serves the file, a task gets the
+// same surrogate.
+func corpusTasks(src taskSource, space *knobs.Space, seed int64, pred func(TaskMeta) bool) []meta.CorpusTask {
 	type match struct {
 		perm []int
 		ok   bool
@@ -125,10 +109,10 @@ func corpusTasks(src taskSource, space *knobs.Space, seed int64, keep func(i int
 	matches := make(map[string]match)
 	tasks := make([]meta.CorpusTask, 0, src.Len())
 	for i := 0; i < src.Len(); i++ {
-		if !keep(i) {
+		m := src.Meta(i)
+		if pred != nil && !pred(m) {
 			continue
 		}
-		m := src.Meta(i)
 		key := strings.Join(m.KnobNames, "\x1f")
 		mt, hit := matches[key]
 		if !hit {
@@ -162,7 +146,7 @@ func corpusTasks(src taskSource, space *knobs.Space, seed int64, keep func(i int
 // predicate (nil selects all) whose knob set matches the space. Histories
 // are already in memory; surrogate fits are still deferred to first
 // shortlist hit.
-func (r *Repository) Corpus(space *knobs.Space, seed int64, pred func(TaskRecord) bool, opts meta.CorpusOptions) (*meta.Corpus, error) {
+func (r *Repository) Corpus(space *knobs.Space, seed int64, pred func(TaskMeta) bool, opts meta.CorpusOptions) (*meta.Corpus, error) {
 	tasks, err := r.CorpusTasks(space, seed, pred)
 	if err != nil {
 		return nil, err
@@ -172,8 +156,8 @@ func (r *Repository) Corpus(space *knobs.Space, seed int64, pred func(TaskRecord
 
 // CorpusTasks builds the task list Corpus wraps, exposed separately so a
 // fleet can feed one repository into a meta.SharedCorpus.
-func (r *Repository) CorpusTasks(space *knobs.Space, seed int64, pred func(TaskRecord) bool) ([]meta.CorpusTask, error) {
-	return corpusTasks(eagerTasks(r.Tasks), space, seed, func(i int) bool { return pred == nil || pred(r.Tasks[i]) }), nil
+func (r *Repository) CorpusTasks(space *knobs.Space, seed int64, pred func(TaskMeta) bool) ([]meta.CorpusTask, error) {
+	return corpusTasks(eagerTasks(r.Tasks), space, seed, pred), nil
 }
 
 // knobPermutation matches stored knob names against a space by name set,
@@ -255,29 +239,30 @@ func FromResult(taskID, workloadName, hardwareName string, metaFeature []float64
 	return t
 }
 
-// Save writes the repository in the v2 indexed format (see format.go),
+// Save writes the repository in the indexed format (see format.go),
 // atomically via the temp-file + fsync + rename discipline, so a crash
 // mid-save leaves either the old repository or the new one, never a
 // truncated mix.
 func (r *Repository) Save(path string) error {
-	data, err := encodeV2(r.Tasks)
+	data, err := encode(r.Tasks)
 	if err != nil {
 		return fmt.Errorf("repo: encoding: %w", err)
 	}
 	return atomicWrite(path, data)
 }
 
-// Load reads a repository eagerly, accepting both the v2 indexed format and
-// v1 bare-JSON files (older saves keep loading; see OpenLazy for the
-// demand-paged open).
+// Load reads a repository into memory: OpenLazy, then every task's record.
 func Load(path string) (*Repository, error) {
-	data, err := os.ReadFile(path)
+	l, err := OpenLazy(path)
 	if err != nil {
-		return nil, fmt.Errorf("repo: reading %s: %w", path, err)
+		return nil, err
 	}
-	tasks, err := decodeTasks(data)
-	if err != nil {
-		return nil, fmt.Errorf("repo: decoding %s: %w", path, err)
+	defer l.Close()
+	tasks := make([]TaskRecord, l.Len())
+	for i := range tasks {
+		if tasks[i], err = l.Task(i); err != nil {
+			return nil, err
+		}
 	}
 	return &Repository{Tasks: tasks}, nil
 }

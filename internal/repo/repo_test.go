@@ -69,7 +69,7 @@ func TestFromResultAndRoundTrip(t *testing.T) {
 
 // fitCorpusTasks materializes every corpus task of r for the space — the
 // learners a session on the exact path weights.
-func fitCorpusTasks(r *Repository, space *knobs.Space, seed int64, pred func(TaskRecord) bool) ([]*meta.BaseLearner, error) {
+func fitCorpusTasks(r *Repository, space *knobs.Space, seed int64, pred func(TaskMeta) bool) ([]*meta.BaseLearner, error) {
 	tasks, err := r.CorpusTasks(space, seed, pred)
 	if err != nil {
 		return nil, err
@@ -102,7 +102,7 @@ func TestBaseLearnersFilterAndSpaceCheck(t *testing.T) {
 	}
 
 	// Varying-hardware setting: hold out instance A.
-	bls, err = fitCorpusTasks(&r, space, 1, func(t TaskRecord) bool { return t.Hardware != "A" })
+	bls, err = fitCorpusTasks(&r, space, 1, func(m TaskMeta) bool { return m.Hardware != "A" })
 	if err != nil {
 		t.Fatal(err)
 	}

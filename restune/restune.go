@@ -30,6 +30,7 @@ package restune
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 
@@ -183,6 +184,21 @@ func Instance(name string) Hardware { return dbsim.Instance(name) }
 
 // Instances returns all instance types keyed by name.
 func Instances() map[string]Hardware { return dbsim.Instances() }
+
+// InstanceByName returns the instance type a command-line name stands for;
+// case does not matter.
+func InstanceByName(name string) (Hardware, error) {
+	all := Instances()
+	names := make([]string, 0, len(all))
+	for n, hw := range all {
+		if strings.EqualFold(name, n) {
+			return hw, nil
+		}
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return Hardware{}, fmt.Errorf("unknown instance %q (want one of %s)", name, strings.Join(names, ", "))
+}
 
 // NewSimulator builds the DBMS-under-tuning for a hardware/workload pair.
 func NewSimulator(hw Hardware, profile dbsim.WorkloadProfile, seed int64, opts ...SimulatorOption) *Simulator {
@@ -405,12 +421,13 @@ var ErrGridTooLarge = baselines.ErrGridTooLarge
 // NewRepository returns an empty data repository.
 func NewRepository() *Repository { return &Repository{} }
 
-// LoadRepository reads a repository from JSON.
+// LoadRepository reads a repository file into memory: it opens the file
+// as OpenLazyRepository does and decodes every task's history.
 func LoadRepository(path string) (*Repository, error) { return repo.Load(path) }
 
 // OpenLazyRepository opens a repository reading only its index segment;
-// task histories decode on demand (v1 files fall back to an eager decode
-// behind the same interface). Close it when the session is done.
+// task histories decode on demand. A file without the repository header is
+// refused. Close it when the session is done.
 func OpenLazyRepository(path string) (*LazyRepository, error) { return repo.OpenLazy(path) }
 
 // NewSharedCorpus builds the fleet-wide single-flight fit cache over a task

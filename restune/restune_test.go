@@ -123,8 +123,8 @@ func TestPublicExperiments(t *testing.T) {
 }
 
 // TestNamedWorkloadsAndResources resolves every name the command-line tools
-// list, in any case, to a distinct workload or resource, and rejects an
-// unknown one.
+// list, in any case, to a distinct workload, resource or instance type, and
+// rejects an unknown one.
 func TestNamedWorkloadsAndResources(t *testing.T) {
 	seen := map[string]string{}
 	for _, name := range restune.WorkloadNames() {
@@ -156,5 +156,14 @@ func TestNamedWorkloadsAndResources(t *testing.T) {
 	}
 	if _, err := restune.ResourceByName("nope"); err == nil {
 		t.Fatal("an unknown resource resolved")
+	}
+	for name := range restune.Instances() {
+		hw, err := restune.InstanceByName(strings.ToLower(name))
+		if err != nil || hw.Name != name {
+			t.Fatalf("%s resolves to %+v, %v", name, hw, err)
+		}
+	}
+	if _, err := restune.InstanceByName("nope"); err == nil {
+		t.Fatal("an unknown instance resolved")
 	}
 }

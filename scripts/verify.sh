@@ -40,8 +40,9 @@
 #   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
 #      FuzzPredictBatch included (the batched posterior vs the point-wise
 #      one), FuzzSearchPruning (the pruned search vs the exhaustive one),
-#      FuzzMaternRow (mat.MaternTo's fused vector pass vs Eval's expression)
-#      and FuzzCountPairs (the vector pair counter vs the double loop)
+#      FuzzMaternRow (mat.MaternTo's fused vector pass vs Eval's expression),
+#      FuzzCountPairs (the vector pair counter vs the double loop) and
+#      FuzzOpenRepository (arbitrary bytes after the repository header)
 #
 # Environment:
 #   FUZZTIME=30s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing
@@ -179,5 +180,8 @@ fuzz ./internal/gp FuzzSearchPruning
 fuzz ./internal/meta FuzzCorpusIndex
 fuzz ./internal/meta FuzzRankingLoss
 fuzz ./internal/workload FuzzTimeline
+# The seed is a whole saved repository; as with FuzzLeafKernels, the default
+# minute of minimisation per new corpus entry would use up the smoke budget.
+fuzz ./internal/repo FuzzOpenRepository -fuzzminimizetime 20x
 
 echo "==> verify OK"
