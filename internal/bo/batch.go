@@ -30,10 +30,10 @@ func growFloats(s []float64, n int) []float64 {
 // BatchSurrogate scores whole candidate blocks in one pass. PredictBatch
 // fills post with the posterior of all three metrics at every candidate;
 // handing the surrogate the full block (instead of one point and one metric
-// at a time) lets it build each cross-covariance block once and reuse it
-// across metrics and candidates. Implementations must be bit-identical to
-// the point-wise Predict — TriGP and the meta-learner ensemble both are —
-// and safe for concurrent calls.
+// at a time) lets it build a cross-covariance block once per metric GP for
+// all candidates. Implementations must be bit-identical to the point-wise
+// Predict — TriGP and the meta-learner ensemble both are — and safe for
+// concurrent calls.
 type BatchSurrogate interface {
 	Surrogate
 	PredictBatch(X [][]float64, post *BatchPosterior)

@@ -41,38 +41,36 @@ func batchCandidates(m, dim int, seed int64) [][]float64 {
 	return X
 }
 
-// TestTriGPSharedCrossCovBlock asserts the opportunistic sharing contract:
-// when metric GPs carry identical kernel hyperparameters the batch path
-// builds the cross-covariance block once (and, with equal noise, copies the
-// solve's variances), and in every sharing regime — fully shared, kernel
-// diverged, noise diverged — the batch posterior equals three independent
-// point-wise Predict calls bit for bit.
-func TestTriGPSharedCrossCovBlock(t *testing.T) {
+// TestTriGPBatchParity holds TriGP's batched posterior, full and mean-only,
+// to three independent point-wise Predict calls bit for bit, in every
+// regime the metric GPs' hyperparameters can land in: all equal, one kernel
+// diverged, one noise diverged, and wherever a fresh fit's searches put
+// them.
+func TestTriGPBatchParity(t *testing.T) {
 	h := batchTestHistory(30, 4, 1)
 	X := batchCandidates(40, 4, 2)
 
 	check := func(t *testing.T, tri *TriGP) {
 		t.Helper()
-		var post BatchPosterior
+		var post, means BatchPosterior
 		tri.PredictBatch(X, &post)
+		tri.PredictMeanBatch(X, &means)
 		for _, m := range Metrics {
 			for j, x := range X {
 				wm, wv := tri.Predict(m, x)
 				if math.Float64bits(post.Mu[m][j]) != math.Float64bits(wm) ||
-					math.Float64bits(post.Var[m][j]) != math.Float64bits(wv) {
-					t.Fatalf("metric %v candidate %d: batch (%x,%x) != predict (%x,%x)",
-						m, j, post.Mu[m][j], post.Var[m][j], wm, wv)
+					math.Float64bits(post.Var[m][j]) != math.Float64bits(wv) ||
+					math.Float64bits(means.Mu[m][j]) != math.Float64bits(wm) {
+					t.Fatalf("metric %v candidate %d: batch (%x,%x), mean-only %x != predict (%x,%x)",
+						m, j, post.Mu[m][j], post.Var[m][j], means.Mu[m][j], wm, wv)
 				}
 			}
 		}
 	}
 
 	// The per-metric hyperparameter searches of a full Fit almost always
-	// diverge the kernels — that regime is checked below. First construct
-	// the fully shared family explicitly: every metric adopts the resource
-	// GP's kernel and noise, after which the steady-state path — one block,
-	// one solve, copied variances — must be active and bit-identical to
-	// point-wise prediction.
+	// diverge the kernels; first every metric adopts the resource GP's
+	// kernel and noise.
 	fitted := NewTriGP(4, 1)
 	if err := fitted.FitWithBudget(h, 0); err != nil {
 		t.Fatal(err)
@@ -82,38 +80,23 @@ func TestTriGPSharedCrossCovBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !fitted.gps[0].SharesCrossCov(fitted.gps[1]) || !fitted.gps[0].SharesCrossCov(fitted.gps[2]) {
-		t.Fatal("adopted metric GPs must share the cross-covariance block")
-	}
-	if !fitted.gps[0].SharesSolve(fitted.gps[1]) || !fitted.gps[0].SharesSolve(fitted.gps[2]) {
-		t.Fatal("adopted metric GPs must share the triangular solve")
-	}
 	check(t, fitted)
 
-	// Diverged kernel on one metric: it must fall back to its own block
-	// while the other two keep sharing, with parity intact.
+	// Diverged kernel on one metric.
 	donor := gp.New(gp.NewMatern52(1.7, 0.4), fitted.gps[1].NoiseVariance)
 	if err := fitted.gps[1].AdoptHyperparamsFrom(donor); err != nil {
 		t.Fatal(err)
 	}
-	if fitted.gps[0].SharesCrossCov(fitted.gps[1]) {
-		t.Fatal("diverged kernels must not share the cross-covariance block")
-	}
 	check(t, fitted)
 
-	// Diverged noise only: the cross-covariance block is still shared but the
-	// solve is not (different factors), exercising the PredictBatchCov path.
+	// Diverged noise only: equal kernels over different factors.
 	fitted.gps[2].NoiseVariance *= 2
 	if err := fitted.gps[2].Fit(fitted.gps[2].X(), fitted.gps[2].Y()); err != nil {
 		t.Fatal(err)
 	}
-	if !fitted.gps[0].SharesCrossCov(fitted.gps[2]) || fitted.gps[0].SharesSolve(fitted.gps[2]) {
-		t.Fatal("noise-diverged GPs must share the block but not the solve")
-	}
 	check(t, fitted)
 
-	// A freshly fitted TriGP, whatever sharing regime its searches landed
-	// in, must also hold batch/point-wise parity.
+	// A freshly fitted TriGP, wherever its searches landed.
 	check(t, func() *TriGP {
 		tri := NewTriGP(4, 9)
 		if err := tri.FitWithBudget(batchTestHistory(25, 4, 9), 0); err != nil {

@@ -1,11 +1,10 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/mat"
 )
 
 func randomTraining(n, dim int, r *rand.Rand) ([][]float64, []float64) {
@@ -34,19 +33,22 @@ func randomBatch(m, dim int, r *rand.Rand) [][]float64 {
 	return X
 }
 
-// assertBatchMatchesPointwise checks PredictBatch against per-point Predict
-// bit for bit.
+// assertBatchMatchesPointwise checks PredictBatch and PredictMeanBatch
+// against per-point Predict bit for bit.
 func assertBatchMatchesPointwise(t *testing.T, g *GP, X [][]float64) {
 	t.Helper()
 	mu := make([]float64, len(X))
 	va := make([]float64, len(X))
+	means := make([]float64, len(X))
 	g.PredictBatch(X, mu, va)
+	g.PredictMeanBatch(X, means)
 	for j, x := range X {
 		wm, wv := g.Predict(x)
 		if math.Float64bits(mu[j]) != math.Float64bits(wm) ||
-			math.Float64bits(va[j]) != math.Float64bits(wv) {
-			t.Fatalf("candidate %d: batch (%x, %x) != point-wise (%x, %x)",
-				j, mu[j], va[j], wm, wv)
+			math.Float64bits(va[j]) != math.Float64bits(wv) ||
+			math.Float64bits(means[j]) != math.Float64bits(wm) {
+			t.Fatalf("candidate %d: batch (%x, %x), mean-only %x != point-wise (%x, %x)",
+				j, mu[j], va[j], means[j], wm, wv)
 		}
 	}
 }
@@ -77,65 +79,82 @@ func TestPredictBatchUnfitted(t *testing.T) {
 	assertBatchMatchesPointwise(t, g, randomBatch(5, 3, r))
 }
 
-// TestPredictBatchCovShared checks that a block built by one GP serves
-// another with equal kernel (different noise and targets) bit-identically.
-func TestPredictBatchCovShared(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	x, y1 := randomTraining(30, 4, r)
-	y2 := make([]float64, len(y1))
-	for i := range y2 {
-		y2[i] = -2*y1[i] + 0.3
-	}
-	g1 := New(NewMatern52(1, 0.5), 0.01)
-	g2 := New(NewMatern52(1, 0.5), 0.07)
-	if err := g1.Fit(x, y1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.Fit(x, y2); err != nil {
-		t.Fatal(err)
-	}
-	if !g1.SharesCrossCov(g2) {
-		t.Fatal("equal kernels on shared inputs must share cross-covariance")
-	}
-	X := randomBatch(17, 4, r)
-	kstar := mat.NewDense(g1.N(), len(X))
-	g1.CrossCovTo(kstar, X)
-	mu := make([]float64, len(X))
-	va := make([]float64, len(X))
-	g2.PredictBatchCov(kstar, X, mu, va)
-	for j, xq := range X {
-		wm, wv := g2.Predict(xq)
-		if math.Float64bits(mu[j]) != math.Float64bits(wm) ||
-			math.Float64bits(va[j]) != math.Float64bits(wv) {
-			t.Fatalf("shared-block candidate %d: (%x,%x) != (%x,%x)", j, mu[j], va[j], wm, wv)
-		}
-	}
-	// Diverged hyperparameters must refuse sharing.
-	g2.kernel.SetParams([]float64{0.1, -0.3})
-	if g1.SharesCrossCov(g2) {
-		t.Fatal("diverged kernels must not share cross-covariance")
-	}
-}
-
 // TestPredictBatchAllocFree asserts the zero-allocation steady state of the
-// batched path: pooled workspaces plus caller-provided outputs.
+// batched path, full and mean-only: workspaces come from the one
+// package-wide pool, which two GPs of equal training-set size draw from in
+// turn, and outputs are caller-provided.
 func TestPredictBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector")
 	}
 	r := rand.New(rand.NewSource(9))
-	g := New(NewMatern52(1, 0.5), 0.01)
 	x, y := randomTraining(100, 12, r)
-	if err := g.Fit(x, y); err != nil {
-		t.Fatal(err)
+	g := New(NewMatern52(1, 0.5), 0.01)
+	h := New(NewMatern52(0.7, 0.9), 0.03)
+	for _, p := range []*GP{g, h} {
+		if err := p.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
 	}
 	X := randomBatch(64, 12, r)
 	mu := make([]float64, len(X))
 	va := make([]float64, len(X))
 	g.PredictBatch(X, mu, va) // warm the pool
-	if allocs := testing.AllocsPerRun(50, func() {
-		g.PredictBatch(X, mu, va)
-	}); allocs > 0 {
-		t.Fatalf("PredictBatch allocates %.1f objects per run in steady state", allocs)
+	for name, run := range map[string]func(){
+		"PredictBatch":     func() { g.PredictBatch(X, mu, va) },
+		"PredictMeanBatch": func() { g.PredictMeanBatch(X, mu) },
+		"two GPs": func() {
+			g.PredictBatch(X, mu, va)
+			h.PredictMeanBatch(X, mu)
+			h.PredictBatch(X, mu, va)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
+			t.Fatalf("%s allocates %.1f objects per run in steady state", name, allocs)
+		}
 	}
+}
+
+// TestBatchRejectsMisdimensionedCandidate holds the batched posterior to
+// Predict's contract: a candidate longer or shorter than the training inputs
+// panics with the same message, full and mean-only.
+func TestBatchRejectsMisdimensionedCandidate(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	g := New(NewMatern52(1, 0.5), 0.01)
+	x, y := randomTraining(12, 2, r)
+	if err := g.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		dim  int
+		want string
+	}{
+		{"longer", 3, "gp: 3-dimensional point for a GP on 2-dimensional inputs"},
+		{"shorter", 1, "gp: 1-dimensional point for a GP on 2-dimensional inputs"},
+	} {
+		X := [][]float64{{0.1, 0.2}, make([]float64, tc.dim)}
+		mu, va := make([]float64, len(X)), make([]float64, len(X))
+		for call, run := range map[string]func(){
+			"Predict":          func() { g.Predict(X[1]) },
+			"PredictBatch":     func() { g.PredictBatch(X, mu, va) },
+			"PredictMeanBatch": func() { g.PredictMeanBatch(X, mu) },
+		} {
+			if got := recoverString(run); got != tc.want {
+				t.Errorf("%s: %s panicked with %q, want %q", tc.name, call, got, tc.want)
+			}
+		}
+	}
+}
+
+// recoverString runs f and returns the value it panicked with, as a string
+// ("" when it returned).
+func recoverString(f func()) (msg string) {
+	defer func() {
+		if v := recover(); v != nil {
+			msg = fmt.Sprint(v)
+		}
+	}()
+	f()
+	return ""
 }

@@ -9,7 +9,8 @@ import (
 // FuzzPredictBatch is the differential fuzz target for the batched inference
 // path: for arbitrary training sets, randomized hyperparameters and batch
 // sizes — including the 0 and 1 edge cases — the batch posterior must equal
-// the point-wise posterior bit for bit. This is the contract that lets the
+// the point-wise posterior bit for bit, and the mean-only batch
+// (PredictMeanBatch) the point-wise means. This is the contract that lets the
 // acquisition optimizer switch freely between the two paths without
 // perturbing a single tuning trace.
 func FuzzPredictBatch(f *testing.F) {
@@ -46,13 +47,16 @@ func FuzzPredictBatch(f *testing.F) {
 
 		mu := make([]float64, m)
 		va := make([]float64, m)
+		means := make([]float64, m)
 		g.PredictBatch(X, mu, va)
+		g.PredictMeanBatch(X, means)
 		for j, xq := range X {
 			wm, wv := g.Predict(xq)
 			if math.Float64bits(mu[j]) != math.Float64bits(wm) ||
-				math.Float64bits(va[j]) != math.Float64bits(wv) {
-				t.Fatalf("seed=%d n=%d dim=%d m=%d candidate %d: batch (%x, %x) != point (%x, %x)",
-					seed, n, dim, m, j, mu[j], va[j], wm, wv)
+				math.Float64bits(va[j]) != math.Float64bits(wv) ||
+				math.Float64bits(means[j]) != math.Float64bits(wm) {
+				t.Fatalf("seed=%d n=%d dim=%d m=%d candidate %d: batch (%x, %x), mean-only %x != point (%x, %x)",
+					seed, n, dim, m, j, mu[j], va[j], means[j], wm, wv)
 			}
 		}
 	})

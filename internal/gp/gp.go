@@ -65,7 +65,7 @@ type GP struct {
 	appendsSinceSelect int
 	reselects          int
 
-	// xt holds tx transposed (dim x lanes(TrainN): one view entry per
+	// xt holds tx transposed (dim x lanes(len(tx)): one view entry per
 	// column, then up to seven copies of column 0) in xtData, for the vector
 	// kernel rows of refactor's fill and of point-wise prediction
 	// (kernelRow), which run over the padded width and drop the padding
@@ -81,25 +81,13 @@ type GP struct {
 
 	// scratch pools per-Predict buffers so the acquisition path (which
 	// calls Predict tens of thousands of times per tuning iteration, from
-	// many goroutines) runs allocation-free in steady state.
+	// many goroutines) runs allocation-free in steady state. The batched
+	// path's workspaces come from the package-wide batchPool instead.
 	scratch sync.Pool
-	// batch pools per-PredictBatch workspaces (cross-covariance block,
-	// solve block, prior row) for the same reason.
-	batch sync.Pool
 }
 
 type predictBuf struct {
 	ks, v []float64
-}
-
-// batchBuf is the pooled workspace of one PredictBatch call: the n x m
-// cross-covariance block, the n x m forward-solve block, and the m-vector of
-// prior variances. The Dense headers are retained and re-dressed over the
-// backing arrays with Reset, so steady-state use allocates nothing.
-type batchBuf struct {
-	kdata, vdata []float64
-	kstar, v     mat.Dense
-	prior        []float64
 }
 
 // factorBufs is the storage one factorization lives in: the packed factor
@@ -130,19 +118,6 @@ var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 // tuning iteration, and exact-size buffers would be reallocated every time.
 func roomFor(n int) int { return (n + 31) &^ 31 }
 
-func (bb *batchBuf) resize(n, m int) {
-	if cap(bb.kdata) < n*m {
-		bb.kdata = make([]float64, n*m)
-		bb.vdata = make([]float64, n*m)
-	}
-	if cap(bb.prior) < m {
-		bb.prior = make([]float64, m)
-	}
-	bb.kstar.Reset(n, m, bb.kdata[:n*m])
-	bb.v.Reset(n, m, bb.vdata[:n*m])
-	bb.prior = bb.prior[:m]
-}
-
 // New returns an unfitted GP with a copy of the given kernel and the given
 // noise variance.
 func New(kernel *Matern52, noiseVariance float64) *GP {
@@ -151,12 +126,6 @@ func New(kernel *Matern52, noiseVariance float64) *GP {
 
 // N returns the number of training observations.
 func (g *GP) N() int { return len(g.x) }
-
-// TrainN returns the effective training-set size the current fit conditions
-// on — the anchor count under sparse inference (SetSparse), N() otherwise.
-// Callers building cross-covariance blocks for CrossCovTo size them by
-// TrainN.
-func (g *GP) TrainN() int { return len(g.tx) }
 
 // X returns the training inputs (shared storage).
 func (g *GP) X() [][]float64 { return g.x }
@@ -603,111 +572,11 @@ func (g *GP) predictBuf() *predictBuf {
 // for bit, cut to the view. It panics unless x has the dimension of the
 // training inputs.
 func (g *GP) kernelRow(pb *predictBuf, x []float64) []float64 {
-	dim, w := g.xt.Dims()
-	if dim != len(x) {
-		panic(fmt.Sprintf("gp: %d-dimensional point for a GP on %d-dimensional inputs", len(x), dim))
-	}
+	g.checkDim(x)
+	_, w := g.xt.Dims()
 	ks := pb.ks[:w]
 	g.kernel.row(ks, x, &g.xt)
 	return ks[:len(g.tx)]
-}
-
-// CrossCovTo fills dst (a TrainN() x len(X) matrix) with the cross-covariance
-// block between the training inputs and the candidate batch X: dst[i][j] =
-// k(x_i, X[j]). The candidates are transposed once, so the distance and
-// Matérn passes of every row vectorize over them; every entry matches the
-// point-wise Eval bit for bit.
-func (g *GP) CrossCovTo(dst *mat.Dense, X [][]float64) {
-	tx := g.tx
-	if r, c := dst.Dims(); r != len(tx) || c != len(X) {
-		panic("gp: cross-covariance dimension mismatch")
-	}
-	if len(X) == 0 || len(tx) == 0 {
-		return
-	}
-	dim := len(tx[0])
-	cs := getCrossScratch(X, dim)
-	for i, xi := range tx {
-		g.kernel.row(dst.Row(i), xi[:dim], &cs.xt)
-	}
-	crossPool.Put(cs)
-}
-
-// SharesCrossCov reports whether g and o would build bit-identical
-// cross-covariance blocks for any candidate batch: the same effective
-// training inputs (pointer-identical history storage, and under sparse
-// conditioning the same anchor indices into it) under equal kernels.
-// Co-trained surrogates (TriGP's three metric GPs, fitted on one shared
-// theta track) use this to compute the block once and share it; anchor
-// selection is a pure function of the shared inputs, so sibling GPs with
-// the same sparse configuration always agree on the subset.
-func (g *GP) SharesCrossCov(o *GP) bool {
-	if len(g.x) != len(o.x) {
-		return false
-	}
-	if len(g.x) > 0 && &g.x[0] != &o.x[0] {
-		return false
-	}
-	if (g.view == nil) != (o.view == nil) || len(g.view) != len(o.view) {
-		return false
-	}
-	for k, i := range g.view {
-		if o.view[k] != i {
-			return false
-		}
-	}
-	return g.kernel == o.kernel
-}
-
-// SharesSolve reports whether g and o compute bit-identical posterior
-// variances for any candidate batch: SharesCrossCov plus equal noise
-// variance and equal observation weights on two fitted GPs. The
-// factorization is a pure function of (training inputs, kernel, noise
-// diagonal) — mat.Cholesky.Append is bit-identical to a full Factor — so
-// two such GPs carry the same Cholesky factor, the same prior variances,
-// and therefore the same forward solve and posterior variance. Only the mean differs (it depends on the targets), so a sharing
-// caller pairs one full posterior computation with MeanBatchCov calls for
-// the rest of the family and copies the variance outright.
-func (g *GP) SharesSolve(o *GP) bool {
-	return g.chol != nil && o.chol != nil &&
-		g.NoiseVariance == o.NoiseVariance &&
-		weightsEqual(g.obsW, o.obsW) && g.SharesCrossCov(o)
-}
-
-// weightsEqual reports whether two observation-weight vectors build the
-// same noise diagonal (nil means uniform; an all-ones vector is a distinct
-// representation and compared elementwise).
-func weightsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) > 0 && &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// MeanBatchCov fills mu with the posterior mean at every candidate from a
-// caller-provided cross-covariance block — exactly the mean half of
-// PredictBatchCov, bit for bit, the prior mean 0 when unfitted — for callers
-// that share the variance from a sibling GP for which SharesSolve holds, or
-// need no variance at all.
-func (g *GP) MeanBatchCov(kstar *mat.Dense, mu []float64) {
-	if g.chol == nil {
-		for j := range mu {
-			mu[j] = 0
-		}
-		return
-	}
-	mat.MulTVecTo(mu, kstar, g.alpha)
-	for j := range mu {
-		mu[j] += g.meanY
-	}
 }
 
 // PredictBatch computes the posterior mean and variance at every candidate in
@@ -715,8 +584,12 @@ func (g *GP) MeanBatchCov(kstar *mat.Dense, mu []float64) {
 // Predict per candidate — same kernel arithmetic, same solve order, same
 // variance floor — but builds the cross-covariance block with per-row hoisted
 // kernel terms and forward-substitutes all candidates through the Cholesky
-// factor in one blocked pass. Safe for concurrent use; allocation-free in
-// steady state (workspaces are pooled, outputs are caller-provided).
+// factor in one blocked pass: per candidate j, prior = k(x,x) + σ²;
+// mu = mean + Σ_i ks[i]·α[i] (ascending i); v = forward solve of ks through
+// L (ascending rows); variance = prior − Σ_i v[i]² (ascending i), floored at
+// 1e-12, and MulTVecTo, SolveLowerBatchTo and ColDotsTo each preserve that
+// per-column order. Safe for concurrent use; allocation-free in steady state
+// (workspaces are pooled, outputs are caller-provided).
 func (g *GP) PredictBatch(X [][]float64, mu, variance []float64) {
 	m := len(X)
 	if len(mu) != m || len(variance) != m {
@@ -726,85 +599,60 @@ func (g *GP) PredictBatch(X [][]float64, mu, variance []float64) {
 		return
 	}
 	if g.chol == nil {
-		g.priorBatch(X, mu, variance)
+		for j, x := range X {
+			mu[j] = 0
+			variance[j] = g.kernel.Eval(x, x) + g.NoiseVariance
+		}
 		return
 	}
-	bb := g.getBatchBuf(len(g.tx), m)
-	g.CrossCovTo(&bb.kstar, X)
-	g.predictBatchCov(bb, &bb.kstar, X, mu, variance)
-	g.batch.Put(bb)
-}
-
-// PredictBatchCov is PredictBatch with a caller-provided cross-covariance
-// block (as built by CrossCovTo, N() x len(X)). The block is read, never
-// written, so one block can serve several GPs for which SharesCrossCov holds
-// — they differ only in targets, noise and factorization. The caller is
-// responsible for that agreement; a mismatched block silently yields the
-// wrong posterior.
-func (g *GP) PredictBatchCov(kstar *mat.Dense, X [][]float64, mu, variance []float64) {
-	m := len(X)
-	if len(mu) != m || len(variance) != m {
-		panic("gp: batch output length mismatch")
-	}
-	if m == 0 {
-		return
-	}
-	if g.chol == nil {
-		g.priorBatch(X, mu, variance)
-		return
-	}
-	bb := g.getBatchBuf(len(g.tx), m)
-	g.predictBatchCov(bb, kstar, X, mu, variance)
-	g.batch.Put(bb)
-}
-
-// priorBatch fills the unfitted posterior, matching Predict's prior branch.
-func (g *GP) priorBatch(X [][]float64, mu, variance []float64) {
-	for j, x := range X {
-		mu[j] = 0
-		variance[j] = g.kernel.Eval(x, x) + g.NoiseVariance
-	}
-}
-
-func (g *GP) getBatchBuf(n, m int) *batchBuf {
-	bb, _ := g.batch.Get().(*batchBuf)
-	if bb == nil {
-		bb = &batchBuf{}
-	}
-	bb.resize(n, m)
-	return bb
-}
-
-// predictBatchCov is the shared body of PredictBatch/PredictBatchCov. Per
-// candidate j it performs exactly Predict's op sequence: prior = k(x,x) + σ²;
-// mu = mean + Σ_i ks[i]·α[i] (ascending i); v = forward solve of ks through
-// L (ascending rows); variance = prior − Σ_i v[i]² (ascending i), floored at
-// 1e-12. MulTVecTo, SolveLowerBatchTo and ColDotsTo each preserve that
-// per-column order, so batch results carry the same bits as point-wise ones.
-func (g *GP) predictBatchCov(bb *batchBuf, kstar *mat.Dense, X [][]float64, mu, variance []float64) {
-	for j, x := range X {
-		bb.prior[j] = g.kernel.Eval(x, x) + g.NoiseVariance
-	}
-	mat.MulTVecTo(mu, kstar, g.alpha)
-	for j := range mu {
-		mu[j] += g.meanY
-	}
-	g.chol.SolveLowerBatchTo(&bb.v, kstar)
+	bb := g.crossCov(X)
+	g.meanBatch(bb, mu)
+	bb.vdata = grow(bb.vdata, len(g.tx)*m)
+	bb.v.Reset(len(g.tx), m, bb.vdata)
+	g.chol.SolveLowerBatchTo(&bb.v, &bb.kstar)
 	mat.ColDotsTo(variance, &bb.v)
-	for j := range variance {
-		variance[j] = bb.prior[j] - variance[j]
+	for j, x := range X {
+		prior := g.kernel.Eval(x, x) + g.NoiseVariance
+		variance[j] = prior - variance[j]
 		if variance[j] < 1e-12 {
 			variance[j] = 1e-12
 		}
 	}
+	batchPool.Put(bb)
+}
+
+// PredictMeanBatch fills mu with PredictBatch's means alone, bit for bit,
+// without the forward solve the variances need; an unfitted GP returns the
+// prior mean, 0. Safe for concurrent use; allocation-free in steady state.
+func (g *GP) PredictMeanBatch(X [][]float64, mu []float64) {
+	if len(mu) != len(X) {
+		panic("gp: batch output length mismatch")
+	}
+	if g.chol == nil {
+		for j := range mu {
+			mu[j] = 0
+		}
+		return
+	}
+	if len(X) == 0 {
+		return
+	}
+	bb := g.crossCov(X)
+	g.meanBatch(bb, mu)
+	batchPool.Put(bb)
+}
+
+// meanBatch fills mu with the posterior means over bb's cross-covariance
+// block.
+func (g *GP) meanBatch(bb *batchBuf, mu []float64) {
+	mat.MulTVecTo(mu, &bb.kstar, g.alpha)
+	for j := range mu {
+		mu[j] += g.meanY
+	}
 }
 
 // AdoptHyperparamsFrom installs o's kernel hyperparameters and noise
-// variance into g and refactors g's current fit under them. It is the
-// explicit way to construct a sharing family: afterwards, if g and o hold
-// the same training inputs, SharesSolve(g, o) holds and batched posterior
-// callers can share one cross-covariance block and triangular solve across
-// both GPs.
+// variance into g and refactors g's current fit under them.
 func (g *GP) AdoptHyperparamsFrom(o *GP) error {
 	g.kernel.SetParams(o.kernel.Params())
 	g.NoiseVariance = o.NoiseVariance

@@ -96,9 +96,9 @@ func TestFitLifecycleOneHistory(t *testing.T) {
 			t.Fatalf("n=%d (%s): sparse state %+v, want active=%v reselects=%d",
 				n, st.name, stats, st.active, st.reselects)
 		}
-		if got := g.chol.N(); got != st.factorN || g.TrainN() != st.factorN {
-			t.Fatalf("n=%d (%s): factor covers %d points (TrainN %d), want %d",
-				n, st.name, got, g.TrainN(), st.factorN)
+		if got := g.chol.N(); got != st.factorN || len(g.tx) != st.factorN {
+			t.Fatalf("n=%d (%s): factor covers %d points (view of %d), want %d",
+				n, st.name, got, len(g.tx), st.factorN)
 		}
 		if appended := g.refactors == rebuilds; appended != st.appended {
 			t.Fatalf("n=%d (%s): appended=%v, want %v", n, st.name, appended, st.appended)

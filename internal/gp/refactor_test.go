@@ -29,7 +29,7 @@ type reference struct {
 
 func newReference(t *testing.T, g *GP) *reference {
 	t.Helper()
-	m := g.TrainN()
+	m := len(g.tx)
 	ref := &reference{k: g.kernel, noise: g.NoiseVariance, tx: g.tx, K: mat.NewDense(m, m), meanY: mean(g.y)}
 	for i := 0; i < m; i++ {
 		for j := i; j < m; j++ {
@@ -110,7 +110,8 @@ func (ref *reference) loo(g *GP) (mu, variance []float64) {
 // refactor's filled upper triangle, the point-wise kernel row and the
 // cross-covariance block must match Eval entry by entry, and everything built
 // on them must too: the log marginal likelihood (the factor's
-// log-determinant and weights), Predict, PredictMean, PredictBatch and LOO.
+// log-determinant and weights), Predict, PredictMean, PredictBatch,
+// PredictMeanBatch and LOO.
 // The growth crosses every path that changes the view or the factor it is
 // read with: an append, a rebuild, a search, AdoptHyperparamsFrom and
 // SetSparse. Under -tags purego the vector kernels are compiled out and the
@@ -148,7 +149,7 @@ func TestVectorFillMatchesEvalLoop(t *testing.T) {
 		}
 		check := func(n int, path string) {
 			t.Helper()
-			m := g.TrainN()
+			m := len(g.tx)
 			if g.chol == nil {
 				t.Fatalf("%s n=%d after %s: no factor", mode, n, path)
 			}
@@ -182,10 +183,12 @@ func TestVectorFillMatchesEvalLoop(t *testing.T) {
 			if a, b := g.LogMarginalLikelihood(), ref.lml(); !same(a, b) {
 				t.Fatalf("%s n=%d after %s: LML %x, reference %x", mode, n, path, a, b)
 			}
-			cross := mat.NewDense(m, len(probe))
-			g.CrossCovTo(cross, probe)
+			bb := g.crossCov(probe)
+			cross := &bb.kstar
 			mu, va := make([]float64, len(probe)), make([]float64, len(probe))
 			g.PredictBatch(probe, mu, va)
+			means := make([]float64, len(probe))
+			g.PredictMeanBatch(probe, means)
 			for j, p := range probe {
 				want := ref.row(p)
 				pb := g.predictBuf()
@@ -201,10 +204,11 @@ func TestVectorFillMatchesEvalLoop(t *testing.T) {
 				if !same(pmu, rmu) || !same(pv, rv) || !same(mu[j], rmu) || !same(va[j], rv) {
 					t.Fatalf("%s n=%d after %s: probe %d: Predict (%x, %x), batch (%x, %x), reference (%x, %x)", mode, n, path, j, pmu, pv, mu[j], va[j], rmu, rv)
 				}
-				if mean := g.PredictMean(p); !same(mean, rmu) {
-					t.Fatalf("%s n=%d after %s: probe %d: mean-only %x, reference %x", mode, n, path, j, mean, rmu)
+				if mean := g.PredictMean(p); !same(mean, rmu) || !same(means[j], rmu) {
+					t.Fatalf("%s n=%d after %s: probe %d: mean-only %x, batch mean-only %x, reference %x", mode, n, path, j, mean, means[j], rmu)
 				}
 			}
+			batchPool.Put(bb)
 			lmu, lv := g.LOO()
 			rmu, rv := ref.loo(g)
 			for i := range rmu {
@@ -254,7 +258,7 @@ func TestVectorFillMatchesEvalLoop(t *testing.T) {
 
 // fillAll fills a fresh matrix with every panel refactor would fill.
 func fillAll(g *GP) *mat.Dense {
-	m := g.TrainN()
+	m := len(g.tx)
 	ks := &kernelScratch{}
 	ks.resize(m)
 	for i0 := 0; i0 < m; i0 += pruneStride {

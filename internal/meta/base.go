@@ -85,10 +85,9 @@ func (b *BaseLearner) Predict(m bo.Metric, x []float64) (mu, variance float64) {
 }
 
 // PredictBatch fills post with the standardized posterior of all three
-// metrics at every candidate. One call builds the learner's cross-covariance
-// block(s) once and reuses them across metrics (see bo.TriGP.PredictBatch),
-// instead of rebuilding a kernel row per metric per candidate. Bit-identical
-// to per-point Predict.
+// metrics at every candidate: each metric GP builds one cross-covariance
+// block for the whole candidate batch (see bo.TriGP.PredictBatch) instead of
+// a kernel row per candidate. Bit-identical to per-point Predict.
 func (b *BaseLearner) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 	b.Surrogate.PredictBatch(X, post)
 }

@@ -35,8 +35,7 @@ func metaBatchHistory(n, dim int, seed int64) bo.History {
 // schemas: zero-weight learners skipped, target-only variance (base learners
 // answer means alone), weighted-variance ablation, and the no-target static
 // bootstrap. The base learners include a sparse one and one whose three
-// metric GPs share a kernel, so TriGP's block sharing runs in the mean-only
-// mode too.
+// metric GPs hold one kernel.
 func TestEnsemblePredictBatchBitIdentical(t *testing.T) {
 	var base []*BaseLearner
 	for i := 0; i < 4; i++ {

@@ -159,8 +159,8 @@ func growZero(s []float64, n int) []float64 {
 // PredictBatch implements bo.BatchSurrogate: the Eq. 6/7 combination at every
 // candidate of a block, bit-identical to per-point Predict. Zero-weight base
 // learners are skipped entirely — their surrogates never build a block — and
-// each contributing learner computes its cross-covariance block(s) once for
-// the whole (block x 3 metrics) workload via its own PredictBatch, or
+// each contributing learner's metric GPs each build one cross-covariance
+// block for the whole candidate block via its own PredictBatch, or
 // PredictMeanBatch when its variance is not read (meanOnly).
 func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 	post.Resize(len(X))

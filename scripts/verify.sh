@@ -11,18 +11,19 @@
 #      then go vet + go test -C benchmark: the benchmark is a nested module
 #      that `./...` at the root never compiles, so a change that breaks the
 #      surface benchmark/adapter.go pins fails here, not in the pipeline
-#   5. the vector math core's other configurations: mat, gp, meta and core
-#      again under GODEBUG=cpu.fma=off (math.Exp takes its multiply-then-add
-#      branch, mat.MaternTo must pick the matching kernel — which every GP
-#      kernel row, the ensemble's included, rides — and the pinned session
-#      digests must still hold), the same four under -tags purego (the
-#      vector kernels compiled out: every bit-parity table runs on the
-#      scalar loops — among them the blocked factor grown panel by panel,
-#      InverseDiagTo against the full inverse's diagonal, the pruned
-#      hyperparameter search against the exhaustive one, and mat.CountPairs
-#      against the double loop, with meta's ranking loss on the keyed merge
-#      alone), and GOARCH=arm64 go vet of mat and gp, so the stubs in
-#      simd_other.go cannot drift from the amd64 declarations
+#   5. the vector math core's other configurations: mat, gp, bo, meta and
+#      core again under GODEBUG=cpu.fma=off (math.Exp takes its
+#      multiply-then-add branch, mat.MaternTo must pick the matching kernel —
+#      which every GP kernel row, the ensemble's included, rides — and the
+#      pinned session digests must still hold), the same five under -tags
+#      purego (the vector kernels compiled out: every bit-parity table runs
+#      on the scalar loops — among them TriGP's batched posterior and
+#      CEIBatch against the point-wise ones, the blocked factor grown panel
+#      by panel, InverseDiagTo against the full inverse's diagonal, the
+#      pruned hyperparameter search against the exhaustive one, and
+#      mat.CountPairs against the double loop, with meta's ranking loss on
+#      the keyed merge alone), and GOARCH=arm64 go vet of mat and gp, so the
+#      stubs in simd_other.go cannot drift from the amd64 declarations
 #   6. go test -race ./...           (short mode: the crash harness strides
 #                                     its boundary enumeration under -short)
 #   7. telemetry smoke runs: restune-tune -trace must emit a non-empty,
@@ -38,8 +39,8 @@
 #      wall-clock lines and the table3 block (stage timings) masked on both
 #      sides
 #   9. a fuzz smoke pass: every Fuzz target runs for FUZZTIME (default 30s),
-#      FuzzPredictBatch included (the batched posterior vs the point-wise
-#      one), FuzzSearchPruning (the pruned search vs the exhaustive one),
+#      FuzzPredictBatch included (the batched posterior and the mean-only
+#      batch vs the point-wise ones), FuzzSearchPruning (the pruned search vs the exhaustive one),
 #      FuzzMaternRow (mat.MaternTo's fused vector pass vs Eval's expression),
 #      FuzzCountPairs (the vector pair counter vs the double loop) and
 #      FuzzOpenRepository (arbitrary bytes after the repository header)
@@ -75,9 +76,9 @@ go test ./...
 echo "==> go vet + go test -C benchmark ./... (nested module)"
 go vet -C benchmark ./... && go test -C benchmark ./...
 
-echo "==> GODEBUG=cpu.fma=off and -tags purego go test (mat, gp, meta, core) + GOARCH=arm64 go vet (mat, gp)"
-GODEBUG=cpu.fma=off go test ./internal/mat ./internal/gp ./internal/meta ./internal/core
-go test -tags purego ./internal/mat ./internal/gp ./internal/meta ./internal/core
+echo "==> GODEBUG=cpu.fma=off and -tags purego go test (mat, gp, bo, meta, core) + GOARCH=arm64 go vet (mat, gp)"
+GODEBUG=cpu.fma=off go test ./internal/mat ./internal/gp ./internal/bo ./internal/meta ./internal/core
+go test -tags purego ./internal/mat ./internal/gp ./internal/bo ./internal/meta ./internal/core
 GOARCH=arm64 go vet ./internal/mat ./internal/gp
 
 echo "==> go test -race -short ./..."
