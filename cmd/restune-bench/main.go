@@ -36,7 +36,7 @@ func main() {
 		csvDir    = flag.String("csv", "", "also write each experiment's numeric series as CSV into this directory")
 		tracePath = flag.String("trace", "", "write a JSONL telemetry trace of every tuning session to this file")
 		debugAddr = flag.String("debug-addr", "", "serve expvar/metrics/pprof on this address (e.g. localhost:6060) while experiments run")
-		timeline  = flag.String("timeline", "", "run the simulated-day drift comparison (drift-aware vs stationary tuning) over this timeline: a profile name (diurnal, spike, ramp, flat), \"all\", or a CSV load file of offset_seconds,rate_mult[,write_boost] rows")
+		timeline  = flag.String("timeline", "", "run the simulated-day drift comparison (drift-aware vs stationary tuning) over this timeline: a profile name ("+strings.Join(restune.TimelineProfileNames(), ", ")+"), \"all\", or a CSV load file of offset_seconds,rate_mult[,write_boost] rows")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -157,27 +157,23 @@ func main() {
 	}
 }
 
-// runTimeline runs the -timeline simulated-day comparison: the drift-aware
-// tuner against the paired stationary baseline over each selected timeline,
-// reporting post-warmup SLA violations, drift events and adaptation speed.
+// runTimeline runs the -timeline simulated-day comparison — the drift
+// experiment's table over the selected timelines — and prints its report.
 // arg is a built-in profile name, "all" for every profile, or the path of a
 // CSV load file (offset_seconds,rate_mult[,write_boost] rows).
 func runTimeline(arg string, p restune.ExperimentParams) error {
-	type day struct {
-		name string
-		tl   *restune.Timeline
-	}
+	profiles := restune.TimelineProfileNames()
 	names := []string{arg}
 	if arg == "all" {
-		names = []string{"diurnal", "spike", "ramp", "flat"}
+		names = profiles
 	}
-	var days []day
+	var days []restune.Day
 	for _, name := range names {
 		tl, err := restune.TimelineProfile(name)
 		if err != nil {
 			f, err := os.Open(name)
 			if err != nil {
-				return fmt.Errorf("not a built-in profile (diurnal, spike, ramp, flat, all) and unreadable as a CSV load file: %v", err)
+				return fmt.Errorf("not a built-in profile (%s, all) and unreadable as a CSV load file: %v", strings.Join(profiles, ", "), err)
 			}
 			tl, err = restune.TimelineFromCSV(f)
 			f.Close()
@@ -186,21 +182,13 @@ func runTimeline(arg string, p restune.ExperimentParams) error {
 			}
 			name = filepath.Base(name)
 		}
-		days = append(days, day{name, tl})
+		days = append(days, restune.Day{Name: name, Timeline: tl})
 	}
-	fmt.Printf("Simulated 24h day compressed into %d measurements (Twitter, 3 knobs, instance A):\n", p.Iters)
-	fmt.Printf("%-12s %-20s %12s %12s %10s %10s %10s\n",
-		"Timeline", "Method", "Violations", "DriftEvents", "AdaptMax", "AdaptMean", "Improve%")
-	for _, d := range days {
-		for _, drift := range []*restune.DriftConfig{{}, nil} {
-			st, err := restune.SimulatedDay(d.name, d.tl, p, drift)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-12s %-20s %12d %12d %10d %10.1f %10.1f\n",
-				st.Profile, st.Method, st.Violations, st.DriftEvents, st.AdaptMax, st.AdaptMean, st.Improvement)
-		}
+	rep, err := restune.RunDays(p, days)
+	if err != nil {
+		return err
 	}
+	fmt.Print(rep.String())
 	return nil
 }
 

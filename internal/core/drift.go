@@ -318,10 +318,8 @@ func (e *TimelineEvaluator) Resource() dbsim.ResourceKind { return e.inner.Resou
 
 // Measure implements Evaluator: it advances the simulated clock one step
 // and evaluates the configuration under that instant's load. The signature
-// is recomputed into a reused buffer: the workload's mix rebalancing
-// (Workload.AtLoad) only matters to the minidb statement generator, while
-// the signature reads the profile alone, so the profile-level load
-// transform plus AppendSignature yields the same bits with no
+// is that of the workload whose profile is scaled to the load point
+// (dbsim.WorkloadProfile.AtLoad), recomputed into a reused buffer with no
 // per-iteration allocation.
 func (e *TimelineEvaluator) Measure(native []float64) dbsim.Measurement {
 	t := e.step * time.Duration(e.n)
@@ -341,26 +339,6 @@ func (e *TimelineEvaluator) CurrentLoad() float64 { return e.lp.RateMult }
 // Measure call; callers that retain it across measurements must copy (the
 // session does, at its single retaining call site in start).
 func (e *TimelineEvaluator) CurrentMetaFeature() []float64 { return e.sig }
-
-// SimTime returns the day-time of the most recent Measure call, wrapped
-// modulo the timeline's Total — multi-day sessions report where in the
-// repeating day the measurement fell, matching what Timeline.At evaluated.
-// Day reports which day it was.
-func (e *TimelineEvaluator) SimTime() time.Duration {
-	if e.n == 0 {
-		return 0
-	}
-	return (e.step * time.Duration(e.n-1)) % e.tl.Total()
-}
-
-// Day returns the 0-based index of the simulated day the most recent
-// Measure call fell in (0 before any measurement).
-func (e *TimelineEvaluator) Day() int {
-	if e.n == 0 {
-		return 0
-	}
-	return int((e.step * time.Duration(e.n-1)) / e.tl.Total())
-}
 
 func clamp01(v float64) float64 {
 	if v < 0 {

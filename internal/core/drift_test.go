@@ -323,11 +323,10 @@ func TestDriftWarmupGateUnification(t *testing.T) {
 }
 
 // TestTimelineEvaluatorMultiDayPlayback drives a session budget past one
-// simulated day and checks the clock: SimTime wraps modulo the timeline's
-// Total (reporting where in the repeating day each measurement fell — the
-// phase Timeline.At actually evaluated), Day counts the wraps, and the
-// load the evaluator reports for every step equals the timeline's load at
-// the wrapped time.
+// simulated day and checks the clock: the load and signature the evaluator
+// reports for every step equal the timeline's load at the step's time
+// wrapped modulo the timeline's Total, and the signature of the workload
+// scaled to that load — the repeating day Timeline.At evaluates.
 func TestTimelineEvaluatorMultiDayPlayback(t *testing.T) {
 	const stepsPerDay = 8
 	const steps = 20 // 2.5 simulated days
@@ -336,28 +335,23 @@ func TestTimelineEvaluatorMultiDayPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.SimTime() != 0 || ev.Day() != 0 {
-		t.Fatalf("before any measurement: SimTime=%v Day=%d, want 0/0", ev.SimTime(), ev.Day())
+	w := workload.Twitter()
+	if got := ev.CurrentLoad(); got != 1 {
+		t.Fatalf("before any measurement: CurrentLoad=%v, want 1", got)
 	}
 	native := ev.DefaultNative()
 	step := tl.Total() / stepsPerDay
 	for k := 0; k < steps; k++ {
 		ev.Measure(native)
 		wantTime := (step * time.Duration(k)) % tl.Total()
-		if got := ev.SimTime(); got != wantTime {
-			t.Fatalf("step %d: SimTime=%v, want %v", k, got, wantTime)
+		lp := tl.At(wantTime)
+		if got := ev.CurrentLoad(); got != lp.RateMult {
+			t.Fatalf("step %d: CurrentLoad=%v, want timeline load %v at wrapped time %v", k, got, lp.RateMult, wantTime)
 		}
-		if got := ev.SimTime(); got >= tl.Total() {
-			t.Fatalf("step %d: SimTime %v did not wrap (day is %v)", k, got, tl.Total())
+		scaled := w
+		scaled.Profile = w.Profile.AtLoad(lp.RateMult, lp.WriteBoost)
+		if d := workload.MetaFeatureDistance(ev.CurrentMetaFeature(), scaled.Signature()); d != 0 {
+			t.Fatalf("step %d: CurrentMetaFeature is %v from the signature at wrapped time %v", k, d, wantTime)
 		}
-		if got, want := ev.Day(), k/stepsPerDay; got != want {
-			t.Fatalf("step %d: Day=%d, want %d", k, got, want)
-		}
-		if got, want := ev.CurrentLoad(), tl.At(wantTime).RateMult; got != want {
-			t.Fatalf("step %d: CurrentLoad=%v, want timeline load %v at wrapped time %v", k, got, want, wantTime)
-		}
-	}
-	if ev.Day() != (steps-1)/stepsPerDay {
-		t.Fatalf("after %d steps Day=%d, want %d", steps, ev.Day(), (steps-1)/stepsPerDay)
 	}
 }

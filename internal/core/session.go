@@ -52,10 +52,11 @@ type Session struct {
 	err     error
 
 	// drift is the online drift detector + trust region (nil when
-	// Config.Drift is unset); loadAware sessions judge the throughput SLA
-	// against the load-scaled threshold reported by a DriftingEvaluator.
+	// Config.Drift is unset). drifting is the evaluator as a
+	// DriftingEvaluator (nil when it is not one): such sessions judge the
+	// throughput SLA against the load-scaled threshold it reports.
 	drift       *driftState
-	loadAware   bool
+	drifting    DriftingEvaluator
 	baseLoad    float64
 	driftEvents obs.Counter
 	driftTrans  obs.Counter
@@ -145,20 +146,17 @@ func (s *Session) start() error {
 	// throughput threshold scales with the offered load relative to it) and
 	// anchors the drift detector's regime signature.
 	s.baseLoad = 1
-	dev, drifting := s.ev.(DriftingEvaluator)
-	if drifting {
-		s.loadAware = true
-		if l := dev.CurrentLoad(); l > 0 {
-			s.baseLoad = l
-		}
+	s.drifting, _ = s.ev.(DriftingEvaluator)
+	if s.drifting != nil && s.drifting.CurrentLoad() > 0 {
+		s.baseLoad = s.drifting.CurrentLoad()
 	}
 	if cfg.Drift != nil {
 		s.drift = newDriftState(*cfg.Drift, cfg.InitIters, v.Default)
-		if drifting {
+		if s.drifting != nil {
 			// The single retaining use of the evaluator's signature: the
 			// returned slice may alias the evaluator's buffer (valid only
 			// until the next Measure), so anchor and smooth copy it.
-			sig := dev.CurrentMetaFeature()
+			sig := s.drifting.CurrentMetaFeature()
 			s.drift.anchor = append([]float64(nil), sig...)
 			s.drift.smooth = append([]float64(nil), sig...)
 		}
@@ -276,11 +274,11 @@ func (s *Session) runIteration(iter int) error {
 	s.measure(&it, theta, s.space.Denormalize(theta))
 	it.LoadMult = 1
 	var sig []float64
-	if dev, ok := s.ev.(DriftingEvaluator); ok {
-		it.LoadMult = dev.CurrentLoad()
-		sig = dev.CurrentMetaFeature()
+	if s.drifting != nil {
+		it.LoadMult = s.drifting.CurrentLoad()
+		sig = s.drifting.CurrentMetaFeature()
 	}
-	if s.loadAware && it.LoadMult > 0 && s.baseLoad > 0 {
+	if s.drifting != nil && it.LoadMult > 0 && s.baseLoad > 0 {
 		// Demand-normalize throughput: the recorded observation is the
 		// throughput relative to the offered load (scaled to the default
 		// probe's load), so λ_tps keeps meaning "serve the offered demand as
@@ -337,7 +335,7 @@ func (s *Session) runIteration(iter int) error {
 	s.record(it)
 
 	if rec.Enabled() {
-		if s.loadAware {
+		if s.drifting != nil {
 			attrs = append(attrs, obs.Float("load", it.LoadMult))
 		}
 		if s.drift != nil {

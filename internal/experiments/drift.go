@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dbsim"
@@ -15,12 +19,19 @@ func init() {
 	register("drift", "Simulated-day drift: SLA violations and adaptation speed, drift-aware vs stationary tuning", runDrift)
 }
 
-// DayStats summarizes one tuning session driven across a time-compressed
+// Day is one timeline of the simulated-day table and the name its rows
+// carry.
+type Day struct {
+	Name     string
+	Timeline *workload.Timeline
+}
+
+// dayStats summarizes one tuning session driven across a time-compressed
 // simulated day: how often the load-scaled SLA was violated after warm-up,
 // how many regime changes the drift detector fired on, and how quickly the
 // tuner re-converged to a feasible configuration after each one.
-type DayStats struct {
-	// Profile is the timeline profile name ("diurnal", "spike", ...).
+type dayStats struct {
+	// Profile is the timeline's name ("diurnal", "spike", ...).
 	Profile string
 	// Method is the session's method name.
 	Method string
@@ -68,25 +79,15 @@ func driftTimelineCorpus(p Params) []meta.CorpusTask {
 	return tasks
 }
 
-// SimulatedDay runs one tuning session over the timeline tl compressed into
-// p.Iters measurements (the whole 24h day is traversed exactly once per
-// session) and summarizes it; name labels the timeline in the returned
-// stats. drift selects the arm: nil runs the stationary tuner,
-// &core.DriftConfig{} the drift-aware one with its graduated defaults, and
-// an explicit configuration an ablation such as the ResetThreshold ==
-// Threshold hard-reset mode. Every arm shares the evaluator construction,
-// the meta-learning corpus and the load-scaled SLA judgment; the only
-// difference is Config.Drift, so a comparison isolates the drift detector
-// and trust region.
-func SimulatedDay(name string, tl *workload.Timeline, p Params, drift *core.DriftConfig) (*DayStats, error) {
-	o, err := dayRow(tl, p, drift).run()
-	if err != nil {
-		return nil, err
-	}
-	return dayStatsFrom(name, o.last, drift), nil
-}
-
-// dayRow is one arm's session over the day.
+// dayRow is one arm's session over the timeline tl compressed into p.Iters
+// measurements (the whole timeline is traversed exactly once per session).
+// drift selects the arm: nil runs the stationary tuner, &core.DriftConfig{}
+// the drift-aware one with its graduated defaults, and an explicit
+// configuration an ablation such as the ResetThreshold == Threshold
+// hard-reset mode. Every arm shares the evaluator construction, the
+// meta-learning corpus and the load-scaled SLA judgment; the only difference
+// is Config.Drift, so a comparison isolates the drift detector and trust
+// region.
 func dayRow(tl *workload.Timeline, p Params, drift *core.DriftConfig) row {
 	w := workload.Twitter()
 	sim := dbsim.New(dbsim.Instance("A"), w.Profile, p.Seed, halfRAM)
@@ -105,8 +106,8 @@ func dayRow(tl *workload.Timeline, p Params, drift *core.DriftConfig) row {
 // given arm. Violations count after the initialization budget, which every
 // arm keeps at the paper's default: violations during the initial design
 // are the price every method pays to learn the space.
-func dayStatsFrom(name string, res *core.Result, drift *core.DriftConfig) *DayStats {
-	st := &DayStats{Profile: name, Method: "ResTune-stationary", Improvement: res.ImprovementPct()}
+func dayStatsFrom(name string, res *core.Result, drift *core.DriftConfig) *dayStats {
+	st := &dayStats{Profile: name, Method: "ResTune-stationary", Improvement: res.ImprovementPct()}
 	if drift != nil {
 		st.Method = "ResTune-drift"
 	}
@@ -141,41 +142,25 @@ func dayStatsFrom(name string, res *core.Result, drift *core.DriftConfig) *DaySt
 	return st
 }
 
-// runDrift is the fig-style simulated-day experiment: every timeline profile
-// crossed with {drift-aware, stationary}, reporting SLA violations,
-// drift-event counts and adaptation speed. The flat profile is the control —
-// a correct detector fires zero events on it.
+// runDrift is the fig-style simulated-day experiment: the simulated-day
+// table over every built-in timeline profile. The flat profile is the
+// control — a correct detector fires zero events on it.
 func runDrift(p Params) (*Report, error) {
-	r := newReport("drift", Title("drift"))
-	r.Addf("Simulated 24h day compressed into %d measurements (Twitter, 3 knobs, instance A):", p.Iters)
-	r.Addf("%-10s %-20s %12s %12s %10s %10s %10s", "Timeline", "Method", "Violations", "DriftEvents", "AdaptMax", "AdaptMean", "Improve%")
-	profiles := []string{"diurnal", "spike", "ramp", "flat"}
-	arms := []*core.DriftConfig{{}, nil}
-	var rows []row
-	for _, profile := range profiles {
-		tl, err := workload.TimelineProfile(profile)
+	var days []Day
+	for _, name := range workload.TimelineProfileNames() {
+		tl, err := workload.TimelineProfile(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, drift := range arms {
-			rows = append(rows, dayRow(tl, p, drift))
-		}
+		days = append(days, Day{name, tl})
 	}
-	out, err := runRows(rows)
+	r, err := RunDays(p, days)
 	if err != nil {
 		return nil, err
 	}
-	for i, o := range out {
-		profile := profiles[i/len(arms)]
-		st := dayStatsFrom(profile, o.last, arms[i%len(arms)])
-		r.Addf("%-10s %-20s %12d %12d %10d %10.1f %10.1f",
-			st.Profile, st.Method, st.Violations, st.DriftEvents, st.AdaptMax, st.AdaptMean, st.Improvement)
-		r.AddSeries(fmt.Sprintf("drift/%s/%s", profile, st.Method), []float64{
-			float64(st.Violations), float64(st.DriftEvents), float64(st.AdaptMax), st.AdaptMean, st.Improvement,
-		})
-		if profile == "flat" && st.DriftEvents != 0 {
-			return nil, fmt.Errorf("drift: flat control timeline fired %d drift events (want 0)", st.DriftEvents)
-		}
+	// A row's series holds its drift-event count second.
+	if n := r.Series["drift/flat/ResTune-drift"][1]; n != 0 {
+		return nil, fmt.Errorf("drift: flat control timeline fired %g drift events (want 0)", n)
 	}
 	r.Addf("")
 	r.Addf("Expected shape: the drift-aware tuner violates the load-scaled SLA on")
@@ -183,4 +168,49 @@ func runDrift(p Params) (*Report, error) {
 	r.Addf("diurnal day, re-converges within a bounded number of iterations after each")
 	r.Addf("regime change, and fires zero events on the flat control.")
 	return r, nil
+}
+
+// RunDays runs the simulated-day table over days: every timeline compressed
+// into p.Iters measurements and crossed with {drift-aware, stationary},
+// reporting post-warmup SLA violations, drift-event counts and adaptation
+// speed (restune-bench -timeline). The header names the timelines' lengths.
+func RunDays(p Params, days []Day) (*Report, error) {
+	var lengths []string
+	for _, d := range days {
+		if l := dayLength(d.Timeline.Total()); !slices.Contains(lengths, l) {
+			lengths = append(lengths, l)
+		}
+	}
+	r := newReport("drift", Title("drift"))
+	r.Addf("Simulated %s day compressed into %d measurements (Twitter, 3 knobs, instance A):", strings.Join(lengths, "/"), p.Iters)
+	r.Addf("%-10s %-20s %12s %12s %10s %10s %10s", "Timeline", "Method", "Violations", "DriftEvents", "AdaptMax", "AdaptMean", "Improve%")
+	arms := []*core.DriftConfig{{}, nil}
+	var rows []row
+	for _, d := range days {
+		for _, drift := range arms {
+			rows = append(rows, dayRow(d.Timeline, p, drift))
+		}
+	}
+	out, err := runRows(rows)
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range out {
+		st := dayStatsFrom(days[i/len(arms)].Name, o.last, arms[i%len(arms)])
+		r.Addf("%-10s %-20s %12d %12d %10d %10.1f %10.1f",
+			st.Profile, st.Method, st.Violations, st.DriftEvents, st.AdaptMax, st.AdaptMean, st.Improvement)
+		r.AddSeries(fmt.Sprintf("drift/%s/%s", st.Profile, st.Method), []float64{
+			float64(st.Violations), float64(st.DriftEvents), float64(st.AdaptMax), st.AdaptMean, st.Improvement,
+		})
+	}
+	return r, nil
+}
+
+// dayLength names a timeline's length in the table's header: "24h" for a
+// whole number of hours, Duration's own form ("1h30m0s") otherwise.
+func dayLength(d time.Duration) string {
+	if h := d.Hours(); h == math.Trunc(h) {
+		return fmt.Sprintf("%gh", h)
+	}
+	return d.String()
 }

@@ -8,6 +8,16 @@ import (
 	"repro/internal/workload"
 )
 
+// simulatedDay runs one arm's session over tl (see dayRow) and summarizes
+// it under name.
+func simulatedDay(name string, tl *workload.Timeline, p Params, drift *core.DriftConfig) (*dayStats, error) {
+	o, err := dayRow(tl, p, drift).run()
+	if err != nil {
+		return nil, err
+	}
+	return dayStatsFrom(name, o.last, drift), nil
+}
+
 // TestRampGraduatedResponse is the acceptance test for the graduated drift
 // response. Every arm of a day is paired — identical seeds, corpus and
 // method name, differing only in Config.Drift — so the assertions are about
@@ -22,7 +32,7 @@ import (
 // escalates every event to tier 2, reproducing the pre-graduated
 // behaviour) — while still firing drift events rather than going inert.
 //
-// The diurnal day, at BenchmarkDriftSimulatedDay's budget, has regime
+// The diurnal day, at benchParams' smaller acquisition budget, has regime
 // structure to exploit: there the aware tuner must violate the load-scaled
 // SLA strictly less often than the stationary one and be back inside the
 // SLA within 12 iterations of every event.
@@ -40,7 +50,7 @@ func TestRampGraduatedResponse(t *testing.T) {
 		profile       string
 		p             Params
 		strictlyFewer bool // aware must beat stationary, not just tie it
-		maxAdapt      int  // bound on DayStats.AdaptMax; 0 leaves it unchecked
+		maxAdapt      int  // bound on dayStats.AdaptMax; 0 leaves it unchecked
 		vsHardReset   bool // also run the hard-reset reference arm
 	}{
 		{profile: "ramp", p: tableParams, vsHardReset: true},
@@ -51,11 +61,11 @@ func TestRampGraduatedResponse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stationary, err := SimulatedDay(tc.profile, tl, tc.p, nil)
+			stationary, err := simulatedDay(tc.profile, tl, tc.p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			graduated, err := SimulatedDay(tc.profile, tl, tc.p, &core.DriftConfig{})
+			graduated, err := simulatedDay(tc.profile, tl, tc.p, &core.DriftConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +85,7 @@ func TestRampGraduatedResponse(t *testing.T) {
 			if !tc.vsHardReset {
 				return
 			}
-			hardReset, err := SimulatedDay(tc.profile, tl, tc.p, &core.DriftConfig{ResetThreshold: 0.04})
+			hardReset, err := simulatedDay(tc.profile, tl, tc.p, &core.DriftConfig{ResetThreshold: 0.04})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,9 +44,6 @@ type Evaluator struct {
 	Duration time.Duration
 	// Workers is the client pool size (defaults to min(8, workload threads)).
 	Workers int
-	// RequestRate overrides the workload's rate (0 keeps it; negative means
-	// open loop).
-	RequestRate float64
 	// TxnMode replays transaction-shaped statement groups (the workload's
 	// StatementsPerTxn) committed atomically, instead of per-statement
 	// auto-commit. Throughput then counts transactions.
@@ -65,24 +62,12 @@ type Evaluator struct {
 	// the substrate for golden-trace regression tests. Real wall-clock
 	// behaviour is NOT measured in this mode.
 	Deterministic bool
-	// Timeline, when set, drives time-varying load: the k-th Measure call
-	// replays the workload scaled to the load point at simulated time
-	// k·Total/TimelineSteps (time-compressed playback, wrapping past the
-	// timeline's end). The evaluator then implements core.DriftingEvaluator,
-	// exposing the load multiplier and effective-workload signature of its
-	// latest measurement.
-	Timeline *workload.Timeline
-	// TimelineSteps maps the measurement sequence onto the timeline
-	// (0 defaults to 96 — 15-minute steps over a 24h day).
-	TimelineSteps int
 
 	// fs overrides the engine's filesystem (nil keeps the real one); the
 	// error-path tests put a vfs.FaultFS here.
 	fs vfs.FS
 
 	runs int
-	lp   workload.LoadPoint
-	sig  []float64
 }
 
 // Space implements core.Evaluator.
@@ -107,25 +92,11 @@ func cpuTime() time.Duration {
 	return toDur(ru.Utime) + toDur(ru.Stime)
 }
 
-// Measure implements core.Evaluator with a real replay. With a Timeline
-// set, the replayed workload is the configured one scaled to the load point
-// of this call's simulated instant.
+// Measure implements core.Evaluator with a real replay.
 func (e *Evaluator) Measure(native []float64) dbsim.Measurement {
-	saved := e.Workload
-	if e.Timeline != nil {
-		steps := e.TimelineSteps
-		if steps <= 0 {
-			steps = 96
-		}
-		t := e.Timeline.Total() / time.Duration(steps) * time.Duration(e.runs)
-		e.lp = e.Timeline.At(t)
-		e.Workload = saved.AtLoad(e.lp)
-		e.sig = e.Workload.AppendSignature(e.sig[:0])
-	}
 	e.runs++
 	dir := filepath.Join(e.BaseDir, fmt.Sprintf("run-%d", e.runs))
 	m, err := e.measure(dir, native)
-	e.Workload = saved
 	os.RemoveAll(dir)
 	if err != nil {
 		// A broken configuration (e.g. unopenable) measures as a stalled
@@ -197,9 +168,6 @@ func (e *Evaluator) replay(db *DB, cfg Config) (dbsim.Measurement, error) {
 		duration = 250 * time.Millisecond
 	}
 	rate := e.Workload.Profile.RequestRate
-	if e.RequestRate != 0 {
-		rate = e.RequestRate
-	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = e.Workload.Profile.Threads
@@ -429,27 +397,6 @@ func (e *Evaluator) measureDeterministic(db *DB, ex *Executor, cfg Config, strea
 		m.IOPS, m.IOBps, m.TPS, m.LatencyP99Ms, cpuPct,
 	}
 	return m, nil
-}
-
-// CurrentLoad implements core.DriftingEvaluator: the rate multiplier of the
-// most recent Measure call (1 before any, or without a Timeline).
-func (e *Evaluator) CurrentLoad() float64 {
-	if e.lp.RateMult == 0 {
-		return 1
-	}
-	return e.lp.RateMult
-}
-
-// CurrentMetaFeature implements core.DriftingEvaluator: the effective
-// workload's signature at the most recent Measure call. Like
-// core.TimelineEvaluator, the returned slice aliases the evaluator's
-// internal buffer and is valid only until the next Measure call; callers
-// that retain it across measurements must copy.
-func (e *Evaluator) CurrentMetaFeature() []float64 {
-	if e.sig == nil {
-		return e.Workload.Signature()
-	}
-	return e.sig
 }
 
 func maxDur(a, b time.Duration) time.Duration {

@@ -114,58 +114,3 @@ func TestEvaluatorTxnMode(t *testing.T) {
 		t.Fatalf("TPS %f suspiciously high for 18-statement transactions", m.TPS)
 	}
 }
-
-// TestEvaluatorTimelinePlayback drives the real-engine evaluator through a
-// time-compressed spike day and pins the core.DriftingEvaluator contract:
-// each Measure call replays the workload at its simulated instant's load
-// point, CurrentLoad/CurrentMetaFeature report that instant, and the
-// configured base workload is untouched between calls.
-func TestEvaluatorTimelinePlayback(t *testing.T) {
-	ev := smallEvaluator(t, dbsim.IOPS)
-	var _ core.DriftingEvaluator = ev
-
-	baseRate := ev.Workload.Profile.RequestRate
-	baseSig := ev.Workload.Signature()
-
-	// Before any measurement the evaluator reports the stationary baseline.
-	if got := ev.CurrentLoad(); got != 1 {
-		t.Fatalf("CurrentLoad before Measure = %v, want 1", got)
-	}
-	if d := workload.MetaFeatureDistance(ev.CurrentMetaFeature(), baseSig); d != 0 {
-		t.Fatalf("CurrentMetaFeature before Measure drifted by %v", d)
-	}
-
-	// 12 steps over the spike day put step 5 at t=10h — the spike onset
-	// (2.5x rate, write-heavy). Steps 0..4 are the 1x baseline.
-	ev.Timeline = workload.SpikeTimeline()
-	ev.TimelineSteps = 12
-	native := ev.DefaultNative()
-
-	m0 := ev.Measure(native)
-	if m0.TPS <= 0 {
-		t.Fatalf("baseline step measured no throughput: %+v", m0)
-	}
-	if got := ev.CurrentLoad(); got != 1 {
-		t.Fatalf("step 0 load = %v, want baseline 1", got)
-	}
-
-	for i := 1; i < 5; i++ {
-		ev.Measure(native)
-	}
-	spike := ev.Measure(native) // step 5: simulated 10h, the spike onset
-	if spike.TPS <= 0 {
-		t.Fatalf("spike step measured no throughput: %+v", spike)
-	}
-	if got := ev.CurrentLoad(); got != 2.5 {
-		t.Fatalf("spike step load = %v, want 2.5", got)
-	}
-	if d := workload.MetaFeatureDistance(ev.CurrentMetaFeature(), baseSig); d <= 0 {
-		t.Fatal("spike load invisible to the streamed meta-feature")
-	}
-
-	// Playback scales copies: the configured workload must be untouched.
-	if ev.Workload.Profile.RequestRate != baseRate {
-		t.Fatalf("timeline playback mutated the base workload rate: %v -> %v",
-			baseRate, ev.Workload.Profile.RequestRate)
-	}
-}

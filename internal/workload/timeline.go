@@ -22,14 +22,6 @@ type LoadPoint struct {
 	WriteBoost float64
 }
 
-// lerp interpolates between two load points.
-func lerpLoad(a, b LoadPoint, f float64) LoadPoint {
-	return LoadPoint{
-		RateMult:   a.RateMult + f*(b.RateMult-a.RateMult),
-		WriteBoost: a.WriteBoost + f*(b.WriteBoost-a.WriteBoost),
-	}
-}
-
 // TimelinePhase is one piece of a piecewise-linear load timeline: the load
 // ramps linearly from Start to End over Duration (equal endpoints make the
 // phase constant).
@@ -47,10 +39,9 @@ type TimelinePhase struct {
 // Timeline is a piecewise-linear load profile over simulated time — the
 // time-varying half of a drifting workload. Playback is time-compressed: a
 // 24h timeline is traversed in however many evaluation steps the caller
-// maps onto it (dbsim evaluates a day in microseconds; the minidb evaluator
-// replays one step per measurement), in the spirit of pg_workload's
-// --time-scale simulation mode. Queries past Total wrap around, so a
-// timeline models a repeating day.
+// maps onto it (core.TimelineEvaluator plays one step per measurement), in
+// the spirit of pg_workload's --time-scale simulation mode. Queries past
+// Total wrap around, so a timeline models a repeating day.
 type Timeline struct {
 	phases []TimelinePhase
 	total  time.Duration
@@ -93,40 +84,26 @@ func validLoad(lp LoadPoint) error {
 // Total returns the timeline's full simulated duration (one "day").
 func (tl *Timeline) Total() time.Duration { return tl.total }
 
-// Phases returns the timeline's phases.
-func (tl *Timeline) Phases() []TimelinePhase {
-	return append([]TimelinePhase(nil), tl.phases...)
-}
-
 // At returns the load at simulated time t. Time wraps modulo Total, so the
 // timeline models a repeating day; negative t wraps backwards.
 func (tl *Timeline) At(t time.Duration) LoadPoint {
-	lp, _ := tl.at(t)
-	return lp
-}
-
-// PhaseAt returns the index of the phase covering simulated time t.
-func (tl *Timeline) PhaseAt(t time.Duration) int {
-	_, i := tl.at(t)
-	return i
-}
-
-func (tl *Timeline) at(t time.Duration) (LoadPoint, int) {
 	t %= tl.total
 	if t < 0 {
 		t += tl.total
 	}
-	for i, p := range tl.phases {
+	for _, p := range tl.phases {
 		if t < p.Duration {
 			f := float64(t) / float64(p.Duration)
-			return lerpLoad(p.Start, p.End, f), i
+			return LoadPoint{
+				RateMult:   p.Start.RateMult + f*(p.End.RateMult-p.Start.RateMult),
+				WriteBoost: p.Start.WriteBoost + f*(p.End.WriteBoost-p.Start.WriteBoost),
+			}
 		}
 		t -= p.Duration
 	}
 	// Unreachable for a validated timeline; keep the last phase's end as a
 	// defensive answer.
-	last := tl.phases[len(tl.phases)-1]
-	return last.End, len(tl.phases) - 1
+	return tl.phases[len(tl.phases)-1].End
 }
 
 // Bounds returns the component-wise extremes the timeline can yield: lo and
@@ -148,82 +125,74 @@ func (tl *Timeline) Bounds() (lo, hi LoadPoint) {
 
 const hour = time.Hour
 
-// DiurnalTimeline is the canonical simulated 24h day: a quiet night, a
-// morning ramp into business hours, and a write-heavier evening peak — the
-// regime sequence under which a knob optimal at 2pm can violate SLA at 8pm.
+// load is a load point of the built-in profiles.
+func load(m, b float64) LoadPoint { return LoadPoint{RateMult: m, WriteBoost: b} }
+
+// timelineProfiles is the one name → phases table of the built-in 24h
+// timelines, in the order TimelineProfileNames lists them.
+var timelineProfiles = []struct {
+	name   string
+	phases []TimelinePhase
+}{
+	// The canonical simulated day: a quiet night, a morning ramp into
+	// business hours, and a write-heavier evening peak — the regime sequence
+	// under which a knob optimal at 2pm can violate SLA at 8pm.
+	{"diurnal", []TimelinePhase{
+		{Label: "night", Duration: 6 * hour, Start: load(0.35, 0), End: load(0.35, 0)},
+		{Label: "morning-ramp", Duration: 2 * hour, Start: load(0.35, 0), End: load(1.0, 0.05)},
+		{Label: "business", Duration: 6 * hour, Start: load(1.0, 0.05), End: load(1.0, 0.05)},
+		{Label: "lunch-dip", Duration: 1 * hour, Start: load(0.8, 0.05), End: load(0.8, 0.05)},
+		{Label: "afternoon", Duration: 3 * hour, Start: load(1.1, 0.05), End: load(1.1, 0.05)},
+		{Label: "evening-peak", Duration: 3 * hour, Start: load(1.5, 0.15), End: load(1.5, 0.15)},
+		{Label: "wind-down", Duration: 3 * hour, Start: load(1.5, 0.15), End: load(0.4, 0)},
+	}},
+	// A sharp two-hour overload spike (a flash sale): 2.5x the baseline rate
+	// with a write-heavier mix.
+	{"spike", []TimelinePhase{
+		{Label: "baseline", Duration: 10 * hour, Start: load(1, 0), End: load(1, 0)},
+		{Label: "spike", Duration: 2 * hour, Start: load(2.5, 0.10), End: load(2.5, 0.10)},
+		{Label: "recovery", Duration: 12 * hour, Start: load(1, 0), End: load(1, 0)},
+	}},
+	// Steady organic growth: a single linear ramp from half to nearly double
+	// the baseline rate — gradual drift with no step boundary for the
+	// detector to key on.
+	{"ramp", []TimelinePhase{
+		{Label: "growth", Duration: 24 * hour, Start: load(0.5, 0), End: load(1.8, 0.08)},
+	}},
+	// The stationary control: constant unit load. A drift detector must
+	// record zero events over it.
+	{"flat", []TimelinePhase{
+		{Label: "flat", Duration: 24 * hour, Start: load(1, 0), End: load(1, 0)},
+	}},
+}
+
+// DiurnalTimeline is the canonical simulated 24h day, the "diurnal"
+// profile.
 func DiurnalTimeline() *Timeline {
-	c := func(m, b float64) LoadPoint { return LoadPoint{RateMult: m, WriteBoost: b} }
-	tl, err := NewTimeline([]TimelinePhase{
-		{Label: "night", Duration: 6 * hour, Start: c(0.35, 0), End: c(0.35, 0)},
-		{Label: "morning-ramp", Duration: 2 * hour, Start: c(0.35, 0), End: c(1.0, 0.05)},
-		{Label: "business", Duration: 6 * hour, Start: c(1.0, 0.05), End: c(1.0, 0.05)},
-		{Label: "lunch-dip", Duration: 1 * hour, Start: c(0.8, 0.05), End: c(0.8, 0.05)},
-		{Label: "afternoon", Duration: 3 * hour, Start: c(1.1, 0.05), End: c(1.1, 0.05)},
-		{Label: "evening-peak", Duration: 3 * hour, Start: c(1.5, 0.15), End: c(1.5, 0.15)},
-		{Label: "wind-down", Duration: 3 * hour, Start: c(1.5, 0.15), End: c(0.4, 0)},
-	})
+	tl, err := TimelineProfile("diurnal")
 	if err != nil {
 		panic(err) // static profile; unreachable
 	}
 	return tl
 }
 
-// SpikeTimeline is a 24h day with a sharp two-hour overload spike (a flash
-// sale): 2.5x the baseline rate with a write-heavier mix.
-func SpikeTimeline() *Timeline {
-	c := func(m, b float64) LoadPoint { return LoadPoint{RateMult: m, WriteBoost: b} }
-	tl, err := NewTimeline([]TimelinePhase{
-		{Label: "baseline", Duration: 10 * hour, Start: c(1, 0), End: c(1, 0)},
-		{Label: "spike", Duration: 2 * hour, Start: c(2.5, 0.10), End: c(2.5, 0.10)},
-		{Label: "recovery", Duration: 12 * hour, Start: c(1, 0), End: c(1, 0)},
-	})
-	if err != nil {
-		panic(err)
+// TimelineProfileNames lists the names TimelineProfile accepts.
+func TimelineProfileNames() []string {
+	names := make([]string, len(timelineProfiles))
+	for i, p := range timelineProfiles {
+		names[i] = p.name
 	}
-	return tl
+	return names
 }
 
-// RampTimeline is a 24h day of steady organic growth: a single linear ramp
-// from half to nearly double the baseline rate — gradual drift with no step
-// boundary for the detector to key on.
-func RampTimeline() *Timeline {
-	tl, err := NewTimeline([]TimelinePhase{
-		{Label: "growth", Duration: 24 * hour,
-			Start: LoadPoint{RateMult: 0.5}, End: LoadPoint{RateMult: 1.8, WriteBoost: 0.08}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return tl
-}
-
-// FlatTimeline is a stationary 24h control: constant unit load. A drift
-// detector must record zero events over it.
-func FlatTimeline() *Timeline {
-	tl, err := NewTimeline([]TimelinePhase{
-		{Label: "flat", Duration: 24 * hour,
-			Start: LoadPoint{RateMult: 1}, End: LoadPoint{RateMult: 1}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return tl
-}
-
-// TimelineProfile returns a named built-in profile: "diurnal", "spike",
-// "ramp" or "flat".
+// TimelineProfile returns the built-in profile a name stands for.
 func TimelineProfile(name string) (*Timeline, error) {
-	switch name {
-	case "diurnal":
-		return DiurnalTimeline(), nil
-	case "spike":
-		return SpikeTimeline(), nil
-	case "ramp":
-		return RampTimeline(), nil
-	case "flat":
-		return FlatTimeline(), nil
+	for _, p := range timelineProfiles {
+		if p.name == name {
+			return NewTimeline(p.phases)
+		}
 	}
-	return nil, fmt.Errorf("workload: unknown timeline profile %q (want diurnal, spike, ramp or flat)", name)
+	return nil, fmt.Errorf("workload: unknown timeline profile %q (want one of %s)", name, strings.Join(TimelineProfileNames(), ", "))
 }
 
 // TimelineFromCSV parses a load timeline from CSV rows of the form
@@ -300,40 +269,6 @@ func TimelineFromCSV(r io.Reader) (*Timeline, error) {
 		})
 	}
 	return NewTimeline(phases)
-}
-
-// AtLoad returns a copy of the workload as it looks under the given load
-// point: the client request rate scaled by RateMult and the mix shifted
-// toward writes by WriteBoost (template weights rebalanced so the minidb
-// statement generator and the simulator profile agree on the new mix).
-func (w Workload) AtLoad(lp LoadPoint) Workload {
-	w.Profile = w.Profile.AtLoad(lp.RateMult, lp.WriteBoost)
-	if lp.WriteBoost > 0 && len(w.Templates) > 0 {
-		var readW, writeW float64
-		for _, t := range w.Templates {
-			if t.Kind == Update || t.Kind == Insert || t.Kind == Delete {
-				writeW += t.Weight
-			} else {
-				readW += t.Weight
-			}
-		}
-		if writeW > 0 && readW > 0 {
-			cur := writeW / (readW + writeW)
-			target := math.Min(cur+lp.WriteBoost, 0.99)
-			// Scale write-template weights so the write share of the mix
-			// becomes target: alpha*W/(R+alpha*W) = target.
-			alpha := target * readW / ((1 - target) * writeW)
-			tpl := make([]Template, len(w.Templates))
-			copy(tpl, w.Templates)
-			for i := range tpl {
-				if tpl[i].Kind == Update || tpl[i].Kind == Insert || tpl[i].Kind == Delete {
-					tpl[i].Weight *= alpha
-				}
-			}
-			w.Templates = tpl
-		}
-	}
-	return w
 }
 
 // Signature returns a compact meta-feature-style embedding of the workload

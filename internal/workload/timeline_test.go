@@ -83,12 +83,6 @@ func TestTimelineAtInterpolatesAndWraps(t *testing.T) {
 	if a, b := tl.At(-time.Hour), tl.At(2*time.Hour); a != b {
 		t.Fatalf("wrap backward: %+v vs %+v", a, b)
 	}
-	if i := tl.PhaseAt(30 * time.Minute); i != 0 {
-		t.Fatalf("PhaseAt(30m) = %d, want 0", i)
-	}
-	if i := tl.PhaseAt(2*time.Hour + time.Minute); i != 1 {
-		t.Fatalf("PhaseAt(2h1m) = %d, want 1", i)
-	}
 }
 
 func TestTimelineBounds(t *testing.T) {
@@ -113,7 +107,11 @@ func TestTimelineBounds(t *testing.T) {
 }
 
 func TestTimelineProfiles(t *testing.T) {
-	for _, name := range []string{"diurnal", "spike", "ramp", "flat"} {
+	names := TimelineProfileNames()
+	if len(names) == 0 {
+		t.Fatal("no built-in profiles")
+	}
+	for _, name := range names {
 		tl, err := TimelineProfile(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -121,12 +119,11 @@ func TestTimelineProfiles(t *testing.T) {
 		if tl.Total() != 24*time.Hour {
 			t.Fatalf("%s spans %v, want 24h", name, tl.Total())
 		}
-		if len(tl.Phases()) == 0 {
-			t.Fatalf("%s has no phases", name)
-		}
 	}
-	if _, err := TimelineProfile("weekend"); err == nil ||
-		!strings.Contains(err.Error(), "unknown timeline profile") {
+	// The error names every built-in profile, read from the same table.
+	_, err := TimelineProfile("weekend")
+	if err == nil || !strings.Contains(err.Error(), "unknown timeline profile") ||
+		!strings.Contains(err.Error(), strings.Join(names, ", ")) {
 		t.Fatalf("unknown profile error: %v", err)
 	}
 }
@@ -171,37 +168,6 @@ func TestTimelineFromCSV(t *testing.T) {
 	}
 }
 
-func TestWorkloadAtLoadShiftsMix(t *testing.T) {
-	w := Twitter()
-	base := w.Profile
-	shifted := w.AtLoad(LoadPoint{RateMult: 2, WriteBoost: 0.2})
-	if got := shifted.Profile.RequestRate; got != 2*base.RequestRate {
-		t.Fatalf("request rate %v, want doubled %v", got, 2*base.RequestRate)
-	}
-	if shifted.Profile.WriteRatio() <= base.WriteRatio() {
-		t.Fatalf("write ratio did not rise: %v -> %v", base.WriteRatio(), shifted.Profile.WriteRatio())
-	}
-	// The template mix moves with the profile so the statement generator and
-	// the simulator agree on the new write share.
-	var readW, writeW float64
-	for _, tpl := range shifted.Templates {
-		if tpl.Kind == Update || tpl.Kind == Insert || tpl.Kind == Delete {
-			writeW += tpl.Weight
-		} else {
-			readW += tpl.Weight
-		}
-	}
-	wantShare := math.Min(1, base.WriteRatio()+0.2)
-	if share := writeW / (readW + writeW); math.Abs(share-wantShare) > 0.05 {
-		t.Fatalf("template write share %v, want about %v", share, wantShare)
-	}
-	// Zero boost leaves the mix untouched.
-	same := w.AtLoad(LoadPoint{RateMult: 1})
-	if same.Profile.WriteRatio() != base.WriteRatio() {
-		t.Fatal("unit load changed the write mix")
-	}
-}
-
 func TestWorkloadSignatureTracksLoad(t *testing.T) {
 	w := Twitter()
 	a := w.Signature()
@@ -212,7 +178,11 @@ func TestWorkloadSignatureTracksLoad(t *testing.T) {
 	if MetaFeatureDistance(a, b) != 0 {
 		t.Fatal("signature not deterministic")
 	}
-	heavier := w.AtLoad(LoadPoint{RateMult: 2.5, WriteBoost: 0.2}).Signature()
+	// The load transform core.TimelineEvaluator applies before streaming the
+	// signature.
+	heavy := w
+	heavy.Profile = w.Profile.AtLoad(2.5, 0.2)
+	heavier := heavy.Signature()
 	if d := MetaFeatureDistance(a, heavier); d <= 0 {
 		t.Fatalf("load shift invisible to signature (distance %v)", d)
 	}
@@ -250,7 +220,7 @@ func FuzzTimeline(f *testing.F) {
 			t.Fatalf("accepted timeline has non-positive total %v", tl.Total())
 		}
 		lo, hi := tl.Bounds()
-		for _, p := range tl.Phases() {
+		for _, p := range tl.phases {
 			if p.Duration <= 0 {
 				t.Fatalf("accepted timeline has non-positive phase duration %v", p.Duration)
 			}

@@ -135,9 +135,9 @@ type (
 	// TimelineEvaluator drives a simulator through a Timeline with
 	// time-compressed playback (implements Evaluator).
 	TimelineEvaluator = core.TimelineEvaluator
-	// DayStats summarizes one simulated-day tuning session: SLA violations,
-	// drift events and adaptation speed.
-	DayStats = experiments.DayStats
+	// Day is one timeline of the simulated-day table and the name its rows
+	// carry (RunDays).
+	Day = experiments.Day
 )
 
 // DefaultSparseConfig returns the default subset-of-data sparse-GP
@@ -330,6 +330,9 @@ func MetaFeatureDistance(a, b []float64) float64 { return workload.MetaFeatureDi
 // day-long linear climb) or "flat" (the stationary control).
 func TimelineProfile(name string) (*Timeline, error) { return workload.TimelineProfile(name) }
 
+// TimelineProfileNames lists the names TimelineProfile accepts.
+func TimelineProfileNames() []string { return workload.TimelineProfileNames() }
+
 // TimelineFromCSV parses a load schedule from CSV rows of
 // "offset_seconds,rate_mult[,write_boost]".
 func TimelineFromCSV(r io.Reader) (*Timeline, error) { return workload.TimelineFromCSV(r) }
@@ -342,13 +345,13 @@ func NewTimelineEvaluator(sim *Simulator, space *Space, res Resource, w Workload
 	return core.NewTimelineEvaluator(sim, space, res, w, tl, stepsPerDay)
 }
 
-// SimulatedDay runs one tuning session over a timeline (a TimelineProfile
-// or a CSV-loaded one) compressed into p.Iters measurements — drift-aware
-// under a non-nil drift configuration (&DriftConfig{} for the defaults), the
-// stationary tuner under nil (restune-bench -timeline). name labels the
-// timeline in the returned stats.
-func SimulatedDay(name string, tl *Timeline, p ExperimentParams, drift *DriftConfig) (*DayStats, error) {
-	return experiments.SimulatedDay(name, tl, p, drift)
+// RunDays runs the simulated-day table of the drift experiment over the
+// given timelines (TimelineProfile or CSV-loaded ones): each compressed
+// into p.Iters measurements and tuned by the drift-aware and the stationary
+// tuner, reporting post-warmup SLA violations, drift events and adaptation
+// speed (restune-bench -timeline).
+func RunDays(p ExperimentParams, days []Day) (*ExperimentReport, error) {
+	return experiments.RunDays(p, days)
 }
 
 // ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@
 #      schema-valid JSONL artifact for ResTune and for the iTuned baseline
 #      (whose core.iteration spans must carry its "ei" phase: baselines run
 #      the same instrumented session loop), a 2-session restune-server fleet must
-#      emit schema-valid per-session and fleet streams, and a drift-aware
+#      emit schema-valid per-session and fleet streams, a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
-#      spans carry drift/trust-region attrs
+#      spans carry drift/trust-region attrs, and -timeline on a small CSV
+#      load file (the one -timeline input the drift experiment's pinned
+#      report does not cover) must print a table headed by the file's own
+#      length
 #   8. a staleness check of results_quick.txt (amd64 only, where its float
 #      bits were recorded): restune-bench -all -iters 100 is regenerated and
 #      diffed against the committed file, with the "(... completed in ...)"
@@ -114,7 +117,7 @@ for f in "$tracedir"/fleet/*.jsonl; do
 done
 go run ./scripts/tracecheck "$tracedir"/fleet/*.jsonl
 
-echo "==> timeline smoke (restune-bench -timeline, drift-aware day)"
+echo "==> timeline smoke (restune-bench -timeline: drift-aware day, CSV load file)"
 go run ./cmd/restune-bench -timeline spike -iters 16 \
     -trace "$tracedir/timeline.jsonl" >/dev/null
 test -s "$tracedir/timeline.jsonl" || {
@@ -124,6 +127,15 @@ test -s "$tracedir/timeline.jsonl" || {
 go run ./scripts/tracecheck "$tracedir/timeline.jsonl"
 grep -q 'drift_event' "$tracedir/timeline.jsonl" || {
     echo "timeline smoke: trace has no drift/trust-region attrs" >&2
+    exit 1
+}
+printf '0,1\n3600,2,0.1\n7200,1\n' >"$tracedir/sched.csv"
+go run ./cmd/restune-bench -timeline "$tracedir/sched.csv" -iters 8 \
+    >"$tracedir/sched.txt"
+grep -q '^Simulated 2h day compressed into 8 measurements' "$tracedir/sched.txt" &&
+    grep -q '^sched.csv .*ResTune-stationary' "$tracedir/sched.txt" || {
+    echo "timeline smoke: CSV day did not print its 2h table" >&2
+    cat "$tracedir/sched.txt" >&2
     exit 1
 }
 
