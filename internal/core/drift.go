@@ -7,6 +7,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -89,7 +90,10 @@ const (
 	driftExpand = 1.25
 )
 
-// driftState is a session's online drift detector and trust region.
+// driftState is a session's drift response — the online drift detector,
+// the trust region, exponential forgetting and their instruments — and the
+// only code that knows the recipe: the session asks it for the iteration's
+// region before the policy runs and hands it each outcome after replay.
 type driftState struct {
 	// resetThreshold splits tier-1 from tier-2 events. warmup is the
 	// iteration index after which candidates are clamped to the trust
@@ -103,7 +107,6 @@ type driftState struct {
 	anchor []float64
 	smooth []float64
 	over   int
-	events int
 
 	// center is the best known-safe configuration of the current regime
 	// (normalized); bestRes is its resource value; radius is the trust
@@ -113,21 +116,38 @@ type driftState struct {
 	bestRes float64
 	radius  float64
 	def     []float64
+
+	events, translations, resets obs.Counter
+	radiusGauge, weightGauge     obs.Gauge
 }
 
-func newDriftState(cfg DriftConfig, warmup int, defaultTheta []float64) *driftState {
+// newDriftState builds the drift response of a session whose default probe
+// measured defaultTheta under the workload signature sig (nil when the
+// evaluator reports none: the detector then anchors on the first observed
+// one). sig is copied — it may alias an evaluator buffer that is valid only
+// until the next Measure — and the instruments register on rec.
+func newDriftState(cfg DriftConfig, warmup int, defaultTheta, sig []float64, rec obs.Recorder) *driftState {
 	reset := cfg.ResetThreshold
 	if reset == 0 {
 		reset = 3 * driftThreshold
 	}
-	return &driftState{
+	d := &driftState{
 		resetThreshold: reset,
 		warmup:         warmup,
+		anchor:         append([]float64(nil), sig...),
+		smooth:         append([]float64(nil), sig...),
 		center:         append([]float64(nil), defaultTheta...),
 		bestRes:        math.Inf(1),
 		radius:         driftInitRadius,
 		def:            append([]float64(nil), defaultTheta...),
+		events:         rec.Counter("core.drift_events"),
+		translations:   rec.Counter("core.drift_translations"),
+		resets:         rec.Counter("core.drift_resets"),
+		radiusGauge:    rec.Gauge("core.trust_radius"),
+		weightGauge:    rec.Gauge("core.oldest_obs_weight"),
 	}
+	d.radiusGauge.Set(d.radius)
+	return d
 }
 
 // Drift-response tiers: how hard observe reacted to a fired event.
@@ -145,25 +165,91 @@ const (
 )
 
 // warm reports whether iteration iter is still inside the warm-up window:
-// the radius is frozen and the acquisition box inactive. active is its
-// exact complement — both gates share this single boundary definition, so
-// the iteration whose outcome first moves the radius (warmup+1) is also
-// the first iteration whose candidate was clamped to the box.
+// the radius is frozen and no region clamps the candidate. observe and
+// region both read this one boundary, so the iteration whose outcome first
+// moves the radius (warmup+1) is also the first one region clamps.
 func (d *driftState) warm(iter int) bool { return iter <= d.warmup }
 
-// active reports whether the trust region clamps iteration iter's
-// candidate.
-func (d *driftState) active(iter int) bool { return !d.warm(iter) }
-
-// box returns the current trust region as acquisition bounds.
-func (d *driftState) box(dim int) *bo.Box {
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		lo[i] = clamp01(d.center[i] - d.radius)
-		hi[i] = clamp01(d.center[i] + d.radius)
+// region returns iteration iter's trust region as acquisition bounds — every
+// candidate, probes, incumbents and local refinements alike, is confined to
+// the box of half-width radius around the best known-safe configuration —
+// and records its radius and center on it. It returns nil during warm-up,
+// when the initial design still covers the whole space.
+func (d *driftState) region(iter int, it *Iteration) *bo.Box {
+	if d.warm(iter) {
+		return nil
+	}
+	it.TrustRadius = d.radius
+	it.TrustCenter = append([]float64(nil), d.center...)
+	lo := make([]float64, len(d.center))
+	hi := make([]float64, len(d.center))
+	for i, c := range d.center {
+		lo[i] = max(0, c-d.radius)
+		hi[i] = min(1, c+d.radius)
 	}
 	return &bo.Box{Lo: lo, Hi: hi}
+}
+
+// respond processes iteration iter's outcome — the evaluated theta, its
+// feasibility and resource in it, the workload signature sig after replay —
+// and applies the graduated response to the session's view. observe moves
+// the trust region and runs the detector; a tier-1 translation then decays
+// the GP observation weights (the surrogate forgets the old regime
+// gradually), and a tier-2 reset hands the policy the new regime's
+// signature as the target meta-feature (ResTune's re-triggers
+// meta-learning on it).
+func (d *driftState) respond(iter int, it *Iteration, theta, sig []float64, v *View) {
+	it.DriftDistance, it.DriftTier = d.observe(iter, theta, it.Feasible, it.Observation.Res, sig)
+	it.DriftEvent = it.DriftTier != DriftNone
+	switch it.DriftTier {
+	case DriftTranslate:
+		d.events.Add(1)
+		d.translations.Add(1)
+		d.forget(v)
+	case DriftReset:
+		d.events.Add(1)
+		d.resets.Add(1)
+		v.MetaFeature = append([]float64(nil), d.anchor...)
+		v.Resets++
+	}
+	d.radiusGauge.Set(d.radius)
+}
+
+// forget applies one tier-1 forgetting step: every existing observation's
+// GP weight decays by driftForget (floored at driftWeightFloor so noise
+// inflation stays finite). The weight track is created at the first
+// translation with the history's capacity, so the session's appends never
+// move it; until then it is nil and the GP fit path is bit-identical to the
+// pre-forgetting tuner.
+func (d *driftState) forget(v *View) {
+	if v.Weights == nil {
+		v.Weights = make([]float64, len(v.History), cap(v.History))
+		for i := range v.Weights {
+			v.Weights[i] = 1
+		}
+	}
+	for i, w := range v.Weights {
+		v.Weights[i] = max(driftWeightFloor, w*driftForget)
+	}
+	d.weightGauge.Set(v.Weights[0])
+}
+
+// appendAttrs appends the drift span attributes of iteration it, whose
+// outcome respond has processed, to attrs: the detector's distance and
+// event, the region's radius for the next iteration and, once forgetting has
+// started, the oldest observation's weight — driftForget^k after k
+// translations, how much of the original regime's evidence the surrogate
+// still credits.
+func (d *driftState) appendAttrs(attrs []obs.Attr, it *Iteration, weights []float64) []obs.Attr {
+	attrs = append(attrs,
+		obs.Float("drift_dist", it.DriftDistance),
+		obs.Bool("drift_event", it.DriftEvent),
+		obs.Int("drift_tier", it.DriftTier),
+		obs.Float("trust_radius", d.radius))
+	if weights != nil {
+		attrs = append(attrs, obs.Float("oldest_obs_weight", weights[0]))
+	}
+	return attrs
 }
 
 // observe processes iteration iter's outcome: the trust-region update
@@ -185,8 +271,8 @@ func (d *driftState) box(dim int) *bo.Box {
 // ResetThreshold) is tier-1: the regime moved, but continuously — the
 // detector re-anchors so the translation is absorbed, the incumbent stays
 // the center but its record is aged by driftAgeBoost (organic growth makes an
-// old optimum slowly stale, not suddenly unsafe), and the caller decays
-// its GP observation weights so the surrogate forgets the old regime
+// old optimum slowly stale, not suddenly unsafe), and respond decays
+// the GP observation weights so the surrogate forgets the old regime
 // gradually. A large jump (above ResetThreshold) is tier-2, the full
 // reset: the best-feasible record is invalidated and the center falls
 // back to the DBA default, because the old regime's optimum is no
@@ -241,7 +327,6 @@ func (d *driftState) observe(iter int, theta []float64, feasible bool, res float
 		d.over = 0
 	}
 	if d.over >= driftHysteresis {
-		d.events++
 		d.over = 0
 		d.anchor = append(d.anchor[:0], d.smooth...)
 		if dist > d.resetThreshold {
@@ -336,16 +421,6 @@ func (e *TimelineEvaluator) CurrentLoad() float64 { return e.lp.RateMult }
 
 // CurrentMetaFeature implements DriftingEvaluator. The returned slice
 // aliases the evaluator's internal buffer and is valid only until the next
-// Measure call; callers that retain it across measurements must copy (the
-// session does, at its single retaining call site in start).
+// Measure call; callers that retain it across measurements must copy
+// (newDriftState does, the single retaining call site).
 func (e *TimelineEvaluator) CurrentMetaFeature() []float64 { return e.sig }
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}

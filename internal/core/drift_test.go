@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -255,9 +257,9 @@ func TestDriftEventTierResponses(t *testing.T) {
 // warm-up/trust-region gate interaction, at the driftState level where the
 // boundary can be driven exactly. It pins:
 //
-//  1. warm and active are exact complements, with the boundary at
-//     iter == warmup (the last frozen iteration) / warmup+1 (the first
-//     clamped one);
+//  1. region returns a box exactly when warm does not hold, with the
+//     boundary at iter == warmup (the last frozen iteration) / warmup+1
+//     (the first clamped one);
 //  2. a drift event on the LAST warm-up iteration honours the safety
 //     invariant both ways: a feasible event leaves the region at
 //     driftInitRadius, while a violating event leaves it shrunk — the frozen
@@ -274,7 +276,7 @@ func TestDriftWarmupGateUnification(t *testing.T) {
 	const warmup = 5
 	drive := func(t *testing.T, eventFeasible bool) (*driftState, int) {
 		t.Helper()
-		d := newDriftState(DriftConfig{}, warmup, def)
+		d := newDriftState(DriftConfig{}, warmup, def, nil, obs.Nop)
 		for iter := 1; iter <= warmup-driftHysteresis; iter++ {
 			if _, tier := d.observe(iter, def, true, 50, near); tier != DriftNone {
 				t.Fatalf("iter %d fired prematurely", iter)
@@ -291,17 +293,19 @@ func TestDriftWarmupGateUnification(t *testing.T) {
 	}
 
 	t.Run("gates-are-complements", func(t *testing.T) {
-		d := newDriftState(DriftConfig{}, warmup, def)
+		d := newDriftState(DriftConfig{}, warmup, def, nil, obs.Nop)
 		for iter := 0; iter <= 2*warmup; iter++ {
-			if d.warm(iter) == d.active(iter) {
-				t.Fatalf("iter %d: warm=%v and active=%v are not complements", iter, d.warm(iter), d.active(iter))
+			var it Iteration
+			if box := d.region(iter, &it); d.warm(iter) == (box != nil) {
+				t.Fatalf("iter %d: warm=%v but region returned %v", iter, d.warm(iter), box)
 			}
 		}
 		if !d.warm(warmup) {
 			t.Fatal("the last warm-up iteration must still be frozen")
 		}
-		if !d.active(warmup + 1) {
-			t.Fatal("the first post-warm-up iteration must be clamped")
+		var it Iteration
+		if d.region(warmup+1, &it) == nil || it.TrustRadius != driftInitRadius {
+			t.Fatal("the first post-warm-up iteration must be clamped and record its radius")
 		}
 	})
 
@@ -320,6 +324,109 @@ func TestDriftWarmupGateUnification(t *testing.T) {
 				d.radius, want)
 		}
 	})
+}
+
+// TestDriftTelemetryMatchesIterations pins the drift response's telemetry
+// to the session's result, for the graduated default (translations) and the
+// hard-reset arm (resets), through a JSONL recorder:
+//
+//  1. every core.iteration span carries drift_dist, drift_event and
+//     drift_tier equal to its Iteration's fields, and trust_radius equal to
+//     the radius the region holds for the next iteration (the last span's
+//     to the final core.trust_radius gauge);
+//  2. oldest_obs_weight appears from the first translation on, equal to
+//     driftForget^k (floored) after k translations;
+//  3. after Flush the core.drift_* counters count the result's tiers and
+//     the core.trust_radius and core.oldest_obs_weight gauges hold the final
+//     values.
+func TestDriftTelemetryMatchesIterations(t *testing.T) {
+	const iters = 24
+	for _, tc := range []struct {
+		name  string
+		drift DriftConfig
+		tier  int // the tier the arm must fire
+	}{
+		{"graduated", DriftConfig{}, DriftTranslate},
+		{"hard-reset", DriftConfig{ResetThreshold: driftThreshold}, DriftReset},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := driftConfig(5)
+			cfg.Drift = &tc.drift
+			var buf bytes.Buffer
+			rec := obs.NewJSONL(&buf)
+			cfg.Recorder = rec
+			res, err := New(cfg).Run(timelineEvaluator(t, "spike", 5, iters), iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			spans := map[int]map[string]any{}
+			metrics := map[string]float64{}
+			for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+				var e obs.Event
+				if err := json.Unmarshal(line, &e); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				switch {
+				case e.Type == "span" && e.Name == "core.iteration":
+					spans[int(e.Attrs["iter"].(float64))] = e.Attrs
+				case e.Type == "counter" || e.Type == "gauge":
+					metrics[e.Name] = e.Value
+				}
+			}
+
+			tiers := map[int]int{}
+			weight, finalRadius := 0.0, 0.0
+			for i, it := range res.Iterations[1:] {
+				a, ok := spans[it.Index]
+				if !ok {
+					t.Fatalf("iter %d: no core.iteration span", it.Index)
+				}
+				tiers[it.DriftTier]++
+				if it.DriftTier == DriftTranslate {
+					if weight == 0 {
+						weight = 1 // the track starts at full weight
+					}
+					weight = max(driftWeightFloor, weight*driftForget)
+				}
+				if a["drift_dist"] != it.DriftDistance || a["drift_event"] != it.DriftEvent ||
+					a["drift_tier"] != float64(it.DriftTier) {
+					t.Errorf("iter %d: span drift attrs %v/%v/%v, iteration %v/%v/%v", it.Index,
+						a["drift_dist"], a["drift_event"], a["drift_tier"], it.DriftDistance, it.DriftEvent, it.DriftTier)
+				}
+				radius, _ := a["trust_radius"].(float64)
+				if next := i + 2; next < len(res.Iterations) && res.Iterations[next].Index > cfg.InitIters &&
+					radius != res.Iterations[next].TrustRadius {
+					t.Errorf("iter %d: span trust_radius %v, next iteration's region %v",
+						it.Index, radius, res.Iterations[next].TrustRadius)
+				}
+				finalRadius = radius
+				w, has := a["oldest_obs_weight"]
+				if has != (tiers[DriftTranslate] > 0) || has && w != weight {
+					t.Errorf("iter %d after %d translations: oldest_obs_weight %v (present %v), want %v",
+						it.Index, tiers[DriftTranslate], w, has, weight)
+				}
+			}
+			if tiers[tc.tier] == 0 {
+				t.Fatalf("spike day fired no tier-%d event: the telemetry checks are vacuous", tc.tier)
+			}
+
+			for name, want := range map[string]float64{
+				"core.drift_events":       float64(tiers[DriftTranslate] + tiers[DriftReset]),
+				"core.drift_translations": float64(tiers[DriftTranslate]),
+				"core.drift_resets":       float64(tiers[DriftReset]),
+				"core.trust_radius":       finalRadius,
+				"core.oldest_obs_weight":  weight,
+			} {
+				if got, ok := metrics[name]; !ok || got != want {
+					t.Errorf("%s = %v (emitted %v), want %v", name, got, ok, want)
+				}
+			}
+		})
+	}
 }
 
 // TestTimelineEvaluatorMultiDayPlayback drives a session budget past one

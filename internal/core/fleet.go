@@ -102,6 +102,7 @@ func (f *Fleet) Run(specs []SessionSpec) []SessionResult {
 	cSteps := rec.Counter("core.fleet_steps")
 	span := rec.Span("core.fleet",
 		obs.Int("sessions", len(specs)), obs.Int("workers", f.Workers()))
+	defer span.End()
 
 	var live int64
 	for i, spec := range specs {
@@ -122,9 +123,6 @@ func (f *Fleet) Run(specs []SessionSpec) []SessionResult {
 	gActive.Set(float64(live))
 
 	if live == 0 {
-		if span != nil {
-			span.End()
-		}
 		return results
 	}
 
@@ -174,9 +172,5 @@ func (f *Fleet) Run(specs []SessionSpec) []SessionResult {
 		}()
 	}
 	wg.Wait()
-
-	if span != nil {
-		span.End()
-	}
 	return results
 }

@@ -51,18 +51,14 @@ type Session struct {
 	done    bool // finished, successfully or with err
 	err     error
 
-	// drift is the online drift detector + trust region (nil when
-	// Config.Drift is unset). drifting is the evaluator as a
+	// drift is the drift response — detector, trust region, forgetting
+	// (nil when Config.Drift is unset). drifting is the evaluator as a
 	// DriftingEvaluator (nil when it is not one): such sessions judge the
-	// throughput SLA against the load-scaled threshold it reports.
-	drift       *driftState
-	drifting    DriftingEvaluator
-	baseLoad    float64
-	driftEvents obs.Counter
-	driftTrans  obs.Counter
-	driftResets obs.Counter
-	radiusGauge obs.Gauge
-	weightGauge obs.Gauge
+	// throughput SLA against the load-scaled threshold it reports, relative
+	// to baseLoad, the default probe's load.
+	drift    *driftState
+	drifting DriftingEvaluator
+	baseLoad float64
 }
 
 // NewSession validates the configuration and binds a session to an
@@ -142,30 +138,20 @@ func (s *Session) start() error {
 	v.Best = bo.Observation{Res: math.Inf(1)}
 	s.record(it)
 
-	// Drift-aware setup: the default probe fixes the base load (the SLA's
-	// throughput threshold scales with the offered load relative to it) and
-	// anchors the drift detector's regime signature.
+	// The default probe fixes the base load (the SLA's throughput
+	// threshold scales with the offered load relative to it) and the drift
+	// response's first regime signature.
 	s.baseLoad = 1
+	var sig []float64
 	s.drifting, _ = s.ev.(DriftingEvaluator)
-	if s.drifting != nil && s.drifting.CurrentLoad() > 0 {
-		s.baseLoad = s.drifting.CurrentLoad()
+	if s.drifting != nil {
+		if l := s.drifting.CurrentLoad(); l > 0 {
+			s.baseLoad = l
+		}
+		sig = s.drifting.CurrentMetaFeature()
 	}
 	if cfg.Drift != nil {
-		s.drift = newDriftState(*cfg.Drift, cfg.InitIters, v.Default)
-		if s.drifting != nil {
-			// The single retaining use of the evaluator's signature: the
-			// returned slice may alias the evaluator's buffer (valid only
-			// until the next Measure), so anchor and smooth copy it.
-			sig := s.drifting.CurrentMetaFeature()
-			s.drift.anchor = append([]float64(nil), sig...)
-			s.drift.smooth = append([]float64(nil), sig...)
-		}
-		s.driftEvents = s.rec.Counter("core.drift_events")
-		s.driftTrans = s.rec.Counter("core.drift_translations")
-		s.driftResets = s.rec.Counter("core.drift_resets")
-		s.radiusGauge = s.rec.Gauge("core.trust_radius")
-		s.weightGauge = s.rec.Gauge("core.oldest_obs_weight")
-		s.radiusGauge.Set(s.drift.radius)
+		s.drift = newDriftState(*cfg.Drift, cfg.InitIters, v.Default, sig, s.rec)
 	}
 	v.Acq = cfg.Acq
 	return s.policy.Start(v)
@@ -229,24 +215,20 @@ func (s *Session) Run() (*Result, error) {
 // runIteration executes the Section 4 iteration pipeline for iteration iter
 // (1-based; iteration 0 is the default probe run by start): the policy's
 // model update and recommendation, then quantize → trust-region clamp →
-// replay → record.
+// replay → drift response → record.
 func (s *Session) runIteration(iter int) error {
 	v := &s.view
 	rec := s.rec
 	iterSpan := rec.Span("core.iteration")
 	it := Iteration{Index: iter}
 
-	// Trust region: past warm-up every candidate — probes, incumbents and
-	// local refinements — is confined to a box of half-width radius around
-	// the last known-safe configuration.
 	v.Iter = iter
 	v.Acq = s.cfg.Acq
 	var trustBox *bo.Box
-	if s.drift != nil && s.drift.active(iter) {
-		trustBox = s.drift.box(v.Dim)
-		v.Acq.Bounds = trustBox
-		it.TrustRadius = s.drift.radius
-		it.TrustCenter = append([]float64(nil), s.drift.center...)
+	if s.drift != nil {
+		if trustBox = s.drift.region(iter, &it); trustBox != nil {
+			v.Acq.Bounds = trustBox
+		}
 	}
 
 	// --- Model update.
@@ -278,7 +260,7 @@ func (s *Session) runIteration(iter int) error {
 		it.LoadMult = s.drifting.CurrentLoad()
 		sig = s.drifting.CurrentMetaFeature()
 	}
-	if s.drifting != nil && it.LoadMult > 0 && s.baseLoad > 0 {
+	if s.drifting != nil && it.LoadMult > 0 {
 		// Demand-normalize throughput: the recorded observation is the
 		// throughput relative to the offered load (scaled to the default
 		// probe's load), so λ_tps keeps meaning "serve the offered demand as
@@ -290,28 +272,7 @@ func (s *Session) runIteration(iter int) error {
 	}
 	it.Feasible = v.SLA.Feasible(it.Observation)
 	if s.drift != nil {
-		// Trust-region update (recentre/expand on safe success, shrink on
-		// violation) and drift detection over the workload signature. The
-		// response is graduated: a tier-1 event translates (anchor moved,
-		// incumbent aged, GP observation weights decayed — the surrogate
-		// forgets the old regime gradually); a tier-2 event is the full
-		// reset, which also hands the policy the new regime's signature as
-		// the target meta-feature (ResTune's re-triggers meta-learning on
-		// it).
-		it.DriftDistance, it.DriftTier = s.drift.observe(iter, theta, it.Feasible, it.Observation.Res, sig)
-		it.DriftEvent = it.DriftTier != DriftNone
-		switch it.DriftTier {
-		case DriftTranslate:
-			s.driftEvents.Add(1)
-			s.driftTrans.Add(1)
-			s.decayObservationWeights()
-		case DriftReset:
-			s.driftEvents.Add(1)
-			s.driftResets.Add(1)
-			v.MetaFeature = append([]float64(nil), s.drift.anchor...)
-			v.Resets++
-		}
-		s.radiusGauge.Set(s.drift.radius)
+		s.drift.respond(iter, &it, theta, sig, v)
 	}
 
 	var attrs []obs.Attr
@@ -339,17 +300,7 @@ func (s *Session) runIteration(iter int) error {
 			attrs = append(attrs, obs.Float("load", it.LoadMult))
 		}
 		if s.drift != nil {
-			attrs = append(attrs,
-				obs.Float("drift_dist", it.DriftDistance),
-				obs.Bool("drift_event", it.DriftEvent),
-				obs.Int("drift_tier", it.DriftTier),
-				obs.Float("trust_radius", s.drift.radius))
-			if v.Weights != nil {
-				// Forgetting telemetry: the oldest observation's weight is
-				// driftForget^k after k translations — how much of the original
-				// regime's evidence the surrogate still credits.
-				attrs = append(attrs, obs.Float("oldest_obs_weight", v.Weights[0]))
-			}
+			attrs = s.drift.appendAttrs(attrs, &it, v.Weights)
 		}
 		iterSpan.SetAttrs(attrs...)
 		s.iterGauge.Set(float64(iter))
@@ -389,25 +340,6 @@ func (s *Session) record(it Iteration) {
 	if v.Weights != nil {
 		v.Weights = append(v.Weights, 1)
 	}
-}
-
-// decayObservationWeights applies one tier-1 forgetting step: every
-// existing observation's GP weight decays by driftForget (floored at
-// driftWeightFloor so noise inflation stays finite). The weight track is
-// lazily materialized at the first translation — until then it is nil and
-// the GP fit path is bit-identical to the pre-forgetting tuner.
-func (s *Session) decayObservationWeights() {
-	v := &s.view
-	if v.Weights == nil {
-		v.Weights = make([]float64, len(v.History), s.budget+1)
-		for i := range v.Weights {
-			v.Weights[i] = 1
-		}
-	}
-	for i, w := range v.Weights {
-		v.Weights[i] = max(driftWeightFloor, w*driftForget)
-	}
-	s.weightGauge.Set(v.Weights[0])
 }
 
 // sessionConverged applies the stopping rule: best-feasible res/tps/lat all

@@ -291,36 +291,40 @@ func (e *Evaluator) replay(db *DB, cfg Config) (dbsim.Measurement, error) {
 		p99 = all[int(float64(len(all)-1)*0.99)]
 	}
 
-	tps := float64(total) / wall.Seconds()
 	cpuPct := cpuDelta.Seconds() / wall.Seconds() / float64(runtime.NumCPU()) * 100
 	if cpuPct > 100 {
 		cpuPct = 100
 	}
-	reads := statsAfter.PhysicalReads - statsBefore.PhysicalReads
-	writes := statsAfter.PhysWrites - statsBefore.PhysWrites
-	syncs := statsAfter.WALSyncs - statsBefore.WALSyncs
-	walWrites := statsAfter.WALWrites - statsBefore.WALWrites
-	iops := float64(reads+writes+syncs+walWrites) / wall.Seconds()
-	bps := float64(reads+writes) * PageSize / wall.Seconds()
-	mem := float64(cfg.BufferPoolBytes) + float64(cfg.WAL.BufferBytes) + 8e6
+	return measurement(db, cfg, statsBefore, statsAfter, wall.Seconds(),
+		float64(total)/wall.Seconds(), float64(p99)/float64(time.Millisecond), cpuPct), nil
+}
 
+// measurement assembles a replay's measurement: the throughput, p99 latency
+// (ms) and CPU share the replay mode computed, the IO rates and internal
+// metrics of the engine counters that moved from before to after over secs
+// seconds, and the memory the configuration reserves.
+func measurement(db *DB, cfg Config, before, after Stats, secs, tps, p99Ms, cpuPct float64) dbsim.Measurement {
+	reads := after.PhysicalReads - before.PhysicalReads
+	writes := after.PhysWrites - before.PhysWrites
+	syncs := after.WALSyncs - before.WALSyncs
+	walWrites := after.WALWrites - before.WALWrites
 	m := dbsim.Measurement{
 		TPS:          tps,
-		LatencyP99Ms: float64(p99) / float64(time.Millisecond),
+		LatencyP99Ms: p99Ms,
 		CPUUtilPct:   cpuPct,
-		IOPS:         iops,
-		IOBps:        bps,
-		MemoryBytes:  mem,
+		IOPS:         float64(reads+writes+syncs+walWrites) / secs,
+		IOBps:        float64(reads+writes) * PageSize / secs,
+		MemoryBytes:  float64(cfg.BufferPoolBytes) + float64(cfg.WAL.BufferBytes) + 8e6,
 		HitRatio:     db.pool.HitRatio(),
 	}
 	m.Internal = []float64{
 		m.HitRatio,
-		float64(statsAfter.LockWaits - statsBefore.LockWaits),
-		float64(statsAfter.SpinRounds - statsBefore.SpinRounds),
-		float64(statsAfter.TableOpens - statsBefore.TableOpens),
-		iops, bps, tps, m.LatencyP99Ms, cpuPct,
+		float64(after.LockWaits - before.LockWaits),
+		float64(after.SpinRounds - before.SpinRounds),
+		float64(after.TableOpens - before.TableOpens),
+		m.IOPS, m.IOBps, tps, p99Ms, cpuPct,
 	}
-	return m, nil
+	return m
 }
 
 // measureDeterministic executes the pre-generated stream serially and
@@ -380,23 +384,7 @@ func (e *Evaluator) measureDeterministic(db *DB, ex *Executor, cfg Config, strea
 	if cpuPct > 100 {
 		cpuPct = 100
 	}
-	m := dbsim.Measurement{
-		TPS:          float64(executed) / wallSec,
-		LatencyP99Ms: p99,
-		CPUUtilPct:   cpuPct,
-		IOPS:         float64(reads+writes+syncs+walWrites) / wallSec,
-		IOBps:        float64(reads+writes) * PageSize / wallSec,
-		MemoryBytes:  float64(cfg.BufferPoolBytes) + float64(cfg.WAL.BufferBytes) + 8e6,
-		HitRatio:     db.pool.HitRatio(),
-	}
-	m.Internal = []float64{
-		m.HitRatio,
-		float64(statsAfter.LockWaits - statsBefore.LockWaits),
-		float64(statsAfter.SpinRounds - statsBefore.SpinRounds),
-		float64(statsAfter.TableOpens - statsBefore.TableOpens),
-		m.IOPS, m.IOBps, m.TPS, m.LatencyP99Ms, cpuPct,
-	}
-	return m, nil
+	return measurement(db, cfg, statsBefore, statsAfter, wallSec, float64(executed)/wallSec, p99, cpuPct), nil
 }
 
 func maxDur(a, b time.Duration) time.Duration {

@@ -32,7 +32,9 @@
 #      the same instrumented session loop), a 2-session restune-server fleet must
 #      emit schema-valid per-session and fleet streams, a drift-aware
 #      restune-bench -timeline day must emit a trace whose core.iteration
-#      spans carry drift/trust-region attrs, and -timeline on a small CSV
+#      spans carry drift/trust-region attrs and whose final snapshot holds
+#      the core.drift_translations and core.drift_resets counters and the
+#      core.trust_radius gauge (emitted even at zero), and -timeline on a small CSV
 #      load file (the one -timeline input the drift experiment's pinned
 #      report does not cover) must print a table headed by the file's own
 #      length
@@ -129,6 +131,12 @@ grep -q 'drift_event' "$tracedir/timeline.jsonl" || {
     echo "timeline smoke: trace has no drift/trust-region attrs" >&2
     exit 1
 }
+for m in counter:core.drift_translations counter:core.drift_resets gauge:core.trust_radius; do
+    grep -q "\"t\":\"${m%%:*}\",\"ts\":\"[^\"]*\",\"name\":\"${m#*:}\"" "$tracedir/timeline.jsonl" || {
+        echo "timeline smoke: trace has no ${m#*:} ${m%%:*} snapshot" >&2
+        exit 1
+    }
+done
 printf '0,1\n3600,2,0.1\n7200,1\n' >"$tracedir/sched.csv"
 go run ./cmd/restune-bench -timeline "$tracedir/sched.csv" -iters 8 \
     >"$tracedir/sched.txt"
