@@ -236,16 +236,19 @@ func (d *driftState) forget(v *View) {
 
 // appendAttrs appends the drift span attributes of iteration it, whose
 // outcome respond has processed, to attrs: the detector's distance and
-// event, the region's radius for the next iteration and, once forgetting has
-// started, the oldest observation's weight — driftForget^k after k
-// translations, how much of the original regime's evidence the surrogate
-// still credits.
+// event, once the region is active the radius this iteration's candidate
+// was clamped to (it.TrustRadius; the core.trust_radius gauge carries the
+// latest radius) and, once forgetting has started, the oldest observation's
+// weight — driftForget^k after k translations, how much of the original
+// regime's evidence the surrogate still credits.
 func (d *driftState) appendAttrs(attrs []obs.Attr, it *Iteration, weights []float64) []obs.Attr {
 	attrs = append(attrs,
 		obs.Float("drift_dist", it.DriftDistance),
 		obs.Bool("drift_event", it.DriftEvent),
-		obs.Int("drift_tier", it.DriftTier),
-		obs.Float("trust_radius", d.radius))
+		obs.Int("drift_tier", it.DriftTier))
+	if it.TrustRadius > 0 {
+		attrs = append(attrs, obs.Float("trust_radius", it.TrustRadius))
+	}
 	if weights != nil {
 		attrs = append(attrs, obs.Float("oldest_obs_weight", weights[0]))
 	}

@@ -331,14 +331,13 @@ func TestDriftWarmupGateUnification(t *testing.T) {
 // hard-reset arm (resets), through a JSONL recorder:
 //
 //  1. every core.iteration span carries drift_dist, drift_event and
-//     drift_tier equal to its Iteration's fields, and trust_radius equal to
-//     the radius the region holds for the next iteration (the last span's
-//     to the final core.trust_radius gauge);
+//     drift_tier equal to its own Iteration's fields and, past warm-up
+//     only, trust_radius equal to its Iteration's TrustRadius;
 //  2. oldest_obs_weight appears from the first translation on, equal to
 //     driftForget^k (floored) after k translations;
 //  3. after Flush the core.drift_* counters count the result's tiers and
-//     the core.trust_radius and core.oldest_obs_weight gauges hold the final
-//     values.
+//     the core.trust_radius gauge holds the latest radius (the region the
+//     next iteration would get) and core.oldest_obs_weight the final weight.
 func TestDriftTelemetryMatchesIterations(t *testing.T) {
 	const iters = 24
 	for _, tc := range []struct {
@@ -355,7 +354,11 @@ func TestDriftTelemetryMatchesIterations(t *testing.T) {
 			var buf bytes.Buffer
 			rec := obs.NewJSONL(&buf)
 			cfg.Recorder = rec
-			res, err := New(cfg).Run(timelineEvaluator(t, "spike", 5, iters), iters)
+			sess, err := NewSession(cfg, timelineEvaluator(t, "spike", 5, iters), iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,8 +382,8 @@ func TestDriftTelemetryMatchesIterations(t *testing.T) {
 			}
 
 			tiers := map[int]int{}
-			weight, finalRadius := 0.0, 0.0
-			for i, it := range res.Iterations[1:] {
+			weight, active := 0.0, 0
+			for _, it := range res.Iterations[1:] {
 				a, ok := spans[it.Index]
 				if !ok {
 					t.Fatalf("iter %d: no core.iteration span", it.Index)
@@ -397,13 +400,16 @@ func TestDriftTelemetryMatchesIterations(t *testing.T) {
 					t.Errorf("iter %d: span drift attrs %v/%v/%v, iteration %v/%v/%v", it.Index,
 						a["drift_dist"], a["drift_event"], a["drift_tier"], it.DriftDistance, it.DriftEvent, it.DriftTier)
 				}
-				radius, _ := a["trust_radius"].(float64)
-				if next := i + 2; next < len(res.Iterations) && res.Iterations[next].Index > cfg.InitIters &&
-					radius != res.Iterations[next].TrustRadius {
-					t.Errorf("iter %d: span trust_radius %v, next iteration's region %v",
-						it.Index, radius, res.Iterations[next].TrustRadius)
+				// The span carries the radius its own candidate was clamped
+				// to, and none while the region is inactive.
+				radius, has := a["trust_radius"].(float64)
+				if warm := it.Index <= cfg.InitIters; has == warm || has && radius != it.TrustRadius {
+					t.Errorf("iter %d (warm-up %v): span trust_radius %v (present %v), iteration's region %v",
+						it.Index, warm, radius, has, it.TrustRadius)
 				}
-				finalRadius = radius
+				if has {
+					active++
+				}
 				w, has := a["oldest_obs_weight"]
 				if has != (tiers[DriftTranslate] > 0) || has && w != weight {
 					t.Errorf("iter %d after %d translations: oldest_obs_weight %v (present %v), want %v",
@@ -413,12 +419,15 @@ func TestDriftTelemetryMatchesIterations(t *testing.T) {
 			if tiers[tc.tier] == 0 {
 				t.Fatalf("spike day fired no tier-%d event: the telemetry checks are vacuous", tc.tier)
 			}
+			if active == 0 {
+				t.Fatal("no iteration ran with the trust region active: the radius checks are vacuous")
+			}
 
 			for name, want := range map[string]float64{
 				"core.drift_events":       float64(tiers[DriftTranslate] + tiers[DriftReset]),
 				"core.drift_translations": float64(tiers[DriftTranslate]),
 				"core.drift_resets":       float64(tiers[DriftReset]),
-				"core.trust_radius":       finalRadius,
+				"core.trust_radius":       sess.drift.radius,
 				"core.oldest_obs_weight":  weight,
 			} {
 				if got, ok := metrics[name]; !ok || got != want {

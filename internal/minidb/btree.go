@@ -312,6 +312,12 @@ func snapshotLeaf(data *[PageSize]byte, lo, hi int64) leafRange {
 	if start, stop, end, ok := leafSpan(data, lo, hi); ok {
 		return leafRange{snap: append([]byte(nil), data[start:stop]...), more: stop == end}
 	}
+	return decodedRange(data, lo, hi)
+}
+
+// decodedRange is a range's answer through the decoded path, whose
+// bounds-checked readLeaf defines the behaviour on a malformed leaf.
+func decodedRange(data *[PageSize]byte, lo, hi int64) leafRange {
 	r := leafRange{more: true}
 	for _, e := range readLeaf(data) {
 		if e.key < lo {
@@ -324,6 +330,21 @@ func snapshotLeaf(data *[PageSize]byte, lo, hi int64) leafRange {
 		r.entries = append(r.entries, e)
 	}
 	return r
+}
+
+// leafRangeCount counts a leaf's entries in [lo, hi] where they lie, and
+// reports what snapshotLeaf's more would: whether the range continues past
+// this leaf.
+func leafRangeCount(data *[PageSize]byte, lo, hi int64) (n int, more bool) {
+	start, stop, end, ok := leafSpan(data, lo, hi)
+	if !ok {
+		r := decodedRange(data, lo, hi)
+		return len(r.entries), r.more
+	}
+	for off := start; off < stop; n++ {
+		off += 10 + int(binary.LittleEndian.Uint16(data[off+8:]))
+	}
+	return n, stop == end
 }
 
 // visit calls fn on each entry in key order and reports whether the scan
@@ -394,6 +415,32 @@ func internalChild(data *[PageSize]byte, key int64) PageID {
 		off += 4
 	}
 	return child
+}
+
+// internalChildrenFrom copies an internal node's children into buf, without
+// materializing its keys, and returns those from slot childIndex(keys, lo)
+// on: the ones a range starting at lo descends into.
+func internalChildrenFrom(data *[PageSize]byte, lo int64, buf *[maxInternalKeys + 1]PageID) []PageID {
+	n := int(binary.LittleEndian.Uint16(data[1:3]))
+	if n > maxInternalKeys {
+		n = maxInternalKeys
+	}
+	off := headerSize
+	buf[0] = PageID(binary.LittleEndian.Uint32(data[off:]))
+	off += 4
+	first := -1
+	for i := 0; i < n; i++ {
+		if first < 0 && lo < int64(binary.LittleEndian.Uint64(data[off:])) {
+			first = i
+		}
+		off += 8
+		buf[i+1] = PageID(binary.LittleEndian.Uint32(data[off:]))
+		off += 4
+	}
+	if first < 0 {
+		first = n
+	}
+	return buf[first : n+1]
 }
 
 func internalSize(n internalNode) int { return headerSize + 4 + 12*len(n.keys) }
@@ -687,13 +734,39 @@ func (t *BTree) Delete(key int64) (bool, error) {
 // slice of a private per-leaf snapshot: fn may keep it, and runs with no
 // latch or pin held.
 func (t *BTree) Scan(lo, hi int64, fn func(key int64, val []byte) bool) error {
+	w := rangeWalk{lo: lo, hi: hi, fn: fn}
+	return t.walkRange(&w)
+}
+
+// Count returns the number of keys in [lo, hi]. It copies nothing: each
+// leaf is counted in place under its page latch. It fetches and unpins the
+// same pages in the same order as a Scan whose fn always returns true, so
+// the buffer pool's counters and LRU order cannot tell the two apart. On an
+// error the count holds the keys seen before it.
+func (t *BTree) Count(lo, hi int64) (int, error) {
+	w := rangeWalk{lo: lo, hi: hi}
+	err := t.walkRange(&w)
+	return w.n, err
+}
+
+// rangeWalk is one range statement's descent, shared by Scan and Count;
+// only the leaf visitor differs. With fn set, a leaf's entries in [lo, hi]
+// are snapshotted under the latch and handed to fn after the latch and the
+// pin are released; with fn nil they are counted into n in place.
+type rangeWalk struct {
+	lo, hi int64
+	fn     func(int64, []byte) bool
+	n      int
+}
+
+func (t *BTree) walkRange(w *rangeWalk) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, err := t.scan(t.root, lo, hi, fn, 0)
+	_, err := t.walk(w, t.root, 0)
 	return err
 }
 
-func (t *BTree) scan(id PageID, lo, hi int64, fn func(int64, []byte) bool, depth int) (bool, error) {
+func (t *BTree) walk(w *rangeWalk, id PageID, depth int) (bool, error) {
 	if depth >= maxDepth {
 		return false, errCorrupt
 	}
@@ -703,16 +776,24 @@ func (t *BTree) scan(id PageID, lo, hi int64, fn func(int64, []byte) bool, depth
 	}
 	p.latch.RLock()
 	if p.data[0] == nodeLeaf {
-		r := snapshotLeaf(&p.data, lo, hi)
+		if w.fn == nil {
+			n, more := leafRangeCount(&p.data, w.lo, w.hi)
+			p.latch.RUnlock()
+			t.pool.Unpin(p, false)
+			w.n += n
+			return more, nil
+		}
+		r := snapshotLeaf(&p.data, w.lo, w.hi)
 		p.latch.RUnlock()
 		t.pool.Unpin(p, false)
-		return r.visit(fn), nil
+		return r.visit(w.fn), nil
 	}
-	node := readInternal(&p.data)
+	var buf [maxInternalKeys + 1]PageID
+	children := internalChildrenFrom(&p.data, w.lo, &buf)
 	p.latch.RUnlock()
 	t.pool.Unpin(p, false)
-	for ci := childIndex(node.keys, lo); ci < len(node.children); ci++ {
-		more, err := t.scan(node.children[ci], lo, hi, fn, depth+1)
+	for _, child := range children {
+		more, err := t.walk(w, child, depth+1)
 		if err != nil || !more {
 			return false, err
 		}

@@ -711,6 +711,17 @@ func (db *DB) Scan(tableName string, lo, hi int64, fn func(key int64, val []byte
 	return t.Scan(lo, hi, fn)
 }
 
+// Count returns the number of rows in [lo, hi], copying none of them.
+func (db *DB) Count(tableName string, lo, hi int64) (int, error) {
+	defer db.enter()()
+	db.statementsN.Add(1)
+	t, _, err := db.table(tableName)
+	if err != nil {
+		return 0, err
+	}
+	return t.Count(lo, hi)
+}
+
 // syncRoot records root growth in the in-memory catalog. Durability does
 // not depend on it: the split that moved the root logged a root record in
 // the WAL, and checkpoints persist the catalog. The common case — the root

@@ -228,8 +228,14 @@ func TestDBConcurrentMixedWorkload(t *testing.T) {
 						return
 					}
 				default:
+					// A copying scan and an in-place count of the same
+					// range, beside in-place writers and splits.
 					if err := db.Scan("t", k, k+10, func(int64, []byte) bool { return true }); err != nil {
 						errs <- err
+						return
+					}
+					if n, err := db.Count("t", k, k+10); err != nil || n > 11 {
+						errs <- fmt.Errorf("Count[%d,%d] = %d, %v", k, k+10, n, err)
 						return
 					}
 				}

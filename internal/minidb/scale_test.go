@@ -298,10 +298,13 @@ func TestPlanCacheHitsAndSharing(t *testing.T) {
 
 // TestPlanCacheConcurrentExecutors runs cloned executors from many
 // goroutines against the shared cache (under -race this checks the
-// read-mostly locking).
+// read-mostly locking, and in-place range counts beside in-place updates
+// and splitting inserts).
 func TestPlanCacheConcurrentExecutors(t *testing.T) {
 	db := testDB(t, nil)
-	ex := NewExecutor(db, 500)
+	// Rows [0, 500) are loaded; the inserts fill [500, 2100) and split
+	// leaves under the range counts of the other executors.
+	ex := NewExecutor(db, 2100)
 	if err := ex.Load("sbtest", 500); err != nil {
 		t.Fatal(err)
 	}
@@ -313,13 +316,15 @@ func TestPlanCacheConcurrentExecutors(t *testing.T) {
 			exw := ex.Clone()
 			for i := 0; i < 200; i++ {
 				var sql string
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					sql = fmt.Sprintf("SELECT c FROM sbtest%d WHERE id = %d", g, i)
 				case 1:
 					sql = fmt.Sprintf("UPDATE sbtest%d SET k = k + 1 WHERE id = %d", g, i)
+				case 2:
+					sql = fmt.Sprintf("SELECT c FROM sbtest%d WHERE id BETWEEN %d AND %d", g, 500+g*200, 500+g*200+i)
 				default:
-					sql = fmt.Sprintf("SELECT c FROM sbtest%d WHERE id BETWEEN %d AND %d", g, i, i+10)
+					sql = fmt.Sprintf("INSERT INTO sbtest%d (id, k, c, pad) VALUES (%d, 1, 2, 3)", g, 500+g*200+i)
 				}
 				if _, err := exw.Exec(sql); err != nil {
 					t.Errorf("%s: %v", sql, err)
@@ -329,8 +334,11 @@ func TestPlanCacheConcurrentExecutors(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := ex.plans.Len(); n != 3 {
-		t.Fatalf("cached templates %d want 3", n)
+	if n := ex.plans.Len(); n != 4 {
+		t.Fatalf("cached templates %d want 4", n)
+	}
+	if n, err := db.Count("sbtest", 0, 2100); err != nil || n != 500+8*50 {
+		t.Fatalf("rows after the inserts: %d, %v; want %d", n, err, 500+8*50)
 	}
 }
 

@@ -69,7 +69,7 @@ type kvOps interface {
 	Get(table string, key int64) ([]byte, bool, error)
 	Put(table string, key int64, val []byte) error
 	Delete(table string, key int64) (bool, error)
-	Scan(table string, lo, hi int64, fn func(key int64, val []byte) bool) error
+	Count(table string, lo, hi int64) (int, error)
 }
 
 // Exec parses and executes one statement in auto-commit mode.
@@ -229,8 +229,7 @@ func (e *Executor) execOn(ops kvOps, sql string) (RowsTouched, error) {
 		if hi-lo > 200 {
 			hi = lo + 200 // bounded ranges, like sysbench's
 		}
-		n := 0
-		err := ops.Scan(plan.table, lo, hi, func(int64, []byte) bool { n++; return true })
+		n, err := ops.Count(plan.table, lo, hi)
 		return RowsTouched{Read: n}, err
 	case planSelectShort:
 		// Secondary-index / join shapes degrade to a short indexed range.
@@ -238,13 +237,11 @@ func (e *Executor) execOn(ops kvOps, sql string) (RowsTouched, error) {
 		if len(lits) > 0 {
 			start = e.key(lits[0])
 		}
-		n := 0
-		err := ops.Scan(plan.table, start, start+20, func(int64, []byte) bool { n++; return true })
+		n, err := ops.Count(plan.table, start, start+20)
 		return RowsTouched{Read: n}, err
 	case planSelectWindow:
 		// SELECT without literals (e.g. aggregates over a fixed window).
-		n := 0
-		err := ops.Scan(plan.table, 0, 100, func(int64, []byte) bool { n++; return true })
+		n, err := ops.Count(plan.table, 0, 100)
 		return RowsTouched{Read: n}, err
 	case planInsert:
 		k := int64(0)

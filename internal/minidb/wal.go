@@ -76,7 +76,8 @@ type WAL struct {
 	// buf is the log buffer. cap is its logical capacity
 	// (innodb_log_buffer_size) and alone decides when an append forces a
 	// write; the backing array grows on demand towards cap, so opening a log
-	// costs nothing per configured byte.
+	// costs nothing per configured byte. The array is recycled across logs
+	// (logBuffers), so it may start larger than cap; cap still decides.
 	buf    []byte
 	cap    int
 	policy FlushPolicy
@@ -135,6 +136,9 @@ func openWAL(fsys vfs.FS, path string, cfg WALConfig) (*WAL, error) {
 		file:   f,
 		cap:    cfg.BufferBytes,
 		policy: cfg.Policy,
+	}
+	if b, ok := logBuffers.Get().(*[]byte); ok {
+		w.buf = *b
 	}
 	if rec := obs.OrNop(cfg.Recorder); rec.Enabled() {
 		w.obsLive = true
@@ -465,6 +469,10 @@ func (w *WAL) Reset() error {
 	return nil
 }
 
+// logBuffers holds the backing arrays of closed logs' buffers, so a fresh
+// engine does not regrow its buffer from empty.
+var logBuffers sync.Pool
+
 // Close flushes and closes the log.
 func (w *WAL) Close() error {
 	if w.stop != nil {
@@ -473,6 +481,7 @@ func (w *WAL) Close() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.recycleBuf()
 	if err := w.writeLocked(); err != nil {
 		w.file.Close()
 		return err
@@ -482,6 +491,18 @@ func (w *WAL) Close() error {
 		return err
 	}
 	return w.file.Close()
+}
+
+// recycleBuf hands the buffer's backing array to the next log to open. The
+// log keeps none of it: an append after Close starts a buffer of its own.
+// Caller holds w.mu.
+func (w *WAL) recycleBuf() {
+	if cap(w.buf) == 0 {
+		return
+	}
+	b := w.buf[:0]
+	w.buf = nil
+	logBuffers.Put(&b)
 }
 
 // Stats reports physical log writes and fsyncs.

@@ -65,7 +65,8 @@ type traceStats struct {
 
 	// Drift/trust-region aggregation over core.iteration span attrs: how
 	// many iterations fired a drift event, and the range the trust-region
-	// radius covered (trustN counts iterations that carried a radius).
+	// radius covered (trustN counts iterations that carried a radius: those
+	// whose candidate an active region clamped).
 	driftEvents int
 	trustN      int
 	trustMin    float64
